@@ -25,7 +25,6 @@ from .frobenius import (
     TraceScalar,
     build_algebra,
     frobenius_axiom_check,
-    hodge_row,
     mul_twisted,
     pairing_gram,
     trace,

@@ -5,14 +5,27 @@ The trace of a socle class U is sign * c * m!Vol(polytope) times the formal
 unit (2 pi i)^(m-1), where c is the coordinate of z_1...z_r * U against a
 chosen generator of the one-dimensional R0(f)_{m beta} and the sign is
 -(-1)^(m(m-1)/2).
+
+Every trace is evaluated through one linear functional lambda on the columns
+(monomials) of S_{m beta}, computed once when the algebra is built:
+lambda_c = sign * m!Vol / generator_coord times the generator coordinate of
+the canonical remainder of the monomial of column c modulo J0(f).  The
+canonical remainder is a linear projection onto the non-pivot columns of the
+R0 echelon, so lambda is determined by its value on the one non-pivot column
+and by the echelon rows: a row with pivot c says that e_c equals
+-sum_{col > c} row[col] / row[c] * e_col modulo J0(f), hence
+lambda_c = -sum_{col > c} row[col] * lambda_col / row[c].  Taking pivots in
+decreasing order, every lambda_col on the right is already known.  This is
+back-substitution in exact rationals, so lambda agrees with reducing each
+monomial and reading its coordinate, entry for entry; a trace is then
+sum coeff * lambda over the monomials of z_1...z_r * p, with no reduction.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
 from . import linalg
@@ -74,6 +87,8 @@ class FrobeniusAlgebraData:
     generator_coord: Fraction  # coordinate of the strategy generator in r0_piece
     generator_monomial: Monomial | None  # Generic strategy generator
     zero_sums_checked: list[int]  # degrees a+b >= m verified zero-dimensional
+    # trace of each column (monomial) of r0_piece; see the module docstring
+    trace_functional: list[Fraction]
 
     @property
     def sign(self) -> int:
@@ -242,7 +257,7 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
             )
         generator_coord = coords[0]
 
-    return FrobeniusAlgebraData(
+    algebra = FrobeniusAlgebraData(
         system=system,
         strategy=strategy,
         m=m,
@@ -253,7 +268,28 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
         generator_coord=generator_coord,
         generator_monomial=generator_monomial,
         zero_sums_checked=zero_sums,
+        trace_functional=[],
     )
+    scale = Fraction(algebra.sign * volume) / generator_coord
+    algebra.trace_functional = _trace_functional(r0_piece, scale)
+    return algebra
+
+
+def _trace_functional(r0_piece: QuotientBasis, scale: Fraction) -> list[Fraction]:
+    """scale times the generator coordinate of the canonical remainder of
+    every column of the one-dimensional r0_piece, by back-substitution
+    through its echelon rows in decreasing pivot order."""
+    functional = [Fraction(0)] * len(r0_piece.monomials)
+    functional[r0_piece.column_index()[r0_piece.basis[0]]] = scale
+    rows = r0_piece.echelon.rows
+    for c in sorted(rows, reverse=True):
+        row = rows[c]
+        acc = Fraction(0)
+        for col, y in row.items():
+            if col != c and functional[col]:
+                acc += y * functional[col]
+        functional[c] = -acc / row[c]
+    return functional
 
 
 def trace(U: Sequence[Fraction], D: FrobeniusAlgebraData) -> TraceScalar:
@@ -263,21 +299,30 @@ def trace(U: Sequence[Fraction], D: FrobeniusAlgebraData) -> TraceScalar:
         raise DegreeMismatch(
             f"expected {socle.dim} socle coordinates, got {len(U)}"
         )
-    lifted = D.lift(D.m - 1, U)
-    shifted = lifted.mul_monomial(_all_ones(len(D.system.variables)))
-    coords = normal_form(shifted, D.r0_piece)
-    c = (coords[0] if coords else Fraction(0)) / D.generator_coord
-    rational = D.sign * c * D.volume
-    return TraceScalar(Fraction(rational), D.m - 1, D.sign)
+    return _evaluate_trace(zip(socle.basis, map(Fraction, U)), D)
 
 
 def trace_of_polynomial(p: GradedPolynomial, D: FrobeniusAlgebraData) -> TraceScalar:
-    """Trace of a degree-(m-1)beta polynomial, reduced directly in R0: an
+    """Trace of a degree-(m-1)beta polynomial read off its monomials: an
     independent path that never touches the structure constants."""
-    shifted = p.mul_monomial(_all_ones(len(D.system.variables)))
-    coords = normal_form(shifted, D.r0_piece)
-    c = (coords[0] if coords else Fraction(0)) / D.generator_coord
-    return TraceScalar(Fraction(D.sign * c * D.volume), D.m - 1, D.sign)
+    return _evaluate_trace(p.terms.items(), D)
+
+
+def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> TraceScalar:
+    """sum of coeff * lambda over the monomials of z_1...z_r * p, for the
+    (monomial, coefficient) pairs of a degree-(m-1)beta polynomial p."""
+    piece = D.r0_piece
+    index = piece.column_index()
+    total = Fraction(0)
+    for mono, coeff in terms:
+        shifted = tuple(e + 1 for e in mono)
+        col = index.get(shifted)
+        if col is None:
+            raise DegreeMismatch(
+                f"monomial {shifted} does not lie in the degree-{piece.degree} piece"
+            )
+        total += coeff * D.trace_functional[col]
+    return TraceScalar(total, D.m - 1, D.sign)
 
 
 def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[TraceScalar]]:
@@ -362,15 +407,20 @@ EXHAUSTIVE_TRIPLE_LIMIT = 10_000
 
 
 def frobenius_axiom_check(
-    D: FrobeniusAlgebraData, sample_seed: int = 0, sample_count: int = 200
+    D: FrobeniusAlgebraData,
+    sample_seed: int = 0,
+    sample_count: int = 200,
+    grams: Sequence[list[list[TraceScalar]]] | None = None,
 ) -> AxiomReport:
     """Certify the Frobenius axioms on D.
 
     Unit and commutativity are exact over all stored structure constants.
     Associativity runs over every basis triple when the triple count is at
     most 10^4, otherwise over seeded samples; invariance compares the
-    structure-constant path against direct polynomial reduction.
-    Nondegeneracy is exact full rank of every Gram matrix.
+    structure-constant path against the trace of the lifted triple-product
+    polynomial.  Nondegeneracy is exact full rank of every Gram matrix;
+    ``grams``, when given, must be ``pairing_gram(D, a)`` for a = 0..m-1 and
+    are used instead of being computed again.
     """
     m = D.m
     dims = D.dims()
@@ -391,7 +441,9 @@ def frobenius_axiom_check(
 
     assoc = _check_associativity(D, triples, sampled, rng, sample_count)
     inv = _check_invariance(D, sampled, rng, sample_count)
-    nondeg = _check_nondegeneracy(D)
+    if grams is None:
+        grams = [pairing_gram(D, a) for a in range(m)]
+    nondeg = _check_nondegeneracy(grams)
 
     return AxiomReport(unit, comm, assoc, inv, nondeg, sampled, sample_seed)
 
@@ -520,10 +572,9 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
     return AxiomCheck(True, checked)
 
 
-def _check_nondegeneracy(D: FrobeniusAlgebraData) -> AxiomCheck:
+def _check_nondegeneracy(grams) -> AxiomCheck:
     checked = 0
-    for a in range(D.m):
-        gram = pairing_gram(D, a)
+    for a, gram in enumerate(grams):
         rows = len(gram)
         cols = len(gram[0]) if gram else 0
         checked += 1
@@ -535,8 +586,3 @@ def _check_nondegeneracy(D: FrobeniusAlgebraData) -> AxiomCheck:
         if rows and linalg.rank_rational(rational) != rows:
             return AxiomCheck(False, checked, f"G_{a} is singular")
     return AxiomCheck(True, checked)
-
-
-def hodge_row(D: FrobeniusAlgebraData) -> list[int]:
-    """Predicted primitive Hodge numbers: (dim R(f)_{a beta})_{a=0}^{m-1}."""
-    return D.dims()

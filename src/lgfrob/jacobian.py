@@ -80,13 +80,20 @@ class QuotientBasis:
     pivots: tuple[int, ...]
     basis: list[Monomial]
     echelon: linalg.EchelonBasis | None
+    _index: dict[Monomial, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def column_index(self) -> dict[Monomial, int]:
-        return {mono: i for i, mono in enumerate(self.monomials)}
+        """Column of each ambient monomial, built on first use and shared by
+        every later caller, which must not modify it."""
+        if self._index is None:
+            self._index = {mono: i for i, mono in enumerate(self.monomials)}
+        return self._index
 
 
 def _generators(system: JacobianSystem, ideal: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from . import frobenius, jacobian, toric
+from . import frobenius, jacobian, linalg, toric
 from .errors import InputSchemaError, LgfrobError
 from .fixtures import SCHEMA_VERSION, unimodular_transform
 from .poly import GradedPolynomial, check_homogeneous, parse_polynomial
@@ -181,20 +181,27 @@ GRAM_ENTRY_LIMIT = 12
 
 def run_validate(config: RunConfig) -> tuple[dict, bool]:
     """Validation, grading, polytope and topology; no Jacobian work."""
-    timer = _Timer()
+    report, grading = _validate(config, _Timer())
+    return report, grading is not None
+
+
+def _validate(config: RunConfig, timer: _Timer) -> tuple[dict, toric.GradingMap | None]:
+    """The validate stages of every command; the grading is None when the
+    fan fails validation."""
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "validate",
         "name": config.name,
     }
+    if not config.json_only:
+        # the same dict as the timer's, so later stages land in it too
+        report["timings"] = timer.stages
     with timer.stage("validate"):
         vrep = toric.validate_fan(config.fan)
     report["validation"] = vrep.as_dict()
     report["validation_pass"] = vrep.all_pass
     if not vrep.all_pass:
-        if not config.json_only:
-            report["timings"] = timer.stages
-        return report, False
+        return report, None
 
     with timer.stage("grading"):
         grading = toric.class_group(config.fan)
@@ -220,22 +227,19 @@ def run_validate(config: RunConfig) -> tuple[dict, bool]:
     with timer.stage("topology"):
         report["betti"] = toric.betti_numbers(config.fan)
         report["extraisom"] = toric.extraisom_necessary_check(config.fan)
-    if not config.json_only:
-        report["timings"] = timer.stages
-    return report, True
+    return report, grading
 
 
 def run_report(config: RunConfig) -> tuple[dict, int]:
     """Full pipeline; returns (report, exit_code) with the documented
     contract: 0 ok, 3 validation failure, 4 mathematical certificate
     failure.  Schema errors raise before this point (exit 2)."""
-    report, ok = run_validate(config)
+    timer = _Timer()
+    report, grading = _validate(config, timer)
     report["command"] = "report"
-    if not ok:
+    if grading is None:
         return report, 3
 
-    timer = _Timer()
-    grading = toric.class_group(config.fan)
     m = config.fan.dim
     failures: list[str] = []
 
@@ -248,8 +252,6 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     except LgfrobError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["certificates_pass"] = False
-        if not config.json_only:
-            report["timings"] = timer.stages
         return report, 4
     report["potential"] = {"text": config.poly_text, "degree": list(degree)}
 
@@ -291,8 +293,6 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
         }
         report["certificates_pass"] = not failures
         report["failures"] = failures
-        if not config.json_only:
-            report["timings"] = timer.stages
         return report, 0 if not failures else 4
 
     report["hodge_row"] = dims
@@ -327,8 +327,6 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
         }
         report["certificates_pass"] = False
         report["failures"] = failures
-        if not config.json_only:
-            report["timings"] = timer.stages
         return report, 4
 
     try:
@@ -337,8 +335,6 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     except LgfrobError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["certificates_pass"] = False
-        if not config.json_only:
-            report["timings"] = timer.stages
         return report, 4
 
     socle_trace = frobenius.trace(
@@ -359,15 +355,13 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     }
 
     with timer.stage("gram"):
+        grams = [frobenius.pairing_gram(algebra, a) for a in range(m)]
         gram_section = {}
-        for a in range(m):
-            gram = frobenius.pairing_gram(algebra, a)
+        for a, gram in enumerate(grams):
             rows = len(gram)
             cols = len(gram[0]) if gram else 0
             entry: dict = {"shape": [rows, cols]}
             rational = [[e.rational for e in row] for row in gram]
-            from . import linalg
-
             entry["rank"] = linalg.rank_rational(rational) if rows else 0
             entry["nondegenerate"] = rows == cols and entry["rank"] == rows
             if rows * cols and rows <= GRAM_ENTRY_LIMIT and cols <= GRAM_ENTRY_LIMIT:
@@ -378,7 +372,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
 
     with timer.stage("axioms"):
         axioms = frobenius.frobenius_axiom_check(
-            algebra, config.sample_seed, config.sample_count
+            algebra, config.sample_seed, config.sample_count, grams
         )
     report["axioms"] = axioms.as_dict()
     if not axioms.all_pass:
@@ -390,18 +384,15 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     }
     report["certificates_pass"] = not failures
     report["failures"] = failures
-    if not config.json_only:
-        report["timings"] = timer.stages
     return report, 0 if not failures else 4
 
 
 def run_dims(config: RunConfig) -> tuple[dict, int]:
     """Validation plus graded dimensions only."""
-    report, ok = run_validate(config)
+    report, grading = _validate(config, _Timer())
     report["command"] = "dims"
-    if not ok:
+    if grading is None:
         return report, 3
-    grading = toric.class_group(config.fan)
     m = config.fan.dim
     try:
         f = parse_polynomial(config.poly_text, config.variables)

@@ -3,7 +3,9 @@ fixture round-trips."""
 
 import json
 
+from lgfrob import report, toric
 from lgfrob.cli import main
+from lgfrob.fixtures import get_fixture
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +133,40 @@ class TestReportCommand:
         assert code == 0
         assert "trace(socle gen) = 9" in err
         json.loads(out)  # stdout stays parseable
+
+    def test_timings_list_every_stage(self, capsys):
+        code, doc, _ = run_json(capsys, "report", "--fixture", "projective-3")
+        assert code == 0
+        assert list(doc["timings"]) == [
+            "validate",
+            "grading",
+            "polytope",
+            "topology",
+            "potential",
+            "dims",
+            "euler",
+            "macaulay",
+            "socle",
+            "algebra",
+            "gram",
+            "axioms",
+        ]
+
+    def test_class_group_computed_once_per_run(self, monkeypatch):
+        calls = []
+        original = toric.class_group
+
+        def counting(fan):
+            calls.append(fan)
+            return original(fan)
+
+        monkeypatch.setattr(toric, "class_group", counting)
+        doc = get_fixture("projective-3").to_input_document()
+        config = report.parse_run_config(doc, {"json_only": True})
+        for run in (report.run_report, report.run_dims):
+            calls.clear()
+            assert run(config)[1] == 0
+            assert len(calls) == 1, run.__name__
 
     def test_strategy_flag(self, capsys):
         code, doc, _ = run_json(

@@ -1,5 +1,6 @@
 """Algebra assembly, trace normalization, pairing and the axiom suite."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
 from lgfrob.errors import DegreeMismatch, HessianGeneratorZero, SocleNotOneDimensional
 from lgfrob.fixtures import get_fixture
-from lgfrob.poly import parse_polynomial
+from lgfrob.poly import GradedPolynomial, parse_polynomial
 from lgfrob.toric import class_group
 
 
@@ -210,6 +211,107 @@ class TestAxioms:
                     )
                     assert piece.dim == 0
 
-    def test_hodge_row(self, quartic_algebra):
-        assert frob.hodge_row(quartic_algebra) == quartic_algebra.dims()
-        assert frob.hodge_row(quartic_algebra)[0] == 1
+
+
+def reduced_trace(p, D):
+    """Trace of a degree-(m-1)beta polynomial by a full reduction of
+    z_1...z_r * p in R0, as every trace was evaluated before the functional."""
+    shifted = p.mul_monomial((1,) * len(D.system.variables))
+    coords = jac.normal_form(shifted, D.r0_piece)
+    c = (coords[0] if coords else Fraction(0)) / D.generator_coord
+    return D.sign * c * D.volume
+
+
+class TestTraceFunctional:
+    CASES = [
+        ("projective-3", frob.GENERIC, "cubic_algebra"),
+        ("projective-4", frob.GENERIC, "quartic_algebra"),
+        ("weighted-p112", frob.GENERIC, None),
+        ("bundle-p2", frob.GENERIC, "bundle_algebra"),
+        ("projective-4", frob.PROJECTIVE_HESSIAN, None),
+    ]
+
+    @pytest.fixture(params=CASES, ids=[f"{n}-{s}" for n, s, _ in CASES])
+    def algebra(self, request):
+        name, strategy, shared = request.param
+        if shared is not None:
+            return request.getfixturevalue(shared)
+        return frob.build_algebra(make_system(name), strategy)
+
+    def test_functional_equals_reduction(self, algebra):
+        D = algebra
+        r0 = D.r0_piece
+        scale = Fraction(D.sign * D.volume) / D.generator_coord
+        assert len(D.trace_functional) == len(r0.monomials)
+        for c, mono in enumerate(r0.monomials):
+            e_c = GradedPolynomial.monomial(D.system.variables, mono)
+            want = scale * jac.normal_form(e_c, r0)[0]
+            assert D.trace_functional[c] == want, mono
+
+    def test_trace_equals_lift_and_reduce(self, algebra):
+        D = algebra
+        m = D.m
+        rng = random.Random(11)
+        socle = D.bases[m - 1]
+        for _ in range(5):
+            U = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(socle.dim)]
+            assert frob.trace(U, D).rational == reduced_trace(D.lift(m - 1, U), D)
+            # every ambient monomial, pivots of the socle piece included
+            p = GradedPolynomial(
+                D.system.variables, {mono: rng.randint(-5, 5) for mono in socle.monomials}
+            )
+            assert frob.trace_of_polynomial(p, D).rational == reduced_trace(p, D)
+
+    def test_monomial_outside_the_socle_degree_rejected(self, cubic_algebra):
+        p = GradedPolynomial.monomial(cubic_algebra.system.variables, (1, 0, 0))
+        with pytest.raises(DegreeMismatch):
+            frob.trace_of_polynomial(p, cubic_algebra)
+
+
+class TestInvarianceFaultInjection:
+    """Corruptions that only the invariance check can see on bundle-p2 (dims
+    1, 18, 1): each must make it fail with a witness."""
+
+    def test_symmetric_structure_constant_corruption(self, bundle_algebra):
+        D = bundle_algebra
+        structure = {
+            key: [[list(coords) for coords in row] for row in tensor]
+            for key, tensor in D.structure.items()
+        }
+        tensor = structure[(1, 1)]
+        tensor[0][1][0] += 1
+        tensor[1][0][0] += 1
+        bad = dataclasses.replace(D, structure=structure)
+        report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
+        assert report.commutativity.ok
+        assert not report.invariance.ok
+        assert "vs direct" in report.invariance.witness
+
+    def test_functional_corruption_off_the_structure_path(self, bundle_algebra):
+        D = bundle_algebra
+        r0 = D.r0_piece
+        index = r0.column_index()
+        shift = (1,) * len(D.system.variables)
+
+        def column(mono):
+            return index[tuple(x + y for x, y in zip(mono, shift))]
+
+        # the structure path reads the functional only at z_1...z_r * socle
+        socle_col = column(D.bases[2].basis[0])
+        # a pivot column that the product of two degree-1 basis monomials,
+        # and so the direct path, reaches
+        products = (
+            tuple(x + y for x, y in zip(u, v))
+            for u in D.bases[1].basis
+            for v in D.bases[1].basis
+        )
+        col = next(
+            c for c in map(column, products) if c != socle_col and c in r0.echelon.rows
+        )
+        functional = list(D.trace_functional)
+        functional[col] += 1
+        bad = dataclasses.replace(D, trace_functional=functional)
+        assert frob.trace([Fraction(1)], bad) == frob.trace([Fraction(1)], D)
+        report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
+        assert not report.invariance.ok
+        assert "vs direct" in report.invariance.witness
