@@ -411,6 +411,7 @@ def frobenius_axiom_check(
     sample_seed: int = 0,
     sample_count: int = 200,
     grams: Sequence[list[list[TraceScalar]]] | None = None,
+    gram_ranks: Sequence[int] | None = None,
 ) -> AxiomReport:
     """Certify the Frobenius axioms on D.
 
@@ -420,7 +421,8 @@ def frobenius_axiom_check(
     structure-constant path against the trace of the lifted triple-product
     polynomial.  Nondegeneracy is exact full rank of every Gram matrix;
     ``grams``, when given, must be ``pairing_gram(D, a)`` for a = 0..m-1 and
-    are used instead of being computed again.
+    are used instead of being computed again; likewise ``gram_ranks``, which
+    must be ``gram_rank`` of each of them.
     """
     m = D.m
     dims = D.dims()
@@ -443,7 +445,9 @@ def frobenius_axiom_check(
     inv = _check_invariance(D, sampled, rng, sample_count)
     if grams is None:
         grams = [pairing_gram(D, a) for a in range(m)]
-    nondeg = _check_nondegeneracy(grams)
+    if gram_ranks is None:
+        gram_ranks = [gram_rank(gram) for gram in grams]
+    nondeg = _check_nondegeneracy(grams, gram_ranks)
 
     return AxiomReport(unit, comm, assoc, inv, nondeg, sampled, sample_seed)
 
@@ -572,9 +576,16 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
     return AxiomCheck(True, checked)
 
 
-def _check_nondegeneracy(grams) -> AxiomCheck:
+def gram_rank(gram: Sequence[Sequence[TraceScalar]]) -> int:
+    """Exact rank of a Gram matrix (0 for an empty one)."""
+    if not gram:
+        return 0
+    return linalg.rank_rational([[entry.rational for entry in row] for row in gram])
+
+
+def _check_nondegeneracy(grams, ranks) -> AxiomCheck:
     checked = 0
-    for a, gram in enumerate(grams):
+    for a, (gram, rank) in enumerate(zip(grams, ranks)):
         rows = len(gram)
         cols = len(gram[0]) if gram else 0
         checked += 1
@@ -582,7 +593,6 @@ def _check_nondegeneracy(grams) -> AxiomCheck:
             return AxiomCheck(
                 False, checked, f"G_{a} is {rows}x{cols}, not square"
             )
-        rational = [[entry.rational for entry in row] for row in gram]
-        if rows and linalg.rank_rational(rational) != rows:
+        if rank != rows:
             return AxiomCheck(False, checked, f"G_{a} is singular")
     return AxiomCheck(True, checked)

@@ -30,7 +30,7 @@ class JacobianSystem:
     f: GradedPolynomial
     partials: list[GradedPolynomial]
     euler_gens: list[GradedPolynomial]
-    use_prefilter: bool = True  # modular full-column-rank shortcut
+    use_prefilter: bool = True  # modular full-column-rank certificate per block
     _pieces: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -67,9 +67,10 @@ class QuotientBasis:
     """One graded piece of S/J or S/J0.
 
     ``monomials`` is the graded-lex basis of the ambient piece; ``basis`` the
-    non-pivot monomials spanning the quotient.  ``echelon`` is None exactly
-    when the piece was certified zero-dimensional by a modular full-column-
-    rank certificate (rank mod p <= rank over Q <= #columns forces equality),
+    non-pivot monomials spanning the quotient.  The relation rows split into
+    ``blocks`` connected blocks, of which ``certified_blocks`` have full
+    column rank without elimination and enter ``echelon`` as unit rows.
+    ``echelon`` is None exactly when every column lies in a certified block,
     in which case every reduction is the zero vector.
     """
 
@@ -80,6 +81,8 @@ class QuotientBasis:
     pivots: tuple[int, ...]
     basis: list[Monomial]
     echelon: linalg.EchelonBasis | None
+    blocks: int = 0
+    certified_blocks: int = 0
     _index: dict[Monomial, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -134,6 +137,14 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
 
 
 def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> QuotientBasis:
+    """The quotient at degree alpha, built block by block.
+
+    Each connected block of the relation rows is either certified to have
+    full column rank (one column, or rank mod p equal to its column count,
+    which forces the rank over Q) and enters the echelon as unit rows, or is
+    eliminated exactly.  Both span the block's row space, so the canonical
+    pivots, basis and normal forms do not depend on the path taken.
+    """
     alpha = tuple(alpha)
     key = (ideal, alpha)
     cached = system._pieces.get(key)
@@ -142,24 +153,50 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
 
     monos, rows = relation_rows(system, ideal, alpha)
     ncols = len(monos)
-    piece: QuotientBasis
-    if ncols == 0:
-        piece = QuotientBasis(alpha, ideal, [], 0, (), [], None)
-    elif system.use_prefilter and rows and linalg.rank_mod_p(rows, ncols) == ncols:
-        # modular certificate: quotient is zero-dimensional
-        piece = QuotientBasis(alpha, ideal, monos, ncols, tuple(range(ncols)), [], None)
-    else:
-        echelon = linalg.EchelonBasis(ncols)
-        for row in rows:
-            echelon.add_row(row)
-            if echelon.is_full_column_rank():
+    blocks = linalg.connected_blocks(rows, ncols)
+    echelon = linalg.EchelonBasis(ncols)
+    certified = 0
+    for cols, row_ids in blocks:
+        # rows taken by highest column keep fill-in and coefficient growth
+        # down in both eliminations; the row space does not depend on order
+        block_rows = sorted((rows[i] for i in row_ids), key=max)
+        if _full_rank_certified(system, cols, block_rows):
+            echelon.add_unit_rows(cols)
+            certified += 1
+            continue
+        grown = 0
+        for row in block_rows:
+            grown += echelon.add_row(row)
+            if grown == len(cols):
                 break
-        pivots = echelon.pivots
-        pivot_set = set(pivots)
-        basis = [mono for i, mono in enumerate(monos) if i not in pivot_set]
-        piece = QuotientBasis(alpha, ideal, monos, echelon.rank, pivots, basis, echelon)
+    pivots = echelon.pivots
+    if certified == len(blocks) and echelon.is_full_column_rank():
+        echelon = None  # every column certified, or no columns at all
+    pivot_set = set(pivots)
+    basis = [mono for i, mono in enumerate(monos) if i not in pivot_set]
+    piece = QuotientBasis(
+        alpha, ideal, monos, len(pivots), pivots, basis, echelon,
+        len(blocks), certified,
+    )
     system._pieces[key] = piece
     return piece
+
+
+def _full_rank_certified(
+    system: JacobianSystem, cols: list[int], rows: list[dict[int, int]]
+) -> bool:
+    """Whether a block has full column rank without exact elimination:
+    exactly for one column (its rows are nonzero), and otherwise by the
+    one-sided modular certificate rank mod p = #columns."""
+    if len(rows) < len(cols):
+        return False
+    if len(cols) == 1:
+        return True
+    if not system.use_prefilter:
+        return False
+    local = {c: i for i, c in enumerate(cols)}
+    local_rows = [{local[c]: x for c, x in row.items()} for row in rows]
+    return linalg.rank_mod_p(local_rows, len(cols)) == len(cols)
 
 
 def dim_R(system: JacobianSystem, a: int) -> int:
@@ -184,7 +221,7 @@ def normal_form(poly: GradedPolynomial, piece: QuotientBasis) -> list[Fraction]:
             )
         row[col] = coeff
     if piece.echelon is None:
-        # zero-dimensional piece (or empty ambient): everything reduces to 0
+        # every column certified (or empty ambient): everything reduces to 0
         return []
     remainder = piece.echelon.reduce(row)
     coords = []

@@ -332,6 +332,12 @@ class EchelonBasis:
     def is_full_column_rank(self) -> bool:
         return len(self.rows) == self.ncols
 
+    def add_unit_rows(self, cols: Iterable[int]) -> None:
+        """Insert the unit rows e_c of columns that no stored row touches,
+        e.g. a block certified to have full column rank."""
+        for c in cols:
+            self.rows[c] = {c: 1}
+
     def add_row(self, row: Mapping[int, Fraction | int]) -> bool:
         """Insert a row; returns True if the rank grew."""
         work = clear_denominators(row)
@@ -399,6 +405,53 @@ def echelon_rank(
 
 
 # ---------------------------------------------------------------------------
+# connected blocks of a sparse matrix
+
+
+def connected_blocks(
+    rows: Sequence[Mapping[int, int]], ncols: int
+) -> list[tuple[list[int], list[int]]]:
+    """Connected components of the row/column incidence graph of ``rows``.
+
+    Each block is ``(columns, row indices)``, both ascending, and the blocks
+    are ordered by their lowest column.  Every nonzero row lies in exactly
+    one block, so the row space is the direct sum of the blocks' row spaces;
+    a column that no row touches lies in no block.
+    """
+    parent = list(range(ncols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        cols = iter(row)
+        first = next(cols, None)
+        if first is None:
+            continue
+        root = find(first)
+        for c in cols:
+            other = find(c)
+            if other != root:
+                # the lower root survives, so a root is its block's lowest column
+                if other < root:
+                    root, other = other, root
+                parent[other] = root
+    block_rows: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            block_rows.setdefault(find(min(row)), []).append(i)
+    block_cols: dict[int, list[int]] = {root: [] for root in block_rows}
+    for c in range(ncols):
+        cols = block_cols.get(find(c))
+        if cols is not None:
+            cols.append(c)
+    return [(block_cols[root], block_rows[root]) for root in sorted(block_rows)]
+
+
+# ---------------------------------------------------------------------------
 # modular rank prefilter
 
 
@@ -409,8 +462,8 @@ def rank_mod_p(
 ) -> int:
     """Rank of an integer sparse matrix modulo ``p``.
 
-    Always a lower bound for the rank over Q; used to certify full-column-rank
-    (zero-dimensional quotient) pieces without exact elimination.
+    Always a lower bound for the rank over Q; used to certify blocks of full
+    column rank without exact elimination.
     """
     nrows = len(rows)
     if nrows * ncols <= 8_000_000:
@@ -430,21 +483,19 @@ def _rank_mod_p_dense(rows, ncols, p):
     for c in range(ncols):
         if rank == nrows:
             break
-        col = m[rank:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(m[rank:, c])
         if nz.size == 0:
             continue
+        # rows rank.. are zero left of c, so only the trailing columns c: of
+        # the rows that are nonzero in column c take part in the update
         pr = rank + int(nz[0])
         if pr != rank:
-            m[[rank, pr]] = m[[pr, rank]]
-        inv = pow(int(m[rank, c]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        below = m[rank + 1 :, c]
-        mask = below != 0
-        if mask.any():
-            m[rank + 1 :][mask] = (
-                m[rank + 1 :][mask] - below[mask, None] * m[rank][None, :]
-            ) % p
+            m[[rank, pr], c:] = m[[pr, rank], c:]
+        pivot = (m[rank, c:] * pow(int(m[rank, c]), p - 2, p)) % p
+        below = rank + 1 + np.flatnonzero(m[rank + 1 :, c])
+        if below.size:
+            tail = m[below, c:]
+            m[below, c:] = (tail - tail[:, :1] * pivot[None, :]) % p
         rank += 1
     return rank
 

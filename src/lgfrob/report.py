@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from . import frobenius, jacobian, linalg, toric
+from . import frobenius, jacobian, toric
 from .errors import InputSchemaError, LgfrobError
 from .fixtures import SCHEMA_VERSION, unimodular_transform
 from .poly import GradedPolynomial, check_homogeneous, parse_polynomial
@@ -96,9 +96,8 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
         ),
         expected_fail=doc.get("expected_fail"),
     )
-    merged = dict(options)
-    merged.update(overrides or {})
-    for key, value in merged.items():
+    # the document's options are checked even where an override replaces them
+    for key, value in [*options.items(), *(overrides or {}).items()]:
         if key == "trace_strategy" or key == "strategy":
             if value not in frobenius.STRATEGIES:
                 raise InputSchemaError(f"unknown trace strategy {value!r}")
@@ -122,10 +121,10 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
             if threads < 1:
                 raise InputSchemaError("threads must be >= 1")
             config.threads = threads
-        elif key == "modular_prefilter":
-            config.modular_prefilter = bool(value)
-        elif key == "json_only":
-            config.json_only = bool(value)
+        elif key in ("modular_prefilter", "json_only"):
+            if not isinstance(value, bool):
+                raise InputSchemaError(f"option {key!r} must be true or false")
+            setattr(config, key, value)
         else:
             raise InputSchemaError(f"unknown option {key!r}")
 
@@ -356,23 +355,24 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
 
     with timer.stage("gram"):
         grams = [frobenius.pairing_gram(algebra, a) for a in range(m)]
+        ranks = [frobenius.gram_rank(gram) for gram in grams]
         gram_section = {}
-        for a, gram in enumerate(grams):
+        for a, (gram, rank) in enumerate(zip(grams, ranks)):
             rows = len(gram)
             cols = len(gram[0]) if gram else 0
-            entry: dict = {"shape": [rows, cols]}
-            rational = [[e.rational for e in row] for row in gram]
-            entry["rank"] = linalg.rank_rational(rational) if rows else 0
-            entry["nondegenerate"] = rows == cols and entry["rank"] == rows
+            entry: dict = {"shape": [rows, cols], "rank": rank}
+            entry["nondegenerate"] = rows == cols and rank == rows
             if rows * cols and rows <= GRAM_ENTRY_LIMIT and cols <= GRAM_ENTRY_LIMIT:
-                entry["entries"] = [[frac_str(x) for x in row] for row in rational]
+                entry["entries"] = [
+                    [frac_str(e.rational) for e in row] for row in gram
+                ]
             gram_section[str(a)] = entry
     report["gram"] = gram_section
     report["gram_unit_exponent"] = m - 1
 
     with timer.stage("axioms"):
         axioms = frobenius.frobenius_axiom_check(
-            algebra, config.sample_seed, config.sample_count, grams
+            algebra, config.sample_seed, config.sample_count, grams, ranks
         )
     report["axioms"] = axioms.as_dict()
     if not axioms.all_pass:

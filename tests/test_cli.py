@@ -3,7 +3,9 @@ fixture round-trips."""
 
 import json
 
-from lgfrob import report, toric
+import pytest
+
+from lgfrob import frobenius, linalg, report, toric
 from lgfrob.cli import main
 from lgfrob.fixtures import get_fixture
 
@@ -203,6 +205,69 @@ class TestReportCommand:
         code, _, err = run_cli(capsys, "report", "--input", str(path), "--json-only")
         assert code == 2
         assert "unknown option" in err
+
+
+    @pytest.mark.parametrize("key", ["modular_prefilter", "json_only"])
+    @pytest.mark.parametrize("value", ["false", 0])
+    def test_flag_options_must_be_booleans(self, capsys, tmp_path, key, value):
+        doc = get_fixture("projective-3").to_input_document()
+        doc["options"] = {key: value}
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "report", "--input", str(path), "--json-only")
+        assert code == 2
+        assert out == ""
+        assert f"option '{key}' must be true or false" in err
+
+    def test_prefilter_flag_false_is_honoured(self, capsys, tmp_path):
+        doc = get_fixture("projective-3").to_input_document()
+        doc["options"] = {"modular_prefilter": False}
+        assert not report.parse_run_config(doc).modular_prefilter
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "report", "--input", str(path), "--json-only")
+        assert code == 0
+        assert json.loads(out)["certificates_pass"] is True
+
+
+class TestGramRanks:
+    def test_each_gram_rank_computed_once(self, monkeypatch):
+        calls = []
+        original = linalg.rank_rational
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(linalg, "rank_rational", counting)
+        doc = get_fixture("projective-4").to_input_document()
+        doc_report, code = report.run_report(report.parse_run_config(doc))
+        assert code == 0
+        # G_0, G_1, G_2 of the quartic: 1x1, 19x19, 1x1
+        assert calls == [1, 19, 1]
+        assert [doc_report["gram"][str(a)]["rank"] for a in range(3)] == [1, 19, 1]
+
+    def test_singular_gram_fails_nondegeneracy(self, monkeypatch):
+        """Fault injection: a repeated row makes G_1 singular; the gram
+        section and the nondegeneracy axiom must both say so."""
+        original = frobenius.pairing_gram
+
+        def corrupted(algebra, a):
+            gram = original(algebra, a)
+            if a == 1:
+                gram[1] = list(gram[0])
+            return gram
+
+        monkeypatch.setattr(frobenius, "pairing_gram", corrupted)
+        doc = get_fixture("projective-4").to_input_document()
+        doc_report, code = report.run_report(report.parse_run_config(doc))
+        assert code == 4
+        assert doc_report["gram"]["1"]["rank"] == 18
+        assert doc_report["gram"]["1"]["nondegenerate"] is False
+        nondeg = doc_report["axioms"]["nondegeneracy"]
+        assert nondeg["pass"] is False
+        assert nondeg["witness"] == "G_1 is singular"
+        assert "frobenius_axioms" in doc_report["failures"]
 
 
 class TestDeterminism:

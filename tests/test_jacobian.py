@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lgfrob import jacobian as jac
+from lgfrob import linalg
 from lgfrob.errors import DegreeMismatch, NoFunctional
 from lgfrob.fixtures import get_fixture
 from lgfrob.poly import GradedPolynomial, parse_polynomial
@@ -182,6 +183,134 @@ class TestNormalForm:
                 continue
             shifted = u.mul_monomial(shift)
             assert all(c == 0 for c in jac.normal_form(shifted, piece0))
+
+
+def plain_piece(system, ideal, alpha):
+    """Reference: every relation row of the piece through one EchelonBasis,
+    with no blocks and no modular certificate.  The row space does not
+    depend on the order of the rows; taking them by highest column keeps
+    the coefficients small."""
+    monos, rows = jac.relation_rows(system, ideal, alpha)
+    echelon = linalg.EchelonBasis(len(monos))
+    for row in sorted(rows, key=max):
+        echelon.add_row(row)
+        if echelon.is_full_column_rank():
+            break
+    return monos, echelon
+
+
+def reference_normal_forms(ncols, echelon):
+    """Normal form of every column modulo the row space of ``echelon``, by
+    back-substitution in decreasing pivot order rather than by
+    ``EchelonBasis.reduce``: a pivot row says e_c = -sum_j (y_j / y_c) e_j
+    over its columns j > c."""
+    basis = [c for c in range(ncols) if c not in echelon.rows]
+    forms = {}
+    for k, c in enumerate(basis):
+        forms[c] = [Fraction(int(i == k)) for i in range(len(basis))]
+    for c in sorted(echelon.rows, reverse=True):
+        row = echelon.rows[c]
+        acc = [Fraction(0)] * len(basis)
+        for j, y in row.items():
+            if j != c:
+                acc = [x + y * v for x, v in zip(acc, forms[j])]
+        forms[c] = [-x / row[c] for x in acc]
+    return [forms[c] for c in range(ncols)]
+
+
+def assert_same_piece(piece, monos, echelon):
+    """Same pivots, basis and normal form of every ambient monomial as the
+    reference ``echelon`` on ``monos``."""
+    assert piece.monomials == monos
+    assert piece.pivots == echelon.pivots
+    pivots = set(echelon.pivots)
+    assert piece.basis == [mo for i, mo in enumerate(monos) if i not in pivots]
+    variables = tuple(f"x{i}" for i in range(len(monos[0]))) if monos else ()
+    want = reference_normal_forms(len(monos), echelon)
+    for mono, form in zip(monos, want):
+        assert jac.normal_form(GradedPolynomial(variables, {mono: 1}), piece) == form
+
+
+class TestBlocks:
+    """Each piece is built block by block (connected components of the
+    relation rows), with full-rank blocks certified instead of eliminated."""
+
+    @pytest.mark.parametrize(
+        "name", ["projective-3", "projective-4", "weighted-p112", "bundle-p2"]
+    )
+    def test_blocked_pieces_equal_plain_echelon(self, name):
+        system = make_system(name)
+        for a in range(system.m + 2):
+            alpha = system.grading.scaled_beta(a)
+            for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
+                piece = jac.graded_piece(system, ideal, alpha)
+                assert_same_piece(piece, *plain_piece(system, ideal, alpha))
+
+    def test_simulated_modular_miss_falls_back_to_exact(self, monkeypatch):
+        """A block whose rank mod p falls short (as when p divides a minor)
+        is eliminated exactly: the piece equals the one built without the
+        modular certificate.  R(f)_{2 beta} of bundle-p2 has one block that
+        is certified mod p and one (88 columns, rank 87) that is not."""
+        ideal, alpha = jac.IDEAL_J, (4, 4)
+        certified = jac.graded_piece(make_system("bundle-p2"), ideal, alpha)
+        exact = make_system("bundle-p2")
+        exact.use_prefilter = False
+        reference = jac.graded_piece(exact, ideal, alpha)
+        assert reference.certified_blocks == 0  # neither block is one column
+
+        original = linalg.rank_mod_p
+        missed = []
+
+        def miss_once(rows, ncols, p=linalg.PREFILTER_PRIME):
+            rank = original(rows, ncols, p)
+            if rank == ncols and not missed:
+                missed.append(ncols)
+                return ncols - 1
+            return rank
+
+        monkeypatch.setattr(linalg, "rank_mod_p", miss_once)
+        piece = jac.graded_piece(make_system("bundle-p2"), ideal, alpha)
+        assert missed, "no block was certified mod p"
+        assert piece.echelon is not None
+        assert piece.blocks == reference.blocks
+        assert piece.certified_blocks == certified.certified_blocks - 1
+        monos, plain = plain_piece(exact, ideal, alpha)
+        assert_same_piece(piece, monos, plain)
+        assert_same_piece(reference, monos, plain)
+
+    def test_block_with_fewer_rows_than_columns_skips_modular_rank(self, monkeypatch):
+        calls = []
+        original = linalg.rank_mod_p
+
+        def recording(rows, ncols, p=linalg.PREFILTER_PRIME):
+            calls.append((len(rows), ncols))
+            return original(rows, ncols, p)
+
+        monkeypatch.setattr(linalg, "rank_mod_p", recording)
+        system = make_system("bundle-p2")
+        alpha = system.grading.scaled_beta(1)
+        for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
+            monos, rows = jac.relation_rows(system, ideal, alpha)
+            blocks = linalg.connected_blocks(rows, len(monos))
+            assert blocks and all(len(r) < len(c) for c, r in blocks)
+            piece = jac.graded_piece(system, ideal, alpha)
+            assert piece.certified_blocks == 0
+        assert calls == []
+        # every block that does reach the modular rank has rows >= columns
+        jac.graded_piece(system, jac.IDEAL_J, system.grading.scaled_beta(3))
+        assert calls and all(rows >= cols for rows, cols in calls)
+
+    def test_block_counters(self, bundle_p2):
+        piece = jac.graded_piece(bundle_p2, jac.IDEAL_J, (8, 8))
+        assert (piece.blocks, piece.certified_blocks) == (2, 2)
+        assert piece.echelon is None and piece.dim == 0
+        piece0 = jac.graded_piece(bundle_p2, jac.IDEAL_J0, (6, 6))
+        assert (piece0.blocks, piece0.certified_blocks) == (2, 1)
+        assert piece0.dim == 1
+        quartic = make_system("projective-4")
+        piece = jac.graded_piece(quartic, jac.IDEAL_J, (16,))
+        assert (piece.blocks, piece.certified_blocks) == (969, 969)
+        assert len(piece.monomials) == 969
 
 
 class TestCertificates:

@@ -245,3 +245,73 @@ class TestRankModP:
         assert linalg._rank_mod_p_dense(
             sparse, 8, linalg.PREFILTER_PRIME
         ) == linalg._rank_mod_p_sparse(sparse, 8, linalg.PREFILTER_PRIME)
+
+    @pytest.mark.parametrize(
+        "shape, inner",
+        [
+            ((12, 5), 5),  # tall, full column rank long before the last row
+            ((12, 7), 3),  # tall, rank 3 reached before the last row
+            ((4, 9), 4),  # wide
+            ((6, 6), 2),  # square, rank deficient
+        ],
+    )
+    def test_modular_kernels_agree_with_exact_rank(self, shape, inner):
+        """Seeded integer matrices of known shape and inner dimension: both
+        modular kernels and the exact echelon give the same rank, also when
+        entries are shifted by multiples of p (which vanish mod p)."""
+        p = linalg.PREFILTER_PRIME
+        rng = random.Random(41 + shape[0] * shape[1] + inner)
+        rows_n, cols = shape
+        for _ in range(10):
+            left = random_matrix(rng, rows_n, inner, -4, 4)
+            right = random_matrix(rng, inner, cols, -4, 4)
+            product = linalg.mat_mul_int(left, right)
+            zero = rng.randrange(rows_n)
+            product[zero] = [0] * cols
+            exact = linalg.echelon_rank(
+                [{j: x for j, x in enumerate(row) if x} for row in product], cols
+            )
+            shifted = [
+                {j: x + p * rng.randint(-3, 3) for j, x in enumerate(row)}
+                for row in product
+            ]
+            # a row that is zero mod p but not over Q
+            shifted[zero] = {j: p * rng.choice((-2, -1, 1, 2)) for j in range(cols)}
+            shifted = [{j: x for j, x in row.items() if x} for row in shifted]
+            dense = linalg._rank_mod_p_dense(shifted, cols, p)
+            sparse = linalg._rank_mod_p_sparse(shifted, cols, p)
+            assert dense == sparse == exact <= min(rows_n, cols, inner)
+
+
+class TestConnectedBlocks:
+    def test_components_and_order(self):
+        rows = [{3: 1, 5: 2}, {0: 1}, {5: 1, 6: -1}, {}, {1: 4, 0: 1}, {4: 2}]
+        blocks = linalg.connected_blocks(rows, 8)
+        assert blocks == [
+            ([0, 1], [1, 4]),
+            ([3, 5, 6], [0, 2]),
+            ([4], [5]),
+        ]  # column 2 and 7 lie in no row, the empty row in no block
+
+    def test_partition_of_random_rows(self):
+        rng = random.Random(43)
+        ncols = 40
+        rows = [
+            {c: rng.randint(1, 9) for c in rng.sample(range(ncols), rng.randint(1, 3))}
+            for _ in range(25)
+        ]
+        blocks = linalg.connected_blocks(rows, ncols)
+        seen_rows = sorted(i for _, ids in blocks for i in ids)
+        assert seen_rows == list(range(len(rows)))
+        owner = {c: k for k, (cols, _) in enumerate(blocks) for c in cols}
+        assert len(owner) == sum(len(cols) for cols, _ in blocks)
+        assert set(owner) == {c for row in rows for c in row}
+        for k, (cols, ids) in enumerate(blocks):
+            assert cols == sorted(cols) and ids == sorted(ids)
+            assert all(owner[c] == k for i in ids for c in rows[i])
+        assert [cols[0] for cols, _ in blocks] == sorted(cols[0] for cols, _ in blocks)
+        # the direct sum: ranks of the blocks add up to the rank
+        total = sum(
+            linalg.echelon_rank([rows[i] for i in ids], ncols) for _, ids in blocks
+        )
+        assert total == linalg.echelon_rank(rows, ncols)
