@@ -19,13 +19,36 @@ decreasing order, every lambda_col on the right is already known.  This is
 back-substitution in exact rationals, so lambda agrees with reducing each
 monomial and reading its coordinate, entry for entry; a trace is then
 sum coeff * lambda over the monomials of z_1...z_r * p, with no reduction.
+
+Every product of A(f) goes through one sparse kernel.  The structure
+constants are stored dense (``structure[(a, b)][i][j][k]``, a <= b), and
+``FrobeniusAlgebraData`` derives from them, whenever it is constructed, a
+nonzero index ``(a, b) -> i -> {j: [(k, c), ...]}`` that holds only the
+pairs (j, k) with a nonzero constant c.  ``product_coords`` and the
+associativity check iterate that index, so their cost is the number of
+nonzero constants reached, not dim_a * dim_b * dim_(a+b).  An integral
+constant or coordinate enters the kernel as an ``int``, so on integral
+inputs (every Fermat potential, and the integer samples of the axiom checks)
+a product accumulates in int arithmetic and forms one ``Fraction`` per
+output coordinate.  A Gram entry G_a[i][j] is sum_k c_k tau_k over the
+index, where tau_k is the trace of the k-th degree-(m-1) basis element,
+read once from lambda.
+
+The invariance check keeps an independent direct path that never reads the
+structure constants: it multiplies the lifts of its integer sample vectors
+as polynomials with Python ``int`` coefficients (lifted basis monomials
+have coefficient 1), keying each monomial by an integer code so that a
+monomial product is one addition, and dots the result with den * lambda,
+where den is the lcm of the denominators of lambda, so one ``Fraction`` is
+formed per trace.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -72,6 +95,18 @@ class TraceScalar:
         return f"{self.rational} * (2*pi*i)^{self.unit_exponent}"
 
 
+def _integral(c: int | Fraction) -> int | Fraction:
+    """c as an int when it is integral, so that sums of integral products
+    stay in int arithmetic."""
+    return c.numerator if c.denominator == 1 else c
+
+
+# (a, b) -> i -> {j: [(k, c), ...]} over the nonzero constants c, each an
+# int when integral
+Constants = list[tuple[int, int | Fraction]]
+NonzeroIndex = dict[tuple[int, int], list[dict[int, Constants]]]
+
+
 @dataclass
 class FrobeniusAlgebraData:
     """Bases, structure constants, socle data and Gram matrices of A(f)."""
@@ -89,6 +124,21 @@ class FrobeniusAlgebraData:
     zero_sums_checked: list[int]  # degrees a+b >= m verified zero-dimensional
     # trace of each column (monomial) of r0_piece; see the module docstring
     trace_functional: list[Fraction]
+    # derived from structure on construction (dataclasses.replace included)
+    nonzero: NonzeroIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.nonzero = {
+            key: [
+                {
+                    j: [(k, _integral(c)) for k, c in enumerate(coords) if c]
+                    for j, coords in enumerate(row)
+                    if any(coords)
+                }
+                for row in tensor
+            ]
+            for key, tensor in self.structure.items()
+        }
 
     @property
     def sign(self) -> int:
@@ -97,11 +147,6 @@ class FrobeniusAlgebraData:
     def dims(self) -> list[int]:
         return [piece.dim for piece in self.bases]
 
-    def basis_poly(self, a: int, i: int) -> GradedPolynomial:
-        return GradedPolynomial.monomial(
-            self.system.variables, self.bases[a].basis[i]
-        )
-
     def lift(self, a: int, coords: Sequence[Fraction]) -> GradedPolynomial:
         piece = self.bases[a]
         terms = {
@@ -109,11 +154,12 @@ class FrobeniusAlgebraData:
         }
         return GradedPolynomial(self.system.variables, terms)
 
-    def tensor(self, a: int, b: int):
-        """Structure tensor for an (a, b) product, in either argument order."""
-        if a <= b:
-            return self.structure[(a, b)], False
-        return self.structure[(b, a)], True
+    def basis_product(self, a: int, i: int, b: int, j: int) -> Constants:
+        """Nonzero (k, c) of basis[a][i] * basis[b][j] in degree a+b < m,
+        read from the nonzero index; the caller must not modify it."""
+        if a > b:
+            a, i, b, j = b, j, a, i
+        return self.nonzero[(a, b)][i].get(j, [])
 
     def product_coords(
         self, a: int, u: Sequence[Fraction], b: int, v: Sequence[Fraction]
@@ -121,22 +167,23 @@ class FrobeniusAlgebraData:
         """Coordinates of [u][v] in degree a+b; zero vector when a+b >= m."""
         if a + b >= self.m:
             return []
-        tensor, swapped = self.tensor(a, b)
-        if swapped:
+        if a > b:
             a, b, u, v = b, a, v, u
-        out = [Fraction(0)] * self.bases[a + b].dim
+        index = self.nonzero[(a, b)]
+        v = [_integral(c) for c in v]
+        out = [0] * self.bases[a + b].dim
         for i, ci in enumerate(u):
-            if ci == 0:
+            if not ci:
                 continue
-            row = tensor[i]
-            for j, cj in enumerate(v):
-                if cj == 0:
+            ci = _integral(ci)
+            for j, entries in index[i].items():
+                cj = v[j]
+                if not cj:
                     continue
                 w = ci * cj
-                for k, ck in enumerate(row[j]):
-                    if ck:
-                        out[k] += w * ck
-        return out
+                for k, ck in entries:
+                    out[k] += w * ck
+        return [Fraction(x) for x in out]
 
 
 def _all_ones(n: int) -> Monomial:
@@ -327,20 +374,27 @@ def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> TraceScalar:
 
 def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[TraceScalar]]:
     """Gram matrix G_a: traces of products of degree-a and degree-(m-1-a)
-    basis elements."""
+    basis elements, sum_k c_k tau_k over the nonzero constants c_k of each
+    product, where tau_k is the trace of the k-th degree-(m-1) basis element."""
     if not 0 <= a <= D.m - 1:
         raise DegreeMismatch(f"degree {a} outside 0..{D.m - 1}")
     b = D.m - 1 - a
-    dim_a, dim_b = D.bases[a].dim, D.bases[b].dim
-    gram = []
-    for i in range(dim_a):
-        u = [Fraction(1 if k == i else 0) for k in range(dim_a)]
-        row = []
-        for j in range(dim_b):
-            v = [Fraction(1 if k == j else 0) for k in range(dim_b)]
-            row.append(trace(D.product_coords(a, u, b, v), D))
-        gram.append(row)
-    return gram
+    socle = D.bases[D.m - 1]
+    tau = [
+        _evaluate_trace([(mono, Fraction(1))], D).rational for mono in socle.basis
+    ]
+    zero = Fraction(0)
+    return [
+        [
+            TraceScalar(
+                sum((c * tau[k] for k, c in D.basis_product(a, i, b, j)), zero),
+                D.m - 1,
+                D.sign,
+            )
+            for j in range(D.bases[b].dim)
+        ]
+        for i in range(D.bases[a].dim)
+    ]
 
 
 def mul_twisted(
@@ -417,8 +471,11 @@ def frobenius_axiom_check(
 
     Unit and commutativity are exact over all stored structure constants.
     Associativity runs over every basis triple when the triple count is at
-    most 10^4, otherwise over seeded samples; invariance compares the
-    structure-constant path against the trace of the lifted triple-product
+    most 10^4, otherwise over ``sample_count`` seeded basis triples.
+    Invariance always draws ``sample_count`` seeded random triples (u, v, w)
+    of integer coordinate vectors with entries in [-3, 3], even when
+    associativity is exhaustive, and compares both structure-constant traces
+    <u*v, w> and <u, v*w> with the direct trace of the lifted triple-product
     polynomial.  Nondegeneracy is exact full rank of every Gram matrix;
     ``grams``, when given, must be ``pairing_gram(D, a)`` for a = 0..m-1 and
     are used instead of being computed again; likewise ``gram_ranks``, which
@@ -476,14 +533,15 @@ def _check_unit(D: FrobeniusAlgebraData) -> AxiomCheck:
 def _check_commutativity(D: FrobeniusAlgebraData) -> AxiomCheck:
     checked = 0
     for a in range(D.m):
-        tensor = D.structure.get((a, a))
-        if tensor is None:
+        # the nonzero constants of the stored (a, a) tensor
+        index = D.nonzero.get((a, a))
+        if index is None:
             continue
         n = D.bases[a].dim
         for i in range(n):
             for j in range(i + 1, n):
                 checked += 1
-                if tensor[i][j] != tensor[j][i]:
+                if index[i].get(j) != index[j].get(i):
                     return AxiomCheck(
                         False,
                         checked,
@@ -495,18 +553,24 @@ def _check_commutativity(D: FrobeniusAlgebraData) -> AxiomCheck:
 def _check_associativity(D, triples, sampled, rng, sample_count) -> AxiomCheck:
     dims = D.dims()
 
+    def collect(pairs) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for n, y in pairs:
+            out[n] = out.get(n, 0) + y
+        return {n: y for n, y in out.items() if y}
+
     def one(a, i, b, j, c, k):
-        u = _unit_vector(dims[a], i)
-        v = _unit_vector(dims[b], j)
-        w = _unit_vector(dims[c], k)
-        uv = D.product_coords(a, u, b, v)
-        lhs = D.product_coords(a + b, uv, c, w) if a + b < D.m else []
-        vw = D.product_coords(b, v, c, w)
-        rhs = D.product_coords(a, u, b + c, vw) if b + c < D.m else []
-        if a + b >= D.m:
-            lhs = [Fraction(0)] * dims[a + b + c] if a + b + c < D.m else []
-        if b + c >= D.m:
-            rhs = [Fraction(0)] * dims[a + b + c] if a + b + c < D.m else []
+        # a + b + c <= m - 1, so every partial product has degree below m
+        lhs = collect(
+            (n, x * y)
+            for mid, x in D.basis_product(a, i, b, j)
+            for n, y in D.basis_product(a + b, mid, c, k)
+        )
+        rhs = collect(
+            (n, x * y)
+            for mid, x in D.basis_product(b, j, c, k)
+            for n, y in D.basis_product(a, i, b + c, mid)
+        )
         return lhs == rhs, (a, i, b, j, c, k)
 
     checked = 0
@@ -550,9 +614,10 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
     ]
     if not degree_triples:
         return AxiomCheck(True, 0)
+    scaled = scaled_functional(D)
 
     def random_vector(n):
-        return [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        return [rng.randint(-3, 3) for _ in range(n)]
 
     checked = 0
     for _ in range(sample_count):
@@ -562,18 +627,65 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
         w = random_vector(dims[c])
         lhs = trace(D.product_coords(a + b, D.product_coords(a, u, b, v), c, w), D)
         rhs = trace(D.product_coords(a, u, b + c, D.product_coords(b, v, c, w)), D)
-        direct = trace_of_polynomial(
-            D.lift(a, u) * D.lift(b, v) * D.lift(c, w), D
-        )
+        direct = direct_trace(D, scaled, ((a, u), (b, v), (c, w)))
         checked += 1
-        if not (lhs.rational == rhs.rational == direct.rational):
+        if not (lhs.rational == rhs.rational == direct):
             return AxiomCheck(
                 False,
                 checked,
                 f"degrees {(a, b, c)}: {lhs.rational} vs {rhs.rational} "
-                f"vs direct {direct.rational}",
+                f"vs direct {direct}",
             )
     return AxiomCheck(True, checked)
+
+
+def _code(mono: Monomial, radix: int) -> int:
+    return sum(e * radix**i for i, e in enumerate(mono))
+
+
+def scaled_functional(D: FrobeniusAlgebraData) -> tuple[int, int, dict[int, int]]:
+    """The direct path's copy of lambda: (den, radix, {code: den * lambda}).
+
+    den is the lcm of the denominators of lambda, so den * lambda is
+    integral.  A monomial z of S_{m beta} is keyed by code(z) =
+    sum_i z_i radix^i, with radix above every exponent in S_{m beta}.
+    Exponents are nonnegative and every monomial the direct path forms
+    divides one of S_{m beta}, so adding codes multiplies monomials with no
+    carry between exponents."""
+    monomials = D.r0_piece.monomials
+    den = lcm(*(x.denominator for x in D.trace_functional))
+    radix = 1 + max(max(mono) for mono in monomials)
+    functional = {
+        _code(mono, radix): x.numerator * (den // x.denominator)
+        for mono, x in zip(monomials, D.trace_functional)
+    }
+    return den, radix, functional
+
+
+def direct_trace(
+    D: FrobeniusAlgebraData,
+    scaled: tuple[int, int, dict[int, int]],
+    factors: Sequence[tuple[int, Sequence[int]]],
+) -> Fraction:
+    """Trace of the product of the lifts of integer coordinate vectors
+    ``factors`` = [(degree, coords), ...] whose degrees sum to m-1, by
+    polynomial multiplication with int coefficients; ``scaled`` is
+    ``scaled_functional(D)``.  Never reads the structure constants."""
+    den, radix, functional = scaled
+    # start from z_1...z_r, the shift of the trace, with coefficient 1
+    product = {_code((1,) * len(D.system.variables), radix): 1}
+    for degree, coords in factors:
+        step: dict[int, int] = {}
+        for mono, coeff in zip(D.bases[degree].basis, coords):
+            if not coeff:
+                continue
+            code = _code(mono, radix)
+            for left, x in product.items():
+                key = left + code
+                step[key] = step.get(key, 0) + x * coeff
+        product = step
+    total = sum(x * functional[key] for key, x in product.items())
+    return Fraction(total, den)
 
 
 def gram_rank(gram: Sequence[Sequence[TraceScalar]]) -> int:

@@ -45,11 +45,47 @@ def _expect(doc: dict, key: str, kind, context: str):
     if key not in doc:
         raise InputSchemaError(f"{context}: missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON true/false parse to bool, which Python counts as an int
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise InputSchemaError(
             f"{context}: field {key!r} must be {kind.__name__}"
         )
     return value
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer: not a bool, a float or a string."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    if not _is_integer(value):
+        raise InputSchemaError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputSchemaError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def _integer_list(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(map(_is_integer, value)):
+        raise InputSchemaError(f"{what} {value!r} must be a list of integers")
+    return tuple(value)
+
+
+def _integer_lists(value, what: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list):
+        raise InputSchemaError(f"{what} must be a list of lists of integers")
+    return tuple(_integer_list(row, f"{what} entry") for row in value)
+
+
+# integer options and their least allowed value (None: any integer)
+INTEGER_OPTIONS = {
+    "sample_seed": None,
+    "sample_count": 1,
+    "macaulay_max_extra": 0,
+    "max_degree_a": 0,
+    "threads": 1,
+}
 
 
 def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
@@ -61,13 +97,10 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
         raise InputSchemaError(f"unsupported schema_version {version}")
     fan_doc = _expect(doc, "fan", dict, "input")
     dim = _expect(fan_doc, "dim", int, "fan")
-    rays = _expect(fan_doc, "rays", list, "fan")
-    cones = _expect(fan_doc, "max_cones", list, "fan")
-    try:
-        rays = [tuple(int(x) for x in r) for r in rays]
-        cones = [tuple(int(i) for i in c) for c in cones]
-    except (TypeError, ValueError) as exc:
-        raise InputSchemaError(f"fan: non-integer entry ({exc})") from exc
+    rays = _integer_lists(_expect(fan_doc, "rays", list, "fan"), "fan: rays")
+    cones = _integer_lists(
+        _expect(fan_doc, "max_cones", list, "fan"), "fan: max_cones"
+    )
     try:
         fan = FanData(dim, rays, cones)
     except LgfrobError as exc:
@@ -91,9 +124,7 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
         variables=tuple(variables),
         poly_text=poly_text,
         name=str(doc.get("name", "custom")),
-        zero_sets=tuple(
-            tuple(str(v) for v in s) for s in doc.get("zero_sets", [])
-        ),
+        zero_sets=_zero_sets(doc.get("zero_sets", []), variables),
         expected_fail=doc.get("expected_fail"),
     )
     # the document's options are checked even where an override replaces them
@@ -102,25 +133,11 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
             if value not in frobenius.STRATEGIES:
                 raise InputSchemaError(f"unknown trace strategy {value!r}")
             config.strategy = value
-        elif key == "sample_seed":
-            config.sample_seed = int(value)
-        elif key == "sample_count":
-            count = int(value)
-            if count < 1:
-                raise InputSchemaError("sample_count must be positive")
-            config.sample_count = count
-        elif key == "macaulay_max_extra":
-            extra = int(value)
-            if extra < 0:
-                raise InputSchemaError("macaulay_max_extra must be >= 0")
-            config.macaulay_max_extra = extra
-        elif key == "max_degree_a":
-            config.max_degree_a = None if value is None else int(value)
-        elif key == "threads":
-            threads = int(value)
-            if threads < 1:
-                raise InputSchemaError("threads must be >= 1")
-            config.threads = threads
+        elif key in INTEGER_OPTIONS:
+            # max_degree_a may be null: no cap
+            if not (key == "max_degree_a" and value is None):
+                value = _integer(value, f"option {key!r}", INTEGER_OPTIONS[key])
+            setattr(config, key, value)
         elif key in ("modular_prefilter", "json_only"):
             if not isinstance(value, bool):
                 raise InputSchemaError(f"option {key!r} must be true or false")
@@ -130,11 +147,21 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
 
     stated = doc.get("stated_degrees")
     if stated is not None:
-        config.stated_degrees = tuple(tuple(int(x) for x in d) for d in stated)
+        config.stated_degrees = _integer_lists(stated, "stated_degrees")
     beta = doc.get("stated_beta")
     if beta is not None:
-        config.stated_beta = tuple(int(x) for x in beta)
+        config.stated_beta = _integer_list(beta, "stated_beta")
     return config
+
+
+def _zero_sets(value, variables: list[str]) -> tuple[tuple[str, ...], ...]:
+    if not isinstance(value, list) or not all(isinstance(s, list) for s in value):
+        raise InputSchemaError("zero_sets must be a list of lists of variable names")
+    for s in value:
+        for v in s:
+            if not isinstance(v, str) or v not in variables:
+                raise InputSchemaError(f"zero_sets: {v!r} is not a declared variable")
+    return tuple(tuple(s) for s in value)
 
 
 # ---------------------------------------------------------------------------

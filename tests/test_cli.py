@@ -328,3 +328,97 @@ class TestDimsAndGram:
     def test_dims_validation_failure_exit_3(self, capsys):
         code, _, _ = run_json(capsys, "dims", "--fixture", "hirzebruch-3", "--json-only")
         assert code == 3
+
+
+def _mutated(name, mutate):
+    doc = get_fixture(name).to_input_document()
+    mutate(doc)
+    return doc
+
+
+def _set_option(key, value):
+    return lambda doc: doc.setdefault("options", {}).__setitem__(key, value)
+
+
+class TestStrictSchema:
+    """Every malformed field exits 2 with a message; none is coerced."""
+
+    CASES = [
+        ("sample_count-string", "projective-3", _set_option("sample_count", "abc")),
+        ("sample_seed-string", "projective-3", _set_option("sample_seed", "x")),
+        ("sample_count-bool", "projective-3", _set_option("sample_count", True)),
+        ("sample_count-float", "projective-3", _set_option("sample_count", 2.0)),
+        ("sample_count-zero", "projective-3", _set_option("sample_count", 0)),
+        ("macaulay_max_extra-string", "projective-3", _set_option("macaulay_max_extra", "1")),
+        ("macaulay_max_extra-negative", "projective-3", _set_option("macaulay_max_extra", -1)),
+        ("max_degree_a-negative", "projective-3", _set_option("max_degree_a", -3)),
+        ("max_degree_a-float", "projective-3", _set_option("max_degree_a", 1.0)),
+        ("threads-float", "projective-3", _set_option("threads", 1.5)),
+        ("threads-bool", "projective-3", _set_option("threads", False)),
+        ("zero_sets-number", "bundle-p2", lambda d: d.__setitem__("zero_sets", 5)),
+        ("zero_sets-flat", "bundle-p2", lambda d: d.__setitem__("zero_sets", ["y1"])),
+        ("zero_sets-unknown", "bundle-p2", lambda d: d.__setitem__("zero_sets", [["nope"]])),
+        ("zero_sets-number-name", "bundle-p2", lambda d: d.__setitem__("zero_sets", [[1]])),
+        ("stated_degrees-string", "projective-3", lambda d: d.__setitem__("stated_degrees", [["a"]])),
+        ("stated_degrees-flat", "projective-3", lambda d: d.__setitem__("stated_degrees", [1, 1, 1])),
+        ("stated_beta-string", "projective-3", lambda d: d.__setitem__("stated_beta", ["a"])),
+        ("stated_beta-float", "projective-3", lambda d: d.__setitem__("stated_beta", [3.0])),
+        ("ray-float", "projective-3", lambda d: d["fan"]["rays"].__setitem__(0, [1.5, 0])),
+        ("ray-bool", "projective-3", lambda d: d["fan"]["rays"].__setitem__(0, [True, 0])),
+        ("ray-number", "projective-3", lambda d: d["fan"]["rays"].__setitem__(0, 1)),
+        ("cone-string", "projective-3", lambda d: d["fan"]["max_cones"].__setitem__(0, ["0", 1])),
+        ("dim-bool", "projective-3", lambda d: d["fan"].__setitem__("dim", True)),
+    ]
+
+    @pytest.mark.parametrize("name, fixture, mutate", CASES, ids=[c[0] for c in CASES])
+    def test_malformed_field_exits_2(self, capsys, tmp_path, name, fixture, mutate):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_mutated(fixture, mutate)))
+        code, out, err = run_cli(capsys, "report", "--input", str(path), "--json-only")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_integer_options_are_kept(self):
+        doc = _mutated(
+            "projective-3",
+            lambda d: d.__setitem__(
+                "options",
+                {
+                    "sample_seed": -4,
+                    "sample_count": 7,
+                    "macaulay_max_extra": 0,
+                    "max_degree_a": 0,
+                    "threads": 2,
+                },
+            ),
+        )
+        config = report.parse_run_config(doc)
+        assert (
+            config.sample_seed,
+            config.sample_count,
+            config.macaulay_max_extra,
+            config.max_degree_a,
+            config.threads,
+        ) == (-4, 7, 0, 0, 2)
+
+    def test_null_max_degree_a_means_no_cap(self):
+        doc = _mutated("bundle-p6", _set_option("max_degree_a", None))
+        assert report.parse_run_config(doc).max_degree_a is None
+
+    def test_declared_zero_sets_and_stated_degrees_are_kept(self):
+        fx = get_fixture("bundle-p2")
+        doc = fx.to_input_document()
+        doc["stated_degrees"] = [list(d) for d in fx.stated_degrees]
+        doc["stated_beta"] = list(fx.stated_beta)
+        config = report.parse_run_config(doc)
+        assert config.zero_sets == (("y1", "y2"), ("x0", "x1", "x2"))
+        assert config.stated_degrees == fx.stated_degrees
+        assert config.stated_beta == (2, 2)
+
+    def test_negative_cli_degree_cap_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "dims", "--fixture", "projective-3", "--max-degree-a", "-3", "--json-only"
+        )
+        assert code == 2
+        assert "max_degree_a" in err

@@ -268,6 +268,149 @@ class TestTraceFunctional:
             frob.trace_of_polynomial(p, cubic_algebra)
 
 
+def dense_product(D, a, u, b, v):
+    """Reference product: the dense triple loop over the stored tensors."""
+    if a + b >= D.m:
+        return []
+    if a <= b:
+        tensor, x, y = D.structure[(a, b)], u, v
+    else:
+        tensor, x, y = D.structure[(b, a)], v, u
+    out = [Fraction(0)] * D.bases[a + b].dim
+    for i, ci in enumerate(x):
+        for j, cj in enumerate(y):
+            for k, ck in enumerate(tensor[i][j]):
+                out[k] += ci * cj * ck
+    return out
+
+
+class TestSparseKernel:
+    """The nonzero-index kernel against dense references on seeded vectors."""
+
+    NAMES = ["projective-3", "projective-4", "weighted-p112", "bundle-p2"]
+    SHARED = {
+        "projective-3": "cubic_algebra",
+        "projective-4": "quartic_algebra",
+        "bundle-p2": "bundle_algebra",
+    }
+
+    @pytest.fixture(params=NAMES)
+    def algebra(self, request):
+        shared = self.SHARED.get(request.param)
+        if shared is not None:
+            return request.getfixturevalue(shared)
+        return frob.build_algebra(make_system(request.param), frob.GENERIC)
+
+    @staticmethod
+    def vectors(D, rng):
+        """A rational and an integer vector in every degree."""
+        return [
+            (
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)],
+                [rng.randint(-3, 3) for _ in range(n)],
+            )
+            for n in D.dims()
+        ]
+
+    def test_product_coords_equals_dense_loop(self, algebra):
+        D = algebra
+        rng = random.Random(5)
+        for _ in range(3):
+            vecs = self.vectors(D, rng)
+            for a in range(D.m):
+                for b in range(D.m):
+                    for u in vecs[a]:
+                        for v in vecs[b]:
+                            got = D.product_coords(a, u, b, v)
+                            assert got == dense_product(D, a, u, b, v)
+                            assert all(type(x) is Fraction for x in got)
+                            assert D.product_coords(b, v, a, u) == dense_product(
+                                D, b, v, a, u
+                            )
+                            if a + b >= D.m:
+                                assert got == []
+
+    def test_mul_twisted_keeps_its_sign(self, algebra):
+        D = algebra
+        rng = random.Random(6)
+        vecs = self.vectors(D, rng)
+        for a in range(D.m):
+            b = D.m - 1 - a
+            u, v = vecs[a][0], vecs[b][0]
+            want = [(-1) ** b * x for x in dense_product(D, a, u, b, v)]
+            assert frob.mul_twisted(a, u, b, v, D) == want
+
+    def test_pairing_gram_equals_trace_of_each_product(self, algebra):
+        D = algebra
+        dims = D.dims()
+
+        def unit(n, i):
+            return [Fraction(int(k == i)) for k in range(n)]
+
+        for a in range(D.m):
+            b = D.m - 1 - a
+            gram = frob.pairing_gram(D, a)
+            assert len(gram) == dims[a]
+            for i, row in enumerate(gram):
+                assert len(row) == dims[b]
+                for j, entry in enumerate(row):
+                    want = frob.trace(
+                        D.product_coords(a, unit(dims[a], i), b, unit(dims[b], j)), D
+                    )
+                    assert entry == want
+
+    def test_direct_trace_equals_trace_of_lifted_product(self, algebra):
+        D = algebra
+        m, dims = D.m, D.dims()
+        rng = random.Random(8)
+        scaled = frob.scaled_functional(D)
+        for a in range(m):
+            for b in range(m - a):
+                c = m - 1 - a - b
+                for bound in (3, 50):
+                    u, v, w = (
+                        [rng.randint(-bound, bound) for _ in range(dims[d])]
+                        for d in (a, b, c)
+                    )
+                    got = frob.direct_trace(D, scaled, ((a, u), (b, v), (c, w)))
+                    want = frob.trace_of_polynomial(
+                        D.lift(a, u) * D.lift(b, v) * D.lift(c, w), D
+                    )
+                    assert got == want.rational
+
+    def test_scaled_functional_keys_every_monomial_by_its_digits(self, algebra):
+        """Each monomial of S_{m beta} is keyed by the base-radix number
+        whose digits are its exponents (so adding keys never carries), and
+        maps to den * lambda, an integer."""
+        D = algebra
+        den, radix, functional = frob.scaled_functional(D)
+        assert len(functional) == len(D.r0_piece.monomials)
+        for mono, value in zip(D.r0_piece.monomials, D.trace_functional):
+            code = frob._code(mono, radix)
+            digits = []
+            for _ in mono:
+                code, digit = divmod(code, radix)
+                digits.append(digit)
+            assert (tuple(digits), code) == (mono, 0)
+            assert functional[frob._code(mono, radix)] == den * value
+
+    def test_direct_trace_never_reads_the_structure_constants(self, bundle_algebra):
+        D = bundle_algebra
+        scrambled = dataclasses.replace(
+            D,
+            structure={
+                key: [[[c + 1 for c in coords] for coords in row] for row in tensor]
+                for key, tensor in D.structure.items()
+            },
+        )
+        rng = random.Random(9)
+        dims = D.dims()
+        factors = [(d, [rng.randint(-3, 3) for _ in range(dims[d])]) for d in (1, 1, 0)]
+        assert frob.direct_trace(
+            scrambled, frob.scaled_functional(scrambled), factors
+        ) == frob.direct_trace(D, frob.scaled_functional(D), factors)
+
+
 class TestInvarianceFaultInjection:
     """Corruptions that only the invariance check can see on bundle-p2 (dims
     1, 18, 1): each must make it fail with a witness."""
@@ -315,3 +458,71 @@ class TestInvarianceFaultInjection:
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert not report.invariance.ok
         assert "vs direct" in report.invariance.witness
+
+    def test_structure_constant_set_from_zero_reaches_the_index(self, bundle_algebra):
+        """A constant that is zero at build time has no entry in the nonzero
+        index; set to 1 through dataclasses.replace, the rebuilt index must
+        carry it to the structure path, and invariance must see it."""
+        D = bundle_algebra
+        structure = {
+            key: [[list(coords) for coords in row] for row in tensor]
+            for key, tensor in D.structure.items()
+        }
+        tensor = structure[(1, 1)]
+        i, j = next(
+            (i, j)
+            for i in range(len(tensor))
+            for j in range(i + 1, len(tensor))
+            if tensor[i][j][0] == 0
+        )
+        assert D.basis_product(1, i, 1, j) == []
+        tensor[i][j][0] = tensor[j][i][0] = Fraction(1)
+        bad = dataclasses.replace(D, structure=structure)
+        assert bad.basis_product(1, i, 1, j) == [(0, 1)]
+        report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
+        assert report.commutativity.ok
+        assert not report.invariance.ok
+        assert "vs direct" in report.invariance.witness
+
+    def test_fractional_functional_corruption_seen_through_the_lcm(self, bundle_algebra):
+        """+1/7 on one entry of lambda that only the direct path reads: the
+        direct path scales lambda by the lcm of its denominators, computed
+        at every check, so the new denominator 7 enters the scaling."""
+        D = bundle_algebra
+        index = D.r0_piece.column_index()
+        shift = (1,) * len(D.system.variables)
+
+        def column(*monos):
+            return index[tuple(map(sum, zip(shift, *monos)))]
+
+        socle_col = column(D.bases[2].basis[0])
+        col = next(
+            c
+            for c in (column(u, v) for u in D.bases[1].basis for v in D.bases[1].basis)
+            if c != socle_col
+        )
+        functional = list(D.trace_functional)
+        functional[col] += Fraction(1, 7)
+        bad = dataclasses.replace(D, trace_functional=functional)
+        den = frob.scaled_functional(D)[0]
+        assert den % 7 != 0
+        assert frob.scaled_functional(bad)[0] == 7 * den
+        assert frob.trace([Fraction(1)], bad) == frob.trace([Fraction(1)], D)
+        report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
+        assert not report.invariance.ok
+        assert "vs direct" in report.invariance.witness
+
+
+def test_asymmetric_structure_constant_fails_commutativity(bundle_algebra):
+    """Commutativity reads the nonzero index of each (a, a) tensor: one
+    constant changed on one side of the diagonal must be reported."""
+    D = bundle_algebra
+    structure = {
+        key: [[list(coords) for coords in row] for row in tensor]
+        for key, tensor in D.structure.items()
+    }
+    structure[(1, 1)][2][5][0] += 1
+    bad = dataclasses.replace(D, structure=structure)
+    report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=20)
+    assert not report.commutativity.ok
+    assert report.commutativity.witness == "degree 1: basis[2]*basis[5] != basis[5]*basis[2]"
