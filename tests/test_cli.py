@@ -10,6 +10,31 @@ from lgfrob.cli import main
 from lgfrob.fixtures import get_fixture
 
 
+# a cubic fan with a potential that is not homogeneous for its grading
+INHOMOGENEOUS = {
+    "schema_version": 1,
+    "fan": {
+        "dim": 2,
+        "rays": [[1, 0], [0, 1], [-1, -1]],
+        "max_cones": [[0, 1], [1, 2], [0, 2]],
+    },
+    "variables": ["x", "y", "z"],
+    "polynomial": "x^3 + y^2",
+}
+
+VALIDATE_KEYS = [
+    "schema_version",
+    "command",
+    "name",
+    "validation",
+    "validation_pass",
+    "grading",
+    "polytope",
+    "betti",
+    "extraisom",
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -114,18 +139,8 @@ class TestReportCommand:
         assert doc["stated_degrees"]["match"] is True
 
     def test_inhomogeneous_input_exit_4(self, capsys, tmp_path):
-        doc = {
-            "schema_version": 1,
-            "fan": {
-                "dim": 2,
-                "rays": [[1, 0], [0, 1], [-1, -1]],
-                "max_cones": [[0, 1], [1, 2], [0, 2]],
-            },
-            "variables": ["x", "y", "z"],
-            "polynomial": "x^3 + y^2",
-        }
         path = tmp_path / "inhom.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(INHOMOGENEOUS))
         code, report, _ = run_json(capsys, "report", "--input", str(path), "--json-only")
         assert code == 4
         assert report["error"]["type"] == "NotHomogeneous"
@@ -328,6 +343,38 @@ class TestDimsAndGram:
     def test_dims_validation_failure_exit_3(self, capsys):
         code, _, _ = run_json(capsys, "dims", "--fixture", "hirzebruch-3", "--json-only")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("dims", [*VALIDATE_KEYS, "error"]),
+            ("gram", [*VALIDATE_KEYS, "error", "certificates_pass"]),
+        ],
+    )
+    def test_inhomogeneous_input_exit_4(self, capsys, tmp_path, command, keys):
+        path = tmp_path / "inhom.json"
+        path.write_text(json.dumps(INHOMOGENEOUS))
+        code, doc, _ = run_json(capsys, command, "--input", str(path), "--json-only")
+        assert code == 4
+        assert doc["error"]["type"] == "NotHomogeneous"
+        assert list(doc) == keys
+
+    def test_gram_fails_on_singular_gram(self, capsys, monkeypatch):
+        """The singular-G_1 fault injection of TestGramRanks, through gram:
+        the command still runs the axioms and exits 4."""
+        original = frobenius.pairing_gram
+
+        def corrupted(algebra, a):
+            gram = original(algebra, a)
+            if a == 1:
+                gram[1] = list(gram[0])
+            return gram
+
+        monkeypatch.setattr(frobenius, "pairing_gram", corrupted)
+        code, doc, _ = run_json(capsys, "gram", "--fixture", "projective-4", "--json-only")
+        assert code == 4
+        assert doc["gram"]["1"]["nondegenerate"] is False
+        assert "frobenius_axioms" in doc["failures"]
 
 
 def _mutated(name, mutate):

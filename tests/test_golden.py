@@ -1,6 +1,7 @@
 """Golden reports: ``lgfrob report --fixture X --json-only`` must stay byte
-identical for every built-in fixture.  README.md (Testing) gives the command
-that regenerates ``tests/golden/``."""
+identical for every built-in fixture, and so must ``validate``, ``dims`` and
+``gram`` (``tests/golden/<command>/X.json``).  README.md (Testing) gives the
+command that regenerates ``tests/golden/``."""
 
 from pathlib import Path
 
@@ -11,10 +12,17 @@ from lgfrob.cli import main
 from lgfrob.fixtures import fixture_names
 
 GOLDEN = Path(__file__).parent / "golden"
+COMMANDS = ("validate", "dims", "gram")
 
 
 def test_every_fixture_has_a_golden_report():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(fixture_names())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_fixture_has_a_golden_per_command(command):
+    got = sorted(p.stem for p in (GOLDEN / command).glob("*.json"))
+    assert got == sorted(fixture_names())
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -22,6 +30,23 @@ def test_report_matches_golden(capsys, name):
     main(["report", "--fixture", name, "--json-only"])
     want = (GOLDEN / f"{name}.json").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == want
+
+
+@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_matches_golden(capsys, command, name):
+    main([command, "--fixture", name, "--json-only"])
+    want = (GOLDEN / command / f"{name}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want
+
+
+def _without_prefilter(monkeypatch):
+    parse = report.parse_run_config
+
+    def without_prefilter(doc, overrides=None):
+        return parse(doc, {**(overrides or {}), "modular_prefilter": False})
+
+    monkeypatch.setattr(cli, "parse_run_config", without_prefilter)
 
 
 # Every block of the quintic's pieces is a single column, so its report never
@@ -32,12 +57,21 @@ def test_report_matches_golden(capsys, name):
 def test_report_without_modular_certificate_matches_golden(capsys, monkeypatch, name):
     """The mod-p block certificate only saves work: with it switched off
     every block is eliminated exactly and the report is the same."""
-    parse = report.parse_run_config
-
-    def without_prefilter(doc, overrides=None):
-        return parse(doc, {**(overrides or {}), "modular_prefilter": False})
-
-    monkeypatch.setattr(cli, "parse_run_config", without_prefilter)
+    _without_prefilter(monkeypatch)
     main(["report", "--fixture", name, "--json-only"])
     want = (GOLDEN / f"{name}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want
+
+
+# validate runs no Jacobian work, so only dims and gram can see the prefilter
+@pytest.mark.parametrize(
+    "name", [n for n in fixture_names() if n != "projective-5"]
+)
+@pytest.mark.parametrize("command", ["dims", "gram"])
+def test_command_without_modular_certificate_matches_golden(
+    capsys, monkeypatch, command, name
+):
+    _without_prefilter(monkeypatch)
+    main([command, "--fixture", name, "--json-only"])
+    want = (GOLDEN / command / f"{name}.json").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == want
