@@ -36,11 +36,9 @@ from .jacobian import (
     QuotientBasis,
     crit_containment_check,
     dim_R,
-    dim_R0,
     euler_membership_check,
     graded_piece,
     jacobian_system,
-    macaulay_vanishing_check,
     normal_form,
     socle_certificates,
 )

@@ -15,11 +15,10 @@ import sys
 from . import frobenius
 from .errors import InputSchemaError, LgfrobError
 from .fixtures import fixture_names, get_fixture
-from .report import RunConfig, parse_run_config, run_dims, run_gram, run_report, run_validate
+from .report import RunConfig, parse_run_config, run_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_VALIDATION = 3
 EXIT_CERTIFICATE = 4
 
 
@@ -212,25 +211,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     try:
-        if args.command == "validate":
-            report, ok = run_validate(config)
-            return _emit(report, EXIT_OK if ok else EXIT_VALIDATION, config.json_only)
-        if args.command == "report":
-            report, code = run_report(config)
-            return _emit(report, code, config.json_only)
-        if args.command == "dims":
-            report, code = run_dims(config)
-            return _emit(report, code, config.json_only)
-        if args.command == "gram":
-            report, code = run_gram(config)
-            return _emit(report, code, config.json_only)
+        report, code = run_report(config, args.command)
     except InputSchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LgfrobError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    raise AssertionError("unreachable")
+    return _emit(report, code, config.json_only)
 
 
 if __name__ == "__main__":

@@ -77,19 +77,6 @@ class TraceScalar:
 
     rational: Fraction
     unit_exponent: int
-    sign_convention: int = 1  # the factor -(-1)^(m(m-1)/2) used to build it
-
-    def __add__(self, other: "TraceScalar") -> "TraceScalar":
-        if self.unit_exponent != other.unit_exponent:
-            raise DegreeMismatch("trace values with different formal units")
-        return TraceScalar(
-            self.rational + other.rational, self.unit_exponent, self.sign_convention
-        )
-
-    def scale(self, value) -> "TraceScalar":
-        return TraceScalar(
-            self.rational * Fraction(value), self.unit_exponent, self.sign_convention
-        )
 
     def __str__(self):
         return f"{self.rational} * (2*pi*i)^{self.unit_exponent}"
@@ -369,7 +356,7 @@ def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> TraceScalar:
                 f"monomial {shifted} does not lie in the degree-{piece.degree} piece"
             )
         total += coeff * D.trace_functional[col]
-    return TraceScalar(total, D.m - 1, D.sign)
+    return TraceScalar(total, D.m - 1)
 
 
 def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[TraceScalar]]:
@@ -389,7 +376,6 @@ def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[TraceScalar]]:
             TraceScalar(
                 sum((c * tau[k] for k, c in D.basis_product(a, i, b, j)), zero),
                 D.m - 1,
-                D.sign,
             )
             for j in range(D.bases[b].dim)
         ]

@@ -204,11 +204,6 @@ def dim_R(system: JacobianSystem, a: int) -> int:
     return graded_piece(system, IDEAL_J, system.grading.scaled_beta(a)).dim
 
 
-def dim_R0(system: JacobianSystem, a: int) -> int:
-    """Dimension of R0(f)_{a*beta}."""
-    return graded_piece(system, IDEAL_J0, system.grading.scaled_beta(a)).dim
-
-
 def normal_form(poly: GradedPolynomial, piece: QuotientBasis) -> list[Fraction]:
     """Coordinates of [poly] over the quotient basis of the piece."""
     index = piece.column_index()
@@ -229,22 +224,6 @@ def normal_form(poly: GradedPolynomial, piece: QuotientBasis) -> list[Fraction]:
         coords.append(remainder.pop(index[mono], Fraction(0)))
     assert not remainder, "reduction left support on pivot columns"
     return coords
-
-
-@dataclass
-class MacaulayReport:
-    m: int
-    dims: dict[int, int]  # p -> dim R(f)_{p beta}
-
-    @property
-    def ok(self) -> bool:
-        return all(d == 0 for d in self.dims.values())
-
-
-def macaulay_vanishing_check(system: JacobianSystem) -> MacaulayReport:
-    """dim R(f)_{p beta} for p = m, m+1; passes iff both vanish."""
-    m = system.m
-    return MacaulayReport(m, {p: dim_R(system, p) for p in (m, m + 1)})
 
 
 @dataclass

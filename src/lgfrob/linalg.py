@@ -465,13 +465,6 @@ def rank_mod_p(
     Always a lower bound for the rank over Q; used to certify blocks of full
     column rank without exact elimination.
     """
-    nrows = len(rows)
-    if nrows * ncols <= 8_000_000:
-        return _rank_mod_p_dense(rows, ncols, p)
-    return _rank_mod_p_sparse(rows, ncols, p)
-
-
-def _rank_mod_p_dense(rows, ncols, p):
     import numpy as np
 
     m = np.zeros((len(rows), ncols), dtype=np.int64)
@@ -498,24 +491,3 @@ def _rank_mod_p_dense(rows, ncols, p):
             m[below, c:] = (tail - tail[:, :1] * pivot[None, :]) % p
         rank += 1
     return rank
-
-
-def _rank_mod_p_sparse(rows, ncols, p):
-    basis: dict[int, dict[int, int]] = {}
-    for row in rows:
-        work = {c: x % p for c, x in row.items() if x % p}
-        while work:
-            c = min(work)
-            piv = basis.get(c)
-            if piv is None:
-                inv = pow(work[c], p - 2, p)
-                basis[c] = {col: (x * inv) % p for col, x in work.items()}
-                break
-            factor = work[c]
-            for col, y in piv.items():
-                v = (work.get(col, 0) - factor * y) % p
-                if v:
-                    work[col] = v
-                elif col in work:
-                    del work[col]
-    return len(basis)

@@ -9,14 +9,14 @@ they are omitted in json-only mode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import frobenius, jacobian, toric
 from .errors import InputSchemaError, LgfrobError
 from .fixtures import SCHEMA_VERSION, unimodular_transform
-from .poly import GradedPolynomial, check_homogeneous, parse_polynomial
+from .poly import check_homogeneous, parse_polynomial
 from .toric import FanData
 
 
@@ -179,23 +179,14 @@ def trace_dict(t: frobenius.TraceScalar) -> dict:
     return {"rational": frac_str(t.rational), "unit_exponent": t.unit_exponent}
 
 
-class _Timer:
-    def __init__(self):
-        self.stages: dict[str, float] = {}
-
-    def stage(self, name: str):
-        timer = self
-        start = time.perf_counter()
-
-        class _Ctx:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                timer.stages[name] = round(time.perf_counter() - start, 6)
-                return False
-
-        return _Ctx()
+@contextmanager
+def _timed(timings: dict[str, float], stage: str):
+    """Record the wall time of a stage, also when the stage raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = round(time.perf_counter() - start, 6)
 
 
 GRAM_ENTRY_LIMIT = 12
@@ -205,31 +196,75 @@ GRAM_ENTRY_LIMIT = 12
 # orchestration
 
 
-def run_validate(config: RunConfig) -> tuple[dict, bool]:
-    """Validation, grading, polytope and topology; no Jacobian work."""
-    report, grading = _validate(config, _Timer())
-    return report, grading is not None
+# the keys dims and gram print; validate and report print every key
+PRINTED_KEYS = {
+    "dims": {
+        "schema_version",
+        "command",
+        "name",
+        "timings",
+        "validation",
+        "validation_pass",
+        "grading",
+        "stated_degrees",
+        "polytope",
+        "betti",
+        "extraisom",
+        "dims",
+        "capped",
+        "error",
+    },
+    "gram": {
+        "schema_version",
+        "command",
+        "name",
+        "validation_pass",
+        "grading",
+        "dims",
+        "gram",
+        "gram_unit_exponent",
+        "algebra",
+        "certificates_pass",
+        "timings",
+    },
+}
 
 
-def _validate(config: RunConfig, timer: _Timer) -> tuple[dict, toric.GradingMap | None]:
-    """The validate stages of every command; the grading is None when the
-    fan fails validation."""
+def run_report(config: RunConfig, command: str = "report") -> tuple[dict, int]:
+    """The pipeline of every command; returns (report, exit_code) with the
+    documented contract: 0 ok, 3 validation failure, 4 mathematical
+    certificate failure.  Schema errors raise before this point (exit 2).
+
+    ``command`` names the last stage: validate stops after topology, dims
+    after dims, gram and report run every certificate.  dims and gram print
+    only their keys, except that gram prints the whole report when it exits
+    nonzero.
+    """
+    report, code = _run_stages(config, command)
+    keep = PRINTED_KEYS.get(command)
+    if keep is None or (command == "gram" and code != 0):
+        return report, code
+    return {k: v for k, v in report.items() if k in keep}, code
+
+
+def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
+    timings: dict[str, float] = {}
     report: dict = {
         "schema_version": SCHEMA_VERSION,
-        "command": "validate",
+        "command": command,
         "name": config.name,
     }
     if not config.json_only:
-        # the same dict as the timer's, so later stages land in it too
-        report["timings"] = timer.stages
-    with timer.stage("validate"):
+        # the dict the stages fill in, so every stage's time lands in it
+        report["timings"] = timings
+    with _timed(timings, "validate"):
         vrep = toric.validate_fan(config.fan)
     report["validation"] = vrep.as_dict()
     report["validation_pass"] = vrep.all_pass
     if not vrep.all_pass:
-        return report, None
+        return report, 3
 
-    with timer.stage("grading"):
+    with _timed(timings, "grading"):
         grading = toric.class_group(config.fan)
     report["grading"] = {
         "rank": grading.rank,
@@ -243,34 +278,24 @@ def _validate(config: RunConfig, timer: _Timer) -> tuple[dict, toric.GradingMap 
             "unimodular_transform": t,
             "match": t is not None,
         }
-    with timer.stage("polytope"):
+    with _timed(timings, "polytope"):
         polytope = toric.anticanonical_polytope(config.fan)
         volume = toric.normalized_volume(polytope, config.fan)
     report["polytope"] = {
         "vertices": [list(v) for v in polytope.vertices],
         "normalized_volume": volume,
     }
-    with timer.stage("topology"):
+    with _timed(timings, "topology"):
         report["betti"] = toric.betti_numbers(config.fan)
         report["extraisom"] = toric.extraisom_necessary_check(config.fan)
-    return report, grading
-
-
-def run_report(config: RunConfig) -> tuple[dict, int]:
-    """Full pipeline; returns (report, exit_code) with the documented
-    contract: 0 ok, 3 validation failure, 4 mathematical certificate
-    failure.  Schema errors raise before this point (exit 2)."""
-    timer = _Timer()
-    report, grading = _validate(config, timer)
-    report["command"] = "report"
-    if grading is None:
-        return report, 3
+    if command == "validate":
+        return report, 0
 
     m = config.fan.dim
     failures: list[str] = []
 
     try:
-        with timer.stage("potential"):
+        with _timed(timings, "potential"):
             f = parse_polynomial(config.poly_text, config.variables)
             degree = check_homogeneous(f, grading)
             system = jacobian.jacobian_system(config.fan, grading, f)
@@ -283,13 +308,15 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
 
     cap = config.max_degree_a if config.max_degree_a is not None else m - 1
     capped = cap < m - 1
-    with timer.stage("dims"):
+    with _timed(timings, "dims"):
         dims = [jacobian.dim_R(system, a) for a in range(min(cap, m - 1) + 1)]
     report["dims"] = dims
     report["capped"] = capped
     report["max_degree_a"] = cap
+    if command == "dims":
+        return report, 0
 
-    with timer.stage("euler"):
+    with _timed(timings, "euler"):
         euler = jacobian.euler_membership_check(system)
     report["euler"] = {
         "functional": list(euler.functional),
@@ -300,7 +327,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
         failures.append("euler_membership")
 
     if config.zero_sets:
-        with timer.stage("crit_containment"):
+        with _timed(timings, "crit_containment"):
             crit = jacobian.crit_containment_check(system, config.zero_sets)
         report["crit_containment"] = [
             {"zero_set": list(r.zero_set), "pass": r.ok, "witness": r.witness}
@@ -323,7 +350,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
 
     report["hodge_row"] = dims
 
-    with timer.stage("macaulay"):
+    with _timed(timings, "macaulay"):
         mac_dims = {
             p: jacobian.dim_R(system, p)
             for p in range(m, m + 1 + config.macaulay_max_extra)
@@ -336,7 +363,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     if not mac_ok:
         failures.append("macaulay_vanishing")
 
-    with timer.stage("socle"):
+    with _timed(timings, "socle"):
         socle = jacobian.socle_certificates(system)
     report["socle"] = {
         "dim_r": socle.dim_r,
@@ -356,7 +383,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
         return report, 4
 
     try:
-        with timer.stage("algebra"):
+        with _timed(timings, "algebra"):
             algebra = frobenius.build_algebra(system, config.strategy)
     except LgfrobError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -380,7 +407,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
         "zero_sums_checked": algebra.zero_sums_checked,
     }
 
-    with timer.stage("gram"):
+    with _timed(timings, "gram"):
         grams = [frobenius.pairing_gram(algebra, a) for a in range(m)]
         ranks = [frobenius.gram_rank(gram) for gram in grams]
         gram_section = {}
@@ -397,7 +424,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     report["gram"] = gram_section
     report["gram_unit_exponent"] = m - 1
 
-    with timer.stage("axioms"):
+    with _timed(timings, "axioms"):
         axioms = frobenius.frobenius_axiom_check(
             algebra, config.sample_seed, config.sample_count, grams, ranks
         )
@@ -412,49 +439,3 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     report["certificates_pass"] = not failures
     report["failures"] = failures
     return report, 0 if not failures else 4
-
-
-def run_dims(config: RunConfig) -> tuple[dict, int]:
-    """Validation plus graded dimensions only."""
-    report, grading = _validate(config, _Timer())
-    report["command"] = "dims"
-    if grading is None:
-        return report, 3
-    m = config.fan.dim
-    try:
-        f = parse_polynomial(config.poly_text, config.variables)
-        check_homogeneous(f, grading)
-        system = jacobian.jacobian_system(config.fan, grading, f)
-        system.use_prefilter = config.modular_prefilter
-        cap = config.max_degree_a if config.max_degree_a is not None else m - 1
-        report["dims"] = [
-            jacobian.dim_R(system, a) for a in range(min(cap, m - 1) + 1)
-        ]
-        report["capped"] = cap < m - 1
-    except LgfrobError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return report, 4
-    return report, 0
-
-
-def run_gram(config: RunConfig) -> tuple[dict, int]:
-    """Validation, algebra build and Gram matrices only."""
-    report, exit_code = run_report(config)
-    report["command"] = "gram"
-    if exit_code != 0:
-        return report, exit_code
-    keep = {
-        "schema_version",
-        "command",
-        "name",
-        "validation_pass",
-        "grading",
-        "dims",
-        "gram",
-        "gram_unit_exponent",
-        "algebra",
-        "certificates_pass",
-        "timings",
-    }
-    trimmed = {k: v for k, v in report.items() if k in keep}
-    return trimmed, exit_code

@@ -180,10 +180,10 @@ class TestReportCommand:
         monkeypatch.setattr(toric, "class_group", counting)
         doc = get_fixture("projective-3").to_input_document()
         config = report.parse_run_config(doc, {"json_only": True})
-        for run in (report.run_report, report.run_dims):
+        for command in ("validate", "dims", "gram", "report"):
             calls.clear()
-            assert run(config)[1] == 0
-            assert len(calls) == 1, run.__name__
+            assert report.run_report(config, command)[1] == 0
+            assert len(calls) == 1, command
 
     def test_strategy_flag(self, capsys):
         code, doc, _ = run_json(
@@ -339,6 +339,18 @@ class TestDimsAndGram:
         assert code == 0
         assert doc["gram"]["0"]["nondegenerate"] is True
         assert "axioms" not in doc
+
+    def test_dims_timings_list_its_stages(self, capsys):
+        code, doc, _ = run_json(capsys, "dims", "--fixture", "projective-3")
+        assert code == 0
+        assert list(doc["timings"]) == [
+            "validate",
+            "grading",
+            "polytope",
+            "topology",
+            "potential",
+            "dims",
+        ]
 
     def test_dims_validation_failure_exit_3(self, capsys):
         code, _, _ = run_json(capsys, "dims", "--fixture", "hirzebruch-3", "--json-only")

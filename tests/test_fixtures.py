@@ -108,7 +108,7 @@ class TestGauntlet:
         m = system.m
 
         assert jac.euler_membership_check(system).ok
-        assert jac.macaulay_vanishing_check(system).ok
+        assert [jac.dim_R(system, p) for p in (m, m + 1)] == [0, 0]
         socle = jac.socle_certificates(system)
         assert (socle.dim_r, socle.dim_r0) == (1, 1)
         dims = [jac.dim_R(system, a) for a in range(m)]

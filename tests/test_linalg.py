@@ -238,13 +238,13 @@ class TestRankModP:
             # entries far below the prime: equality expected
             assert modular == exact
 
-    def test_dense_and_sparse_paths_agree(self):
+    def test_agrees_with_rank_rational(self):
         rng = random.Random(37)
         dense = random_matrix(rng, 10, 8, -50, 50)
         sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
-        assert linalg._rank_mod_p_dense(
+        assert linalg.rank_mod_p(
             sparse, 8, linalg.PREFILTER_PRIME
-        ) == linalg._rank_mod_p_sparse(sparse, 8, linalg.PREFILTER_PRIME)
+        ) == linalg.rank_rational(dense)
 
     @pytest.mark.parametrize(
         "shape, inner",
@@ -256,8 +256,8 @@ class TestRankModP:
         ],
     )
     def test_modular_kernels_agree_with_exact_rank(self, shape, inner):
-        """Seeded integer matrices of known shape and inner dimension: both
-        modular kernels and the exact echelon give the same rank, also when
+        """Seeded integer matrices of known shape and inner dimension: the
+        modular kernel and the exact echelon give the same rank, also when
         entries are shifted by multiples of p (which vanish mod p)."""
         p = linalg.PREFILTER_PRIME
         rng = random.Random(41 + shape[0] * shape[1] + inner)
@@ -278,9 +278,8 @@ class TestRankModP:
             # a row that is zero mod p but not over Q
             shifted[zero] = {j: p * rng.choice((-2, -1, 1, 2)) for j in range(cols)}
             shifted = [{j: x for j, x in row.items() if x} for row in shifted]
-            dense = linalg._rank_mod_p_dense(shifted, cols, p)
-            sparse = linalg._rank_mod_p_sparse(shifted, cols, p)
-            assert dense == sparse == exact <= min(rows_n, cols, inner)
+            modular = linalg.rank_mod_p(shifted, cols, p)
+            assert modular == exact <= min(rows_n, cols, inner)
 
 
 class TestConnectedBlocks:
