@@ -9,16 +9,12 @@ chosen generator of the one-dimensional R0(f)_{m beta} and the sign is
 Every trace is evaluated through one linear functional lambda on the columns
 (monomials) of S_{m beta}, computed once when the algebra is built:
 lambda_c = sign * m!Vol / generator_coord times the generator coordinate of
-the canonical remainder of the monomial of column c modulo J0(f).  The
-canonical remainder is a linear projection onto the non-pivot columns of the
-R0 echelon, so lambda is determined by its value on the one non-pivot column
-and by the echelon rows: a row with pivot c says that e_c equals
--sum_{col > c} row[col] / row[c] * e_col modulo J0(f), hence
-lambda_c = -sum_{col > c} row[col] * lambda_col / row[c].  Taking pivots in
-decreasing order, every lambda_col on the right is already known.  This is
-back-substitution in exact rationals, so lambda agrees with reducing each
-monomial and reading its coordinate, entry for entry; a trace is then
-sum coeff * lambda over the monomials of z_1...z_r * p, with no reduction.
+the canonical remainder of the monomial of column c modulo J0(f), read from
+the remainder table of R0(f)_{m beta} (``QuotientBasis.remainders``).  A
+trace is then sum coeff * lambda over the monomials of z_1...z_r * p, with
+no reduction.  The structure constants come from the same kind of table:
+the constant of basis[a][i] * basis[b][j] is the remainder of the product
+monomial in R(f)_{(a+b) beta}, one lookup per pair.
 
 Every product of A(f) goes through one sparse kernel.  The structure
 constants are stored dense (``structure[(a, b)][i][j][k]``, a <= b), and
@@ -255,17 +251,17 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
                     zero_sums.append(a + b)
                 continue
             target = bases[a + b]
+            index, table = target.column_index(), target.remainders()
+            zero = [Fraction(0)] * target.dim
             tensor = []
             for mono_i in bases[a].basis:
                 row = []
                 for mono_j in bases[b].basis:
+                    coords = list(zero)
                     product = tuple(x + y for x, y in zip(mono_i, mono_j))
-                    row.append(
-                        normal_form(
-                            GradedPolynomial.monomial(system.variables, product),
-                            target,
-                        )
-                    )
+                    for k, x in table[index[product]].items():
+                        coords[k] = x
+                    row.append(coords)
                 tensor.append(row)
             structure[(a, b)] = tensor
 
@@ -305,25 +301,10 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
         trace_functional=[],
     )
     scale = Fraction(algebra.sign * volume) / generator_coord
-    algebra.trace_functional = _trace_functional(r0_piece, scale)
+    algebra.trace_functional = [
+        scale * remainder.get(0, 0) for remainder in r0_piece.remainders()
+    ]
     return algebra
-
-
-def _trace_functional(r0_piece: QuotientBasis, scale: Fraction) -> list[Fraction]:
-    """scale times the generator coordinate of the canonical remainder of
-    every column of the one-dimensional r0_piece, by back-substitution
-    through its echelon rows in decreasing pivot order."""
-    functional = [Fraction(0)] * len(r0_piece.monomials)
-    functional[r0_piece.column_index()[r0_piece.basis[0]]] = scale
-    rows = r0_piece.echelon.rows
-    for c in sorted(rows, reverse=True):
-        row = rows[c]
-        acc = Fraction(0)
-        for col, y in row.items():
-            if col != c and functional[col]:
-                acc += y * functional[col]
-        functional[c] = -acc / row[c]
-    return functional
 
 
 def trace(U: Sequence[Fraction], D: FrobeniusAlgebraData) -> TraceScalar:
@@ -495,23 +476,15 @@ def frobenius_axiom_check(
     return AxiomReport(unit, comm, assoc, inv, nondeg, sampled, sample_seed)
 
 
-def _unit_vector(n: int, i: int) -> list[Fraction]:
-    return [Fraction(1 if k == i else 0) for k in range(n)]
-
-
 def _check_unit(D: FrobeniusAlgebraData) -> AxiomCheck:
     checked = 0
     for b in range(D.m):
-        tensor = D.structure.get((0, b))
-        if tensor is None:
-            continue
         for j in range(D.bases[b].dim):
             checked += 1
-            coords = tensor[0][j]
-            want = _unit_vector(D.bases[b].dim, j)
-            if list(coords) != want:
+            got, want = D.basis_product(0, 0, b, j), [(j, 1)]
+            if got != want:
                 return AxiomCheck(
-                    False, checked, f"1 * basis[{b}][{j}] = {coords}, expected {want}"
+                    False, checked, f"1 * basis[{b}][{j}] = {got}, expected {want}"
                 )
     return AxiomCheck(True, checked)
 

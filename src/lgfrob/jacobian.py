@@ -71,7 +71,7 @@ class QuotientBasis:
     ``blocks`` connected blocks, of which ``certified_blocks`` have full
     column rank without elimination and enter ``echelon`` as unit rows.
     ``echelon`` is None exactly when every column lies in a certified block,
-    in which case every reduction is the zero vector.
+    in which case every remainder is zero.
     """
 
     degree: tuple[int, ...]
@@ -86,6 +86,9 @@ class QuotientBasis:
     _index: dict[Monomial, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _remainders: list[dict[int, Fraction]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -97,6 +100,27 @@ class QuotientBasis:
         if self._index is None:
             self._index = {mono: i for i, mono in enumerate(self.monomials)}
         return self._index
+
+    def remainders(self) -> list[dict[int, Fraction]]:
+        """Canonical remainder of every column modulo the ideal, as {basis
+        index: nonzero coefficient}; built on first use and shared by every
+        later caller, which must not modify it.  A basis column is its own
+        remainder, and an echelon row with pivot c says that e_c equals
+        -sum_{col > c} row[col] / row[c] * e_col, so back-substitution in
+        decreasing pivot order agrees entry for entry with reducing e_c."""
+        if self._remainders is None:
+            table: list[dict[int, Fraction]] = [{} for _ in self.monomials]
+            for k, mono in enumerate(self.basis):
+                table[self.column_index()[mono]] = {k: Fraction(1)}
+            rows = self.echelon.rows if self.echelon is not None else {}
+            for c in sorted(rows, reverse=True):
+                acc: dict[int, Fraction] = {}
+                for col, y in rows[c].items():  # table[c] is still empty
+                    for k, x in table[col].items():
+                        acc[k] = acc.get(k, 0) + y * x
+                table[c] = {k: -x / rows[c][c] for k, x in acc.items() if x}
+            self._remainders = table
+        return self._remainders
 
 
 def _generators(system: JacobianSystem, ideal: str):
@@ -205,24 +229,18 @@ def dim_R(system: JacobianSystem, a: int) -> int:
 
 
 def normal_form(poly: GradedPolynomial, piece: QuotientBasis) -> list[Fraction]:
-    """Coordinates of [poly] over the quotient basis of the piece."""
-    index = piece.column_index()
-    row: dict[int, Fraction] = {}
+    """Coordinates of [poly] over the quotient basis of the piece: the sum of
+    the remainders of its monomials."""
+    index, table = piece.column_index(), piece.remainders()
+    coords = [Fraction(0)] * piece.dim
     for mono, coeff in poly.terms.items():
         col = index.get(mono)
         if col is None:
             raise DegreeMismatch(
                 f"monomial {mono} does not lie in the degree-{piece.degree} piece"
             )
-        row[col] = coeff
-    if piece.echelon is None:
-        # every column certified (or empty ambient): everything reduces to 0
-        return []
-    remainder = piece.echelon.reduce(row)
-    coords = []
-    for mono in piece.basis:
-        coords.append(remainder.pop(index[mono], Fraction(0)))
-    assert not remainder, "reduction left support on pivot columns"
+        for k, x in table[col].items():
+            coords[k] += coeff * x
     return coords
 
 

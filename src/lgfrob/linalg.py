@@ -367,6 +367,8 @@ class EchelonBasis:
 
         Columns are consumed left to right; eliminating a pivot introduces
         fill-in strictly to its right, so one ascending sweep terminates.
+        No pipeline caller: it is the tests' independent reference for the
+        remainder table ``jacobian.QuotientBasis.remainders``.
         """
         work: dict[int, Fraction] = {
             c: Fraction(x) for c, x in row.items() if x != 0

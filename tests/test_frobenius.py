@@ -59,6 +59,24 @@ class TestBuild:
         with pytest.raises(HessianGeneratorZero):
             frob.build_algebra(make_system("weighted-p112"), frob.PROJECTIVE_HESSIAN)
 
+    def test_remainder_tables_only_for_the_pieces_the_algebra_reads(self):
+        """dims-only pieces never build a remainder table; the algebra
+        builds one for each basis piece and for R0(f)_{m beta}, not for
+        the pieces of degree a+b >= m it checks to vanish."""
+        system = make_system("bundle-p2")
+        m = system.m
+        for a in range(m + 2):
+            jac.dim_R(system, a)
+        assert system._pieces
+        assert all(p._remainders is None for p in system._pieces.values())
+        frob.build_algebra(system, frob.GENERIC)
+        beta = system.grading.scaled_beta
+        tabled = {k for k, p in system._pieces.items() if p._remainders is not None}
+        assert tabled == {(jac.IDEAL_J, beta(a)) for a in range(m)} | {
+            (jac.IDEAL_J0, beta(m))
+        }
+        assert len(system._pieces) > len(tabled)
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             frob.build_algebra(make_system("projective-3"), "newton")
@@ -213,12 +231,19 @@ class TestAxioms:
 
 
 
+def reduced_generator_coord(r0, row):
+    """Generator coordinate of the sparse ``row`` of columns of R0(f)_{m beta}
+    by ``EchelonBasis.reduce``, independently of the remainder table."""
+    generator_col = r0.column_index()[r0.basis[0]]
+    return r0.echelon.reduce(row).get(generator_col, Fraction(0))
+
+
 def reduced_trace(p, D):
     """Trace of a degree-(m-1)beta polynomial by a full reduction of
     z_1...z_r * p in R0, as every trace was evaluated before the functional."""
-    shifted = p.mul_monomial((1,) * len(D.system.variables))
-    coords = jac.normal_form(shifted, D.r0_piece)
-    c = (coords[0] if coords else Fraction(0)) / D.generator_coord
+    index = D.r0_piece.column_index()
+    row = {index[tuple(e + 1 for e in mono)]: c for mono, c in p.terms.items()}
+    c = reduced_generator_coord(D.r0_piece, row) / D.generator_coord
     return D.sign * c * D.volume
 
 
@@ -244,8 +269,7 @@ class TestTraceFunctional:
         scale = Fraction(D.sign * D.volume) / D.generator_coord
         assert len(D.trace_functional) == len(r0.monomials)
         for c, mono in enumerate(r0.monomials):
-            e_c = GradedPolynomial.monomial(D.system.variables, mono)
-            want = scale * jac.normal_form(e_c, r0)[0]
+            want = scale * reduced_generator_coord(r0, {c: 1})
             assert D.trace_functional[c] == want, mono
 
     def test_trace_equals_lift_and_reduce(self, algebra):
@@ -526,3 +550,26 @@ def test_asymmetric_structure_constant_fails_commutativity(bundle_algebra):
     report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=20)
     assert not report.commutativity.ok
     assert report.commutativity.witness == "degree 1: basis[2]*basis[5] != basis[5]*basis[2]"
+
+
+def test_unit_corruption_fails_unit_and_associativity(bundle_algebra):
+    """1 * basis[1][j] corrupted to e_j + e_k: the unit check names
+    basis[1][j], and exhaustive associativity fails at 1 * (1 * basis[1][j])."""
+    D = bundle_algebra
+    j, k = 2, 5
+    structure = {
+        key: [[list(coords) for coords in row] for row in tensor]
+        for key, tensor in D.structure.items()
+    }
+    coords = structure[(0, 1)][0][j]
+    assert coords[j] == 1 and not any(c for i, c in enumerate(coords) if i != j)
+    coords[k] = Fraction(1)
+    bad = dataclasses.replace(D, structure=structure)
+    report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=20)
+    assert not report.sampled
+    assert not report.unit.ok
+    assert report.unit.witness == (
+        f"1 * basis[1][{j}] = [({j}, 1), ({k}, 1)], expected [({j}, 1)]"
+    )
+    assert not report.associativity.ok
+    assert report.associativity.witness == f"(a,i,b,j,c,k) = (0, 0, 0, 0, 1, {j})"
