@@ -49,10 +49,7 @@ def _add_run_flags(parser: argparse.ArgumentParser):
 
 def _load_document(args) -> dict:
     if args.fixture:
-        try:
-            return get_fixture(args.fixture).to_input_document()
-        except InputSchemaError as exc:
-            raise InputSchemaError(str(exc)) from exc
+        return get_fixture(args.fixture).to_input_document()
     if args.input == "-":
         text = sys.stdin.read()
     else:

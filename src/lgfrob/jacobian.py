@@ -149,9 +149,12 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
     monos = monomial_basis(system.grading, system.fan, alpha)
     index = {mono: i for i, mono in enumerate(monos)}
     rows: list[dict[int, int]] = []
+    cofactors: dict[tuple[int, ...], list[Monomial]] = {}
     for g, g_deg in _generators(system, ideal):
         cof_degree = tuple(a - d for a, d in zip(alpha, g_deg))
-        for cof in monomial_basis(system.grading, system.fan, cof_degree):
+        if cof_degree not in cofactors:
+            cofactors[cof_degree] = monomial_basis(system.grading, system.fan, cof_degree)
+        for cof in cofactors[cof_degree]:
             row = {
                 index[tuple(x + y for x, y in zip(mono, cof))]: coeff
                 for mono, coeff in g.terms.items()

@@ -2,8 +2,8 @@
 
 Everything here is deterministic and allocation-cheap at the sizes the rest of
 the library produces.  Rational elimination is done on integer sparse rows
-(denominators cleared, content removed) so the inner loop stays in machine or
-big-integer arithmetic rather than Fraction arithmetic.
+(denominators cleared, content removed), so its inner loop is integer rather
+than Fraction arithmetic; the rank mod p is a sparse echelon in pure Python too.
 
 Conventions:
   * dense matrices are lists of lists, row major;
@@ -18,8 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-# Prime used by the modular pre-rank filter.  Mersenne, fits comfortably in
-# int64 products (values < 2^31, products < 2^62).
+# Prime of the modular full-rank certificate (the Mersenne prime 2^31 - 1).
 PREFILTER_PRIME = 2147483647
 
 
@@ -465,31 +464,33 @@ def rank_mod_p(
     """Rank of an integer sparse matrix modulo ``p``.
 
     Always a lower bound for the rank over Q; used to certify blocks of full
-    column rank without exact elimination.
+    column rank without exact elimination.  Sparse incremental echelon: each
+    row, a dense list from its lowest column, is reduced left to right by the
+    pivot rows so far, kept as their nonzero ``(column, value)`` pairs right
+    of a pivot scaled to 1.  Entries are reduced mod p only when read.
     """
-    import numpy as np
-
-    m = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, x in row.items():
-            m[i, c] = x % p
-    rank = 0
-    nrows = m.shape[0]
-    for c in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.flatnonzero(m[rank:, c])
-        if nz.size == 0:
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for row in rows:
+        if not row:
             continue
-        # rows rank.. are zero left of c, so only the trailing columns c: of
-        # the rows that are nonzero in column c take part in the update
-        pr = rank + int(nz[0])
-        if pr != rank:
-            m[[rank, pr], c:] = m[[pr, rank], c:]
-        pivot = (m[rank, c:] * pow(int(m[rank, c]), p - 2, p)) % p
-        below = rank + 1 + np.flatnonzero(m[rank + 1 :, c])
-        if below.size:
-            tail = m[below, c:]
-            m[below, c:] = (tail - tail[:, :1] * pivot[None, :]) % p
-        rank += 1
-    return rank
+        lo = min(row)
+        dense = [0] * (ncols - lo)
+        for c, x in row.items():
+            dense[c - lo] = x
+        for i, x in enumerate(dense):  # the iterator sees updates to later entries
+            if not x or not (x := x % p):
+                continue
+            tail = pivots.get(lo + i)
+            if tail is None:
+                inv = pow(x, -1, p)
+                pivots[lo + i] = [
+                    (lo + j, y * inv % p)
+                    for j in range(i + 1, len(dense))
+                    if (y := dense[j] % p)
+                ]
+                break
+            for c, y in tail:
+                dense[c - lo] -= x * y
+        if len(pivots) == ncols:
+            break
+    return len(pivots)

@@ -269,9 +269,7 @@ def class_group(fan: FanData) -> GradingMap:
     ray_matrix = [list(ray) for ray in fan.rays]  # r x m
     u, d, _ = linalg.smith_normal_form(ray_matrix)
     factors = [d[i][i] for i in range(min(r, m))]
-    if any(f == 0 for f in factors):
-        raise TorsionClassGroup(factors)  # rays degenerate; cokernel has free excess
-    if any(f != 1 for f in factors):
+    if any(f != 1 for f in factors):  # a zero means the rays are degenerate
         raise TorsionClassGroup(factors)
     # cokernel free part: bottom r-m rows of U are the degree functionals
     functionals = [u[i] for i in range(m, r)]

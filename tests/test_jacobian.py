@@ -2,6 +2,7 @@
 normal forms, Macaulay vanishing, socle and membership certificates."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,40 @@ class TestBlocks:
         piece = jac.graded_piece(quartic, jac.IDEAL_J, (16,))
         assert (piece.blocks, piece.certified_blocks) == (969, 969)
         assert len(piece.monomials) == 969
+
+    def test_certifier_runs_without_numpy(self, monkeypatch):
+        """The modular certificate needs no numeric package: with numpy
+        unimportable, R(f)_{2 beta} of bundle-p2 still certifies one of its
+        two blocks mod p."""
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        piece = jac.graded_piece(make_system("bundle-p2"), jac.IDEAL_J, (4, 4))
+        assert (piece.blocks, piece.certified_blocks) == (2, 1)
+
+    @pytest.mark.parametrize("name", ["projective-4", "bundle-p2"])
+    def test_one_cofactor_enumeration_per_degree(self, name, monkeypatch):
+        """relation_rows enumerates the ambient piece once and each distinct
+        cofactor degree once, however many generators share it."""
+        calls = []
+        original = jac.monomial_basis
+
+        def counting(grading, fan, alpha):
+            calls.append(tuple(alpha))
+            return original(grading, fan, alpha)
+
+        monkeypatch.setattr(jac, "monomial_basis", counting)
+        system = make_system(name)
+        for a in (1, 2):
+            alpha = system.grading.scaled_beta(a)
+            for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
+                gens = jac._generators(system, ideal)
+                cofactor_degrees = {
+                    tuple(x - d for x, d in zip(alpha, g_deg)) for _, g_deg in gens
+                }
+                assert len(cofactor_degrees) < len(gens)
+                calls.clear()
+                jac.relation_rows(system, ideal, alpha)
+                assert calls[0] == alpha
+                assert sorted(calls[1:]) == sorted(cofactor_degrees)
 
 
 class TestCertificates:

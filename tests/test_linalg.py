@@ -253,12 +253,15 @@ class TestRankModP:
             ((12, 7), 3),  # tall, rank 3 reached before the last row
             ((4, 9), 4),  # wide
             ((6, 6), 2),  # square, rank deficient
+            ((0, 4), 1),  # no rows at all
         ],
     )
     def test_modular_kernels_agree_with_exact_rank(self, shape, inner):
         """Seeded integer matrices of known shape and inner dimension: the
         modular kernel and the exact echelon give the same rank, also when
-        entries are shifted by multiples of p (which vanish mod p)."""
+        entries are shifted by multiples of p (which vanish mod p), when a
+        row is zero mod p but not over Q, when an empty row is added, and
+        when each row lists its columns in descending order."""
         p = linalg.PREFILTER_PRIME
         rng = random.Random(41 + shape[0] * shape[1] + inner)
         rows_n, cols = shape
@@ -266,8 +269,9 @@ class TestRankModP:
             left = random_matrix(rng, rows_n, inner, -4, 4)
             right = random_matrix(rng, inner, cols, -4, 4)
             product = linalg.mat_mul_int(left, right)
-            zero = rng.randrange(rows_n)
-            product[zero] = [0] * cols
+            if rows_n:
+                zero = rng.randrange(rows_n)
+                product[zero] = [0] * cols
             exact = linalg.echelon_rank(
                 [{j: x for j, x in enumerate(row) if x} for row in product], cols
             )
@@ -275,9 +279,13 @@ class TestRankModP:
                 {j: x + p * rng.randint(-3, 3) for j, x in enumerate(row)}
                 for row in product
             ]
-            # a row that is zero mod p but not over Q
-            shifted[zero] = {j: p * rng.choice((-2, -1, 1, 2)) for j in range(cols)}
-            shifted = [{j: x for j, x in row.items() if x} for row in shifted]
+            if rows_n:
+                shifted[zero] = {j: p * rng.choice((-2, -1, 1, 2)) for j in range(cols)}
+            shifted = [
+                {j: row[j] for j in sorted(row, reverse=True) if row[j]}
+                for row in shifted
+            ]
+            shifted.insert(rng.randint(0, len(shifted)), {})
             modular = linalg.rank_mod_p(shifted, cols, p)
             assert modular == exact <= min(rows_n, cols, inner)
 
