@@ -58,7 +58,7 @@ from .jacobian import (
     normal_form,
     socle_certificates,
 )
-from .poly import GradedPolynomial, Monomial
+from .poly import GradedPolynomial, Monomial, monomial_code
 from .toric import anticanonical_polytope, normalized_volume
 
 
@@ -598,10 +598,6 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
     return AxiomCheck(True, checked)
 
 
-def _code(mono: Monomial, radix: int) -> int:
-    return sum(e * radix**i for i, e in enumerate(mono))
-
-
 def scaled_functional(D: FrobeniusAlgebraData) -> tuple[int, int, dict[int, int]]:
     """The direct path's copy of lambda: (den, radix, {code: den * lambda}).
 
@@ -615,7 +611,7 @@ def scaled_functional(D: FrobeniusAlgebraData) -> tuple[int, int, dict[int, int]
     den = lcm(*(x.denominator for x in D.trace_functional))
     radix = 1 + max(max(mono) for mono in monomials)
     functional = {
-        _code(mono, radix): x.numerator * (den // x.denominator)
+        monomial_code(mono, radix): x.numerator * (den // x.denominator)
         for mono, x in zip(monomials, D.trace_functional)
     }
     return den, radix, functional
@@ -632,13 +628,13 @@ def direct_trace(
     ``scaled_functional(D)``.  Never reads the structure constants."""
     den, radix, functional = scaled
     # start from z_1...z_r, the shift of the trace, with coefficient 1
-    product = {_code((1,) * len(D.system.variables), radix): 1}
+    product = {monomial_code((1,) * len(D.system.variables), radix): 1}
     for degree, coords in factors:
         step: dict[int, int] = {}
         for mono, coeff in zip(D.bases[degree].basis, coords):
             if not coeff:
                 continue
-            code = _code(mono, radix)
+            code = monomial_code(mono, radix)
             for left, x in product.items():
                 key = left + code
                 step[key] = step.get(key, 0) + x * coeff

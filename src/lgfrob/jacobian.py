@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, NoFunctional, SocleNotOneDimensional
-from .poly import GradedPolynomial, Monomial, check_homogeneous
+from .poly import GradedPolynomial, Monomial, check_homogeneous, monomial_code
 from .toric import FanData, GradingMap, monomial_basis
 
 IDEAL_J = "J"
@@ -145,21 +145,37 @@ def _generators(system: JacobianSystem, ideal: str):
 
 def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
     """Integer sparse rows of the relation space at degree alpha, in the
-    deterministic order (generator index, cofactor graded-lex)."""
+    deterministic order (generator index, cofactor graded-lex); returns the
+    ambient monomials and the rows.
+
+    Columns are keyed by the integer code(z) = sum_i z_i radix^i with
+    radix = 1 + the largest exponent in S_alpha, so the digits of a code
+    are the exponents and distinct monomials of S_alpha get distinct codes.
+    A row entry is then one integer add and one int-keyed lookup.  No carry
+    occurs: a generator term t and a cofactor c both divide t * c, which
+    lies in S_alpha, so every exponent of either factor is at most
+    radix - 1 and code(t) + code(c) is code(t * c), digit by digit.  Each
+    generator's denominators are cleared once per call, since all of its
+    rows carry the same coefficients.
+    """
     monos = monomial_basis(system.grading, system.fan, alpha)
-    index = {mono: i for i, mono in enumerate(monos)}
+    radix = 1 + max(map(max, monos), default=0)
+    index = {monomial_code(mono, radix): i for i, mono in enumerate(monos)}
     rows: list[dict[int, int]] = []
-    cofactors: dict[tuple[int, ...], list[Monomial]] = {}
+    cofactors: dict[tuple[int, ...], list[int]] = {}
     for g, g_deg in _generators(system, ideal):
         cof_degree = tuple(a - d for a, d in zip(alpha, g_deg))
         if cof_degree not in cofactors:
-            cofactors[cof_degree] = monomial_basis(system.grading, system.fan, cof_degree)
+            cofactors[cof_degree] = [
+                monomial_code(cof, radix)
+                for cof in monomial_basis(system.grading, system.fan, cof_degree)
+            ]
+        terms = [
+            (monomial_code(mono, radix), x)
+            for mono, x in linalg.clear_denominators(g.terms).items()
+        ]
         for cof in cofactors[cof_degree]:
-            row = {
-                index[tuple(x + y for x, y in zip(mono, cof))]: coeff
-                for mono, coeff in g.terms.items()
-            }
-            rows.append(linalg.clear_denominators(row))
+            rows.append({index[cof + t]: x for t, x in terms})
     return monos, rows
 
 

@@ -105,6 +105,42 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def inverse_int(matrix: Sequence[Sequence[int]]):
+    """``(det, adj)`` with ``A @ adj == det * I`` for a nonsingular square
+    integer matrix ``A``, so ``A^-1 = adj / det``; None when ``A`` is
+    singular.
+
+    Fraction-free Gauss-Jordan on ``[A | I]`` with Bareiss's exact division
+    by the previous pivot: every entry stays an integer minor, and at the end
+    the left block is ``d * I`` and the right block ``d * A^-1``, where
+    ``d = det(A)`` up to the sign of the row swaps.
+    """
+    n = len(matrix)
+    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(matrix)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return None
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            factor = row[k]
+            m[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    if sign < 0:
+        prev = -prev
+        m = [[-x for x in row] for row in m]
+    return prev, [row[n:] for row in m]
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form with transformation certificates
 

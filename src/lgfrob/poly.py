@@ -34,6 +34,16 @@ def grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
 
 
+def monomial_code(mono: Monomial, radix: int) -> int:
+    """code(z) = sum_i z_i radix^i.  For exponents below ``radix`` the code
+    determines the monomial, and when the exponents of z * w are also below
+    ``radix``, code(z * w) = code(z) + code(w) with no carry between them."""
+    code = 0
+    for e in reversed(mono):
+        code = code * radix + e
+    return code
+
+
 class GradedPolynomial:
     """Sparse exact-rational polynomial over a declared variable list.
 

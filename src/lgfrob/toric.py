@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -238,24 +239,17 @@ def _complete_criterion(fan: FanData) -> CheckResult:
 
 def _cone_vertex(fan: FanData, cone: Sequence[int]):
     """Integral solution of <u, rho_i> = -1 for the rays of a max cone, or
-    None when the solution is not integral (non-Gorenstein witness)."""
-    a = fan.cone_matrix(cone)
-    solution = _solve_rational(a, [-1] * len(cone))
-    if solution is None:
+    None when the rays are dependent or the solution is not integral
+    (non-Gorenstein witness).  With A u = -1 and A^-1 = adj / det, the
+    solution is u = -adj . 1 / det."""
+    inverse = linalg.inverse_int(fan.cone_matrix(cone))
+    if inverse is None:
         return None
-    if any(x.denominator != 1 for x in solution):
+    det, adj = inverse
+    sums = [sum(row) for row in adj]
+    if any(x % det for x in sums):
         return None
-    return tuple(int(x) for x in solution)
-
-
-def _solve_rational(a: Sequence[Sequence[int]], b: Sequence[int]):
-    """Unique rational solution of a square nonsingular system, else None."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    reduced, rank, pivots = linalg.rref(aug)
-    if rank != n or pivots != tuple(range(n)):
-        return None
-    return [reduced[i][n] for i in range(n)]
+    return tuple(-x // det for x in sums)
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +330,16 @@ def normalized_volume(polytope: AnticanPolytope, fan: FanData) -> int:
         raise DegeneratePolytope("no vertices")
     data = []
     for vertex, ci in zip(polytope.vertices, polytope.vertex_cones):
-        cone = fan.max_cones[ci]
-        a = [[Fraction(x) for x in fan.rays[i]] for i in cone]
-        inv = _invert_rational(a)
-        if inv is None:
+        inverse = linalg.inverse_int(fan.cone_matrix(fan.max_cones[ci]))
+        if inverse is None:
             raise DegeneratePolytope(f"vertex cone {ci} is singular")
-        edges = [[inv[i][j] for i in range(m)] for j in range(m)]  # columns of A^-1
-        det_edges = Fraction(1, abs(linalg.det_int(fan.cone_matrix(cone))))
-        data.append((vertex, edges, det_edges))
+        det, adj = inverse
+        edges = [[adj[i][j] for i in range(m)] for j in range(m)]  # det * columns of A^-1
+        data.append((vertex, edges, det))
 
     t = 2
     while True:
-        c = [Fraction(t) ** k for k in range(m)]
+        c = [t**k for k in range(m)]
         if all(
             _dot(c, edge) != 0 for _, edges, _ in data for edge in edges
         ):
@@ -356,29 +348,21 @@ def normalized_volume(polytope: AnticanPolytope, fan: FanData) -> int:
 
     # the sum below is already m! Vol: each vertex contributes
     # (c.v)^m |det E_v| / prod_j(-c.e_j) and the 1/m! of the classical
-    # formula cancels against the requested m! normalization
+    # formula cancels against the requested m! normalization.  The edges
+    # e_j are the columns of adj / det, so |det E_v| = 1 / |det| and
+    # prod_j(-c.e_j) = prod_j(-c.adj_j) / det^m.
     scaled = Fraction(0)
-    for vertex, edges, det_edges in data:
-        numerator = _dot(c, vertex) ** m * det_edges
-        denominator = Fraction(1)
+    for vertex, edges, det in data:
+        denominator = abs(det)
         for edge in edges:
             denominator *= -_dot(c, edge)
-        scaled += numerator / denominator
+        scaled += Fraction(_dot(c, vertex) ** m * det**m, denominator)
     if scaled.denominator != 1:
         raise DegeneratePolytope(f"non-integral normalized volume {scaled}")
     value = int(scaled)
     if value <= 0:
         raise DegeneratePolytope(f"normalized volume {value} is not positive")
     return value
-
-
-def _invert_rational(a: Sequence[Sequence[Fraction]]):
-    n = len(a)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    reduced, rank, pivots = linalg.rref(aug)
-    if rank != n or pivots != tuple(range(n)):
-        return None
-    return [row[n:] for row in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -450,77 +434,84 @@ def _normalize_ineq(coeffs: Sequence[int], const: int):
 
 def lattice_points(ineqs: list[tuple[tuple[int, ...], int]], dim: int) -> list[tuple[int, ...]]:
     """All integer points satisfying coeffs . x + const >= 0 for every
-    inequality, enumerated by Fourier-Motzkin projection plus sweep.
+    inequality: the sweep of ``_affine_lattice_images`` under the identity
+    map.
 
     Raises DegeneratePolytope when some direction is unbounded.
     """
+    identity = [tuple(1 if i == k else 0 for i in range(dim)) for k in range(dim)]
+    return _affine_lattice_images(ineqs, (0,) * dim, identity)
+
+
+def _affine_lattice_images(
+    ineqs: list[tuple[tuple[int, ...], int]],
+    start: Sequence[int],
+    cols: Sequence[Sequence[int]],
+) -> list[tuple[int, ...]]:
+    """``start + sum_k x_k cols[k]`` for every integer point x satisfying
+    coeffs . x + const >= 0 for every inequality, in lex order of x.
+
+    Fourier-Motzkin projection gives, for each coordinate k, the
+    inequalities on x_0..x_k that bound x_k; ``_sweep`` then runs over
+    x_0, x_1, ... within those bounds and carries the image vector, adding
+    cols[k] for each step of x_k, so a point costs one vector add rather
+    than a dot product per coordinate of the image.
+    """
+    dim = len(cols)
     if dim == 0:
-        return [()] if all(c >= 0 for _, c in ineqs) else []
-    systems: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(dim + 1)]
-    current = [_normalize_ineq(c, k) for c, k in ineqs]
-    systems[dim] = current
-    for level in range(dim, 0, -1):
+        return [tuple(start)] if all(c >= 0 for _, c in ineqs) else []
+    system = {_normalize_ineq(c, k) for c, k in ineqs}
+    bounds: list = [None] * dim
+    for level in range(dim - 1, -1, -1):
+        # rest = const + coeffs . x[:level]; a * x_level + rest >= 0 gives
+        # x_level >= ceil(-rest / a) for a > 0, x_level <= floor(rest / -a)
+        # for a < 0, and each (lower, upper) pair an inequality on x[:level]
         nxt: set[tuple[tuple[int, ...], int]] = set()
-        pos = []
-        neg = []
-        for coeffs, const in systems[level]:
-            a = coeffs[level - 1]
-            if a == 0:
-                nxt.add(_normalize_ineq(coeffs[: level - 1], const))
-            elif a > 0:
-                pos.append((coeffs, const))
-            else:
-                neg.append((coeffs, const))
-        for pc, pk in pos:
-            for nc, nk in neg:
-                ap, an = pc[level - 1], -nc[level - 1]
-                combo = tuple(
-                    an * pc[i] + ap * nc[i] for i in range(level - 1)
-                )
-                nxt.add(_normalize_ineq(combo, an * pk + ap * nk))
-        systems[level - 1] = sorted(nxt)
-
-    points: list[tuple[int, ...]] = []
-    prefix = [0] * dim
-
-    def bounds_at(level: int):
-        lo, hi = None, None
-        for coeffs, const in systems[level + 1]:
+        lower, upper = [], []
+        for coeffs, const in sorted(system):
             a = coeffs[level]
             if a == 0:
-                continue
-            rest = const + sum(coeffs[i] * prefix[i] for i in range(level))
-            if a > 0:
-                bound = _ceil_div(-rest, a)
-                lo = bound if lo is None else max(lo, bound)
+                nxt.add(_normalize_ineq(coeffs[:level], const))
+            elif a > 0:
+                lower.append((coeffs[:level], const, a))
             else:
-                bound = _floor_div(rest, -a)
-                hi = bound if hi is None else min(hi, bound)
-        return lo, hi
-
-    def sweep(level: int):
-        if level == dim:
-            points.append(tuple(prefix))
-            return
-        lo, hi = bounds_at(level)
-        if lo is None or hi is None:
-            raise DegeneratePolytope(
-                f"unbounded direction at coordinate {level}; fan not complete?"
-            )
-        for value in range(lo, hi + 1):
-            prefix[level] = value
-            sweep(level + 1)
-
-    sweep(0)
-    return points
+                upper.append((coeffs[:level], const, -a))
+        for pc, pk, ap in lower:
+            for nc, nk, an in upper:
+                combo = tuple(an * x + ap * y for x, y in zip(pc, nc))
+                nxt.add(_normalize_ineq(combo, an * pk + ap * nk))
+        bounds[level] = (lower, upper)
+        system = nxt
+    out: list[tuple[int, ...]] = []
+    _sweep(0, bounds, cols, [0] * dim, tuple(start), out)
+    return out
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
+def _sweep(level, bounds, cols, prefix, image, out) -> None:
+    """Append to ``out`` the image of every point whose first ``level``
+    coordinates are ``prefix[:level]``; ``image`` is the image of that
+    prefix with the later coordinates zero.  A module-level function rather
+    than a closure, so no reference cycle keeps ``out`` alive."""
+    lower, upper = bounds[level]
+    if not lower or not upper:
+        raise DegeneratePolytope(
+            f"unbounded direction at coordinate {level}; fan not complete?"
+        )
+    lo = max([-((const + sum(map(mul, coeffs, prefix))) // a) for coeffs, const, a in lower])
+    hi = min([(const + sum(map(mul, coeffs, prefix))) // a for coeffs, const, a in upper])
+    if lo > hi:
+        return
+    col = cols[level]
+    image = tuple(map(add, image, (lo * x for x in col)))
+    if level == len(cols) - 1:
+        for _ in range(lo, hi + 1):
+            out.append(image)
+            image = tuple(map(add, image, col))
+        return
+    for value in range(lo, hi + 1):
+        prefix[level] = value
+        _sweep(level + 1, bounds, cols, prefix, image, out)
+        image = tuple(map(add, image, col))
 
 
 def monomial_basis(
@@ -528,24 +519,18 @@ def monomial_basis(
 ) -> list[Monomial]:
     """All exponent vectors of class-group degree alpha, graded-lex sorted.
 
-    Solves for one particular exponent vector, then enumerates the fiber
-    u0 + (ray matrix) m' over the polytope u0_i + <m', rho_i> >= 0.
+    Solves for one particular exponent vector u0, then enumerates the fiber
+    u0 + (ray matrix) x over the lattice points x of the polytope
+    u0_i + <x, rho_i> >= 0, carrying the exponent vector through the sweep
+    (column k of the ray matrix is added for each step of x_k).
     """
     alpha = tuple(alpha)
-    degree_rows = grading.degree_rows()
-    u0 = linalg.solve_integer(degree_rows, list(alpha))
+    u0 = linalg.solve_integer(grading.degree_rows(), list(alpha))
     if u0 is None:
         return []
-    m = fan.dim
-    ineqs = [
-        (tuple(fan.rays[i]), u0[i]) for i in range(fan.n_rays)
-    ]
-    monos: list[Monomial] = []
-    for point in lattice_points(ineqs, m):
-        mono = tuple(
-            u0[i] + _dot(point, fan.rays[i]) for i in range(fan.n_rays)
-        )
-        monos.append(mono)
+    ineqs = [(fan.rays[i], u0[i]) for i in range(fan.n_rays)]
+    cols = [tuple(ray[k] for ray in fan.rays) for k in range(fan.dim)]
+    monos = _affine_lattice_images(ineqs, u0, cols)
     monos.sort(key=grlex_key)
     return monos
 

@@ -10,7 +10,7 @@ from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
 from lgfrob.errors import DegreeMismatch, HessianGeneratorZero, SocleNotOneDimensional
 from lgfrob.fixtures import get_fixture
-from lgfrob.poly import GradedPolynomial, parse_polynomial
+from lgfrob.poly import GradedPolynomial, monomial_code, parse_polynomial
 from lgfrob.toric import class_group
 
 
@@ -410,13 +410,13 @@ class TestSparseKernel:
         den, radix, functional = frob.scaled_functional(D)
         assert len(functional) == len(D.r0_piece.monomials)
         for mono, value in zip(D.r0_piece.monomials, D.trace_functional):
-            code = frob._code(mono, radix)
+            code = monomial_code(mono, radix)
             digits = []
             for _ in mono:
                 code, digit = divmod(code, radix)
                 digits.append(digit)
             assert (tuple(digits), code) == (mono, 0)
-            assert functional[frob._code(mono, radix)] == den * value
+            assert functional[monomial_code(mono, radix)] == den * value
 
     def test_direct_trace_never_reads_the_structure_constants(self, bundle_algebra):
         D = bundle_algebra

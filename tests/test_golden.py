@@ -75,3 +75,11 @@ def test_command_without_modular_certificate_matches_golden(
     main([command, "--fixture", name, "--json-only"])
     want = (GOLDEN / command / f"{name}.json").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == want
+
+
+# Outside the per-command globs above: one capped run beyond the fixtures'
+# default degree range: dims [1, 5586, 134995].
+def test_capped_bundle_p6_dims_matches_golden(capsys):
+    main(["dims", "--fixture", "bundle-p6", "--max-degree-a", "2", "--json-only"])
+    want = (GOLDEN / "capped" / "dims-bundle-p6-a2.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want

@@ -1,6 +1,7 @@
 """Graded Jacobian quotients: dimensions against Hilbert-series oracles,
 normal forms, Macaulay vanishing, socle and membership certificates."""
 
+import gc
 import random
 import sys
 from fractions import Fraction
@@ -9,9 +10,10 @@ import pytest
 
 from lgfrob import jacobian as jac
 from lgfrob import linalg
+from lgfrob.cli import main
 from lgfrob.errors import DegreeMismatch, NoFunctional
 from lgfrob.fixtures import get_fixture
-from lgfrob.poly import GradedPolynomial, parse_polynomial
+from lgfrob.poly import GradedPolynomial, monomial_code, parse_polynomial
 from lgfrob.toric import class_group, monomial_basis
 
 
@@ -330,6 +332,77 @@ class TestBlocks:
                 jac.relation_rows(system, ideal, alpha)
                 assert calls[0] == alpha
                 assert sorted(calls[1:]) == sorted(cofactor_degrees)
+
+
+def tuple_keyed_rows(system, ideal, alpha):
+    """Reference assembly: columns keyed by exponent tuples, each row the
+    generator's terms times one cofactor with its denominators cleared."""
+    monos = monomial_basis(system.grading, system.fan, alpha)
+    index = {mono: i for i, mono in enumerate(monos)}
+    rows = []
+    for g, g_deg in jac._generators(system, ideal):
+        cof_degree = tuple(a - d for a, d in zip(alpha, g_deg))
+        for cof in monomial_basis(system.grading, system.fan, cof_degree):
+            row = {
+                index[tuple(x + y for x, y in zip(mono, cof))]: coeff
+                for mono, coeff in g.terms.items()
+            }
+            rows.append(linalg.clear_denominators(row))
+    return monos, rows
+
+
+class TestCodeKeyedRows:
+    @pytest.mark.parametrize(
+        "name", ["projective-3", "projective-4", "weighted-p112", "bundle-p2"]
+    )
+    def test_rows_equal_tuple_keyed_assembly(self, name, capsys, monkeypatch):
+        """Every piece the report builds has the rows of the tuple-keyed
+        assembly, in the same order and with the same key order."""
+        original = jac.relation_rows
+        seen = []
+
+        def checked(system, ideal, alpha):
+            monos, rows = original(system, ideal, alpha)
+            want_monos, want_rows = tuple_keyed_rows(system, ideal, alpha)
+            assert monos == want_monos
+            assert [list(r.items()) for r in rows] == [
+                list(r.items()) for r in want_rows
+            ], (ideal, alpha)
+            seen.append((ideal, alpha))
+            return monos, rows
+
+        monkeypatch.setattr(jac, "relation_rows", checked)
+        assert main(["report", "--fixture", name, "--json-only"]) == 0
+        capsys.readouterr()
+        assert len(seen) >= 4
+
+    @pytest.mark.parametrize("ideal", [jac.IDEAL_J, jac.IDEAL_J0])
+    def test_rows_where_the_radix_is_tight(self, ideal):
+        """weighted-p112 (degrees 1, 1, 2) at every degree d <= 8.  At d = 2
+        the largest exponent of S_2 is 2, and with radix 2 the codes of
+        z1^2 and z2 would both be 4: only radix = 1 + the largest exponent
+        keeps the codes of a piece distinct."""
+        system = make_system("weighted-p112")
+        assert system.grading.degrees == ((1,), (1,), (2,))
+        for d in range(9):
+            monos, rows = jac.relation_rows(system, ideal, (d,))
+            want_monos, want_rows = tuple_keyed_rows(system, ideal, (d,))
+            assert monos == want_monos
+            assert [list(r.items()) for r in rows] == [
+                list(r.items()) for r in want_rows
+            ], d
+        tight = monomial_basis(system.grading, system.fan, (2,))
+        assert len({monomial_code(mono, 2) for mono in tight}) < len(tight)
+
+    def test_no_cyclic_garbage(self, bundle_p2):
+        gc.collect()
+        gc.disable()
+        try:
+            monos, rows = jac.relation_rows(bundle_p2, jac.IDEAL_J, (4, 4))
+            assert rows
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCertificates:

@@ -6,14 +6,17 @@ the number of lattice points in the a-fold dilation is a degree-m polynomial
 in a whose m-th finite difference equals m! times the Euclidean volume.
 """
 
+import gc
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from lgfrob import linalg
 from lgfrob.errors import InvalidFan, NotReflexivePipeline, TorsionClassGroup
-from lgfrob.fixtures import get_fixture
+from lgfrob.fixtures import fixture_names, get_fixture
+from lgfrob.poly import grlex_key
 from lgfrob.toric import (
     FanData,
     anticanonical_polytope,
@@ -177,6 +180,84 @@ class TestPolytopeAndVolume:
         fan = FanData(2, [(1, 0), (0, 1), (-1, -3)], [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(NotReflexivePipeline):
             anticanonical_polytope(fan)
+
+
+class TestIntegerInverse:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_equals_rref_inverse_on_every_maximal_cone(self, name):
+        """inverse_int gives (det, adj) with adj / det equal, entry for
+        entry, to the inverse the rational RREF of [A | I] gives."""
+        fan = get_fixture(name).fan
+        for cone in fan.max_cones:
+            a = fan.cone_matrix(cone)
+            n = len(a)
+            aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+            reduced, rank, pivots = linalg.rref(aug)
+            assert pivots[:n] == tuple(range(n))
+            det, adj = linalg.inverse_int(a)
+            assert det == linalg.det_int(a)
+            assert [[Fraction(x, det) for x in row] for row in adj] == [
+                row[n:] for row in reduced
+            ]
+
+    @pytest.mark.parametrize(
+        "matrix", [[[0]], [[1, 2], [2, 4]], [[0, 1, 0], [0, 0, 1], [0, 1, 1]]]
+    )
+    def test_singular_matrix_is_reported(self, matrix):
+        assert linalg.inverse_int(matrix) is None
+
+
+def _reference_monomials(grading, fan, alpha):
+    """The per-point formula: u0 + <p, rho_i> for each lattice point p."""
+    u0 = linalg.solve_integer(grading.degree_rows(), list(alpha))
+    if u0 is None:
+        return []
+    ineqs = [(ray, u0[i]) for i, ray in enumerate(fan.rays)]
+    monos = [
+        tuple(u0[i] + sum(x * y for x, y in zip(p, ray)) for i, ray in enumerate(fan.rays))
+        for p in lattice_points(ineqs, fan.dim)
+    ]
+    return sorted(monos, key=grlex_key)
+
+
+class TestCarriedEnumeration:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_monomial_basis_equals_per_point_formula(self, name):
+        """At every a beta and a beta - deg z_i with a <= m + 1 (a <= 1 on
+        bundle-p6), including degrees with no monomials."""
+        fan = get_fixture(name).fan
+        g = class_group(fan)
+        top = 1 if name == "bundle-p6" else fan.dim + 1
+        empty = 0
+        for a in range(top + 1):
+            alpha = g.scaled_beta(a)
+            for degree in [alpha] + [
+                tuple(x - d for x, d in zip(alpha, deg)) for deg in g.degrees
+            ]:
+                monos = monomial_basis(g, fan, degree)
+                assert monos == _reference_monomials(g, fan, degree), degree
+                empty += not monos
+        assert empty
+
+    def test_lattice_points_of_a_box_in_lex_order(self):
+        ineqs = [((1, 0), 1), ((-1, 0), 2), ((0, 1), 0), ((0, -1), 1)]
+        assert lattice_points(ineqs, 2) == [
+            (x, y) for x in range(-1, 3) for y in range(0, 2)
+        ]
+
+    @pytest.mark.parametrize("name", ["projective-4", "bundle-p2"])
+    def test_no_cyclic_garbage(self, name):
+        """The sweep holds its output in no reference cycle, so the list
+        is freed when the caller drops it, not by the cycle collector."""
+        fan = get_fixture(name).fan
+        g = class_group(fan)
+        gc.collect()
+        gc.disable()
+        try:
+            assert monomial_basis(g, fan, g.scaled_beta(2))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBetti:
