@@ -135,10 +135,10 @@ def inverse_int(matrix: Sequence[Sequence[int]]):
             factor = row[k]
             m[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
         prev = pivot
+    adj = [row[n:] for row in m]
     if sign < 0:
-        prev = -prev
-        m = [[-x for x in row] for row in m]
-    return prev, [row[n:] for row in m]
+        return -prev, [[-x for x in row] for row in adj]
+    return prev, adj
 
 
 # ---------------------------------------------------------------------------

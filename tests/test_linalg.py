@@ -63,6 +63,47 @@ class TestDeterminant:
             assert (det == 0) == (linalg.rank_rational(a) < n)
 
 
+def rref_inverse(a):
+    """Reference: the right block of the RREF of [A | I], or None."""
+    n = len(a)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    reduced, _, pivots = linalg.rref(aug)
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+class TestInverseInt:
+    def test_matches_rref_inverse(self):
+        """Small entries, so zero pivots (row swaps) and singular matrices
+        both occur."""
+        rng = random.Random(13)
+        singular = swapped = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            a = random_matrix(rng, n, n, -2, 2)
+            want = rref_inverse(a)
+            got = linalg.inverse_int(a)
+            if want is None:
+                assert got is None
+                singular += 1
+                continue
+            det, adj = got
+            assert det == linalg.det_int(a)
+            assert [[Fraction(x, det) for x in row] for row in adj] == want
+            swapped += a[0][0] == 0
+        assert singular and swapped
+
+    @pytest.mark.parametrize(
+        "matrix", [[[0]], [[1, 2], [2, 4]], [[0, 1, 0], [0, 0, 1], [0, 1, 1]]]
+    )
+    def test_singular_matrix_is_reported(self, matrix):
+        assert linalg.inverse_int(matrix) is None
+
+    def test_row_swap_keeps_the_sign(self):
+        assert linalg.inverse_int([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+
+
 def _det_reference(a):
     n = len(a)
     if n == 1:
