@@ -17,18 +17,17 @@ the constant of basis[a][i] * basis[b][j] is the remainder of the product
 monomial in R(f)_{(a+b) beta}, one lookup per pair.
 
 Every product of A(f) goes through one sparse kernel.  The structure
-constants are stored dense (``structure[(a, b)][i][j][k]``, a <= b), and
-``FrobeniusAlgebraData`` derives from them, whenever it is constructed, a
-nonzero index ``(a, b) -> i -> {j: [(k, c), ...]}`` that holds only the
-pairs (j, k) with a nonzero constant c.  ``product_coords`` and the
-associativity check iterate that index, so their cost is the number of
-nonzero constants reached, not dim_a * dim_b * dim_(a+b).  An integral
-constant or coordinate enters the kernel as an ``int``, so on integral
-inputs (every Fermat potential, and the integer samples of the axiom checks)
-a product accumulates in int arithmetic and forms one ``Fraction`` per
-output coordinate.  A Gram entry G_a[i][j] is sum_k c_k tau_k over the
-index, where tau_k is the trace of the k-th degree-(m-1) basis element,
-read once from lambda.
+constants are stored once, as a nonzero index ``nonzero[(a, b)][i][j] =
+[(k, c), ...]`` (a <= b) built straight from the remainder table of the
+target piece: it holds only the pairs (j, k) with a nonzero constant c, k
+ascending.  ``product_coords`` and the associativity check iterate that
+index, so their cost is the number of nonzero constants reached, not
+dim_a * dim_b * dim_(a+b).  An integral constant or coordinate enters
+the kernel as an ``int``, so on integral inputs (every Fermat potential,
+and the integer samples of the axiom checks) a product accumulates in int
+arithmetic and forms one ``Fraction`` per output coordinate.  A Gram entry
+G_a[i][j] is sum_k c_k tau_k over the index, where tau_k is the trace of
+the k-th degree-(m-1) basis element, read once from lambda.
 
 The invariance check keeps an independent direct path that never reads the
 structure constants: it multiplies the lifts of its integer sample vectors
@@ -42,9 +41,10 @@ formed per trace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Sequence
 
 from . import linalg
@@ -84,8 +84,8 @@ def _integral(c: int | Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-# (a, b) -> i -> {j: [(k, c), ...]} over the nonzero constants c, each an
-# int when integral
+# (a, b) -> i -> {j: [(k, c), ...]} over the nonzero constants c, k
+# ascending, each c an int when integral; a j with no nonzero c has no entry
 Constants = list[tuple[int, int | Fraction]]
 NonzeroIndex = dict[tuple[int, int], list[dict[int, Constants]]]
 
@@ -99,29 +99,31 @@ class FrobeniusAlgebraData:
     m: int
     volume: int  # m! Vol of the anti-canonical polytope
     bases: list[QuotientBasis]  # index a = 0 .. m-1
-    # (a, b) with a <= b and a+b <= m-1 -> tensor[i][j] = coords in degree a+b
-    structure: dict[tuple[int, int], list[list[list[Fraction]]]]
+    # (a, b) with a <= b and a+b <= m-1; see NonzeroIndex
+    nonzero: NonzeroIndex
     r0_piece: QuotientBasis  # R0(f)_{m beta}, one-dimensional
     generator_coord: Fraction  # coordinate of the strategy generator in r0_piece
     generator_monomial: Monomial | None  # Generic strategy generator
     zero_sums_checked: list[int]  # degrees a+b >= m verified zero-dimensional
     # trace of each column (monomial) of r0_piece; see the module docstring
     trace_functional: list[Fraction]
-    # derived from structure on construction (dataclasses.replace included)
-    nonzero: NonzeroIndex = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.nonzero = {
-            key: [
-                {
-                    j: [(k, _integral(c)) for k, c in enumerate(coords) if c]
-                    for j, coords in enumerate(row)
-                    if any(coords)
-                }
-                for row in tensor
-            ]
-            for key, tensor in self.structure.items()
-        }
+    @property
+    def structure(self) -> dict[tuple[int, int], list[list[list[Fraction]]]]:
+        """Dense view ``structure[(a, b)][i][j][k]`` of the nonzero index,
+        rebuilt as ``Fraction`` tensors on every read.  It has no caller
+        under ``src/``: the benchmark's tracer reads it to count entries,
+        and the benchmark change of ROADMAP item 1 deletes it."""
+        out = {}
+        for (a, b), index in self.nonzero.items():
+            zero = [Fraction(0)] * self.bases[a + b].dim
+            tensor = [[list(zero) for _ in self.bases[b].basis] for _ in index]
+            for i, row in enumerate(index):
+                for j, constants in row.items():
+                    for k, c in constants:
+                        tensor[i][j][k] = Fraction(c)
+            out[(a, b)] = tensor
+        return out
 
     @property
     def sign(self) -> int:
@@ -167,10 +169,6 @@ class FrobeniusAlgebraData:
                 for k, ck in entries:
                     out[k] += w * ck
         return [Fraction(x) for x in out]
-
-
-def _all_ones(n: int) -> Monomial:
-    return (1,) * n
 
 
 def _is_standard_projective_fan(fan) -> bool:
@@ -236,7 +234,7 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
     ]
     r0_piece = graded_piece(system, IDEAL_J0, system.grading.scaled_beta(m))
 
-    structure: dict[tuple[int, int], list[list[list[Fraction]]]] = {}
+    nonzero: NonzeroIndex = {}
     zero_sums: list[int] = []
     for a in range(m):
         for b in range(a, m):
@@ -252,18 +250,15 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
                 continue
             target = bases[a + b]
             index, table = target.column_index(), target.remainders()
-            zero = [Fraction(0)] * target.dim
-            tensor = []
+            rows = []
             for mono_i in bases[a].basis:
-                row = []
-                for mono_j in bases[b].basis:
-                    coords = list(zero)
-                    product = tuple(x + y for x, y in zip(mono_i, mono_j))
-                    for k, x in table[index[product]].items():
-                        coords[k] = x
-                    row.append(coords)
-                tensor.append(row)
-            structure[(a, b)] = tensor
+                row = {}
+                for j, mono_j in enumerate(bases[b].basis):
+                    rem = table[index[tuple(map(add, mono_i, mono_j))]]
+                    if rem:
+                        row[j] = [(k, _integral(rem[k])) for k in sorted(rem)]
+                rows.append(row)
+            nonzero[(a, b)] = rows
 
     polytope = anticanonical_polytope(system.fan)
     volume = normalized_volume(polytope, system.fan)
@@ -279,7 +274,7 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
                 "projective-hessian strategy requires the standard projective fan"
             )
         hess = _hessian_determinant(system)
-        gen_poly = hess.mul_monomial(_all_ones(len(system.variables)))
+        gen_poly = hess.mul_monomial((1,) * len(system.variables))
         coords = normal_form(gen_poly, r0_piece)
         if not coords or coords[0] == 0:
             raise HessianGeneratorZero(
@@ -293,7 +288,7 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
         m=m,
         volume=volume,
         bases=bases,
-        structure=structure,
+        nonzero=nonzero,
         r0_piece=r0_piece,
         generator_coord=generator_coord,
         generator_monomial=generator_monomial,
@@ -492,7 +487,7 @@ def _check_unit(D: FrobeniusAlgebraData) -> AxiomCheck:
 def _check_commutativity(D: FrobeniusAlgebraData) -> AxiomCheck:
     checked = 0
     for a in range(D.m):
-        # the nonzero constants of the stored (a, a) tensor
+        # the nonzero index of the (a, a) products
         index = D.nonzero.get((a, a))
         if index is None:
             continue

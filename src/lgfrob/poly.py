@@ -9,7 +9,8 @@ stored.  The text format is the grammar
     factor := base ('^' nat)?
     base   := rational | variable | '(' expr ')'
 
-where ``rational`` is an integer or ``a/b`` literal.
+where ``rational`` is an integer or ``a/b`` literal and ``nat`` is at most
+``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -309,6 +310,14 @@ class _Tokenizer:
         return kind, value, start
 
 
+def _literal(digits: str, pos: int) -> int:
+    """A decimal literal's value; too long for ``int`` is a syntax error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolySyntaxError(f"{len(digits)}-digit literal is too long", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
         self.tok = _Tokenizer(text)
@@ -358,16 +367,21 @@ class _Parser:
         if kind != "number":
             raise PolySyntaxError("expected exponent after '^'", pos)
         self.tok.take()
-        exponent = int(value)
+        exponent = _literal(value, pos)
+        if exponent > MAX_EXPONENT:
+            raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", pos)
+        # square-and-multiply over the binary digits, most significant first
         result = GradedPolynomial.constant(self.variables, 1)
-        for _ in range(exponent):
-            result = result * base
+        for digit in f"{exponent:b}":
+            result = result * result
+            if digit == "1":
+                result = result * base
         return result
 
     def base(self) -> GradedPolynomial:
         kind, value, pos = self.tok.take()
         if kind == "number":
-            numerator = int(value)
+            numerator = _literal(value, pos)
             nxt, _, _ = self.tok.peek()
             if nxt == "/":
                 self.tok.take()
@@ -375,7 +389,7 @@ class _Parser:
                 if kind2 != "number":
                     raise PolySyntaxError("expected denominator after '/'", pos2)
                 self.tok.take()
-                denominator = int(value2)
+                denominator = _literal(value2, pos2)
                 if denominator == 0:
                     raise PolySyntaxError("zero denominator", pos2)
                 return GradedPolynomial.constant(

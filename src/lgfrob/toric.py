@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -44,10 +44,7 @@ class FanData:
         for ray in self.rays:
             if len(ray) != self.dim:
                 raise InvalidFan(f"ray {ray} does not have length {self.dim}")
-            g = 0
-            for x in ray:
-                g = gcd(g, x)
-            if g != 1:
+            if gcd(*ray) != 1:
                 raise InvalidFan(f"ray {ray} is not primitive")
         for cone in self.max_cones:
             if any(i < 0 or i >= len(self.rays) for i in cone):
@@ -154,14 +151,18 @@ def validate_fan(fan: FanData) -> ValidationReport:
     """Run the four fan certificates; failures carry concrete witnesses."""
     m = fan.dim
 
+    # one inverse_int per max cone serves the simplicial and Gorenstein checks
     simplicial = CheckResult(True)
+    inverses = []
     for ci, cone in enumerate(fan.max_cones):
         if len(cone) != m:
             simplicial = CheckResult(False, f"max cone {ci} has {len(cone)} rays, expected {m}")
             break
-        if linalg.det_int(fan.cone_matrix(cone)) == 0:
+        inverse = linalg.inverse_int(fan.cone_matrix(cone))
+        if inverse is None:
             simplicial = CheckResult(False, f"max cone {ci} has linearly dependent rays")
             break
+        inverses.append(inverse)
 
     complete = _complete_criterion(fan) if simplicial.ok else CheckResult(
         False, "skipped: simplicial check failed"
@@ -170,8 +171,8 @@ def validate_fan(fan: FanData) -> ValidationReport:
     gorenstein = CheckResult(True)
     ample = CheckResult(True)
     if simplicial.ok:
-        for ci, cone in enumerate(fan.max_cones):
-            vertex = _cone_vertex(fan, cone)
+        for ci, (cone, inverse) in enumerate(zip(fan.max_cones, inverses)):
+            vertex = _cone_vertex(inverse)
             if vertex is None:
                 gorenstein = CheckResult(
                     False, f"max cone {ci}: <u, rho_i> = -1 has no integral solution"
@@ -237,12 +238,12 @@ def _complete_criterion(fan: FanData) -> CheckResult:
     return CheckResult(True)
 
 
-def _cone_vertex(fan: FanData, cone: Sequence[int]):
-    """Integral solution of <u, rho_i> = -1 for the rays of a max cone, or
-    None when the rays are dependent or the solution is not integral
+def _cone_vertex(inverse):
+    """Integral solution of <u, rho_i> = -1 for the rays of a max cone, from
+    ``inverse``, the ``linalg.inverse_int`` of its cone matrix A, or None
+    when the rays are dependent or the solution is not integral
     (non-Gorenstein witness).  With A u = -1 and A^-1 = adj / det, the
     solution is u = -adj . 1 / det."""
-    inverse = linalg.inverse_int(fan.cone_matrix(cone))
     if inverse is None:
         return None
     det, adj = inverse
@@ -290,7 +291,7 @@ def anticanonical_polytope(fan: FanData) -> AnticanPolytope:
     vertex_cones: list[int] = []
     seen: dict[tuple[int, ...], int] = {}
     for ci, cone in enumerate(fan.max_cones):
-        vertex = _cone_vertex(fan, cone)
+        vertex = _cone_vertex(linalg.inverse_int(fan.cone_matrix(cone)))
         if vertex is None:
             raise NotReflexivePipeline(
                 f"max cone {ci} has no integral vertex; run validate_fan first"
@@ -385,20 +386,9 @@ def betti_numbers(fan: FanData) -> list[int]:
     poly = [0] * (m + 1)  # coefficients of t^k
     for cone in all_cones(fan):
         e = m - len(cone)
-        row = _binomial_row(e)
         for k in range(e + 1):
-            poly[k] += row[k] * (-1) ** (e - k)
-    betti = []
-    for k in range(2 * m + 1):
-        betti.append(poly[k // 2] if k % 2 == 0 else 0)
-    return betti
-
-
-def _binomial_row(n: int) -> list[int]:
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return row
+            poly[k] += comb(e, k) * (-1) ** (e - k)
+    return [poly[k // 2] if k % 2 == 0 else 0 for k in range(2 * m + 1)]
 
 
 def extraisom_necessary_check(fan: FanData) -> str:
@@ -422,10 +412,7 @@ def extraisom_necessary_check(fan: FanData) -> str:
 
 
 def _normalize_ineq(coeffs: Sequence[int], const: int):
-    g = 0
-    for x in coeffs:
-        g = gcd(g, x)
-    g = gcd(g, const)
+    g = gcd(*coeffs, const)
     if g > 1:
         coeffs = tuple(x // g for x in coeffs)
         const = const // g
@@ -537,24 +524,28 @@ def monomial_basis(
 
 def count_lattice_points_dilated(polytope: AnticanPolytope, a: int) -> int:
     """Independent lattice-point count of the a-fold dilation of the
-    anti-canonical polytope by a direct bounding-box inequality sweep."""
+    anti-canonical polytope by a direct bounding-box inequality sweep: every
+    box point x is tested against every ray, <x, rho> >= -a.  The pairings
+    <x, rho> are carried through the sweep, each step of x_k adding ray
+    coordinate k, instead of one dot product per ray per point."""
     if a == 0:
         return 1
     m = polytope.dim
     lows = [min(v[k] * a for v in polytope.vertices) for k in range(m)]
     highs = [max(v[k] * a for v in polytope.vertices) for k in range(m)]
+    columns = [[ray[k] for ray in polytope.rays] for k in range(m)]
     count = 0
-    point = [0] * m
 
-    def sweep(level: int):
+    def sweep(level: int, pairings: list[int]):
         nonlocal count
-        if level == m:
-            if all(_dot(point, ray) >= -a for ray in polytope.rays):
+        column = columns[level]
+        pairings = [p + lows[level] * c for p, c in zip(pairings, column)]
+        for _ in range(lows[level], highs[level] + 1):
+            if level + 1 < m:
+                sweep(level + 1, pairings)
+            elif min(pairings) >= -a:
                 count += 1
-            return
-        for value in range(lows[level], highs[level] + 1):
-            point[level] = value
-            sweep(level + 1)
+            pairings = [p + c for p, c in zip(pairings, column)]
 
-    sweep(0)
+    sweep(0, [0] * len(polytope.rays))
     return count

@@ -2,6 +2,7 @@
 fixture round-trips."""
 
 import json
+import time
 
 import pytest
 
@@ -113,6 +114,28 @@ class TestReportCommand:
         assert doc["hypotheses"]["quasi_smoothness"] == "consistent"
         assert doc["certificates_pass"] is True
         assert "timings" not in doc
+
+    @pytest.mark.parametrize(
+        "poly, error",
+        [
+            ("0*x^200000000", "DegreeMismatch"),
+            ("x^3000000000", "PolySyntaxError"),
+            ("1" * 5000 + "*x^3", "PolySyntaxError"),
+        ],
+        ids=["zero-power", "huge-exponent", "long-literal"],
+    )
+    def test_huge_power_or_long_literal_exit_4(self, capsys, tmp_path, poly, error):
+        """Within a second, each ends in exit 4 with an error entry: the
+        zero product through squaring, the other two at the parser."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict(INHOMOGENEOUS, polynomial=poly)))
+        start = time.perf_counter()
+        code, doc, err = run_json(capsys, "report", "--input", str(path), "--json-only")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert doc["error"]["type"] == error
+        assert doc["certificates_pass"] is False
+        assert "Traceback" not in err
 
     def test_degenerate_exit_4(self, capsys):
         code, doc, _ = run_json(capsys, "report", "--fixture", "degenerate-cube", "--json-only")

@@ -292,20 +292,63 @@ class TestTraceFunctional:
             frob.trace_of_polynomial(p, cubic_algebra)
 
 
-def dense_product(D, a, u, b, v):
-    """Reference product: the dense triple loop over the stored tensors."""
+def reference_structure(D):
+    """Dense structure tensors {(a, b): [i][j][k]}, a <= b, independently of
+    the remainder tables: each product monomial's column reduced through the
+    target piece's echelon by ``EchelonBasis.reduce`` (no echelon means a
+    zero remainder), its non-pivot columns mapped to basis indices."""
+    out = {}
+    for a in range(D.m):
+        for b in range(a, D.m - a):
+            target = D.bases[a + b]
+            index = target.column_index()
+            basis_index = {index[mono]: k for k, mono in enumerate(target.basis)}
+            tensor = []
+            for mono_i in D.bases[a].basis:
+                row = []
+                for mono_j in D.bases[b].basis:
+                    coords = [Fraction(0)] * target.dim
+                    if target.echelon is not None:
+                        col = index[tuple(x + y for x, y in zip(mono_i, mono_j))]
+                        for c, x in target.echelon.reduce({col: 1}).items():
+                            coords[basis_index[c]] = x
+                    row.append(coords)
+                tensor.append(row)
+            out[(a, b)] = tensor
+    return out
+
+
+def dense_product(tensors, D, a, u, b, v):
+    """Reference product: the dense triple loop over ``reference_structure``."""
     if a + b >= D.m:
         return []
     if a <= b:
-        tensor, x, y = D.structure[(a, b)], u, v
+        tensor, x, y = tensors[(a, b)], u, v
     else:
-        tensor, x, y = D.structure[(b, a)], v, u
+        tensor, x, y = tensors[(b, a)], v, u
     out = [Fraction(0)] * D.bases[a + b].dim
     for i, ci in enumerate(x):
         for j, cj in enumerate(y):
             for k, ck in enumerate(tensor[i][j]):
                 out[k] += ci * cj * ck
     return out
+
+
+def with_constants(D, *changes):
+    """D with a copy of its nonzero index in which delta is added to the
+    k-th constant of basis[a][i] * basis[b][j] for each ((a, b), i, j, k,
+    delta), keeping k ascending and dropping constants that become zero."""
+    nonzero = {
+        key: [{j: list(entries) for j, entries in row.items()} for row in index]
+        for key, index in D.nonzero.items()
+    }
+    for key, i, j, k, delta in changes:
+        row = nonzero[key][i]
+        constants = dict(row.pop(j, []))
+        constants[k] = constants.get(k, 0) + delta
+        if any(constants.values()):
+            row[j] = [(n, c) for n, c in sorted(constants.items()) if c]
+    return dataclasses.replace(D, nonzero=nonzero)
 
 
 class TestSparseKernel:
@@ -325,6 +368,10 @@ class TestSparseKernel:
             return request.getfixturevalue(shared)
         return frob.build_algebra(make_system(request.param), frob.GENERIC)
 
+    @pytest.fixture
+    def reference(self, algebra):
+        return reference_structure(algebra)
+
     @staticmethod
     def vectors(D, rng):
         """A rational and an integer vector in every degree."""
@@ -336,7 +383,33 @@ class TestSparseKernel:
             for n in D.dims()
         ]
 
-    def test_product_coords_equals_dense_loop(self, algebra):
+    def test_index_equals_reduced_product_columns(self, algebra, reference):
+        """Every basis product, read from the index, against the reduction of
+        its product column; a zero product has no entry in the index."""
+        D = algebra
+        dims = D.dims()
+        for (a, b), tensor in reference.items():
+            for i in range(dims[a]):
+                for j in range(dims[b]):
+                    want = [(k, c) for k, c in enumerate(tensor[i][j]) if c]
+                    assert D.basis_product(a, i, b, j) == want, (a, i, b, j)
+                    assert D.basis_product(b, j, a, i) == want
+                    assert (j in D.nonzero[(a, b)][i]) == bool(want)
+
+    def test_structure_view_equals_reference(self, algebra, reference):
+        """The dense view rebuilt from the index, which the benchmark tracer
+        counts, equals the reference tensors entry for entry."""
+        view = algebra.structure
+        assert view == reference
+        assert all(
+            type(c) is Fraction
+            for tensor in view.values()
+            for row in tensor
+            for coords in row
+            for c in coords
+        )
+
+    def test_product_coords_equals_dense_loop(self, algebra, reference):
         D = algebra
         rng = random.Random(5)
         for _ in range(3):
@@ -346,22 +419,22 @@ class TestSparseKernel:
                     for u in vecs[a]:
                         for v in vecs[b]:
                             got = D.product_coords(a, u, b, v)
-                            assert got == dense_product(D, a, u, b, v)
+                            assert got == dense_product(reference, D, a, u, b, v)
                             assert all(type(x) is Fraction for x in got)
                             assert D.product_coords(b, v, a, u) == dense_product(
-                                D, b, v, a, u
+                                reference, D, b, v, a, u
                             )
                             if a + b >= D.m:
                                 assert got == []
 
-    def test_mul_twisted_keeps_its_sign(self, algebra):
+    def test_mul_twisted_keeps_its_sign(self, algebra, reference):
         D = algebra
         rng = random.Random(6)
         vecs = self.vectors(D, rng)
         for a in range(D.m):
             b = D.m - 1 - a
             u, v = vecs[a][0], vecs[b][0]
-            want = [(-1) ** b * x for x in dense_product(D, a, u, b, v)]
+            want = [(-1) ** b * x for x in dense_product(reference, D, a, u, b, v)]
             assert frob.mul_twisted(a, u, b, v, D) == want
 
     def test_pairing_gram_equals_trace_of_each_product(self, algebra):
@@ -422,9 +495,12 @@ class TestSparseKernel:
         D = bundle_algebra
         scrambled = dataclasses.replace(
             D,
-            structure={
-                key: [[[c + 1 for c in coords] for coords in row] for row in tensor]
-                for key, tensor in D.structure.items()
+            nonzero={
+                key: [
+                    {j: [(k, c + 1) for k, c in entries] for j, entries in row.items()}
+                    for row in index
+                ]
+                for key, index in D.nonzero.items()
             },
         )
         rng = random.Random(9)
@@ -441,14 +517,7 @@ class TestInvarianceFaultInjection:
 
     def test_symmetric_structure_constant_corruption(self, bundle_algebra):
         D = bundle_algebra
-        structure = {
-            key: [[list(coords) for coords in row] for row in tensor]
-            for key, tensor in D.structure.items()
-        }
-        tensor = structure[(1, 1)]
-        tensor[0][1][0] += 1
-        tensor[1][0][0] += 1
-        bad = dataclasses.replace(D, structure=structure)
+        bad = with_constants(D, ((1, 1), 0, 1, 0, 1), ((1, 1), 1, 0, 0, 1))
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert report.commutativity.ok
         assert not report.invariance.ok
@@ -485,23 +554,18 @@ class TestInvarianceFaultInjection:
 
     def test_structure_constant_set_from_zero_reaches_the_index(self, bundle_algebra):
         """A constant that is zero at build time has no entry in the nonzero
-        index; set to 1 through dataclasses.replace, the rebuilt index must
-        carry it to the structure path, and invariance must see it."""
+        index; an entry of 1 added through dataclasses.replace must reach
+        the structure path, and invariance must see it."""
         D = bundle_algebra
-        structure = {
-            key: [[list(coords) for coords in row] for row in tensor]
-            for key, tensor in D.structure.items()
-        }
-        tensor = structure[(1, 1)]
+        index = D.nonzero[(1, 1)]
         i, j = next(
             (i, j)
-            for i in range(len(tensor))
-            for j in range(i + 1, len(tensor))
-            if tensor[i][j][0] == 0
+            for i in range(len(index))
+            for j in range(i + 1, len(index))
+            if j not in index[i]
         )
         assert D.basis_product(1, i, 1, j) == []
-        tensor[i][j][0] = tensor[j][i][0] = Fraction(1)
-        bad = dataclasses.replace(D, structure=structure)
+        bad = with_constants(D, ((1, 1), i, j, 0, 1), ((1, 1), j, i, 0, 1))
         assert bad.basis_product(1, i, 1, j) == [(0, 1)]
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert report.commutativity.ok
@@ -541,12 +605,7 @@ def test_asymmetric_structure_constant_fails_commutativity(bundle_algebra):
     """Commutativity reads the nonzero index of each (a, a) tensor: one
     constant changed on one side of the diagonal must be reported."""
     D = bundle_algebra
-    structure = {
-        key: [[list(coords) for coords in row] for row in tensor]
-        for key, tensor in D.structure.items()
-    }
-    structure[(1, 1)][2][5][0] += 1
-    bad = dataclasses.replace(D, structure=structure)
+    bad = with_constants(D, ((1, 1), 2, 5, 0, 1))
     report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=20)
     assert not report.commutativity.ok
     assert report.commutativity.witness == "degree 1: basis[2]*basis[5] != basis[5]*basis[2]"
@@ -557,14 +616,9 @@ def test_unit_corruption_fails_unit_and_associativity(bundle_algebra):
     basis[1][j], and exhaustive associativity fails at 1 * (1 * basis[1][j])."""
     D = bundle_algebra
     j, k = 2, 5
-    structure = {
-        key: [[list(coords) for coords in row] for row in tensor]
-        for key, tensor in D.structure.items()
-    }
-    coords = structure[(0, 1)][0][j]
+    coords = D.structure[(0, 1)][0][j]
     assert coords[j] == 1 and not any(c for i, c in enumerate(coords) if i != j)
-    coords[k] = Fraction(1)
-    bad = dataclasses.replace(D, structure=structure)
+    bad = with_constants(D, ((0, 1), 0, j, k, 1))
     report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=20)
     assert not report.sampled
     assert not report.unit.ok

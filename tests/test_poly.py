@@ -1,5 +1,6 @@
 """Polynomial arithmetic, the text grammar, and class-group grading."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from lgfrob.errors import (
     UnknownVariable,
 )
 from lgfrob.poly import (
+    MAX_EXPONENT,
     GradedPolynomial,
     check_homogeneous,
     grlex_key,
@@ -118,6 +120,45 @@ class TestTextFormat:
     def test_unexpected_end(self):
         with pytest.raises(PolySyntaxError):
             parse_polynomial("x +", VARS)
+
+
+class TestParserLimits:
+    """Powers are taken by repeated squaring, and an exponent or literal the
+    parser cannot take is a syntax error at its offset."""
+
+    def test_huge_power_of_a_zero_product_is_fast(self):
+        start = time.perf_counter()
+        assert parse_polynomial("0*x^200000000", VARS).is_zero()
+        assert time.perf_counter() - start < 1.0
+
+    def test_squaring_equals_repeated_multiplication(self):
+        base = parse_polynomial("x - 2*y + 1/3*z", VARS)
+        want = GradedPolynomial.constant(VARS, 1)
+        for n in range(12):
+            assert parse_polynomial(f"(x - 2*y + 1/3*z)^{n}", VARS) == want
+            want = want * base
+
+    def test_largest_exponent_accepted(self):
+        p = parse_polynomial(f"x^{MAX_EXPONENT}", VARS)
+        assert p.terms == {(MAX_EXPONENT, 0, 0): 1}
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            (f"x^{MAX_EXPONENT + 1}", 2),
+            ("x^3000000000", 2),
+            ("1" * 5000 + "*x", 0),
+            ("x^" + "1" * 5000, 2),
+            ("y + 1/" + "7" * 5000, 6),
+        ],
+        ids=["max-plus-one", "3e9", "long-coefficient", "long-exponent", "long-denominator"],
+    )
+    def test_rejected_at_offset(self, text, position):
+        start = time.perf_counter()
+        with pytest.raises(PolySyntaxError) as err:
+            parse_polynomial(text, VARS)
+        assert err.value.position == position
+        assert time.perf_counter() - start < 1.0
 
 
 class _FakeGrading:

@@ -83,6 +83,32 @@ class TestValidation:
         report = validate_fan(fan)
         assert not report.simplicial.ok
 
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_one_elimination_per_cone(self, name, monkeypatch):
+        """Simpliciality and the Gorenstein vertex share one inverse_int
+        per maximal cone; no separate determinant is taken."""
+        fan = get_fixture(name).fan
+        calls = {"inverse_int": 0, "det_int": 0}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "inverse_int", counted(linalg.inverse_int))
+        monkeypatch.setattr(linalg, "det_int", counted(linalg.det_int))
+        report = validate_fan(fan)
+        assert report.simplicial.ok
+        assert calls == {"inverse_int": len(fan.max_cones), "det_int": 0}
+
+    def test_dependent_rays_detected(self):
+        fan = FanData(2, [(1, 0), (-1, 0), (0, 1)], [(0, 1), (1, 2), (0, 2)])
+        report = validate_fan(fan)
+        assert report.simplicial.witness == "max cone 0 has linearly dependent rays"
+        assert report.gorenstein.witness == "skipped: simplicial check failed"
+
     def test_non_gorenstein_detected(self):
         # P(1,1,3): the cone over (1,0) and (-1,-3) needs u = (-1, 2/3)
         fan = FanData(2, [(1, 0), (0, 1), (-1, -3)], [(0, 1), (1, 2), (0, 2)])
