@@ -17,17 +17,20 @@ the constant of basis[a][i] * basis[b][j] is the remainder of the product
 monomial in R(f)_{(a+b) beta}, one lookup per pair.
 
 Every product of A(f) goes through one sparse kernel.  The structure
-constants are stored once, as a nonzero index ``nonzero[(a, b)][i][j] =
-[(k, c), ...]`` (a <= b) built straight from the remainder table of the
-target piece: it holds only the pairs (j, k) with a nonzero constant c, k
-ascending.  ``product_coords`` and the associativity check iterate that
-index, so their cost is the number of nonzero constants reached, not
-dim_a * dim_b * dim_(a+b).  An integral constant or coordinate enters
-the kernel as an ``int``, so on integral inputs (every Fermat potential,
-and the integer samples of the axiom checks) a product accumulates in int
-arithmetic and forms one ``Fraction`` per output coordinate.  A Gram entry
-G_a[i][j] is sum_k c_k tau_k over the index, where tau_k is the trace of
-the k-th degree-(m-1) basis element, read once from lambda.
+constants are stored once, as integers over one denominator per product
+pair: a nonzero index ``nonzero[(a, b)][i][j] = [(k, n), ...]`` (a <= b)
+built straight from the remainder table of the target piece holds only the
+pairs (j, k) with a nonzero constant c, k ascending, as the ``int``
+n = c * denominators[(a, b)], where ``denominators[(a, b)]`` is the lcm of
+the denominators of that pair's constants (1 on every Fermat potential).
+``product_coords`` and the associativity check iterate that index, so their
+cost is the number of nonzero constants reached, not dim_a * dim_b *
+dim_(a+b), and every multiply-add is an ``int`` one: a product clears the
+denominators of its two coordinate vectors once, accumulates numerators and
+forms one ``Fraction`` per output coordinate.  Associativity compares
+cross-multiplied ``int`` sums.  A Gram entry G_a[i][j] is
+sum_k n_k tau_k / den over the index, where tau_k is the trace of the k-th
+degree-(m-1) basis element, read once from lambda.
 
 The invariance check keeps an independent direct path that never reads the
 structure constants: it multiplies the lifts of its integer sample vectors
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, HessianGeneratorZero, SocleNotOneDimensional
@@ -79,15 +82,31 @@ class TraceScalar:
 
 
 def _integral(c: int | Fraction) -> int | Fraction:
-    """c as an int when it is integral, so that sums of integral products
-    stay in int arithmetic."""
+    """c as an int when it is integral."""
     return c.numerator if c.denominator == 1 else c
 
 
-# (a, b) -> i -> {j: [(k, c), ...]} over the nonzero constants c, k
-# ascending, each c an int when integral; a j with no nonzero c has no entry
+def _cleared(coords: Sequence[int | Fraction]) -> tuple[Sequence[int], int]:
+    """(numerators, den): den is the lcm of the denominators of ``coords``
+    and numerators[i] = coords[i] * den, an int.  A list of ints is
+    returned as it is."""
+    for c in coords:
+        if type(c) is not int:
+            break
+    else:
+        return coords, 1
+    numerators = [c.numerator for c in coords if c.denominator == 1]
+    if len(numerators) == len(coords):
+        return numerators, 1
+    den = lcm(*{c.denominator for c in coords})
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+# (a, b) -> i -> {j: [(k, n), ...]} over the nonzero constants c, k
+# ascending, each n = c * denominators[(a, b)] an int; a j with no nonzero
+# c has no entry
 Constants = list[tuple[int, int | Fraction]]
-NonzeroIndex = dict[tuple[int, int], list[dict[int, Constants]]]
+NonzeroIndex = dict[tuple[int, int], list[dict[int, list[tuple[int, int]]]]]
 
 
 @dataclass
@@ -101,6 +120,8 @@ class FrobeniusAlgebraData:
     bases: list[QuotientBasis]  # index a = 0 .. m-1
     # (a, b) with a <= b and a+b <= m-1; see NonzeroIndex
     nonzero: NonzeroIndex
+    # (a, b) -> the lcm of the denominators of that pair's constants
+    denominators: dict[tuple[int, int], int]
     r0_piece: QuotientBasis  # R0(f)_{m beta}, one-dimensional
     generator_coord: Fraction  # coordinate of the strategy generator in r0_piece
     generator_monomial: Monomial | None  # Generic strategy generator
@@ -116,12 +137,13 @@ class FrobeniusAlgebraData:
         and the benchmark change of ROADMAP item 1 deletes it."""
         out = {}
         for (a, b), index in self.nonzero.items():
+            den = self.denominators[(a, b)]
             zero = [Fraction(0)] * self.bases[a + b].dim
             tensor = [[list(zero) for _ in self.bases[b].basis] for _ in index]
             for i, row in enumerate(index):
                 for j, constants in row.items():
-                    for k, c in constants:
-                        tensor[i][j][k] = Fraction(c)
+                    for k, n in constants:
+                        tensor[i][j][k] = Fraction(n, den)
             out[(a, b)] = tensor
         return out
 
@@ -139,12 +161,25 @@ class FrobeniusAlgebraData:
         }
         return GradedPolynomial(self.system.variables, terms)
 
+    def products(
+        self, a: int, b: int
+    ) -> tuple[Callable[[int, int], list[tuple[int, int]]], int]:
+        """(lookup, den) for degrees with a+b < m: lookup(i, j) is the list
+        of nonzero (k, n) of basis[a][i] * basis[b][j], read from the nonzero
+        index, whose constants are n / den; the caller must not modify it."""
+        if a <= b:
+            index = self.nonzero[(a, b)]
+            return (lambda i, j: index[i].get(j, [])), self.denominators[(a, b)]
+        index = self.nonzero[(b, a)]
+        return (lambda i, j: index[j].get(i, [])), self.denominators[(b, a)]
+
     def basis_product(self, a: int, i: int, b: int, j: int) -> Constants:
         """Nonzero (k, c) of basis[a][i] * basis[b][j] in degree a+b < m,
-        read from the nonzero index; the caller must not modify it."""
-        if a > b:
-            a, i, b, j = b, j, a, i
-        return self.nonzero[(a, b)][i].get(j, [])
+        each c an int when integral; the caller must not modify it."""
+        lookup, den = self.products(a, b)
+        if den == 1:
+            return lookup(i, j)
+        return [(k, _integral(Fraction(n, den))) for k, n in lookup(i, j)]
 
     def product_coords(
         self, a: int, u: Sequence[Fraction], b: int, v: Sequence[Fraction]
@@ -155,12 +190,12 @@ class FrobeniusAlgebraData:
         if a > b:
             a, b, u, v = b, a, v, u
         index = self.nonzero[(a, b)]
-        v = [_integral(c) for c in v]
+        u, du = _cleared(u)
+        v, dv = _cleared(v)
         out = [0] * self.bases[a + b].dim
         for i, ci in enumerate(u):
             if not ci:
                 continue
-            ci = _integral(ci)
             for j, entries in index[i].items():
                 cj = v[j]
                 if not cj:
@@ -168,7 +203,10 @@ class FrobeniusAlgebraData:
                 w = ci * cj
                 for k, ck in entries:
                     out[k] += w * ck
-        return [Fraction(x) for x in out]
+        den = du * dv * self.denominators[(a, b)]
+        if den == 1:
+            return [Fraction(x) for x in out]
+        return [Fraction(x, den) for x in out]
 
 
 def _is_standard_projective_fan(fan) -> bool:
@@ -235,6 +273,7 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
     r0_piece = graded_piece(system, IDEAL_J0, system.grading.scaled_beta(m))
 
     nonzero: NonzeroIndex = {}
+    denominators: dict[tuple[int, int], int] = {}
     zero_sums: list[int] = []
     for a in range(m):
         for b in range(a, m):
@@ -250,15 +289,26 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
                 continue
             target = bases[a + b]
             index, table = target.column_index(), target.remainders()
-            rows = []
+            # the remainder of each nonzero product, then its numerators over
+            # the lcm of the denominators of all of them
+            rows, dens = [], set()
             for mono_i in bases[a].basis:
                 row = {}
                 for j, mono_j in enumerate(bases[b].basis):
                     rem = table[index[tuple(map(add, mono_i, mono_j))]]
                     if rem:
-                        row[j] = [(k, _integral(rem[k])) for k in sorted(rem)]
+                        row[j] = rem
+                        dens.update(c.denominator for c in rem.values())
                 rows.append(row)
+            den = lcm(*dens)
+            for row in rows:
+                for j, rem in row.items():
+                    row[j] = [
+                        (k, rem[k].numerator * (den // rem[k].denominator))
+                        for k in sorted(rem)
+                    ]
             nonzero[(a, b)] = rows
+            denominators[(a, b)] = den
 
     polytope = anticanonical_polytope(system.fan)
     volume = normalized_volume(polytope, system.fan)
@@ -289,6 +339,7 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
         volume=volume,
         bases=bases,
         nonzero=nonzero,
+        denominators=denominators,
         r0_piece=r0_piece,
         generator_coord=generator_coord,
         generator_monomial=generator_monomial,
@@ -337,8 +388,9 @@ def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> TraceScalar:
 
 def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[TraceScalar]]:
     """Gram matrix G_a: traces of products of degree-a and degree-(m-1-a)
-    basis elements, sum_k c_k tau_k over the nonzero constants c_k of each
-    product, where tau_k is the trace of the k-th degree-(m-1) basis element."""
+    basis elements, sum_k n_k tau_k / den over the nonzero constants
+    n_k / den of each product, where tau_k is the trace of the k-th
+    degree-(m-1) basis element."""
     if not 0 <= a <= D.m - 1:
         raise DegreeMismatch(f"degree {a} outside 0..{D.m - 1}")
     b = D.m - 1 - a
@@ -347,15 +399,14 @@ def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[TraceScalar]]:
         _evaluate_trace([(mono, Fraction(1))], D).rational for mono in socle.basis
     ]
     zero = Fraction(0)
+    lookup, den = D.products(a, b)
+
+    def entry(i, j):
+        total = sum((n * tau[k] for k, n in lookup(i, j)), zero)
+        return TraceScalar(total / den if den != 1 else total, D.m - 1)
+
     return [
-        [
-            TraceScalar(
-                sum((c * tau[k] for k, c in D.basis_product(a, i, b, j)), zero),
-                D.m - 1,
-            )
-            for j in range(D.bases[b].dim)
-        ]
-        for i in range(D.bases[a].dim)
+        [entry(i, j) for j in range(D.bases[b].dim)] for i in range(D.bases[a].dim)
     ]
 
 
@@ -507,50 +558,61 @@ def _check_commutativity(D: FrobeniusAlgebraData) -> AxiomCheck:
 def _check_associativity(D, triples, sampled, rng, sample_count) -> AxiomCheck:
     dims = D.dims()
 
-    def collect(pairs) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def collect(pairs, scale) -> dict[int, int]:
+        out: dict[int, int] = {}
         for n, y in pairs:
             out[n] = out.get(n, 0) + y
-        return {n: y for n, y in out.items() if y}
+        return {n: y * scale for n, y in out.items() if y}
 
-    def one(a, i, b, j, c, k):
-        # a + b + c <= m - 1, so every partial product has degree below m
-        lhs = collect(
-            (n, x * y)
-            for mid, x in D.basis_product(a, i, b, j)
-            for n, y in D.basis_product(a + b, mid, c, k)
-        )
-        rhs = collect(
-            (n, x * y)
-            for mid, x in D.basis_product(b, j, c, k)
-            for n, y in D.basis_product(a, i, b + c, mid)
-        )
-        return lhs == rhs, (a, i, b, j, c, k)
+    def check(a, b, c):
+        """(i, j, k) -> whether (e_i e_j) e_k = e_i (e_j e_k) for the basis
+        elements of degrees a, b, c; a + b + c <= m - 1, so every partial
+        product has degree below m."""
+        ab, d_ab = D.products(a, b)
+        ab_c, d_ab_c = D.products(a + b, c)
+        bc, d_bc = D.products(b, c)
+        a_bc, d_a_bc = D.products(a, b + c)
+        # the sides have denominators d_ab d_ab_c and d_bc d_a_bc, so each
+        # side's numerators are scaled by the other side's denominator
+        lhs_scale, rhs_scale = d_bc * d_a_bc, d_ab * d_ab_c
+
+        def one(i, j, k):
+            lhs = collect(
+                ((n, x * y) for mid, x in ab(i, j) for n, y in ab_c(mid, k)),
+                lhs_scale,
+            )
+            rhs = collect(
+                ((n, x * y) for mid, x in bc(j, k) for n, y in a_bc(i, mid)),
+                rhs_scale,
+            )
+            return lhs == rhs
+
+        return one
 
     checked = 0
     if not sampled:
         for a, b, c in triples:
+            one = check(a, b, c)
             for i in range(dims[a]):
                 for j in range(dims[b]):
                     for k in range(dims[c]):
-                        ok, wit = one(a, i, b, j, c, k)
                         checked += 1
-                        if not ok:
+                        if not one(i, j, k):
                             return AxiomCheck(
-                                False, checked, f"(a,i,b,j,c,k) = {wit}"
+                                False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}"
                             )
         return AxiomCheck(True, checked)
 
     usable = [t for t in triples if dims[t[0]] and dims[t[1]] and dims[t[2]]]
+    checks = {t: check(*t) for t in usable}
     for _ in range(sample_count):
         a, b, c = usable[rng.randrange(len(usable))]
         i = rng.randrange(dims[a])
         j = rng.randrange(dims[b])
         k = rng.randrange(dims[c])
-        ok, wit = one(a, i, b, j, c, k)
         checked += 1
-        if not ok:
-            return AxiomCheck(False, checked, f"(a,i,b,j,c,k) = {wit}")
+        if not checks[(a, b, c)](i, j, k):
+            return AxiomCheck(False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}")
     return AxiomCheck(True, checked)
 
 

@@ -10,12 +10,15 @@ stored.  The text format is the grammar
     base   := rational | variable | '(' expr ')'
 
 where ``rational`` is an integer or ``a/b`` literal and ``nat`` is at most
-``MAX_EXPONENT``.
+``MAX_EXPONENT``.  The parser refuses, before multiplying, a product or
+power that would give an exponent above ``MAX_EXPONENT`` or take the parse
+past ``MAX_TERM_PRODUCTS`` term-by-term products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -28,6 +31,14 @@ from .errors import (
 Monomial = tuple[int, ...]
 
 MAX_EXPONENT = 2**31 - 1
+
+# The most term-by-term products (one per pair of terms of the two
+# factors) that one parse may form, counted over every product and every
+# squaring of a power.  A potential written as a sum of monomials needs a
+# few per term (the largest fixture, bundle-p2, needs 192).  The cap stops
+# inputs like (x+y)^100000000 in well under a second, before the product
+# that would pass it is formed.
+MAX_TERM_PRODUCTS = 50_000
 
 
 def grlex_key(mono: Monomial) -> tuple:
@@ -304,6 +315,11 @@ class _Tokenizer:
             return (ch, ch, start)
         raise PolySyntaxError(f"unexpected character {ch!r}", start)
 
+    def offset(self) -> int:
+        """Offset of the next token."""
+        self._skip_ws()
+        return self.pos
+
     def take(self):
         kind, value, start = self.peek()
         self.pos = start + len(value) if kind != "end" else self.pos
@@ -323,6 +339,25 @@ class _Parser:
         self.tok = _Tokenizer(text)
         self.variables = tuple(variables)
         self.index = {name: i for i, name in enumerate(self.variables)}
+        self.term_products = 0
+
+    def multiply(
+        self, left: GradedPolynomial, right: GradedPolynomial, pos: int
+    ) -> GradedPolynomial:
+        """left * right for the factor at offset ``pos``, refused before any
+        work when an exponent of the product would pass ``MAX_EXPONENT``
+        (the largest exponent of a variable in a product is the sum of its
+        largest exponents in the factors) or the parse would pass
+        ``MAX_TERM_PRODUCTS``."""
+        top = map(add, map(max, zip(*left.terms)), map(max, zip(*right.terms)))
+        if max(top, default=0) > MAX_EXPONENT:
+            raise PolySyntaxError(f"product has an exponent above {MAX_EXPONENT}", pos)
+        self.term_products += len(left.terms) * len(right.terms)
+        if self.term_products > MAX_TERM_PRODUCTS:
+            raise PolySyntaxError(
+                f"more than {MAX_TERM_PRODUCTS} term products in one polynomial", pos
+            )
+        return left * right
 
     def parse(self) -> GradedPolynomial:
         poly = self.expr()
@@ -355,9 +390,11 @@ class _Parser:
             if kind != "*":
                 return poly
             self.tok.take()
-            poly = poly * self.factor()
+            pos = self.tok.offset()
+            poly = self.multiply(poly, self.factor(), pos)
 
     def factor(self) -> GradedPolynomial:
+        start = self.tok.offset()
         base = self.base()
         kind, _, _ = self.tok.peek()
         if kind != "^":
@@ -370,12 +407,15 @@ class _Parser:
         exponent = _literal(value, pos)
         if exponent > MAX_EXPONENT:
             raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", pos)
-        # square-and-multiply over the binary digits, most significant first
-        result = GradedPolynomial.constant(self.variables, 1)
-        for digit in f"{exponent:b}":
-            result = result * result
+        if exponent == 0:
+            return GradedPolynomial.constant(self.variables, 1)
+        # square-and-multiply over the binary digits after the leading one,
+        # most significant first
+        result = base
+        for digit in f"{exponent:b}"[1:]:
+            result = self.multiply(result, result, start)
             if digit == "1":
-                result = result * base
+                result = self.multiply(result, base, start)
         return result
 
     def base(self) -> GradedPolynomial:

@@ -121,12 +121,22 @@ class TestReportCommand:
             ("0*x^200000000", "DegreeMismatch"),
             ("x^3000000000", "PolySyntaxError"),
             ("1" * 5000 + "*x^3", "PolySyntaxError"),
+            ("x^2000000000*x^2000000000*y^0", "PolySyntaxError"),
+            ("(x^2)^2000000000", "PolySyntaxError"),
+            ("(x+y)^100000000", "PolySyntaxError"),
         ],
-        ids=["zero-power", "huge-exponent", "long-literal"],
+        ids=[
+            "zero-power",
+            "huge-exponent",
+            "long-literal",
+            "product-exponent",
+            "power-exponent",
+            "term-products",
+        ],
     )
     def test_huge_power_or_long_literal_exit_4(self, capsys, tmp_path, poly, error):
         """Within a second, each ends in exit 4 with an error entry: the
-        zero product through squaring, the other two at the parser."""
+        zero product through squaring, the others at the parser."""
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(dict(INHOMOGENEOUS, polynomial=poly)))
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Algebra assembly, trace normalization, pairing and the axiom suite."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -335,9 +336,11 @@ def dense_product(tensors, D, a, u, b, v):
 
 
 def with_constants(D, *changes):
-    """D with a copy of its nonzero index in which delta is added to the
-    k-th constant of basis[a][i] * basis[b][j] for each ((a, b), i, j, k,
-    delta), keeping k ascending and dropping constants that become zero."""
+    """D with a copy of its nonzero index in which the integer delta is added
+    to the k-th constant of basis[a][i] * basis[b][j] for each ((a, b), i, j,
+    k, delta), keeping k ascending and dropping constants that become zero.
+    The index holds numerators over ``denominators[(a, b)]``, so delta enters
+    it as delta * den."""
     nonzero = {
         key: [{j: list(entries) for j, entries in row.items()} for row in index]
         for key, index in D.nonzero.items()
@@ -345,7 +348,7 @@ def with_constants(D, *changes):
     for key, i, j, k, delta in changes:
         row = nonzero[key][i]
         constants = dict(row.pop(j, []))
-        constants[k] = constants.get(k, 0) + delta
+        constants[k] = constants.get(k, 0) + delta * D.denominators[key]
         if any(constants.values()):
             row[j] = [(n, c) for n, c in sorted(constants.items()) if c]
     return dataclasses.replace(D, nonzero=nonzero)
@@ -395,6 +398,51 @@ class TestSparseKernel:
                     assert D.basis_product(a, i, b, j) == want, (a, i, b, j)
                     assert D.basis_product(b, j, a, i) == want
                     assert (j in D.nonzero[(a, b)][i]) == bool(want)
+
+    def test_numerators_are_ints_over_the_least_denominator(self, algebra, request):
+        """Every stored constant is an int numerator over its pair's
+        denominator, and that denominator shares no factor with all of the
+        pair's numerators; only bundle-p2 has a non-unit one."""
+        D = algebra
+        name = request.node.callspec.params["algebra"]
+        assert D.denominators.keys() == D.nonzero.keys()
+        for key, index in D.nonzero.items():
+            den = D.denominators[key]
+            numerators = [n for row in index for entries in row.values() for _, n in entries]
+            assert all(type(n) is int for n in numerators)
+            assert type(den) is int and den >= 1
+            assert math.gcd(den, *numerators) == 1, key
+        if name == "bundle-p2":
+            assert D.denominators[(1, 1)] > 1
+        else:
+            assert set(D.denominators.values()) == {1}, name
+
+    def test_same_constants_over_other_denominators(self, algebra):
+        """The constants of each pair (a, b) rewritten over (2 + a + 2b) times
+        its denominator: every reader divides by the pair's own denominator,
+        so products, Gram matrices and the axioms are unchanged, and
+        associativity, whose two sides then have different denominators,
+        still passes."""
+        D = algebra
+        scale = {(a, b): 2 + a + 2 * b for a, b in D.nonzero}
+        rewritten = dataclasses.replace(
+            D,
+            nonzero={
+                key: [
+                    {j: [(k, scale[key] * n) for k, n in entries] for j, entries in row.items()}
+                    for row in index
+                ]
+                for key, index in D.nonzero.items()
+            },
+            denominators={key: scale[key] * den for key, den in D.denominators.items()},
+        )
+        assert rewritten.structure == D.structure
+        for a in range(D.m):
+            assert frob.pairing_gram(rewritten, a) == frob.pairing_gram(D, a)
+        want = frob.frobenius_axiom_check(D, sample_seed=1, sample_count=20)
+        got = frob.frobenius_axiom_check(rewritten, sample_seed=1, sample_count=20)
+        assert got.all_pass
+        assert got.as_dict() == want.as_dict()
 
     def test_structure_view_equals_reference(self, algebra, reference):
         """The dense view rebuilt from the index, which the benchmark tracer
@@ -502,6 +550,7 @@ class TestSparseKernel:
                 ]
                 for key, index in D.nonzero.items()
             },
+            denominators={key: 2 * den + 1 for key, den in D.denominators.items()},
         )
         rng = random.Random(9)
         dims = D.dims()
@@ -520,6 +569,21 @@ class TestInvarianceFaultInjection:
         bad = with_constants(D, ((1, 1), 0, 1, 0, 1), ((1, 1), 1, 0, 0, 1))
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert report.commutativity.ok
+        assert not report.invariance.ok
+        assert "vs direct" in report.invariance.witness
+
+    def test_doubled_denominator(self, bundle_algebra):
+        """Doubling the (1, 1) denominator halves every product of two
+        degree-1 elements: that is still a commutative, associative product
+        with the same unit, but its traces disagree with the direct path."""
+        D = bundle_algebra
+        denominators = dict(D.denominators)
+        denominators[(1, 1)] *= 2
+        bad = dataclasses.replace(D, denominators=denominators)
+        report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
+        assert report.unit.ok
+        assert report.commutativity.ok
+        assert report.associativity.ok
         assert not report.invariance.ok
         assert "vs direct" in report.invariance.witness
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgfrob import poly
 from lgfrob.errors import (
     DegreeMismatch,
     NotHomogeneous,
@@ -123,8 +124,9 @@ class TestTextFormat:
 
 
 class TestParserLimits:
-    """Powers are taken by repeated squaring, and an exponent or literal the
-    parser cannot take is a syntax error at its offset."""
+    """Powers are taken by repeated squaring, and an exponent, literal,
+    product or power the parser cannot take is a syntax error at its
+    offset."""
 
     def test_huge_power_of_a_zero_product_is_fast(self):
         start = time.perf_counter()
@@ -150,8 +152,20 @@ class TestParserLimits:
             ("1" * 5000 + "*x", 0),
             ("x^" + "1" * 5000, 2),
             ("y + 1/" + "7" * 5000, 6),
+            ("x^2000000000*x^2000000000*y^0", 13),
+            ("(x^2)^2000000000", 0),
+            ("y + (x+y)^100000000", 4),
         ],
-        ids=["max-plus-one", "3e9", "long-coefficient", "long-exponent", "long-denominator"],
+        ids=[
+            "max-plus-one",
+            "3e9",
+            "long-coefficient",
+            "long-exponent",
+            "long-denominator",
+            "product-exponent",
+            "power-exponent",
+            "term-products",
+        ],
     )
     def test_rejected_at_offset(self, text, position):
         start = time.perf_counter()
@@ -159,6 +173,28 @@ class TestParserLimits:
             parse_polynomial(text, VARS)
         assert err.value.position == position
         assert time.perf_counter() - start < 1.0
+
+
+    def test_term_product_budget(self, monkeypatch):
+        """With a budget of 4 term products, (x+y)*(x-y) takes all of them
+        and a further factor z is refused at its offset, before the product
+        that would pass the budget is formed."""
+        monkeypatch.setattr(poly, "MAX_TERM_PRODUCTS", 4)
+        formed = []
+        mul = GradedPolynomial.__mul__
+
+        def counting_mul(left, right):
+            formed.append(len(left.terms) * len(right.terms))
+            return mul(left, right)
+
+        monkeypatch.setattr(GradedPolynomial, "__mul__", counting_mul)
+        want = GradedPolynomial(VARS, {(2, 0, 0): 1, (0, 2, 0): -1})
+        assert parse_polynomial("(x+y)*(x-y)", VARS) == want
+        formed.clear()
+        with pytest.raises(PolySyntaxError) as err:
+            parse_polynomial("(x+y)*(x-y)*z", VARS)
+        assert err.value.position == 12
+        assert formed == [4]
 
 
 class _FakeGrading:
