@@ -1,10 +1,13 @@
 """Built-in fixtures: construction invariants, stated-degree matching and
 the full certificate gauntlet on the small positive cases."""
 
+import random
+
 import pytest
 
 from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
+from lgfrob import linalg
 from lgfrob.errors import InputSchemaError
 from lgfrob.fixtures import (
     Fixture,
@@ -120,3 +123,89 @@ class TestGauntlet:
         D = frob.build_algebra(system, frob.GENERIC)
         report = frob.frobenius_axiom_check(D, sample_seed=0, sample_count=50)
         assert report.all_pass, report.as_dict()
+
+
+def _random_unimodular(rng, rank):
+    """Identity changed by random swaps, sign flips and row additions."""
+    t = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(3 * rank):
+        i, j = rng.randrange(rank), rng.randrange(rank)
+        move = rng.randrange(3)
+        if move == 0:
+            t[i], t[j] = t[j], t[i]
+        elif move == 1:
+            t[i] = [-x for x in t[i]]
+        elif i != j:
+            q = rng.randint(-3, 3)
+            t[i] = [x + q * y for x, y in zip(t[i], t[j])]
+    return t
+
+
+def _apply(t, degrees):
+    return tuple(
+        tuple(sum(x * d for x, d in zip(row, deg)) for row in t) for deg in degrees
+    )
+
+
+def _spanning_degrees(rng, rank):
+    """Between rank and rank + 3 integer degree vectors spanning Q^rank."""
+    while True:
+        degrees = tuple(
+            tuple(rng.randint(-4, 4) for _ in range(rank))
+            for _ in range(rank + rng.randint(0, 3))
+        )
+        if linalg.rank_rational(degrees) == rank:
+            return degrees
+
+
+class TestUnimodularTransformRandomized:
+    """Seeded random cases of ``unimodular_transform``: when the computed
+    degrees span Q^rank, the transform is unique, so it is recovered exactly
+    or shown not to exist."""
+
+    def test_random_unimodular_is_recovered(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            rank = rng.randint(1, 3)
+            computed = _spanning_degrees(rng, rank)
+            t = _random_unimodular(rng, rank)
+            assert unimodular_transform(computed, _apply(t, computed)) == t
+
+    def test_non_unimodular_gives_none(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            rank = rng.randint(1, 3)
+            computed = _spanning_degrees(rng, rank)
+            t = _random_unimodular(rng, rank)
+            k = rng.randrange(rank)
+            t[k] = [rng.choice((-3, -2, 2, 3)) * x for x in t[k]]  # |det| >= 2
+            assert unimodular_transform(computed, _apply(t, computed)) is None
+
+    def test_rank_deficient_computed_gives_none(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            rank = rng.randint(2, 3)
+            # every degree is a combination of rank - 1 generators
+            gens = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank - 1)]
+            coefficients = [
+                [rng.randint(-2, 2) for _ in gens]
+                for _ in range(rank + rng.randint(0, 3))
+            ]
+            computed = tuple(
+                tuple(sum(c * g[k] for c, g in zip(cs, gens)) for k in range(rank))
+                for cs in coefficients
+            )
+            t = _random_unimodular(rng, rank)
+            assert unimodular_transform(computed, _apply(t, computed)) is None
+
+    def test_mismatched_lengths_give_none(self):
+        rng = random.Random(67)
+        for _ in range(50):
+            rank = rng.randint(1, 3)
+            computed = _spanning_degrees(rng, rank)
+            stated = _apply(_random_unimodular(rng, rank), computed)
+            assert unimodular_transform(computed, stated[:-1]) is None
+            assert unimodular_transform(computed[:-1], stated) is None
+            longer = stated[:1] + (stated[0] + (1,),) + stated[2:]
+            assert unimodular_transform(computed, longer) is None
+        assert unimodular_transform((), ()) is None
