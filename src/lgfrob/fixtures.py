@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import linalg
 from .errors import InputSchemaError
 from .poly import GradedPolynomial, parse_polynomial
 from .toric import FanData
@@ -221,46 +222,27 @@ def unimodular_transform(
 ):
     """Integer matrix T with |det T| = 1 mapping the computed variable
     degrees onto the stated ones (T . computed_i = stated_i for all i), or
-    None when no such change of class-group basis exists."""
-    from fractions import Fraction
-
-    from . import linalg
-
+    None when no such change of class-group basis exists.  The computed
+    degrees must span Q^rank, so T is unique when it exists."""
     if not computed or len(computed) != len(stated):
         return None
     rank = len(computed[0])
     if any(len(d) != rank for d in computed) or any(len(d) != rank for d in stated):
         return None
-    # columns of the computed degree matrix that form a basis
-    cols = [[Fraction(deg[k]) for deg in computed] for k in range(rank)]
-    matrix = [[cols[k][i] for i in range(len(computed))] for k in range(rank)]
-    _, _, pivots = linalg.rref(matrix)
-    if len(pivots) != rank:
+    if linalg.rank_rational(computed) != rank:
         return None
-    # solve T on the pivot columns: T . computed[p] = stated[p]
-    t_rows = []
-    for out_row in range(rank):
-        system = [
-            [Fraction(computed[p][k]) for k in range(rank)]
-            + [Fraction(stated[p][out_row])]
-            for p in pivots
-        ]
-        reduced, rk, pv = linalg.rref(system)
-        if rk != rank or pv != tuple(range(rank)):
-            return None
-        t_rows.append([reduced[i][rank] for i in range(rank)])
-    if any(x.denominator != 1 for row in t_rows for x in row):
+    # row i of T is the integer solution t of computed . t = (stated_p[i])_p
+    t = [linalg.solve_integer(computed, [deg[i] for deg in stated]) for i in range(rank)]
+    if None in t:
         return None
-    t_int = [[int(x) for x in row] for row in t_rows]
-    if abs(linalg.det_int(t_int)) != 1:
+    inverse = linalg.inverse_int(t)
+    if inverse is None or abs(inverse[0]) != 1:
         return None
     for comp, want in zip(computed, stated):
-        got = tuple(
-            sum(t_int[i][k] * comp[k] for k in range(rank)) for i in range(rank)
-        )
+        got = tuple(sum(t[i][k] * comp[k] for k in range(rank)) for i in range(rank))
         if got != tuple(want):
             return None
-    return t_int
+    return t
 
 
 _BUILDERS = {

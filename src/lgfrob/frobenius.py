@@ -154,13 +154,6 @@ class FrobeniusAlgebraData:
     def dims(self) -> list[int]:
         return [piece.dim for piece in self.bases]
 
-    def lift(self, a: int, coords: Sequence[Fraction]) -> GradedPolynomial:
-        piece = self.bases[a]
-        terms = {
-            mono: Fraction(c) for mono, c in zip(piece.basis, coords) if c != 0
-        }
-        return GradedPolynomial(self.system.variables, terms)
-
     def products(
         self, a: int, b: int
     ) -> tuple[Callable[[int, int], list[tuple[int, int]]], int]:
@@ -311,7 +304,7 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
             denominators[(a, b)] = den
 
     polytope = anticanonical_polytope(system.fan)
-    volume = normalized_volume(polytope, system.fan)
+    volume = normalized_volume(polytope)
 
     generator_monomial: Monomial | None = None
     if strategy == GENERIC:

@@ -1,9 +1,19 @@
 """Exact integer and rational linear algebra kernel.
 
-Everything here is deterministic and allocation-cheap at the sizes the rest of
-the library produces.  Rational elimination is done on integer sparse rows
-(denominators cleared, content removed), so its inner loop is integer rather
-than Fraction arithmetic; the rank mod p is a sparse echelon in pure Python too.
+One kernel per job:
+
+  * ``EchelonBasis`` does all rational elimination: the Jacobian pieces'
+    row spaces and ``rank_rational`` (e.g. of the Gram matrices).  Rows are
+    integer sparse dicts (denominators cleared, content removed), so its
+    inner loop is integer rather than Fraction arithmetic;
+  * ``inverse_int`` is the one Bareiss routine: ``(det, adj)`` of a cone
+    matrix, and the determinant wherever one is needed;
+  * ``smith_normal_form`` (with ``solve_integer`` and ``invariant_factors``)
+    and ``hermite_row_canonical`` compute the class-group grading and solve
+    for integer points and unimodular transforms;
+  * ``connected_blocks`` splits a sparse matrix into independent blocks, and
+    ``rank_mod_p`` is the modular prefilter that certifies a block of full
+    column rank without exact elimination.
 
 Conventions:
   * dense matrices are lists of lists, row major;
@@ -23,45 +33,6 @@ PREFILTER_PRIME = 2147483647
 
 
 # ---------------------------------------------------------------------------
-# dense rational reduced row echelon form
-
-
-def rref(matrix: Sequence[Sequence[Fraction | int]]):
-    """Reduced row echelon form over the rationals.
-
-    Returns ``(R, rank, pivots)`` where ``R`` is the (unique) RREF as a list
-    of Fraction rows, and ``pivots`` is the tuple of pivot column indices in
-    increasing order.  Pivot choice is lowest column index first, then lowest
-    row index.
-    """
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, r, tuple(pivots)
-
-
-def rank_rational(matrix: Sequence[Sequence[Fraction | int]]) -> int:
-    return rref(matrix)[1]
-
-
-# ---------------------------------------------------------------------------
 # integer helpers
 
 
@@ -69,40 +40,8 @@ def identity_int(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    nb = len(b)
-    cols = len(b[0]) if nb else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(nb)) for j in range(cols)]
-        for row in a
-    ]
-
-
 def mat_vec_int(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def inverse_int(matrix: Sequence[Sequence[int]]):
@@ -428,16 +367,14 @@ class EchelonBasis:
         return out
 
 
-def echelon_rank(
-    rows: Iterable[Mapping[int, Fraction | int]],
-    ncols: int,
-    stop_at: int | None = None,
-) -> int:
-    basis = EchelonBasis(ncols)
-    for row in rows:
-        basis.add_row(row)
-        if stop_at is not None and basis.rank >= stop_at:
+def rank_rational(matrix: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over Q of a dense matrix, each row inserted into an
+    ``EchelonBasis`` until the column rank is full."""
+    basis = EchelonBasis(len(matrix[0]) if matrix else 0)
+    for row in matrix:
+        if basis.is_full_column_rank():
             break
+        basis.add_row({c: x for c, x in enumerate(row) if x})
     return basis.rank
 
 

@@ -280,7 +280,7 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         }
     with _timed(timings, "polytope"):
         polytope = toric.anticanonical_polytope(config.fan)
-        volume = toric.normalized_volume(polytope, config.fan)
+        volume = toric.normalized_volume(polytope)
     report["polytope"] = {
         "vertices": [list(v) for v in polytope.vertices],
         "normalized_volume": volume,

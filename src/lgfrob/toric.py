@@ -130,13 +130,15 @@ class AnticanPolytope:
     """Anti-canonical polytope {u : <u, rho_i> >= -1 for all rays rho_i}.
 
     One vertex per maximal cone; ``vertex_cones[k]`` is the index of a maximal
-    cone whose equations cut out ``vertices[k]``.
+    cone whose equations cut out ``vertices[k]``, and ``cone_inverses[k]`` is
+    the ``linalg.inverse_int`` ``(det, adj)`` of that cone's matrix.
     """
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
     vertices: tuple[tuple[int, ...], ...]
     vertex_cones: tuple[int, ...]
+    cone_inverses: tuple[tuple[int, list[list[int]]], ...]
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -289,9 +291,11 @@ def class_group(fan: FanData) -> GradingMap:
 def anticanonical_polytope(fan: FanData) -> AnticanPolytope:
     vertices: list[tuple[int, ...]] = []
     vertex_cones: list[int] = []
+    cone_inverses = []
     seen: dict[tuple[int, ...], int] = {}
     for ci, cone in enumerate(fan.max_cones):
-        vertex = _cone_vertex(linalg.inverse_int(fan.cone_matrix(cone)))
+        inverse = linalg.inverse_int(fan.cone_matrix(cone))
+        vertex = _cone_vertex(inverse)
         if vertex is None:
             raise NotReflexivePipeline(
                 f"max cone {ci} has no integral vertex; run validate_fan first"
@@ -306,15 +310,17 @@ def anticanonical_polytope(fan: FanData) -> AnticanPolytope:
         seen[vertex] = ci
         vertices.append(vertex)
         vertex_cones.append(ci)
+        cone_inverses.append(inverse)
     return AnticanPolytope(
         dim=fan.dim,
         rays=fan.rays,
         vertices=tuple(vertices),
         vertex_cones=tuple(vertex_cones),
+        cone_inverses=tuple(cone_inverses),
     )
 
 
-def normalized_volume(polytope: AnticanPolytope, fan: FanData) -> int:
+def normalized_volume(polytope: AnticanPolytope) -> int:
     """m! times the Euclidean volume of the anti-canonical polytope.
 
     Uses the vertex-cone (Lawrence/Brion) formula for simple polytopes: at
@@ -330,11 +336,7 @@ def normalized_volume(polytope: AnticanPolytope, fan: FanData) -> int:
     if not polytope.vertices:
         raise DegeneratePolytope("no vertices")
     data = []
-    for vertex, ci in zip(polytope.vertices, polytope.vertex_cones):
-        inverse = linalg.inverse_int(fan.cone_matrix(fan.max_cones[ci]))
-        if inverse is None:
-            raise DegeneratePolytope(f"vertex cone {ci} is singular")
-        det, adj = inverse
+    for vertex, (det, adj) in zip(polytope.vertices, polytope.cone_inverses):
         edges = [[adj[i][j] for i in range(m)] for j in range(m)]  # det * columns of A^-1
         data.append((vertex, edges, det))
 
@@ -520,32 +522,3 @@ def monomial_basis(
     monos = _affine_lattice_images(ineqs, u0, cols)
     monos.sort(key=grlex_key)
     return monos
-
-
-def count_lattice_points_dilated(polytope: AnticanPolytope, a: int) -> int:
-    """Independent lattice-point count of the a-fold dilation of the
-    anti-canonical polytope by a direct bounding-box inequality sweep: every
-    box point x is tested against every ray, <x, rho> >= -a.  The pairings
-    <x, rho> are carried through the sweep, each step of x_k adding ray
-    coordinate k, instead of one dot product per ray per point."""
-    if a == 0:
-        return 1
-    m = polytope.dim
-    lows = [min(v[k] * a for v in polytope.vertices) for k in range(m)]
-    highs = [max(v[k] * a for v in polytope.vertices) for k in range(m)]
-    columns = [[ray[k] for ray in polytope.rays] for k in range(m)]
-    count = 0
-
-    def sweep(level: int, pairings: list[int]):
-        nonlocal count
-        column = columns[level]
-        pairings = [p + lows[level] * c for p, c in zip(pairings, column)]
-        for _ in range(lows[level], highs[level] + 1):
-            if level + 1 < m:
-                sweep(level + 1, pairings)
-            elif min(pairings) >= -a:
-                count += 1
-            pairings = [p + c for p, c in zip(pairings, column)]
-
-    sweep(0, [0] * len(polytope.rays))
-    return count

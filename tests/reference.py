@@ -1,0 +1,106 @@
+"""Independent reference implementations the tests compare the program with.
+
+None of these is used by the program.  Each one is the plain, slow way to
+compute what a kernel of ``lgfrob`` computes the fast way: dense Fraction
+Gauss-Jordan next to the sparse integer ``EchelonBasis``, cofactor expansion
+next to Bareiss, a bounding-box sweep next to the Fourier-Motzkin monomial
+enumeration, and polynomial lifts next to the direct trace.
+"""
+
+from fractions import Fraction
+
+from lgfrob.poly import GradedPolynomial
+
+
+def rref(matrix):
+    """Reduced row echelon form over the rationals.
+
+    Returns ``(R, rank, pivots)`` where ``R`` is the (unique) RREF as a list
+    of Fraction rows, and ``pivots`` is the tuple of pivot column indices in
+    increasing order.  Pivot choice is lowest column index first, then lowest
+    row index.
+    """
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, r, tuple(pivots)
+
+
+def det(a):
+    """Determinant by cofactor expansion along the first row."""
+    n = len(a)
+    if n == 0:
+        return 1
+    if n == 1:
+        return a[0][0]
+    total = 0
+    for j in range(n):
+        if not a[0][j]:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
+        term = a[0][j] * det(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def mat_mul_int(a, b):
+    nb = len(b)
+    cols = len(b[0]) if nb else 0
+    return [
+        [sum(row[k] * b[k][j] for k in range(nb)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def count_lattice_points_dilated(polytope, a: int) -> int:
+    """Independent lattice-point count of the a-fold dilation of the
+    anti-canonical polytope by a direct bounding-box inequality sweep: every
+    box point x is tested against every ray, <x, rho> >= -a.  The pairings
+    <x, rho> are carried through the sweep, each step of x_k adding ray
+    coordinate k, instead of one dot product per ray per point."""
+    if a == 0:
+        return 1
+    m = polytope.dim
+    lows = [min(v[k] * a for v in polytope.vertices) for k in range(m)]
+    highs = [max(v[k] * a for v in polytope.vertices) for k in range(m)]
+    columns = [[ray[k] for ray in polytope.rays] for k in range(m)]
+    count = 0
+
+    def sweep(level: int, pairings: list[int]):
+        nonlocal count
+        column = columns[level]
+        pairings = [p + lows[level] * c for p, c in zip(pairings, column)]
+        for _ in range(lows[level], highs[level] + 1):
+            if level + 1 < m:
+                sweep(level + 1, pairings)
+            elif min(pairings) >= -a:
+                count += 1
+            pairings = [p + c for p, c in zip(pairings, column)]
+
+    sweep(0, [0] * len(polytope.rays))
+    return count
+
+
+def lift(algebra, a: int, coords) -> GradedPolynomial:
+    """The polynomial sum_i coords[i] * basis[a][i] of the quotient basis
+    monomials of degree a beta."""
+    piece = algebra.bases[a]
+    terms = {mono: Fraction(c) for mono, c in zip(piece.basis, coords) if c != 0}
+    return GradedPolynomial(algebra.system.variables, terms)

@@ -278,6 +278,29 @@ class TestReportCommand:
         assert json.loads(out)["certificates_pass"] is True
 
 
+class TestConeInverses:
+    @pytest.mark.parametrize("name, calls", [("projective-4", 12), ("bundle-p6", 28)])
+    def test_each_cone_inverted_once_per_polytope(self, name, calls, capsys, monkeypatch):
+        """validate_fan inverts every maximal cone once, and each
+        anticanonical_polytope call (the polytope stage, and build_algebra
+        when the algebra is built) once more; normalized_volume reads the
+        polytope's stored inverses.  The one other call is the |det T| = 1
+        check of the stated degrees' transform T, a rank x rank matrix."""
+        counted = []
+        original = linalg.inverse_int
+
+        def counting(matrix):
+            counted.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(linalg, "inverse_int", counting)
+        code, doc, _ = run_json(capsys, "report", "--fixture", name, "--json-only")
+        assert code == 0 and doc["stated_degrees"]["match"]
+        fan = get_fixture(name).fan
+        assert counted.count(fan.dim) == calls
+        assert len(counted) == calls + 1
+
+
 class TestGramRanks:
     def test_each_gram_rank_computed_once(self, monkeypatch):
         calls = []

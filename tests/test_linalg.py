@@ -1,10 +1,16 @@
-"""Exact linear algebra kernel: RREF, Smith/Hermite forms, integer solving,
-sparse echelon bases and the modular rank prefilter."""
+"""Exact linear algebra kernel, one test class per kernel: the rank over Q
+(an ``EchelonBasis``), the Bareiss inverse and determinant, Smith and Hermite
+forms, integer solving, sparse echelon bases, connected blocks and the
+modular rank prefilter.  The dense Gauss-Jordan and cofactor determinant of
+``reference`` are the independent oracles; ``TestRref`` checks that
+Gauss-Jordan itself on known answers."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from reference import det as reference_det
+from reference import mat_mul_int, rref
 
 from lgfrob import linalg
 
@@ -13,53 +19,110 @@ def random_matrix(rng, rows, cols, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
 class TestRref:
     def test_identity(self):
-        reduced, rank, pivots = linalg.rref([[1, 0], [0, 1]])
+        reduced, rank, pivots = rref([[1, 0], [0, 1]])
         assert rank == 2
         assert pivots == (0, 1)
         assert reduced == [[1, 0], [0, 1]]
 
     def test_dependent_rows(self):
-        reduced, rank, pivots = linalg.rref([[1, 2], [2, 4]])
+        reduced, rank, pivots = rref([[1, 2], [2, 4]])
         assert rank == 1
         assert pivots == (0,)
 
     def test_pivot_set_is_lex_minimal(self):
         # columns 0 and 2 independent, column 1 = 2 * column 0
-        _, rank, pivots = linalg.rref([[1, 2, 0], [0, 0, 1], [1, 2, 1]])
+        _, rank, pivots = rref([[1, 2, 0], [0, 0, 1], [1, 2, 1]])
         assert rank == 2
         assert pivots == (0, 2)
 
-    def test_agrees_with_echelon_rank(self):
+
+class TestRankRational:
+    """``rank_rational`` is the rank of an ``EchelonBasis``; the reference
+    Gauss-Jordan must give the same rank."""
+
+    def test_agrees_with_reference_gauss_jordan(self):
         rng = random.Random(7)
         for _ in range(50):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             matrix = random_matrix(rng, rows, cols)
-            expected = linalg.rank_rational(matrix)
-            sparse = [
-                {j: x for j, x in enumerate(row) if x} for row in matrix
+            assert linalg.rank_rational(matrix) == rref(matrix)[1]
+
+    def test_large_denominators(self):
+        """Fraction entries with denominators of up to 200 bits, rank
+        deficient by construction: every row is a combination of ``inner``
+        random rows."""
+        rng = random.Random(71)
+
+        def entry():
+            return Fraction(rng.randint(-(2**60), 2**60), rng.randint(1, 2**200))
+
+        for _ in range(30):
+            rows, cols, inner = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 4)
+            basis = [[entry() for _ in range(cols)] for _ in range(inner)]
+            matrix = [
+                [sum(c * b[j] for c, b in zip(cs, basis)) for j in range(cols)]
+                for cs in ([entry() for _ in basis] for _ in range(rows))
             ]
-            assert linalg.echelon_rank(sparse, cols) == expected
+            assert linalg.rank_rational(matrix) == rref(matrix)[1]
+
+    def test_zero_rows(self):
+        rng = random.Random(73)
+        for _ in range(30):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            matrix = random_matrix(rng, rows, cols)
+            for i in rng.sample(range(rows), rng.randint(1, rows)):
+                matrix[i] = [Fraction(0)] * cols
+            assert linalg.rank_rational(matrix) == rref(matrix)[1]
+        assert linalg.rank_rational([[0, 0, 0], [0, 0, 0]]) == 0
+
+    def test_empty_matrices(self):
+        assert linalg.rank_rational([]) == rref([])[1] == 0
+        assert linalg.rank_rational([[], []]) == rref([[], []])[1] == 0
+
+    def test_stops_at_full_column_rank(self, monkeypatch):
+        """Rows after the column rank is full are never inserted."""
+        calls = []
+        add_row = linalg.EchelonBasis.add_row
+
+        def counted(self, row):
+            calls.append(row)
+            return add_row(self, row)
+
+        monkeypatch.setattr(linalg.EchelonBasis, "add_row", counted)
+        assert linalg.rank_rational([[1, 0], [0, 1], [1, 1], [2, 3]]) == 2
+        assert len(calls) == 2
 
 
 class TestDeterminant:
+    """The determinant is the ``det`` of ``inverse_int``, 0 when it reports
+    a singular matrix."""
+
+    @staticmethod
+    def det(a):
+        inverse = linalg.inverse_int(a)
+        return 0 if inverse is None else inverse[0]
+
     def test_known_values(self):
-        assert linalg.det_int([[2, 0], [0, 3]]) == 6
-        assert linalg.det_int([[1, 2], [3, 4]]) == -2
-        assert linalg.det_int([[0, 1], [1, 0]]) == -1
+        assert self.det([[2, 0], [0, 3]]) == 6
+        assert self.det([[1, 2], [3, 4]]) == -2
+        assert self.det([[0, 1], [1, 0]]) == -1
 
     def test_matches_rational_elimination(self):
         rng = random.Random(11)
         for _ in range(40):
             n = rng.randint(1, 5)
             a = random_matrix(rng, n, n)
-            det = linalg.det_int(a)
-            # triangular determinant via fraction-free comparison: det == 0
-            # iff rank deficient; sign and magnitude via permutation expansion
-            # for small n
+            det = self.det(a)
+            # det == 0 iff rank deficient; sign and magnitude against the
+            # cofactor expansion for small n
             if n <= 3:
-                assert det == _det_reference(a)
+                assert det == reference_det(a)
             assert (det == 0) == (linalg.rank_rational(a) < n)
 
 
@@ -67,7 +130,7 @@ def rref_inverse(a):
     """Reference: the right block of the RREF of [A | I], or None."""
     n = len(a)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    reduced, _, pivots = linalg.rref(aug)
+    reduced, _, pivots = rref(aug)
     if pivots[:n] != tuple(range(n)):
         return None
     return [row[n:] for row in reduced]
@@ -89,7 +152,7 @@ class TestInverseInt:
                 singular += 1
                 continue
             det, adj = got
-            assert det == linalg.det_int(a)
+            assert det == reference_det(a)
             assert [[Fraction(x, det) for x in row] for row in adj] == want
             swapped += a[0][0] == 0
         assert singular and swapped
@@ -104,25 +167,13 @@ class TestInverseInt:
         assert linalg.inverse_int([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
 
 
-def _det_reference(a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-        term = a[0][j] * _det_reference(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 class TestSmithNormalForm:
     def check_certificate(self, a):
         u, d, v = linalg.smith_normal_form(a)
         rows, cols = len(a), len(a[0])
-        assert abs(linalg.det_int(u)) == 1
-        assert abs(linalg.det_int(v)) == 1
-        product = linalg.mat_mul_int(linalg.mat_mul_int(u, a), v)
+        assert abs(reference_det(u)) == 1
+        assert abs(reference_det(v)) == 1
+        product = mat_mul_int(mat_mul_int(u, a), v)
         assert product == d
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(len(diag)):
@@ -309,13 +360,11 @@ class TestRankModP:
         for _ in range(10):
             left = random_matrix(rng, rows_n, inner, -4, 4)
             right = random_matrix(rng, inner, cols, -4, 4)
-            product = linalg.mat_mul_int(left, right)
+            product = mat_mul_int(left, right)
             if rows_n:
                 zero = rng.randrange(rows_n)
                 product[zero] = [0] * cols
-            exact = linalg.echelon_rank(
-                [{j: x for j, x in enumerate(row) if x} for row in product], cols
-            )
+            exact = linalg.rank_rational(product)
             shifted = [
                 {j: x + p * rng.randint(-3, 3) for j, x in enumerate(row)}
                 for row in product
@@ -360,6 +409,7 @@ class TestConnectedBlocks:
         assert [cols[0] for cols, _ in blocks] == sorted(cols[0] for cols, _ in blocks)
         # the direct sum: ranks of the blocks add up to the rank
         total = sum(
-            linalg.echelon_rank([rows[i] for i in ids], ncols) for _, ids in blocks
+            linalg.rank_rational(dense([rows[i] for i in ids], ncols))
+            for _, ids in blocks
         )
-        assert total == linalg.echelon_rank(rows, ncols)
+        assert total == linalg.rank_rational(dense(rows, ncols))
