@@ -67,11 +67,11 @@ class QuotientBasis:
     """One graded piece of S/J or S/J0.
 
     ``monomials`` is the graded-lex basis of the ambient piece; ``basis`` the
-    non-pivot monomials spanning the quotient.  The relation rows split into
-    ``blocks`` connected blocks, of which ``certified_blocks`` have full
-    column rank without elimination and enter ``echelon`` as unit rows.
-    ``echelon`` is None exactly when every column lies in a certified block,
-    in which case every remainder is zero.
+    non-pivot monomials spanning the quotient.  Of the ``blocks`` blocks of
+    relation rows (see ``graded_piece``), ``certified_blocks`` enter ``echelon``
+    as unit rows, and it is None exactly when they cover every column.
+    ``eliminated_rows`` rows went through ``add_row``, and
+    ``remainder_checked_rows`` were shown to have remainder zero.
     """
 
     degree: tuple[int, ...]
@@ -83,6 +83,8 @@ class QuotientBasis:
     echelon: linalg.EchelonBasis | None
     blocks: int = 0
     certified_blocks: int = 0
+    eliminated_rows: int = 0
+    remainder_checked_rows: int = 0
     _index: dict[Monomial, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -105,20 +107,13 @@ class QuotientBasis:
         """Canonical remainder of every column modulo the ideal, as {basis
         index: nonzero coefficient}; built on first use and shared by every
         later caller, which must not modify it.  A basis column is its own
-        remainder, and an echelon row with pivot c says that e_c equals
-        -sum_{col > c} row[col] / row[c] * e_col, so back-substitution in
-        decreasing pivot order agrees entry for entry with reducing e_c."""
+        remainder; ``EchelonBasis.back_substitute`` gives the others."""
         if self._remainders is None:
             table: list[dict[int, Fraction]] = [{} for _ in self.monomials]
             for k, mono in enumerate(self.basis):
                 table[self.column_index()[mono]] = {k: Fraction(1)}
-            rows = self.echelon.rows if self.echelon is not None else {}
-            for c in sorted(rows, reverse=True):
-                acc: dict[int, Fraction] = {}
-                for col, y in rows[c].items():  # table[c] is still empty
-                    for k, x in table[col].items():
-                        acc[k] = acc.get(k, 0) + y * x
-                table[c] = {k: -x / rows[c][c] for k, x in acc.items() if x}
+            if self.echelon is not None:
+                self.echelon.back_substitute(table, range(len(table)))
             self._remainders = table
         return self._remainders
 
@@ -180,14 +175,15 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
 
 
 def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> QuotientBasis:
-    """The quotient at degree alpha, built block by block.
-
-    Each connected block of the relation rows is either certified to have
-    full column rank (one column, or rank mod p equal to its column count,
-    which forces the rank over Q) and enters the echelon as unit rows, or is
-    eliminated exactly.  Both span the block's row space, so the canonical
-    pivots, basis and normal forms do not depend on the path taken.
-    """
+    """The quotient at degree alpha, block by block.  Each connected block of
+    relation rows takes one of three paths; each spans the block's row space,
+    so the canonical pivots, basis and normal forms do not depend on it:
+      * certified, as unit rows: one column (its rows are nonzero), or rank
+        mod p equal to the column count, which forces the rank over Q;
+      * exact on the modular row basis (``_eliminate_row_basis``), when the
+        rank mod p of a block with rows >= columns falls short;
+      * exact on every row until full column rank: fewer rows than columns,
+        or no prefilter."""
     alpha = tuple(alpha)
     key = (ideal, alpha)
     cached = system._pieces.get(key)
@@ -198,20 +194,30 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
     ncols = len(monos)
     blocks = linalg.connected_blocks(rows, ncols)
     echelon = linalg.EchelonBasis(ncols)
-    certified = 0
+    certified = eliminated = checked = 0
     for cols, row_ids in blocks:
         # rows taken by highest column keep fill-in and coefficient growth
         # down in both eliminations; the row space does not depend on order
         block_rows = sorted((rows[i] for i in row_ids), key=max)
-        if _full_rank_certified(system, cols, block_rows):
+        row_basis = [0] if len(cols) == 1 else None
+        if row_basis is None and len(block_rows) >= len(cols) and system.use_prefilter:
+            local = {c: i for i, c in enumerate(cols)}
+            row_basis = linalg.rank_mod_p(  # re-keyed rows freed before the next block
+                [{local[c]: x for c, x in row.items()} for row in block_rows], len(cols)
+            )
+        if row_basis is None:
+            full = echelon.rank + len(cols)
+            for row in block_rows:
+                eliminated += 1
+                if echelon.add_row(row) and echelon.rank == full:
+                    break
+        elif len(row_basis) == len(cols):
             echelon.add_unit_rows(cols)
             certified += 1
-            continue
-        grown = 0
-        for row in block_rows:
-            grown += echelon.add_row(row)
-            if grown == len(cols):
-                break
+        else:
+            added = _eliminate_row_basis(echelon, cols, block_rows, row_basis)
+            eliminated += added
+            checked += len(block_rows) - added
     pivots = echelon.pivots
     if certified == len(blocks) and echelon.is_full_column_rank():
         echelon = None  # every column certified, or no columns at all
@@ -219,27 +225,41 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
     basis = [mono for i, mono in enumerate(monos) if i not in pivot_set]
     piece = QuotientBasis(
         alpha, ideal, monos, len(pivots), pivots, basis, echelon,
-        len(blocks), certified,
+        len(blocks), certified, eliminated, checked,
     )
     system._pieces[key] = piece
     return piece
 
 
-def _full_rank_certified(
-    system: JacobianSystem, cols: list[int], rows: list[dict[int, int]]
-) -> bool:
-    """Whether a block has full column rank without exact elimination:
-    exactly for one column (its rows are nonzero), and otherwise by the
-    one-sided modular certificate rank mod p = #columns."""
-    if len(rows) < len(cols):
-        return False
-    if len(cols) == 1:
-        return True
-    if not system.use_prefilter:
-        return False
-    local = {c: i for i, c in enumerate(cols)}
-    local_rows = [{local[c]: x for c, x in row.items()} for row in rows]
-    return linalg.rank_mod_p(local_rows, len(cols)) == len(cols)
+def _eliminate_row_basis(echelon, cols, rows, row_basis) -> int:
+    """Eliminate the rows at ``row_basis`` (independent mod p, so over Q) and
+    show the others to have remainder zero by the block's back-substitution
+    table; returns the count eliminated.  A row with remainder rho != 0 (p
+    divides a minor) is eliminated too: each entry loses entry[c]/rho[c] * rho,
+    c = min(rho) its pivot."""
+    for i in row_basis:
+        echelon.add_row(rows[i])
+    table = {c: {c: Fraction(1)} for c in cols if c not in echelon.rows}
+    echelon.back_substitute(table, cols)
+    skip, added = set(row_basis), len(row_basis)
+    for row in (row for i, row in enumerate(rows) if i not in skip):
+        acc: dict[int, Fraction] = {}
+        for col, y in row.items():
+            for k, x in table[col].items():
+                acc[k] = acc.get(k, 0) + y * x
+        rho = {k: x for k, x in acc.items() if x}
+        if rho:
+            echelon.add_row(row)
+            added += 1
+            c = min(rho)
+            for entry in table.values():
+                if c in entry:
+                    t = entry[c] / rho[c]
+                    for k, x in rho.items():
+                        entry[k] = entry.get(k, 0) - t * x
+                        if not entry[k]:
+                            del entry[k]
+    return added
 
 
 def dim_R(system: JacobianSystem, a: int) -> int:

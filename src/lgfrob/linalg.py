@@ -12,8 +12,8 @@ One kernel per job:
     and ``hermite_row_canonical`` compute the class-group grading and solve
     for integer points and unimodular transforms;
   * ``connected_blocks`` splits a sparse matrix into independent blocks, and
-    ``rank_mod_p`` is the modular prefilter that certifies a block of full
-    column rank without exact elimination.
+    ``rank_mod_p`` is the modular prefilter: its row basis certifies a block
+    of full column rank, or names the only rows the exact echelon eliminates.
 
 Conventions:
   * dense matrices are lists of lists, row major;
@@ -25,7 +25,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 # Prime of the modular full-rank certificate (the Mersenne prime 2^31 - 1).
@@ -255,31 +255,17 @@ def hermite_row_canonical(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
 # incremental sparse echelon basis over Q (integer-cleared rows)
 
 
-def _content_normalize(row: dict[int, int]) -> dict[int, int]:
+def _divide_content(row: dict[int, int]) -> dict[int, int]:
     g = 0
-    for x in row.values():
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        row = {c: x // g for c, x in row.items()}
-    lead = min(row)
-    if row[lead] < 0:
-        row = {c: -x for c, x in row.items()}
-    return row
+    for x in row.values():  # gcd(*row.values()) would copy the row to a tuple
+        if (g := gcd(g, x)) == 1:
+            return row
+    return {c: x // g for c, x in row.items()}
 
 
 def clear_denominators(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    den = 1
-    for x in row.values():
-        if isinstance(x, Fraction):
-            den = den * x.denominator // gcd(den, x.denominator)
-    out = {}
-    for c, x in row.items():
-        v = int(x * den) if isinstance(x, Fraction) else x * den
-        if v:
-            out[c] = v
-    return out
+    den = lcm(*(x.denominator for x in row.values() if isinstance(x, Fraction)))
+    return {c: int(x * den) for c, x in row.items() if x}
 
 
 class EchelonBasis:
@@ -319,22 +305,40 @@ class EchelonBasis:
             c = min(work)
             piv = self.rows.get(c)
             if piv is None:
-                self.rows[c] = _content_normalize(work)
+                g = gcd(*work.values()) * (1 if work[c] > 0 else -1)
+                # a fresh dict sized to the row; only stored rows get a sign
+                self.rows[c] = {col: x // g for col, x in work.items()}
                 return True
-            a, b = work[c], piv[c]
+            a, b = work.pop(c), piv[c]
             g = gcd(a, b)
             ma, mb = b // g, a // g
-            new = {}
-            for col, x in work.items():
-                new[col] = x * ma
+            if ma != 1:
+                work = {col: x * ma for col, x in work.items()}
             for col, y in piv.items():
-                v = new.get(col, 0) - y * mb
+                if col == c:
+                    continue
+                v = work.get(col, 0) - y * mb
                 if v:
-                    new[col] = v
-                elif col in new:
-                    del new[col]
-            work = _content_normalize(new) if new else {}
+                    work[col] = v
+                else:
+                    work.pop(col, None)
+            work = _divide_content(work)
         return False
+
+    def back_substitute(self, table, cols: Iterable[int]) -> None:
+        """Set ``table[c]`` to the canonical remainder of e_c, {key: nonzero
+        coefficient}, for each pivot c in ``cols``, which must hold every
+        pivot their rows touch; ``table`` holds the other columns they touch.
+        A row with pivot c says e_c = -sum_{col > c} row[col] / row[c] * e_col,
+        so decreasing pivot order agrees entry for entry with ``reduce``."""
+        for c in sorted((c for c in cols if c in self.rows), reverse=True):
+            row = self.rows[c]
+            acc: dict[int, Fraction] = {}
+            for col, y in row.items():
+                if col != c:
+                    for k, x in table[col].items():
+                        acc[k] = acc.get(k, 0) + y * x
+            table[c] = {k: -x / row[c] for k, x in acc.items() if x}
 
     def reduce(self, row: Mapping[int, Fraction | int]) -> dict[int, Fraction]:
         """Canonical remainder of ``row`` modulo the row space.
@@ -433,21 +437,26 @@ def rank_mod_p(
     rows: Sequence[Mapping[int, int]],
     ncols: int,
     p: int = PREFILTER_PRIME,
-) -> int:
-    """Rank of an integer sparse matrix modulo ``p``.
-
-    Always a lower bound for the rank over Q; used to certify blocks of full
-    column rank without exact elimination.  Sparse incremental echelon: each
-    row, a dense list from its lowest column, is reduced left to right by the
-    pivot rows so far, kept as their nonzero ``(column, value)`` pairs right
-    of a pivot scaled to 1.  Entries are reduced mod p only when read.
-    """
+) -> list[int]:
+    """Row basis mod ``p`` of an integer sparse matrix: the positions of the
+    rows that raised the rank mod p (independent over Q too).  Sparse
+    incremental echelon until full column rank: each row, dense from its
+    lowest column, is reduced mod p by the pivot rows so far, kept as their
+    ``(column, value)`` pairs right of a pivot scaled to 1.  A row ending at
+    or before top, the highest column reduced so far, is skipped when the
+    pivots (all <= top) number top + 1: they span e_0..e_top."""
     pivots: dict[int, list[tuple[int, int]]] = {}
-    for row in rows:
+    basis: list[int] = []
+    top = -1
+    for k, row in enumerate(rows):
         if not row:
             continue
+        hi = max(row)
+        if hi <= top and len(pivots) == top + 1:
+            continue
+        top = max(top, hi)
         lo = min(row)
-        dense = [0] * (ncols - lo)
+        dense = [0] * (top + 1 - lo)  # no pivot row reaches past top
         for c, x in row.items():
             dense[c - lo] = x
         for i, x in enumerate(dense):  # the iterator sees updates to later entries
@@ -461,9 +470,10 @@ def rank_mod_p(
                     for j in range(i + 1, len(dense))
                     if (y := dense[j] % p)
                 ]
+                basis.append(k)
                 break
             for c, y in tail:
                 dense[c - lo] -= x * y
         if len(pivots) == ncols:
             break
-    return len(pivots)
+    return basis

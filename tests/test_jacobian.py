@@ -249,11 +249,11 @@ class TestBlocks:
         missed = []
 
         def miss_once(rows, ncols, p=linalg.PREFILTER_PRIME):
-            rank = original(rows, ncols, p)
-            if rank == ncols and not missed:
+            basis = original(rows, ncols, p)
+            if len(basis) == ncols and not missed:
                 missed.append(ncols)
-                return ncols - 1
-            return rank
+                return basis[:-1]
+            return basis
 
         monkeypatch.setattr(linalg, "rank_mod_p", miss_once)
         piece = jac.graded_piece(make_system("bundle-p2"), ideal, alpha)
@@ -261,9 +261,75 @@ class TestBlocks:
         assert piece.echelon is not None
         assert piece.blocks == reference.blocks
         assert piece.certified_blocks == certified.certified_blocks - 1
+        # the dropped row has a nonzero remainder, so it is eliminated too
+        assert piece.eliminated_rows == certified.eliminated_rows + missed[0]
         monos, plain = plain_piece(exact, ideal, alpha)
         assert_same_piece(piece, monos, plain)
         assert_same_piece(reference, monos, plain)
+
+    @pytest.mark.parametrize("name", ["bundle-p2", "p1xp1"])
+    def test_small_prime_misses_fall_back_to_exact(self, name, monkeypatch):
+        """With the prefilter at p = 3, where rank mod p falls short of the
+        rank over Q, every piece still equals the plain echelon: rows with a
+        nonzero remainder are eliminated, whatever p is."""
+        original, eliminate = linalg.rank_mod_p, jac._eliminate_row_basis
+        fallbacks = []
+
+        def mod_3(rows, ncols, p=linalg.PREFILTER_PRIME):
+            return original(rows, ncols, 3)
+
+        def counting(echelon, cols, rows, row_basis):
+            added = eliminate(echelon, cols, rows, row_basis)
+            fallbacks.append(added - len(row_basis))
+            return added
+
+        monkeypatch.setattr(jac, "_eliminate_row_basis", counting)
+        monkeypatch.setattr(linalg, "rank_mod_p", mod_3)
+        system = make_system(name)
+        for a in range(system.m + 2):
+            alpha = system.grading.scaled_beta(a)
+            for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
+                piece = jac.graded_piece(system, ideal, alpha)
+                assert_same_piece(piece, *plain_piece(system, ideal, alpha))
+        assert sum(fallbacks) > 0, "no row had a nonzero remainder"
+
+    def test_modular_row_basis_grows_the_rank(self, monkeypatch):
+        """Rows independent mod p are independent over Q: each add_row of a
+        row that rank_mod_p returned for a block it did not certify grows
+        the rank.  graded_piece adds those rows right after the call."""
+        events = []
+        rank_mod_p, add_row = linalg.rank_mod_p, linalg.EchelonBasis.add_row
+
+        def recording_rank(rows, ncols, p=linalg.PREFILTER_PRIME):
+            basis = rank_mod_p(rows, ncols, p)
+            if len(basis) < ncols:
+                events.append(len(basis))
+            return basis
+
+        def recording_add(self, row):
+            grew = add_row(self, row)
+            events.append(grew)
+            return grew
+
+        monkeypatch.setattr(linalg, "rank_mod_p", recording_rank)
+        monkeypatch.setattr(linalg.EchelonBasis, "add_row", recording_add)
+        system = make_system("bundle-p2")
+        for a in range(system.m + 2):
+            for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
+                jac.graded_piece(system, ideal, system.grading.scaled_beta(a))
+        starts = [i for i, e in enumerate(events) if type(e) is int]
+        assert len(starts) >= 2
+        for i in starts:
+            assert events[i + 1 : i + 1 + events[i]] == [True] * events[i]
+
+    def test_row_counters(self, bundle_p2):
+        """Only the modular row basis of a block is eliminated; every other
+        row is shown to have zero remainder.  Each piece below has one
+        certified block and one of corank 1."""
+        piece = jac.graded_piece(bundle_p2, jac.IDEAL_J, (4, 4))
+        assert (piece.eliminated_rows, piece.remainder_checked_rows) == (87, 48)
+        piece0 = jac.graded_piece(bundle_p2, jac.IDEAL_J0, (6, 6))
+        assert (piece0.eliminated_rows, piece0.remainder_checked_rows) == (168, 117)
 
     def test_block_with_fewer_rows_than_columns_skips_modular_rank(self, monkeypatch):
         calls = []

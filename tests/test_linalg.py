@@ -325,7 +325,7 @@ class TestRankModP:
             dense = random_matrix(rng, rows_n, cols, -20, 20)
             sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
             exact = linalg.rank_rational(dense)
-            modular = linalg.rank_mod_p(sparse, cols)
+            modular = len(linalg.rank_mod_p(sparse, cols))
             assert modular <= exact
             # entries far below the prime: equality expected
             assert modular == exact
@@ -334,8 +334,8 @@ class TestRankModP:
         rng = random.Random(37)
         dense = random_matrix(rng, 10, 8, -50, 50)
         sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
-        assert linalg.rank_mod_p(
-            sparse, 8, linalg.PREFILTER_PRIME
+        assert len(
+            linalg.rank_mod_p(sparse, 8, linalg.PREFILTER_PRIME)
         ) == linalg.rank_rational(dense)
 
     @pytest.mark.parametrize(
@@ -376,8 +376,38 @@ class TestRankModP:
                 for row in shifted
             ]
             shifted.insert(rng.randint(0, len(shifted)), {})
-            modular = linalg.rank_mod_p(shifted, cols, p)
+            modular = len(linalg.rank_mod_p(shifted, cols, p))
             assert modular == exact <= min(rows_n, cols, inner)
+
+    @pytest.mark.parametrize(
+        "rows, ncols, want",
+        [
+            ([{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}], 3, [0, 1, 3]),
+            # the third row ends left of the first missing pivot (2) but is
+            # not in the span of the first two: pivots 0..top must be full
+            ([{0: 1, 2: 1}, {1: 1}, {0: 1}], 3, [0, 1, 2]),
+        ],
+    )
+    def test_row_basis_known_answers(self, rows, ncols, want):
+        assert linalg.rank_mod_p(rows, ncols) == want
+
+    def test_row_basis_is_independent_and_spans(self):
+        """Random row orders with zero and duplicate rows: the returned rows
+        are independent over Q, ascending, and as many as the rank of all
+        the rows."""
+        rng = random.Random(47)
+        for _ in range(200):
+            cols = rng.randint(1, 7)
+            rows = [
+                {j: x for j in range(cols) if (x := rng.randint(-3, 3)) and rng.random() < 0.4}
+                for _ in range(rng.randint(1, 9))
+            ]
+            rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] + [{}]
+            rng.shuffle(rows)
+            basis = linalg.rank_mod_p(rows, cols)
+            assert basis == sorted(set(basis))
+            assert linalg.rank_rational(dense([rows[i] for i in basis], cols)) == len(basis)
+            assert len(basis) == linalg.rank_rational(dense(rows, cols))
 
 
 class TestConnectedBlocks:
