@@ -69,9 +69,10 @@ class QuotientBasis:
     ``monomials`` is the graded-lex basis of the ambient piece; ``basis`` the
     non-pivot monomials spanning the quotient.  Of the ``blocks`` blocks of
     relation rows (see ``graded_piece``), ``certified_blocks`` enter ``echelon``
-    as unit rows, and it is None exactly when they cover every column.
+    as unit rows, and it is None exactly when they cover every column;
+    ``lifted_blocks`` enter as the reduced rows of their lifted kernel.
     ``eliminated_rows`` rows went through ``add_row``, and
-    ``remainder_checked_rows`` were shown to have remainder zero.
+    ``remainder_checked_rows`` were verified exactly against a kernel.
     """
 
     degree: tuple[int, ...]
@@ -83,6 +84,7 @@ class QuotientBasis:
     echelon: linalg.EchelonBasis | None
     blocks: int = 0
     certified_blocks: int = 0
+    lifted_blocks: int = 0
     eliminated_rows: int = 0
     remainder_checked_rows: int = 0
     _index: dict[Monomial, int] | None = field(
@@ -176,14 +178,17 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
 
 def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> QuotientBasis:
     """The quotient at degree alpha, block by block.  Each connected block of
-    relation rows takes one of three paths; each spans the block's row space,
-    so the canonical pivots, basis and normal forms do not depend on it:
+    relation rows takes one of three paths; each stores rows spanning
+    exactly the block's row space, so the canonical pivots, basis and normal
+    forms do not depend on it:
       * certified, as unit rows: one column (its rows are nonzero), or rank
         mod p equal to the column count, which forces the rank over Q;
-      * exact on the modular row basis (``_eliminate_row_basis``), when the
-        rank mod p of a block with rows >= columns falls short;
+      * lifted (``linalg.lift_kernel``), when the rank mod p of a block with
+        rows >= columns falls short: its kernel, lifted p-adically and
+        verified against every row, gives the reduced rows;
       * exact on every row until full column rank: fewer rows than columns,
-        or no prefilter."""
+        no prefilter, or a lift that finds the rank over Q above the rank
+        mod p."""
     alpha = tuple(alpha)
     key = (ideal, alpha)
     cached = system._pieces.get(key)
@@ -194,30 +199,29 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
     ncols = len(monos)
     blocks = linalg.connected_blocks(rows, ncols)
     echelon = linalg.EchelonBasis(ncols)
-    certified = eliminated = checked = 0
+    certified = lifted = eliminated = checked = 0
     for cols, row_ids in blocks:
         # rows taken by highest column keep fill-in and coefficient growth
-        # down in both eliminations; the row space does not depend on order
+        # down in every path; the row space does not depend on order
         block_rows = sorted((rows[i] for i in row_ids), key=max)
-        row_basis = [0] if len(cols) == 1 else None
-        if row_basis is None and len(block_rows) >= len(cols) and system.use_prefilter:
-            local = {c: i for i, c in enumerate(cols)}
-            row_basis = linalg.rank_mod_p(  # re-keyed rows freed before the next block
-                [{local[c]: x for c, x in row.items()} for row in block_rows], len(cols)
-            )
-        if row_basis is None:
+        kernel = [] if len(cols) == 1 else None
+        if kernel is None and len(block_rows) >= len(cols) and system.use_prefilter:
+            for i in row_ids:  # so that re-keying block_rows frees each row
+                rows[i] = None
+            kernel = _block_kernel(block_rows, cols)
+        if kernel is None:
             full = echelon.rank + len(cols)
             for row in block_rows:
                 eliminated += 1
                 if echelon.add_row(row) and echelon.rank == full:
                     break
-        elif len(row_basis) == len(cols):
+        elif not kernel:
             echelon.add_unit_rows(cols)
             certified += 1
         else:
-            added = _eliminate_row_basis(echelon, cols, block_rows, row_basis)
-            eliminated += added
-            checked += len(block_rows) - added
+            echelon.add_kernel_rows(cols, kernel)
+            lifted += 1
+            checked += len(block_rows)
     pivots = echelon.pivots
     if certified == len(blocks) and echelon.is_full_column_rank():
         echelon = None  # every column certified, or no columns at all
@@ -225,41 +229,28 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
     basis = [mono for i, mono in enumerate(monos) if i not in pivot_set]
     piece = QuotientBasis(
         alpha, ideal, monos, len(pivots), pivots, basis, echelon,
-        len(blocks), certified, eliminated, checked,
+        len(blocks), certified, lifted, eliminated, checked,
     )
     system._pieces[key] = piece
     return piece
 
 
-def _eliminate_row_basis(echelon, cols, rows, row_basis) -> int:
-    """Eliminate the rows at ``row_basis`` (independent mod p, so over Q) and
-    show the others to have remainder zero by the block's back-substitution
-    table; returns the count eliminated.  A row with remainder rho != 0 (p
-    divides a minor) is eliminated too: each entry loses entry[c]/rho[c] * rho,
-    c = min(rho) its pivot."""
-    for i in row_basis:
-        echelon.add_row(rows[i])
-    table = {c: {c: Fraction(1)} for c in cols if c not in echelon.rows}
-    echelon.back_substitute(table, cols)
-    skip, added = set(row_basis), len(row_basis)
-    for row in (row for i, row in enumerate(rows) if i not in skip):
-        acc: dict[int, Fraction] = {}
-        for col, y in row.items():
-            for k, x in table[col].items():
-                acc[k] = acc.get(k, 0) + y * x
-        rho = {k: x for k, x in acc.items() if x}
-        if rho:
-            echelon.add_row(row)
-            added += 1
-            c = min(rho)
-            for entry in table.values():
-                if c in entry:
-                    t = entry[c] / rho[c]
-                    for k, x in rho.items():
-                        entry[k] = entry.get(k, 0) - t * x
-                        if not entry[k]:
-                            del entry[k]
-    return added
+def _block_kernel(rows: list[dict[int, int]], cols) -> list[list[int]] | None:
+    """The block's verified kernel over Q on its local columns, [] when its
+    rank mod p is full, None when the rank over Q exceeds the rank mod p.
+    ``rows`` are re-keyed to local columns in place, one at a time, and
+    back on None; the factorization lives only for this call."""
+    local = {c: i for i, c in enumerate(cols)}
+    for k, row in enumerate(rows):
+        rows[k] = {local[c]: x for c, x in row.items()}
+    basis = linalg.rank_mod_p(rows, len(cols))
+    if basis.rank == len(cols):
+        return []
+    kernel = linalg.lift_kernel(rows, len(cols), basis)
+    if kernel is None:
+        for k, row in enumerate(rows):
+            rows[k] = {cols[c]: x for c, x in row.items()}
+    return kernel
 
 
 def dim_R(system: JacobianSystem, a: int) -> int:

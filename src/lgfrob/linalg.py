@@ -2,18 +2,25 @@
 
 One kernel per job:
 
-  * ``EchelonBasis`` does all rational elimination: the Jacobian pieces'
-    row spaces and ``rank_rational`` (e.g. of the Gram matrices).  Rows are
-    integer sparse dicts (denominators cleared, content removed), so its
-    inner loop is integer rather than Fraction arithmetic;
+  * ``rank_mod_p`` is the one modular kernel: its row basis certifies a
+    block of full column rank, and the factorization it records on the way
+    serves the lift;
+  * ``lift_kernel`` is the one lift: the kernel of a block of lower rank mod
+    p, lifted p-adically, reconstructed and verified exactly against every
+    row, or None when the rank over Q is higher than mod p;
+    ``EchelonBasis.add_kernel_rows`` stores the block's reduced rows from it;
+  * ``EchelonBasis`` does all other rational elimination: the blocks that
+    are neither certified nor lifted, and ``rank_rational`` (e.g. of the
+    Gram matrices).  Rows are integer sparse dicts (denominators cleared,
+    content removed), so its inner loop is integer rather than Fraction
+    arithmetic;
   * ``inverse_int`` is the one Bareiss routine: ``(det, adj)`` of a cone
-    matrix, and the determinant wherever one is needed;
+    matrix or of a lifted kernel on its non-pivots, and the determinant
+    wherever one is needed;
   * ``smith_normal_form`` (with ``solve_integer`` and ``invariant_factors``)
     and ``hermite_row_canonical`` compute the class-group grading and solve
     for integer points and unimodular transforms;
-  * ``connected_blocks`` splits a sparse matrix into independent blocks, and
-    ``rank_mod_p`` is the modular prefilter: its row basis certifies a block
-    of full column rank, or names the only rows the exact echelon eliminates.
+  * ``connected_blocks`` splits a sparse matrix into independent blocks.
 
 Conventions:
   * dense matrices are lists of lists, row major;
@@ -25,7 +32,9 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
+from operator import mul
+from struct import pack
 from typing import Iterable, Mapping, Sequence
 
 # Prime of the modular full-rank certificate (the Mersenne prime 2^31 - 1).
@@ -298,6 +307,37 @@ class EchelonBasis:
         for c in cols:
             self.rows[c] = {c: 1}
 
+    def add_kernel_rows(self, cols: Sequence[int], kernel: Sequence[Sequence[int]]) -> None:
+        """Insert the reduced rows of a block whose row space is exactly the
+        annihilator of ``kernel``: d independent integer vectors K indexed
+        like ``cols``.  The non-pivots B are canonical: scanning from the
+        highest column down, a column joins B when its row of K is
+        independent of the rows above it (for d = 1, the highest column with
+        K[c] != 0).  For c not in B, K[c] then lies in the span of the rows
+        of B above c, so e_c - sum_b N[c, b] e_b, N = K K_B^-1 = K adj / det
+        cleared to integers, has pivot c; back substitution reads the
+        remainder of e_c straight off it."""
+        d = len(kernel)
+        scan = EchelonBasis(d)
+        free = []
+        for i in reversed(range(len(cols))):
+            if scan.rank == d:
+                break
+            if scan.add_row({k: v[i] for k, v in enumerate(kernel) if v[i]}):
+                free.append(i)
+        free.reverse()
+        det, adj = inverse_int([[v[b] for v in kernel] for b in free])
+        skip = set(free)
+        for i, c in enumerate(cols):
+            if i in skip:
+                continue
+            row = {c: det}
+            for j, b in enumerate(free):
+                if x := sum(v[i] * adj[k][j] for k, v in enumerate(kernel)):
+                    row[cols[b]] = -x
+            g = gcd(*row.values()) * (1 if det > 0 else -1)
+            self.rows[c] = {col: x // g for col, x in row.items()}
+
     def add_row(self, row: Mapping[int, Fraction | int]) -> bool:
         """Insert a row; returns True if the rank grew."""
         work = clear_denominators(row)
@@ -430,23 +470,51 @@ def connected_blocks(
 
 
 # ---------------------------------------------------------------------------
-# modular rank prefilter
+# modular rank prefilter and p-adic kernel lifting
+
+
+class ModularEchelon:
+    """The row basis mod ``p`` that ``rank_mod_p`` found, with the elimination
+    that found it.  ``steps`` holds one ``(row, pivot, inverse, multipliers,
+    tail)`` per row that raised the rank, in order.  ``multipliers`` packs,
+    as C ints (``memoryview(multipliers).cast("i")`` reads them), the
+    reduced row on the columns just left of its pivot: x at a column c that
+    is an earlier pivot, 0 elsewhere.  The row minus x times pivot row c
+    over those columns is ``1 / inverse`` times e_pivot + ``tail`` mod p,
+    and ``tail`` lists ``(column, value)`` right of the pivot.  At 4 bytes
+    an entry, the multipliers of bundle-p2's 475-column block take 190 KB,
+    which pairs of Python ints would take several times over."""
+
+    def __init__(self, p: int, steps: list[tuple[int, int, int, bytes, list]]):
+        self.p, self.steps = p, steps
+
+    @property
+    def rows(self) -> list[int]:
+        """Positions of the rows that raised the rank mod p, ascending; they
+        are independent over Q too."""
+        return [step[0] for step in self.steps]
+
+    @property
+    def rank(self) -> int:
+        return len(self.steps)
 
 
 def rank_mod_p(
     rows: Sequence[Mapping[int, int]],
     ncols: int,
     p: int = PREFILTER_PRIME,
-) -> list[int]:
-    """Row basis mod ``p`` of an integer sparse matrix: the positions of the
-    rows that raised the rank mod p (independent over Q too).  Sparse
-    incremental echelon until full column rank: each row, dense from its
-    lowest column, is reduced mod p by the pivot rows so far, kept as their
-    ``(column, value)`` pairs right of a pivot scaled to 1.  A row ending at
-    or before top, the highest column reduced so far, is skipped when the
-    pivots (all <= top) number top + 1: they span e_0..e_top."""
+) -> ModularEchelon:
+    """Row basis mod ``p`` (a prime at most 2^31, so that the multipliers
+    fit 32 bits) of an integer sparse matrix, with its factorization.
+    Sparse incremental echelon until full column rank: each row, dense from
+    its lowest column, is reduced mod p by the pivot rows so far, kept as
+    their ``(column, value)`` pairs right of a pivot scaled to 1.  A row
+    ending at or before top, the highest column reduced so far, is skipped
+    when the pivots (all <= top) number top + 1: they span e_0..e_top."""
+    if not 2 <= p <= 1 << 31:
+        raise ValueError(f"prime {p} out of range 2..2^31")
     pivots: dict[int, list[tuple[int, int]]] = {}
-    basis: list[int] = []
+    steps = []
     top = -1
     for k, row in enumerate(rows):
         if not row:
@@ -460,20 +528,127 @@ def rank_mod_p(
         for c, x in row.items():
             dense[c - lo] = x
         for i, x in enumerate(dense):  # the iterator sees updates to later entries
-            if not x or not (x := x % p):
+            if not x:
+                continue
+            dense[i] = x = x % p  # left of the pivot, dense becomes the multipliers
+            if not x:
                 continue
             tail = pivots.get(lo + i)
             if tail is None:
                 inv = pow(x, -1, p)
-                pivots[lo + i] = [
+                pivots[lo + i] = tail = [
                     (lo + j, y * inv % p)
                     for j in range(i + 1, len(dense))
                     if (y := dense[j] % p)
                 ]
-                basis.append(k)
+                steps.append((k, lo + i, inv, pack(f"{i}i", *dense[:i]), tail))
                 break
             for c, y in tail:
                 dense[c - lo] -= x * y
         if len(pivots) == ncols:
             break
-    return basis
+    return ModularEchelon(p, steps)
+
+
+def rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    """``(n, d)`` with n = u * d mod m, |n| <= bound and 0 < d <= bound, by
+    the extended Euclidean algorithm on (m, u) stopped at the first
+    remainder <= bound (Wang); unique when 2 * bound^2 < m.  None when the
+    cofactor d there exceeds the bound."""
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def reconstruct_vector(x: Sequence[int], m: int) -> list[int] | None:
+    """Integers ``n`` with x_i = n_i / den mod m for one den > 0, where every
+    |n_i| and den are at most isqrt(m // 2); None if there are none.  den is
+    built up entry by entry: x_i * den mod m is reconstructed only when it is
+    not already small, and its denominator joins den."""
+    bound, half = isqrt(m // 2), m // 2
+    den = 1
+    for v in x:
+        u = v * den % m
+        if min(u, m - u) > bound:
+            frac = rational_reconstruction(u, m, bound)
+            if frac is None or (den := den * frac[1]) > bound:
+                return None
+    out = []
+    for v in x:
+        n = v * den % m
+        if n > half:
+            n -= m
+        if abs(n) > bound:
+            return None
+        out.append(n)
+    return out
+
+
+def lift_kernel(
+    rows: Sequence[Mapping[int, int]], ncols: int, echelon: ModularEchelon
+) -> list[list[int]] | None:
+    """A basis of the kernel {x : row . x = 0 for every row} over Q, one
+    integer vector per column f left free by ``echelon`` (the
+    ``rank_mod_p`` of ``rows``), each a positive multiple of e_f on the free
+    columns; None when the rank over Q exceeds the rank mod p.
+
+    Dixon's p-adic lifting: with x = e_f + sum_i y_i p^i and the residual
+    rho_0 = -A e_f of *every* row, each step solves A_R y_i = rho_i mod p on
+    the row basis R through the recorded factorization (forward through the
+    multipliers, back through the pivot tails) and sets rho_{i+1} =
+    (rho_i - A y_i) / p.  If the rank over Q is that mod p, every row is a
+    rational combination of R with denominators prime to p and all residuals
+    stay integers; a residual not divisible by p proves a row independent of
+    R over Q.  After every step the vector is rationally reconstructed mod
+    p^(i+1) and accepted only when every row annihilates it in exact
+    integer arithmetic.
+
+    Why an accepted result is exact: the |R| rows are independent mod p, so
+    the rank over Q is at least ncols - d; the d accepted vectors are
+    independent (multiples of the identity on the free columns), so it is
+    exactly ncols - d and they span the kernel.  Termination: by Cramer and
+    Hadamard, numerators and denominator of the kernel vector are at most H,
+    the product of the norms of the rows of R.  Once p^(i+1) >= 2 H^2,
+    reconstruction finds it if the ranks agree, so a vector still not
+    accepted there means they do not.
+    """
+    p, steps = echelon.p, echelon.steps
+    pivots = {step[1] for step in steps}
+    forward = [(k, c, inv, memoryview(m).cast("i")) for k, c, inv, m, _ in steps]
+    backward = sorted(steps, key=lambda step: step[1], reverse=True)
+    cap = 2 * prod(sum(x * x for x in rows[step[0]].values()) for step in steps)
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        rho = [-row.get(f, 0) for row in rows]
+        x = [0] * ncols
+        x[f] = scale = 1
+        while True:
+            y = [0] * ncols  # y[c] for pivot c holds U_c . y_i between the sweeps
+            for k, c, inv, multipliers in forward:
+                left = y[c - len(multipliers) : c]
+                y[c] = (rho[k] - sum(map(mul, multipliers, left))) * inv % p
+            for _, c, _, _, tail in backward:
+                y[c] = (y[c] - sum(v * y[b] for b, v in tail)) % p
+            for k, row in enumerate(rows):
+                r, miss = divmod(rho[k] - sum(a * y[c] for c, a in row.items()), p)
+                if miss:
+                    return None
+                rho[k] = r
+            for c in pivots:
+                x[c] += y[c] * scale
+            scale *= p
+            vector = reconstruct_vector(x, scale)
+            if vector is not None and not any(
+                sum(a * vector[c] for c, a in row.items()) for row in rows
+            ):
+                kernel.append(vector)
+                break
+            if scale >= cap:
+                return None
+    return kernel

@@ -3,7 +3,8 @@
 None of these is used by the program.  Each one is the plain, slow way to
 compute what a kernel of ``lgfrob`` computes the fast way: dense Fraction
 Gauss-Jordan next to the sparse integer ``EchelonBasis``, cofactor expansion
-next to Bareiss, a bounding-box sweep next to the Fourier-Motzkin monomial
+next to Bareiss, the product of the recorded factors next to the modular
+elimination, a bounding-box sweep next to the Fourier-Motzkin monomial
 enumeration, and polynomial lifts next to the direct trace.
 """
 
@@ -41,6 +42,28 @@ def rref(matrix):
         if r == nrows:
             break
     return rows, r, tuple(pivots)
+
+
+def rows_from_factorization(echelon, ncols):
+    """Each row that ``linalg.rank_mod_p`` kept, rebuilt mod p as dense lists
+    from its recorded step alone: 1/inverse times e_pivot + tail, plus x
+    times pivot row c for each nonzero multiplier x, at column c left of
+    the pivot."""
+    p = echelon.p
+    pivot_rows, out = {}, []
+    for _, pivot, inverse, multipliers, tail in echelon.steps:
+        unit = [0] * ncols
+        unit[pivot] = 1
+        for c, v in tail:
+            unit[c] = v
+        pivot_rows[pivot] = unit
+        row = [x * pow(inverse, -1, p) % p for x in unit]
+        multipliers = memoryview(multipliers).cast("i")
+        for c, x in enumerate(multipliers, pivot - len(multipliers)):
+            if x:
+                row = [(a + x * b) % p for a, b in zip(row, pivot_rows[c])]
+        out.append(row)
+    return out
 
 
 def det(a):

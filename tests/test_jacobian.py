@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from reference import rows_from_factorization
 
 from lgfrob import jacobian as jac
 from lgfrob import linalg
@@ -234,10 +235,14 @@ class TestBlocks:
                 assert_same_piece(piece, *plain_piece(system, ideal, alpha))
 
     def test_simulated_modular_miss_falls_back_to_exact(self, monkeypatch):
-        """A block whose rank mod p falls short (as when p divides a minor)
-        is eliminated exactly: the piece equals the one built without the
-        modular certificate.  R(f)_{2 beta} of bundle-p2 has one block that
-        is certified mod p and one (88 columns, rank 87) that is not."""
+        """A block whose rank mod p falls short of its rank over Q (as when p
+        divides a minor) is eliminated exactly: the piece equals the one
+        built without the modular certificate.  R(f)_{2 beta} of bundle-p2
+        has one block that is certified mod p and one (88 columns, rank 87)
+        that is lifted.  Dropping the last step of the certified block's
+        factorization leaves its last basis row out of the row basis; the
+        lift reports the miss because of that row: over the other basis
+        rows alone it succeeds, and with the dropped row added it fails."""
         ideal, alpha = jac.IDEAL_J, (4, 4)
         certified = jac.graded_piece(make_system("bundle-p2"), ideal, alpha)
         exact = make_system("bundle-p2")
@@ -245,24 +250,42 @@ class TestBlocks:
         reference = jac.graded_piece(exact, ideal, alpha)
         assert reference.certified_blocks == 0  # neither block is one column
 
-        original = linalg.rank_mod_p
-        missed = []
+        original, lift = linalg.rank_mod_p, linalg.lift_kernel
+        missed, lifts = [], []
 
         def miss_once(rows, ncols, p=linalg.PREFILTER_PRIME):
             basis = original(rows, ncols, p)
-            if len(basis) == ncols and not missed:
-                missed.append(ncols)
-                return basis[:-1]
+            if basis.rank == ncols and not missed:
+                missed.append((basis, linalg.ModularEchelon(p, basis.steps[:-1])))
+                return missed[0][1]
             return basis
 
+        def recording_lift(rows, ncols, basis):
+            kernel = lift(rows, ncols, basis)
+            lifts.append((list(rows), basis, kernel))  # re-keyed back on None
+            return kernel
+
         monkeypatch.setattr(linalg, "rank_mod_p", miss_once)
+        monkeypatch.setattr(linalg, "lift_kernel", recording_lift)
         piece = jac.graded_piece(make_system("bundle-p2"), ideal, alpha)
         assert missed, "no block was certified mod p"
+        full, short = missed[0]
+        rows, kernel = next((rows, k) for rows, b, k in lifts if b is short)
+        assert kernel is None
+        ncols, dropped = full.rank, full.rows[-1]
+        kept = set(short.rows)
+        others = [row if k in kept else {} for k, row in enumerate(rows)]
+        assert len(lift(others, ncols, short)) == 1
+        others[dropped] = rows[dropped]
+        assert lift(others, ncols, short) is None
+
         assert piece.echelon is not None
         assert piece.blocks == reference.blocks
         assert piece.certified_blocks == certified.certified_blocks - 1
-        # the dropped row has a nonzero remainder, so it is eliminated too
-        assert piece.eliminated_rows == certified.eliminated_rows + missed[0]
+        assert piece.lifted_blocks == certified.lifted_blocks == 1
+        # the fallback block is eliminated row by row up to its full rank
+        assert certified.eliminated_rows == 0
+        assert piece.eliminated_rows >= ncols
         monos, plain = plain_piece(exact, ideal, alpha)
         assert_same_piece(piece, monos, plain)
         assert_same_piece(reference, monos, plain)
@@ -270,20 +293,21 @@ class TestBlocks:
     @pytest.mark.parametrize("name", ["bundle-p2", "p1xp1"])
     def test_small_prime_misses_fall_back_to_exact(self, name, monkeypatch):
         """With the prefilter at p = 3, where rank mod p falls short of the
-        rank over Q, every piece still equals the plain echelon: rows with a
-        nonzero remainder are eliminated, whatever p is."""
-        original, eliminate = linalg.rank_mod_p, jac._eliminate_row_basis
+        rank over Q, every piece still equals the plain echelon: the lift
+        reports each miss and the block is eliminated row by row, whatever
+        p is."""
+        original, lift = linalg.rank_mod_p, linalg.lift_kernel
         fallbacks = []
 
         def mod_3(rows, ncols, p=linalg.PREFILTER_PRIME):
             return original(rows, ncols, 3)
 
-        def counting(echelon, cols, rows, row_basis):
-            added = eliminate(echelon, cols, rows, row_basis)
-            fallbacks.append(added - len(row_basis))
-            return added
+        def counting(rows, ncols, basis):
+            kernel = lift(rows, ncols, basis)
+            fallbacks.append(kernel is None)
+            return kernel
 
-        monkeypatch.setattr(jac, "_eliminate_row_basis", counting)
+        monkeypatch.setattr(linalg, "lift_kernel", counting)
         monkeypatch.setattr(linalg, "rank_mod_p", mod_3)
         system = make_system(name)
         for a in range(system.m + 2):
@@ -291,45 +315,90 @@ class TestBlocks:
             for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
                 piece = jac.graded_piece(system, ideal, alpha)
                 assert_same_piece(piece, *plain_piece(system, ideal, alpha))
-        assert sum(fallbacks) > 0, "no row had a nonzero remainder"
+        assert sum(fallbacks) > 0, "no lift found the rank over Q above mod 3"
 
-    def test_modular_row_basis_grows_the_rank(self, monkeypatch):
-        """Rows independent mod p are independent over Q: each add_row of a
-        row that rank_mod_p returned for a block it did not certify grows
-        the rank.  graded_piece adds those rows right after the call."""
-        events = []
-        rank_mod_p, add_row = linalg.rank_mod_p, linalg.EchelonBasis.add_row
+    def test_lift_uses_the_modular_factorization(self, monkeypatch):
+        """One modular elimination per block: the lift of every block that
+        rank_mod_p does not certify receives the factorization rank_mod_p
+        returned, every row it keeps is in it, once and independent over
+        Q, the factorization reproduces each of those rows mod p, and the
+        lifted kernel annihilates every row of the block."""
+        returned, lifted = [], []
+        rank_mod_p, lift = linalg.rank_mod_p, linalg.lift_kernel
 
         def recording_rank(rows, ncols, p=linalg.PREFILTER_PRIME):
             basis = rank_mod_p(rows, ncols, p)
-            if len(basis) < ncols:
-                events.append(len(basis))
+            if basis.rank < ncols:
+                returned.append(basis)
             return basis
 
-        def recording_add(self, row):
-            grew = add_row(self, row)
-            events.append(grew)
-            return grew
+        def recording_lift(rows, ncols, basis):
+            kernel = lift(rows, ncols, basis)
+            lifted.append((list(rows), ncols, basis, kernel))
+            return kernel
 
         monkeypatch.setattr(linalg, "rank_mod_p", recording_rank)
-        monkeypatch.setattr(linalg.EchelonBasis, "add_row", recording_add)
+        monkeypatch.setattr(linalg, "lift_kernel", recording_lift)
         system = make_system("bundle-p2")
         for a in range(system.m + 2):
             for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
                 jac.graded_piece(system, ideal, system.grading.scaled_beta(a))
-        starts = [i for i, e in enumerate(events) if type(e) is int]
-        assert len(starts) >= 2
-        for i in starts:
-            assert events[i + 1 : i + 1 + events[i]] == [True] * events[i]
+        assert len(lifted) >= 2
+        assert [basis for _, _, basis, _ in lifted] == returned
+        for (rows, ncols, basis, kernel), want in zip(lifted, returned):
+            assert basis is want
+            kept = basis.rows
+            assert kept == sorted(set(kept))
+            assert len({step[1] for step in basis.steps}) == len(kept)
+            assert linalg.rank_rational([
+                [rows[k].get(c, 0) for c in range(ncols)] for k in kept
+            ]) == len(kept)
+            assert rows_from_factorization(basis, ncols) == [
+                [rows[k].get(c, 0) % basis.p for c in range(ncols)] for k in kept
+            ]
+            assert len(kernel) == ncols - len(kept)
+            for vector in kernel:
+                assert all(
+                    sum(x * vector[c] for c, x in row.items()) == 0 for row in rows
+                )
 
     def test_row_counters(self, bundle_p2):
-        """Only the modular row basis of a block is eliminated; every other
-        row is shown to have zero remainder.  Each piece below has one
-        certified block and one of corank 1."""
+        """No row of a lifted block is eliminated; every one is verified
+        against its kernel.  Each piece below has one certified block and
+        one of corank 1."""
         piece = jac.graded_piece(bundle_p2, jac.IDEAL_J, (4, 4))
-        assert (piece.eliminated_rows, piece.remainder_checked_rows) == (87, 48)
+        assert (piece.eliminated_rows, piece.remainder_checked_rows) == (0, 135)
         piece0 = jac.graded_piece(bundle_p2, jac.IDEAL_J0, (6, 6))
-        assert (piece0.eliminated_rows, piece0.remainder_checked_rows) == (168, 117)
+        assert (piece0.eliminated_rows, piece0.remainder_checked_rows) == (0, 285)
+
+    @pytest.mark.parametrize("always", [False, True])
+    def test_perturbed_kernel_entry_is_rejected(self, always, monkeypatch):
+        """Fault injection: one entry of a reconstructed kernel vector is
+        off by one, in the first reconstruction or in every one.  The exact
+        check against every row rejects it: once, and a later step is
+        accepted; always, and the lift reports a miss at its bound, so the
+        block is eliminated row by row.  Either way the piece equals the
+        plain echelon."""
+        original = linalg.reconstruct_vector
+        perturbed = []
+
+        def perturb(x, m):
+            vector = original(x, m)
+            if vector is not None and (always or not perturbed):
+                i = max(c for c, v in enumerate(vector) if v)
+                vector[i] += 1
+                perturbed.append(i)
+            return vector
+
+        monkeypatch.setattr(linalg, "reconstruct_vector", perturb)
+        system = make_system("bundle-p2")
+        ideal, alpha = jac.IDEAL_J, (4, 4)
+        piece = jac.graded_piece(system, ideal, alpha)
+        assert perturbed
+        assert (piece.blocks, piece.certified_blocks) == (2, 1)
+        assert piece.lifted_blocks == (0 if always else 1)
+        assert (piece.eliminated_rows > 0) == always
+        assert_same_piece(piece, *plain_piece(system, ideal, alpha))
 
     def test_block_with_fewer_rows_than_columns_skips_modular_rank(self, monkeypatch):
         calls = []
@@ -357,8 +426,10 @@ class TestBlocks:
         piece = jac.graded_piece(bundle_p2, jac.IDEAL_J, (8, 8))
         assert (piece.blocks, piece.certified_blocks) == (2, 2)
         assert piece.echelon is None and piece.dim == 0
+        piece = jac.graded_piece(bundle_p2, jac.IDEAL_J, (4, 4))
+        assert (piece.blocks, piece.certified_blocks, piece.lifted_blocks) == (2, 1, 1)
         piece0 = jac.graded_piece(bundle_p2, jac.IDEAL_J0, (6, 6))
-        assert (piece0.blocks, piece0.certified_blocks) == (2, 1)
+        assert (piece0.blocks, piece0.certified_blocks, piece0.lifted_blocks) == (2, 1, 1)
         assert piece0.dim == 1
         quartic = make_system("projective-4")
         piece = jac.graded_piece(quartic, jac.IDEAL_J, (16,))

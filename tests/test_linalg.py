@@ -7,10 +7,11 @@ Gauss-Jordan itself on known answers."""
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from reference import det as reference_det
-from reference import mat_mul_int, rref
+from reference import mat_mul_int, rows_from_factorization, rref
 
 from lgfrob import linalg
 
@@ -325,7 +326,7 @@ class TestRankModP:
             dense = random_matrix(rng, rows_n, cols, -20, 20)
             sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
             exact = linalg.rank_rational(dense)
-            modular = len(linalg.rank_mod_p(sparse, cols))
+            modular = linalg.rank_mod_p(sparse, cols).rank
             assert modular <= exact
             # entries far below the prime: equality expected
             assert modular == exact
@@ -334,9 +335,9 @@ class TestRankModP:
         rng = random.Random(37)
         dense = random_matrix(rng, 10, 8, -50, 50)
         sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
-        assert len(
-            linalg.rank_mod_p(sparse, 8, linalg.PREFILTER_PRIME)
-        ) == linalg.rank_rational(dense)
+        assert linalg.rank_mod_p(
+            sparse, 8, linalg.PREFILTER_PRIME
+        ).rank == linalg.rank_rational(dense)
 
     @pytest.mark.parametrize(
         "shape, inner",
@@ -376,7 +377,7 @@ class TestRankModP:
                 for row in shifted
             ]
             shifted.insert(rng.randint(0, len(shifted)), {})
-            modular = len(linalg.rank_mod_p(shifted, cols, p))
+            modular = linalg.rank_mod_p(shifted, cols, p).rank
             assert modular == exact <= min(rows_n, cols, inner)
 
     @pytest.mark.parametrize(
@@ -389,7 +390,7 @@ class TestRankModP:
         ],
     )
     def test_row_basis_known_answers(self, rows, ncols, want):
-        assert linalg.rank_mod_p(rows, ncols) == want
+        assert linalg.rank_mod_p(rows, ncols).rows == want
 
     def test_row_basis_is_independent_and_spans(self):
         """Random row orders with zero and duplicate rows: the returned rows
@@ -404,10 +405,164 @@ class TestRankModP:
             ]
             rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] + [{}]
             rng.shuffle(rows)
-            basis = linalg.rank_mod_p(rows, cols)
+            basis = linalg.rank_mod_p(rows, cols).rows
             assert basis == sorted(set(basis))
             assert linalg.rank_rational(dense([rows[i] for i in basis], cols)) == len(basis)
             assert len(basis) == linalg.rank_rational(dense(rows, cols))
+
+    @pytest.mark.parametrize("p", [3, linalg.PREFILTER_PRIME])
+    def test_factorization_rebuilds_the_kept_rows(self, p):
+        """Seeded matrices with entries shifted by multiples of p: the
+        recorded step of each kept row rebuilds that row mod p, and a prime
+        above 2^31, whose multipliers would not fit 32 bits, is refused."""
+        rng = random.Random(67 + p % 7)
+        for _ in range(100):
+            cols = rng.randint(1, 7)
+            rows = [
+                {j: rng.randint(-3, 3) + p * rng.randint(-2, 2) for j in range(cols)
+                 if rng.random() < 0.5}
+                for _ in range(rng.randint(1, 9))
+            ]
+            basis = linalg.rank_mod_p(rows, cols, p)
+            assert rows_from_factorization(basis, cols) == [
+                [rows[k].get(c, 0) % p for c in range(cols)] for k in basis.rows
+            ]
+        with pytest.raises(ValueError):
+            linalg.rank_mod_p([{0: 1}], 1, (1 << 31) + 11)
+
+
+def sparse(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def null_space_rref(matrix, ncols):
+    """RREF of the reference null space: for each non-pivot b of the RREF
+    of ``matrix``, x_b = 1 and x at pivot i = -R[i][b]."""
+    reduced, rank, pivots = rref(matrix)
+    basis = []
+    for b in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[b] = Fraction(1)
+        for i, c in enumerate(pivots):
+            x[c] = -reduced[i][b]
+        basis.append(x)
+    return rref(basis)[0] if basis else []
+
+
+def assert_lifted_block(rows, ncols, p=linalg.PREFILTER_PRIME):
+    """The lifted kernel spans the reference null space, and the rows that
+    ``add_kernel_rows`` stores are the RREF rows of the matrix, each scaled
+    to integers with content 1 and a positive pivot."""
+    matrix = dense(rows, ncols)
+    basis = linalg.rank_mod_p(rows, ncols, p)
+    kernel = linalg.lift_kernel(rows, ncols, basis)
+    assert kernel is not None and len(kernel) == ncols - basis.rank
+    assert rref(kernel)[0] == null_space_rref(matrix, ncols)
+    reduced, rank, pivots = rref(matrix)
+    echelon = linalg.EchelonBasis(ncols)
+    echelon.add_kernel_rows(range(ncols), kernel)
+    assert echelon.pivots == pivots
+    for i, c in enumerate(pivots):
+        row = echelon.rows[c]
+        assert row[c] > 0 and gcd(*row.values()) == 1
+        assert {j: Fraction(x, row[c]) for j, x in row.items()} == {
+            j: x for j, x in enumerate(reduced[i]) if x
+        }
+    return basis, kernel
+
+
+class TestLiftKernel:
+    @pytest.mark.parametrize("corank", [1, 2, 3])
+    def test_large_kernels_match_reference(self, corank):
+        """Seeded matrices of 36 columns and corank 1 to 3, with more rows
+        than columns (a basis and random integer combinations of it):
+        kernel entries run above 200 bits, and the lift reproduces the
+        reference null space and the RREF exactly."""
+        rng = random.Random(53 + corank)
+        ncols = 36
+        top = random_matrix(rng, ncols - corank, ncols, -99, 99)
+        mix = random_matrix(rng, corank + 3, ncols - corank, -2, 2)
+        rows = sparse(top + mat_mul_int(mix, top))
+        _, kernel = assert_lifted_block(rows, ncols)
+        assert max(abs(x).bit_length() for v in kernel for x in v) > 200
+
+    def test_free_columns_mod_p_differ_from_canonical(self):
+        """3 divides the pivot 3 of the first row, so mod 3 the free column
+        is 0 while the canonical non-pivot is 2; the lift still gives the
+        RREF [[1, 0, -1/3], [0, 1, 1]]."""
+        rows = [{0: 3, 1: 1}, {1: 1, 2: 1}, {0: 3, 1: 2, 2: 1}]
+        basis, kernel = assert_lifted_block(rows, 3, p=3)
+        assert {0, 1, 2} - {step[1] for step in basis.steps} == {0}
+        assert kernel == [[1, -3, 3]]
+
+    def test_random_small_prime_pivots(self):
+        """Seeded 4 to 7 column matrices at p = 5 whose rank mod 5 equals
+        their rank over Q: whenever the free columns mod 5 differ from the
+        canonical non-pivots, the lift still gives the reference RREF."""
+        rng = random.Random(59)
+        differ = 0
+        for _ in range(120):
+            ncols = rng.randint(4, 7)
+            top = random_matrix(rng, rng.randint(1, ncols - 1), ncols, -6, 6)
+            rows = sparse(top + mat_mul_int(random_matrix(rng, 3, len(top), -2, 2), top))
+            exact = linalg.rank_rational(dense(rows, ncols))
+            basis = linalg.rank_mod_p(rows, ncols, 5)
+            if basis.rank != exact or exact == ncols:
+                continue
+            free = {c for c in range(ncols)} - {step[1] for step in basis.steps}
+            differ += free != set(range(ncols)) - set(rref(dense(rows, ncols))[2])
+            assert_lifted_block(rows, ncols, p=5)
+        assert differ >= 10
+
+    def test_rank_over_q_above_rank_mod_p_is_reported(self, monkeypatch):
+        """Mod 3 the rows [10, 10] and [1, 4] agree, so rank mod 3 is 1 and
+        the rank over Q 2.  The second row's residual is not divisible by 3
+        at the second step, so the lift returns None after one
+        reconstruction, not at its bound 3^6 > 2 * 200.  Where the residuals
+        stay divisible longer, the bound ends the lift.  Seeded random
+        matrices whose rank mod 3 falls short are reported as well."""
+        rows = [{0: 10, 1: 10}, {0: 1, 1: 4}]
+        basis = linalg.rank_mod_p(rows, 2, 3)
+        assert basis.rank == 1
+        original, calls = linalg.reconstruct_vector, []
+
+        def counting(x, m):
+            calls.append(m)
+            return original(x, m)
+
+        monkeypatch.setattr(linalg, "reconstruct_vector", counting)
+        assert linalg.lift_kernel(rows, 2, basis) is None
+        assert calls == [3]
+        # [1, 1 + 3^5] meets the kernel vector (-1, 1) in 3^5, so its
+        # residual stays divisible until the sixth step; the bound 2 * 2
+        # stops the lift at the second
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + 3**5}]
+        calls.clear()
+        assert linalg.lift_kernel(rows, 2, linalg.rank_mod_p(rows, 2, 3)) is None
+        assert calls == [3, 9]
+        rng = random.Random(61)
+        missed = 0
+        for _ in range(300):
+            ncols = rng.randint(2, 6)
+            rows = sparse(random_matrix(rng, ncols + 1, ncols, -4, 4))
+            basis = linalg.rank_mod_p(rows, ncols, 3)
+            if basis.rank < linalg.rank_rational(dense(rows, ncols)):
+                missed += 1
+                assert linalg.lift_kernel(rows, ncols, basis) is None
+        assert missed >= 10
+
+    def test_reconstruction(self):
+        """Wang's reconstruction recovers n/d from n / d mod m when |n| and d
+        are at most isqrt(m // 2); a vector is put over one common
+        denominator, or refused when that denominator would exceed it."""
+        m = 5**40
+        for n, d in [(0, 1), (5, 1), (-7, 3), (123457, 789), (-1, 2**20)]:
+            u = n * pow(d, -1, m) % m
+            assert linalg.rational_reconstruction(u, m, isqrt(m // 2)) == (n, d)
+        thirds = [pow(2, -1, m), pow(3, -1, m), 5 * pow(6, -1, m) % m]
+        assert linalg.reconstruct_vector(thirds, m) == [3, 2, 5]
+        # at m = 49 the bound is 4: 1/3 and 1/2 fit, their denominator 6 not
+        assert linalg.reconstruct_vector([pow(3, -1, 49), pow(2, -1, 49)], 49) is None
 
 
 class TestConnectedBlocks:
