@@ -193,29 +193,46 @@ def plain_piece(system, ideal, alpha):
     """Reference: every relation row of the piece through one EchelonBasis,
     with no blocks and no modular certificate.  The row space does not
     depend on the order of the rows; taking them by highest column keeps
-    the coefficients small."""
+    the coefficients small.  Returns the ambient monomials, the pivots and
+    ``EchelonBasis.reduce`` of every ambient column."""
     monos, rows = jac.relation_rows(system, ideal, alpha)
     echelon = linalg.EchelonBasis(len(monos))
     for row in sorted(rows, key=max):
         echelon.add_row(row)
         if echelon.is_full_column_rank():
             break
-    return monos, echelon
+    return monos, echelon.pivots, [echelon.reduce({c: 1}) for c in range(len(monos))]
 
 
-def assert_same_piece(piece, monos, echelon):
+@pytest.fixture(scope="module")
+def plain_pieces():
+    """``plain_piece`` of a fixture's system, built once per module and keyed
+    by (fixture, ideal, alpha).  The relation rows, and so the reference, do
+    not depend on the prefilter or on its prime."""
+    cache = {}
+
+    def get(name, ideal, alpha):
+        key = (name, ideal, alpha)
+        if key not in cache:
+            cache[key] = plain_piece(make_system(name), ideal, alpha)
+        return cache[key]
+
+    return get
+
+
+def assert_same_piece(piece, monos, pivots, reduced):
     """Same pivots, basis and remainder of every ambient column as the
-    reference ``echelon`` on ``monos``, the remainders by
-    ``EchelonBasis.reduce`` rather than by the piece's table."""
+    reference of ``plain_piece``, the remainders by ``EchelonBasis.reduce``
+    rather than by the piece's table."""
     assert piece.monomials == monos
-    assert piece.pivots == echelon.pivots
-    pivots = set(echelon.pivots)
-    assert piece.basis == [mo for i, mo in enumerate(monos) if i not in pivots]
-    basis_cols = (c for c in range(len(monos)) if c not in pivots)
+    assert piece.pivots == pivots
+    pivot_set = set(pivots)
+    assert piece.basis == [mo for i, mo in enumerate(monos) if i not in pivot_set]
+    basis_cols = (c for c in range(len(monos)) if c not in pivot_set)
     basis_index = {c: k for k, c in enumerate(basis_cols)}
     table = piece.remainders()
     for c in range(len(monos)):
-        want = {basis_index[j]: x for j, x in echelon.reduce({c: 1}).items()}
+        want = {basis_index[j]: x for j, x in reduced[c].items()}
         assert table[c] == want, monos[c]
 
 
@@ -226,15 +243,15 @@ class TestBlocks:
     @pytest.mark.parametrize(
         "name", ["projective-3", "projective-4", "weighted-p112", "bundle-p2"]
     )
-    def test_blocked_pieces_equal_plain_echelon(self, name):
+    def test_blocked_pieces_equal_plain_echelon(self, name, plain_pieces):
         system = make_system(name)
         for a in range(system.m + 2):
             alpha = system.grading.scaled_beta(a)
             for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
                 piece = jac.graded_piece(system, ideal, alpha)
-                assert_same_piece(piece, *plain_piece(system, ideal, alpha))
+                assert_same_piece(piece, *plain_pieces(name, ideal, alpha))
 
-    def test_simulated_modular_miss_falls_back_to_exact(self, monkeypatch):
+    def test_simulated_modular_miss_falls_back_to_exact(self, monkeypatch, plain_pieces):
         """A block whose rank mod p falls short of its rank over Q (as when p
         divides a minor) is eliminated exactly: the piece equals the one
         built without the modular certificate.  R(f)_{2 beta} of bundle-p2
@@ -286,12 +303,12 @@ class TestBlocks:
         # the fallback block is eliminated row by row up to its full rank
         assert certified.eliminated_rows == 0
         assert piece.eliminated_rows >= ncols
-        monos, plain = plain_piece(exact, ideal, alpha)
-        assert_same_piece(piece, monos, plain)
-        assert_same_piece(reference, monos, plain)
+        plain = plain_pieces("bundle-p2", ideal, alpha)
+        assert_same_piece(piece, *plain)
+        assert_same_piece(reference, *plain)
 
     @pytest.mark.parametrize("name", ["bundle-p2", "p1xp1"])
-    def test_small_prime_misses_fall_back_to_exact(self, name, monkeypatch):
+    def test_small_prime_misses_fall_back_to_exact(self, name, monkeypatch, plain_pieces):
         """With the prefilter at p = 3, where rank mod p falls short of the
         rank over Q, every piece still equals the plain echelon: the lift
         reports each miss and the block is eliminated row by row, whatever
@@ -314,7 +331,7 @@ class TestBlocks:
             alpha = system.grading.scaled_beta(a)
             for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
                 piece = jac.graded_piece(system, ideal, alpha)
-                assert_same_piece(piece, *plain_piece(system, ideal, alpha))
+                assert_same_piece(piece, *plain_pieces(name, ideal, alpha))
         assert sum(fallbacks) > 0, "no lift found the rank over Q above mod 3"
 
     def test_lift_uses_the_modular_factorization(self, monkeypatch):
@@ -372,7 +389,7 @@ class TestBlocks:
         assert (piece0.eliminated_rows, piece0.remainder_checked_rows) == (0, 285)
 
     @pytest.mark.parametrize("always", [False, True])
-    def test_perturbed_kernel_entry_is_rejected(self, always, monkeypatch):
+    def test_perturbed_kernel_entry_is_rejected(self, always, monkeypatch, plain_pieces):
         """Fault injection: one entry of a reconstructed kernel vector is
         off by one, in the first reconstruction or in every one.  The exact
         check against every row rejects it: once, and a later step is
@@ -398,7 +415,7 @@ class TestBlocks:
         assert (piece.blocks, piece.certified_blocks) == (2, 1)
         assert piece.lifted_blocks == (0 if always else 1)
         assert (piece.eliminated_rows > 0) == always
-        assert_same_piece(piece, *plain_piece(system, ideal, alpha))
+        assert_same_piece(piece, *plain_pieces("bundle-p2", ideal, alpha))
 
     def test_block_with_fewer_rows_than_columns_skips_modular_rank(self, monkeypatch):
         calls = []
