@@ -33,12 +33,14 @@ sum_k n_k tau_k / den over the index, where tau_k is the trace of the k-th
 degree-(m-1) basis element, read once from lambda.
 
 The invariance check keeps an independent direct path that never reads the
-structure constants: it multiplies the lifts of its integer sample vectors
-as polynomials with Python ``int`` coefficients (lifted basis monomials
-have coefficient 1), keying each monomial by an integer code so that a
-monomial product is one addition, and dots the result with den * lambda,
-where den is the lcm of the denominators of lambda, so one ``Fraction`` is
-formed per trace.
+structure constants.  It keys each monomial by an integer code, so that a
+monomial product is one addition, and reads den * lambda, where den is the
+lcm of the denominators of lambda.  When the axiom check is exhaustive, the
+direct trace of a basis triple z^i z^j z^k is one lookup at the sum of four
+codes (the fourth that of z_1...z_r).  When it is sampled, the direct path
+multiplies the lifts of its integer sample vectors as polynomials with
+Python ``int`` coefficients (lifted basis monomials have coefficient 1) and
+dots the result with den * lambda, so one ``Fraction`` is formed per trace.
 """
 
 from __future__ import annotations
@@ -478,11 +480,13 @@ def frobenius_axiom_check(
     Unit and commutativity are exact over all stored structure constants.
     Associativity runs over every basis triple when the triple count is at
     most 10^4, otherwise over ``sample_count`` seeded basis triples.
-    Invariance always draws ``sample_count`` seeded random triples (u, v, w)
-    of integer coordinate vectors with entries in [-3, 3], even when
-    associativity is exhaustive, and compares both structure-constant traces
-    <u*v, w> and <u, v*w> with the direct trace of the lifted triple-product
-    polynomial.  Nondegeneracy is exact full rank of every Gram matrix;
+    Invariance compares both structure-constant traces <u*v, w> and
+    <u, v*w> with a direct trace that never reads the structure constants.
+    When associativity is exhaustive, so is invariance: it runs over every
+    basis triple with a+b+c = m-1, a subset of associativity's, draws no
+    random number and is exact.  Otherwise it draws ``sample_count`` seeded
+    random triples (u, v, w) of integer coordinate vectors with entries in
+    [-3, 3].  Nondegeneracy is exact full rank of every Gram matrix;
     ``grams``, when given, must be ``pairing_gram(D, a)`` for a = 0..m-1 and
     are used instead of being computed again; likewise ``gram_ranks``, which
     must be ``gram_rank`` of each of them.
@@ -611,7 +615,11 @@ def _check_associativity(D, triples, sampled, rng, sample_count) -> AxiomCheck:
 
 def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
     """<u*v, w> = <u, v*w>, both recomputed against the direct trace of the
-    lifted triple-product polynomial."""
+    triple product.  Unless ``sampled``, on every basis triple of every
+    degree triple with a+b+c = m-1: the three sides are trilinear forms, so
+    agreeing on a basis they agree everywhere, and the check is exact.
+    Otherwise on ``sample_count`` seeded random integer triples, the direct
+    trace taken of the lifted triple-product polynomial."""
     m = D.m
     dims = D.dims()
     degree_triples = [
@@ -624,6 +632,8 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
     if not degree_triples:
         return AxiomCheck(True, 0)
     scaled = scaled_functional(D)
+    if not sampled:
+        return _check_invariance_on_basis(D, degree_triples, scaled)
 
     def random_vector(n):
         return [rng.randint(-3, 3) for _ in range(n)]
@@ -645,6 +655,45 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
                 f"degrees {(a, b, c)}: {lhs.rational} vs {rhs.rational} "
                 f"vs direct {direct}",
             )
+    return AxiomCheck(True, checked)
+
+
+def _check_invariance_on_basis(D, degree_triples, scaled) -> AxiomCheck:
+    """<e_i e_j, e_k> and <e_i, e_j e_k>, from the nonzero index and the
+    traces tau_n of the degree-(m-1) basis, against the direct trace of
+    z^i z^j z^k, one lookup of den * lambda.  Each side is an int numerator
+    over den times its product denominators; they are cross-multiplied."""
+    den, radix, functional = scaled
+    shift = monomial_code((1,) * len(D.system.variables), radix)
+    codes = [[monomial_code(mono, radix) for mono in p.basis] for p in D.bases]
+    tau = [functional[shift + code] for code in codes[D.m - 1]]  # den * tau_n
+    checked = 0
+    for a, b, c in degree_triples:
+        ab, d_ab = D.products(a, b)
+        ab_c, d_ab_c = D.products(a + b, c)
+        bc, d_bc = D.products(b, c)
+        a_bc, d_a_bc = D.products(a, b + c)
+        lhs_den, rhs_den = d_ab * d_ab_c, d_bc * d_a_bc
+        for i, code_i in enumerate(codes[a]):
+            for j, code_j in enumerate(codes[b]):
+                for k, code_k in enumerate(codes[c]):
+                    checked += 1
+                    lhs = sum(
+                        x * y * tau[n] for mid, x in ab(i, j) for n, y in ab_c(mid, k)
+                    )
+                    rhs = sum(
+                        x * y * tau[n] for mid, x in bc(j, k) for n, y in a_bc(i, mid)
+                    )
+                    direct = functional[shift + code_i + code_j + code_k]
+                    if lhs * rhs_den != rhs * lhs_den or lhs != direct * lhs_den:
+                        return AxiomCheck(
+                            False,
+                            checked,
+                            f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}: "
+                            f"{Fraction(lhs, lhs_den * den)} vs "
+                            f"{Fraction(rhs, rhs_den * den)} vs direct "
+                            f"{Fraction(direct, den)}",
+                        )
     return AxiomCheck(True, checked)
 
 

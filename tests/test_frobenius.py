@@ -666,6 +666,76 @@ class TestInvarianceFaultInjection:
         assert "vs direct" in report.invariance.witness
 
 
+class TestExhaustiveInvariance:
+    """Below ``EXHAUSTIVE_TRIPLE_LIMIT`` invariance is checked on every basis
+    triple, exactly and without the random generator."""
+
+    @pytest.mark.parametrize(
+        "shared", ["cubic_algebra", "quartic_algebra", "bundle_algebra"]
+    )
+    def test_checks_every_basis_triple(self, shared, request):
+        D = request.getfixturevalue(shared)
+        m, dims = D.m, D.dims()
+        report = frob.frobenius_axiom_check(D, sample_seed=0, sample_count=200)
+        assert not report.sampled
+        assert report.invariance.ok
+        assert report.invariance.checked == sum(
+            dims[a] * dims[b] * dims[m - 1 - a - b]
+            for a in range(m)
+            for b in range(m - a)
+        )
+
+    def test_independent_of_seed_and_sample_count(self, bundle_algebra):
+        def without_seed(seed, count):
+            out = frob.frobenius_axiom_check(bundle_algebra, seed, count).as_dict()
+            del out["seed"]
+            return out
+
+        want = without_seed(0, 200)
+        assert want["invariance"]["checked"] == 975
+        for seed, count in ((1, 200), (0, 1), (1, 1)):
+            assert without_seed(seed, count) == want
+
+    def test_witness_names_a_failing_basis_triple(self, bundle_algebra):
+        """The symmetric corruption of basis[1][0] * basis[1][1] first
+        shows at <1 * e_0, e_1> in degrees (0, 1, 1); at the named triple
+        the structure-constant trace differs from the direct one."""
+        D = bundle_algebra
+        bad = with_constants(D, ((1, 1), 0, 1, 0, 1), ((1, 1), 1, 0, 0, 1))
+        report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
+        witness = report.invariance.witness
+        assert witness.startswith("(a,i,b,j,c,k) = (0, 0, 1, 0, 1, 1): ")
+        assert "vs direct" in witness
+        assert report.invariance.checked == 3
+        dims = D.dims()
+
+        def unit(d, n):
+            return [int(x == n) for x in range(dims[d])]
+
+        u, v, w = unit(0, 0), unit(1, 0), unit(1, 1)
+        uv = bad.product_coords(0, u, 1, v)
+        lhs = frob.trace(bad.product_coords(1, uv, 1, w), bad)
+        scaled = frob.scaled_functional(bad)
+        direct = frob.direct_trace(bad, scaled, ((0, u), (1, v), (1, w)))
+        assert lhs.rational != direct
+        assert f"vs direct {direct}" in witness
+
+    def test_random_vector_branch_still_fails_on_corruption(
+        self, bundle_algebra, monkeypatch
+    ):
+        """With the limit at 0 the same algebra takes the sampled branch,
+        whose witness names degrees, not a basis triple."""
+        monkeypatch.setattr(frob, "EXHAUSTIVE_TRIPLE_LIMIT", 0)
+        denominators = dict(bundle_algebra.denominators)
+        denominators[(1, 1)] *= 2
+        bad = dataclasses.replace(bundle_algebra, denominators=denominators)
+        report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
+        assert report.sampled
+        assert not report.invariance.ok
+        assert report.invariance.witness.startswith("degrees ")
+        assert "vs direct" in report.invariance.witness
+
+
 def test_asymmetric_structure_constant_fails_commutativity(bundle_algebra):
     """Commutativity reads the nonzero index of each (a, a) tensor: one
     constant changed on one side of the diagonal must be reported."""
