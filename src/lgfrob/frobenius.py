@@ -6,15 +6,20 @@ unit (2 pi i)^(m-1), where c is the coordinate of z_1...z_r * U against a
 chosen generator of the one-dimensional R0(f)_{m beta} and the sign is
 -(-1)^(m(m-1)/2).
 
-Every trace is evaluated through one linear functional lambda on the columns
-(monomials) of S_{m beta}, computed once when the algebra is built:
-lambda_c = sign * m!Vol / generator_coord times the generator coordinate of
-the canonical remainder of the monomial of column c modulo J0(f), read from
-the remainder table of R0(f)_{m beta} (``QuotientBasis.remainders``).  A
-trace is then sum coeff * lambda over the monomials of z_1...z_r * p, with
-no reduction.  The structure constants come from the same kind of table:
-the constant of basis[a][i] * basis[b][j] is the remainder of the product
-monomial in R(f)_{(a+b) beta}, one lookup per pair.
+Every trace is evaluated through one linear functional lambda on the
+monomials of S_{m beta}, computed once when the algebra is built and stored
+once, in integer form: ``trace_functional = (den, radix, {code(z): den *
+lambda(z)})``.  lambda(z) = sign * m!Vol / generator_coord times the
+generator coordinate of the canonical remainder of z modulo J0(f), read from
+the remainder table of R0(f)_{m beta} (``QuotientBasis.remainders``); den is
+the lcm of the denominators of lambda, and code(z) = sum_i z_i radix^i with
+radix above every exponent in S_{m beta}.  Exponents are nonnegative and
+every monomial a trace forms divides one of S_{m beta}, so adding codes
+multiplies monomials with no carry between exponents.  A trace is then
+sum coeff * den * lambda over the monomials of z_1...z_r * p, divided by
+den once, with no reduction.  The structure constants come from the same
+kind of table: the constant of basis[a][i] * basis[b][j] is the remainder of
+the product monomial in R(f)_{(a+b) beta}, one lookup per pair.
 
 Every product of A(f) goes through one sparse kernel.  The structure
 constants are stored once, as integers over one denominator per product
@@ -33,12 +38,10 @@ sum_k n_k tau_k / den over the index, where tau_k is the trace of the k-th
 degree-(m-1) basis element, read once from lambda.
 
 The invariance check keeps an independent direct path that never reads the
-structure constants.  It keys each monomial by an integer code, so that a
-monomial product is one addition, and reads den * lambda, where den is the
-lcm of the denominators of lambda.  When the axiom check is exhaustive, the
-direct trace of a basis triple z^i z^j z^k is one lookup at the sum of four
-codes (the fourth that of z_1...z_r).  When it is sampled, the direct path
-multiplies the lifts of its integer sample vectors as polynomials with
+structure constants.  When the axiom check is exhaustive, the direct trace
+of a basis triple z^i z^j z^k is one lookup of den * lambda at the sum of
+four codes (the fourth that of z_1...z_r).  When it is sampled, the direct
+path multiplies the lifts of its integer sample vectors as polynomials with
 Python ``int`` coefficients (lifted basis monomials have coefficient 1) and
 dots the result with den * lambda, so one ``Fraction`` is formed per trace.
 """
@@ -109,6 +112,8 @@ def _cleared(coords: Sequence[int | Fraction]) -> tuple[Sequence[int], int]:
 # c has no entry
 Constants = list[tuple[int, int | Fraction]]
 NonzeroIndex = dict[tuple[int, int], list[dict[int, list[tuple[int, int]]]]]
+# (den, radix, {code(z): den * lambda(z)}) over the monomials z of S_{m beta}
+TraceFunctional = tuple[int, int, dict[int, int]]
 
 
 @dataclass
@@ -128,8 +133,7 @@ class FrobeniusAlgebraData:
     generator_coord: Fraction  # coordinate of the strategy generator in r0_piece
     generator_monomial: Monomial | None  # Generic strategy generator
     zero_sums_checked: list[int]  # degrees a+b >= m verified zero-dimensional
-    # trace of each column (monomial) of r0_piece; see the module docstring
-    trace_functional: list[Fraction]
+    trace_functional: TraceFunctional  # lambda; see the module docstring
 
     @property
     def structure(self) -> dict[tuple[int, int], list[list[list[Fraction]]]]:
@@ -339,12 +343,20 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
         generator_coord=generator_coord,
         generator_monomial=generator_monomial,
         zero_sums_checked=zero_sums,
-        trace_functional=[],
+        trace_functional=(1, 1, {}),
     )
     scale = Fraction(algebra.sign * volume) / generator_coord
-    algebra.trace_functional = [
-        scale * remainder.get(0, 0) for remainder in r0_piece.remainders()
-    ]
+    values = [scale * remainder.get(0, 0) for remainder in r0_piece.remainders()]
+    den = lcm(*(x.denominator for x in values))
+    radix = 1 + max(map(max, r0_piece.monomials))
+    algebra.trace_functional = (
+        den,
+        radix,
+        {
+            monomial_code(mono, radix): x.numerator * (den // x.denominator)
+            for mono, x in zip(r0_piece.monomials, values)
+        },
+    )
     return algebra
 
 
@@ -366,19 +378,23 @@ def trace_of_polynomial(p: GradedPolynomial, D: FrobeniusAlgebraData) -> TraceSc
 
 def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> TraceScalar:
     """sum of coeff * lambda over the monomials of z_1...z_r * p, for the
-    (monomial, coefficient) pairs of a degree-(m-1)beta polynomial p."""
-    piece = D.r0_piece
-    index = piece.column_index()
-    total = Fraction(0)
+    (monomial, coefficient) pairs of a degree-(m-1)beta polynomial p.  An
+    exponent of p at or above radix - 1 would carry into the next digit of
+    the shifted code, so it is refused before the lookup."""
+    den, radix, functional = D.trace_functional
+    shift = monomial_code((1,) * len(D.system.variables), radix)
+    total = 0
     for mono, coeff in terms:
-        shifted = tuple(e + 1 for e in mono)
-        col = index.get(shifted)
-        if col is None:
+        value = None
+        if max(mono) < radix - 1:
+            value = functional.get(shift + monomial_code(mono, radix))
+        if value is None:
             raise DegreeMismatch(
-                f"monomial {shifted} does not lie in the degree-{piece.degree} piece"
+                f"monomial {tuple(e + 1 for e in mono)} does not lie in the "
+                f"degree-{D.r0_piece.degree} piece"
             )
-        total += coeff * D.trace_functional[col]
-    return TraceScalar(total, D.m - 1)
+        total += coeff * value
+    return TraceScalar(Fraction(total, den), D.m - 1)
 
 
 def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[TraceScalar]]:
@@ -631,9 +647,8 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
     ]
     if not degree_triples:
         return AxiomCheck(True, 0)
-    scaled = scaled_functional(D)
     if not sampled:
-        return _check_invariance_on_basis(D, degree_triples, scaled)
+        return _check_invariance_on_basis(D, degree_triples)
 
     def random_vector(n):
         return [rng.randint(-3, 3) for _ in range(n)]
@@ -646,7 +661,7 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
         w = random_vector(dims[c])
         lhs = trace(D.product_coords(a + b, D.product_coords(a, u, b, v), c, w), D)
         rhs = trace(D.product_coords(a, u, b + c, D.product_coords(b, v, c, w)), D)
-        direct = direct_trace(D, scaled, ((a, u), (b, v), (c, w)))
+        direct = direct_trace(D, ((a, u), (b, v), (c, w)))
         checked += 1
         if not (lhs.rational == rhs.rational == direct):
             return AxiomCheck(
@@ -658,12 +673,12 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
     return AxiomCheck(True, checked)
 
 
-def _check_invariance_on_basis(D, degree_triples, scaled) -> AxiomCheck:
+def _check_invariance_on_basis(D, degree_triples) -> AxiomCheck:
     """<e_i e_j, e_k> and <e_i, e_j e_k>, from the nonzero index and the
     traces tau_n of the degree-(m-1) basis, against the direct trace of
     z^i z^j z^k, one lookup of den * lambda.  Each side is an int numerator
     over den times its product denominators; they are cross-multiplied."""
-    den, radix, functional = scaled
+    den, radix, functional = D.trace_functional
     shift = monomial_code((1,) * len(D.system.variables), radix)
     codes = [[monomial_code(mono, radix) for mono in p.basis] for p in D.bases]
     tau = [functional[shift + code] for code in codes[D.m - 1]]  # den * tau_n
@@ -697,35 +712,14 @@ def _check_invariance_on_basis(D, degree_triples, scaled) -> AxiomCheck:
     return AxiomCheck(True, checked)
 
 
-def scaled_functional(D: FrobeniusAlgebraData) -> tuple[int, int, dict[int, int]]:
-    """The direct path's copy of lambda: (den, radix, {code: den * lambda}).
-
-    den is the lcm of the denominators of lambda, so den * lambda is
-    integral.  A monomial z of S_{m beta} is keyed by code(z) =
-    sum_i z_i radix^i, with radix above every exponent in S_{m beta}.
-    Exponents are nonnegative and every monomial the direct path forms
-    divides one of S_{m beta}, so adding codes multiplies monomials with no
-    carry between exponents."""
-    monomials = D.r0_piece.monomials
-    den = lcm(*(x.denominator for x in D.trace_functional))
-    radix = 1 + max(max(mono) for mono in monomials)
-    functional = {
-        monomial_code(mono, radix): x.numerator * (den // x.denominator)
-        for mono, x in zip(monomials, D.trace_functional)
-    }
-    return den, radix, functional
-
-
 def direct_trace(
-    D: FrobeniusAlgebraData,
-    scaled: tuple[int, int, dict[int, int]],
-    factors: Sequence[tuple[int, Sequence[int]]],
+    D: FrobeniusAlgebraData, factors: Sequence[tuple[int, Sequence[int]]]
 ) -> Fraction:
     """Trace of the product of the lifts of integer coordinate vectors
     ``factors`` = [(degree, coords), ...] whose degrees sum to m-1, by
-    polynomial multiplication with int coefficients; ``scaled`` is
-    ``scaled_functional(D)``.  Never reads the structure constants."""
-    den, radix, functional = scaled
+    polynomial multiplication with int coefficients, read from the integer
+    form of lambda.  Never reads the structure constants."""
+    den, radix, functional = D.trace_functional
     # start from z_1...z_r, the shift of the trace, with coefficient 1
     product = {monomial_code((1,) * len(D.system.variables), radix): 1}
     for degree, coords in factors:

@@ -30,7 +30,6 @@ class JacobianSystem:
     f: GradedPolynomial
     partials: list[GradedPolynomial]
     euler_gens: list[GradedPolynomial]
-    use_prefilter: bool = True  # modular full-column-rank certificate per block
     _pieces: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -187,8 +186,7 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
         rows >= columns falls short: its kernel, lifted p-adically and
         verified against every row, gives the reduced rows;
       * exact on every row until full column rank: fewer rows than columns,
-        no prefilter, or a lift that finds the rank over Q above the rank
-        mod p."""
+        or a lift that finds the rank over Q above the rank mod p."""
     alpha = tuple(alpha)
     key = (ideal, alpha)
     cached = system._pieces.get(key)
@@ -205,7 +203,7 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
         # down in every path; the row space does not depend on order
         block_rows = sorted((rows[i] for i in row_ids), key=max)
         kernel = [] if len(cols) == 1 else None
-        if kernel is None and len(block_rows) >= len(cols) and system.use_prefilter:
+        if kernel is None and len(block_rows) >= len(cols):
             for i in row_ids:  # so that re-keying block_rows frees each row
                 rows[i] = None
             kernel = _block_kernel(block_rows, cols)

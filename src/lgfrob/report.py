@@ -27,14 +27,11 @@ class RunConfig:
     poly_text: str
     name: str = "custom"
     zero_sets: tuple[tuple[str, ...], ...] = ()
-    expected_fail: str | None = None
     strategy: str = frobenius.GENERIC
     sample_seed: int = 0
     sample_count: int = 200
-    macaulay_max_extra: int = 1
     max_degree_a: int | None = None
     threads: int = 1
-    modular_prefilter: bool = True
     json_only: bool = False
     # stated degree data to compare against, when the input carries it
     stated_degrees: tuple[tuple[int, ...], ...] | None = None
@@ -82,20 +79,36 @@ def _integer_lists(value, what: str) -> tuple[tuple[int, ...], ...]:
 INTEGER_OPTIONS = {
     "sample_seed": None,
     "sample_count": 1,
-    "macaulay_max_extra": 0,
     "max_degree_a": 0,
     "threads": 1,
 }
+
+
+# the keys an input document and its fan may carry; expected_fail labels a
+# negative-control fixture and is not read
+DOCUMENT_KEYS = {
+    "schema_version", "name", "fan", "variables", "polynomial", "zero_sets",
+    "options", "stated_degrees", "stated_beta", "expected_fail",
+}
+FAN_KEYS = {"dim", "rays", "max_cones"}
+
+
+def _known_keys(doc: dict, known: set[str], context: str):
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise InputSchemaError(f"{context}: unknown field {unknown[0]!r}")
 
 
 def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
     """Validate an input document (parsed JSON) into a RunConfig."""
     if not isinstance(doc, dict):
         raise InputSchemaError("input document must be a JSON object")
+    _known_keys(doc, DOCUMENT_KEYS, "input")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise InputSchemaError(f"unsupported schema_version {version}")
     fan_doc = _expect(doc, "fan", dict, "input")
+    _known_keys(fan_doc, FAN_KEYS, "fan")
     dim = _expect(fan_doc, "dim", int, "fan")
     rays = _integer_lists(_expect(fan_doc, "rays", list, "fan"), "fan: rays")
     cones = _integer_lists(
@@ -125,11 +138,10 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
         poly_text=poly_text,
         name=str(doc.get("name", "custom")),
         zero_sets=_zero_sets(doc.get("zero_sets", []), variables),
-        expected_fail=doc.get("expected_fail"),
     )
     # the document's options are checked even where an override replaces them
     for key, value in [*options.items(), *(overrides or {}).items()]:
-        if key == "trace_strategy" or key == "strategy":
+        if key == "strategy":
             if value not in frobenius.STRATEGIES:
                 raise InputSchemaError(f"unknown trace strategy {value!r}")
             config.strategy = value
@@ -138,10 +150,10 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
             if not (key == "max_degree_a" and value is None):
                 value = _integer(value, f"option {key!r}", INTEGER_OPTIONS[key])
             setattr(config, key, value)
-        elif key in ("modular_prefilter", "json_only"):
+        elif key == "json_only":
             if not isinstance(value, bool):
                 raise InputSchemaError(f"option {key!r} must be true or false")
-            setattr(config, key, value)
+            config.json_only = value
         else:
             raise InputSchemaError(f"unknown option {key!r}")
 
@@ -273,10 +285,14 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
     }
     if config.stated_degrees is not None:
         t = unimodular_transform(grading.degrees, config.stated_degrees)
+        match = t is not None
+        if match and config.stated_beta is not None:
+            beta_t = tuple(sum(x * b for x, b in zip(row, grading.beta)) for row in t)
+            match = beta_t == config.stated_beta
         report["stated_degrees"] = {
             "degrees": [list(d) for d in config.stated_degrees],
             "unimodular_transform": t,
-            "match": t is not None,
+            "match": match,
         }
     with _timed(timings, "polytope"):
         polytope = toric.anticanonical_polytope(config.fan)
@@ -299,7 +315,6 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
             f = parse_polynomial(config.poly_text, config.variables)
             degree = check_homogeneous(f, grading)
             system = jacobian.jacobian_system(config.fan, grading, f)
-            system.use_prefilter = config.modular_prefilter
     except LgfrobError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["certificates_pass"] = False
@@ -351,10 +366,7 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
     report["hodge_row"] = dims
 
     with _timed(timings, "macaulay"):
-        mac_dims = {
-            p: jacobian.dim_R(system, p)
-            for p in range(m, m + 1 + config.macaulay_max_extra)
-        }
+        mac_dims = {p: jacobian.dim_R(system, p) for p in (m, m + 1)}
     mac_ok = all(d == 0 for d in mac_dims.values())
     report["macaulay"] = {
         "dims": {str(p): d for p, d in mac_dims.items()},

@@ -129,15 +129,13 @@ class ValidationReport:
 class AnticanPolytope:
     """Anti-canonical polytope {u : <u, rho_i> >= -1 for all rays rho_i}.
 
-    One vertex per maximal cone; ``vertex_cones[k]`` is the index of a maximal
-    cone whose equations cut out ``vertices[k]``, and ``cone_inverses[k]`` is
-    the ``linalg.inverse_int`` ``(det, adj)`` of that cone's matrix.
+    One vertex per maximal cone; ``cone_inverses[k]`` is the
+    ``linalg.inverse_int`` ``(det, adj)`` of the matrix of a maximal cone
+    whose equations cut out ``vertices[k]``.
     """
 
     dim: int
-    rays: tuple[tuple[int, ...], ...]
     vertices: tuple[tuple[int, ...], ...]
-    vertex_cones: tuple[int, ...]
     cone_inverses: tuple[tuple[int, list[list[int]]], ...]
 
 
@@ -290,9 +288,8 @@ def class_group(fan: FanData) -> GradingMap:
 
 def anticanonical_polytope(fan: FanData) -> AnticanPolytope:
     vertices: list[tuple[int, ...]] = []
-    vertex_cones: list[int] = []
     cone_inverses = []
-    seen: dict[tuple[int, ...], int] = {}
+    seen: set[tuple[int, ...]] = set()
     for ci, cone in enumerate(fan.max_cones):
         inverse = linalg.inverse_int(fan.cone_matrix(cone))
         vertex = _cone_vertex(inverse)
@@ -307,15 +304,12 @@ def anticanonical_polytope(fan: FanData) -> AnticanPolytope:
                 raise NotReflexivePipeline(
                     f"vertex {vertex} violates <u, ray {rj}> >= -1"
                 )
-        seen[vertex] = ci
+        seen.add(vertex)
         vertices.append(vertex)
-        vertex_cones.append(ci)
         cone_inverses.append(inverse)
     return AnticanPolytope(
         dim=fan.dim,
-        rays=fan.rays,
         vertices=tuple(vertices),
-        vertex_cones=tuple(vertex_cones),
         cone_inverses=tuple(cone_inverses),
     )
 

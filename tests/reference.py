@@ -92,10 +92,10 @@ def mat_mul_int(a, b):
     ]
 
 
-def count_lattice_points_dilated(polytope, a: int) -> int:
+def count_lattice_points_dilated(fan, polytope, a: int) -> int:
     """Independent lattice-point count of the a-fold dilation of the
-    anti-canonical polytope by a direct bounding-box inequality sweep: every
-    box point x is tested against every ray, <x, rho> >= -a.  The pairings
+    anti-canonical polytope of ``fan`` by a direct bounding-box inequality
+    sweep: every box point x is tested against every ray, <x, rho> >= -a.  The pairings
     <x, rho> are carried through the sweep, each step of x_k adding ray
     coordinate k, instead of one dot product per ray per point."""
     if a == 0:
@@ -103,7 +103,7 @@ def count_lattice_points_dilated(polytope, a: int) -> int:
     m = polytope.dim
     lows = [min(v[k] * a for v in polytope.vertices) for k in range(m)]
     highs = [max(v[k] * a for v in polytope.vertices) for k in range(m)]
-    columns = [[ray[k] for ray in polytope.rays] for k in range(m)]
+    columns = [[ray[k] for ray in fan.rays] for k in range(m)]
     count = 0
 
     def sweep(level: int, pairings: list[int]):
@@ -117,7 +117,7 @@ def count_lattice_points_dilated(polytope, a: int) -> int:
                 count += 1
             pairings = [p + c for p, c in zip(pairings, column)]
 
-    sweep(0, [0] * len(polytope.rays))
+    sweep(0, [0] * len(fan.rays))
     return count
 
 

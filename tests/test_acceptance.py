@@ -327,7 +327,7 @@ def test_criterion_8_property_suites(capsys):
     polytope = toric.anticanonical_polytope(fx.fan)
     checks["count_agreement"] = all(
         len(monomial_basis(grading, fx.fan, grading.scaled_beta(a)))
-        == count_lattice_points_dilated(polytope, a)
+        == count_lattice_points_dilated(fx.fan, polytope, a)
         for a in range(3)
     )
 

@@ -232,30 +232,38 @@ class TestReportCommand:
         assert doc["algebra"]["strategy"] == "projective-hessian"
         assert doc["algebra"]["socle_generator_trace"]["rational"] == "1/24"
 
-    def test_unknown_option_exit_2(self, capsys, tmp_path):
-        doc = json.loads(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "fan": {
-                        "dim": 2,
-                        "rays": [[1, 0], [0, 1], [-1, -1]],
-                        "max_cones": [[0, 1], [1, 2], [0, 2]],
-                    },
-                    "variables": ["x", "y", "z"],
-                    "polynomial": "x^3+y^3+z^3",
-                    "options": {"wat": 1},
-                }
-            )
-        )
+    # besides wat, three keys an older document may still set: each is
+    # refused like any unknown option, not silently dropped
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("wat", 1),
+            ("modular_prefilter", False),
+            ("macaulay_max_extra", 1),
+            ("trace_strategy", "generic"),
+        ],
+        ids=["wat", "modular_prefilter", "macaulay_max_extra", "trace_strategy"],
+    )
+    def test_unknown_option_exit_2(self, capsys, tmp_path, key, value):
+        doc = {
+            "schema_version": 1,
+            "fan": {
+                "dim": 2,
+                "rays": [[1, 0], [0, 1], [-1, -1]],
+                "max_cones": [[0, 1], [1, 2], [0, 2]],
+            },
+            "variables": ["x", "y", "z"],
+            "polynomial": "x^3+y^3+z^3",
+            "options": {key: value},
+        }
         path = tmp_path / "opt.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "report", "--input", str(path), "--json-only")
+        code, out, err = run_cli(capsys, "report", "--input", str(path), "--json-only")
         assert code == 2
-        assert "unknown option" in err
+        assert out == ""
+        assert f"unknown option {key!r}" in err
 
-
-    @pytest.mark.parametrize("key", ["modular_prefilter", "json_only"])
+    @pytest.mark.parametrize("key", ["json_only"])
     @pytest.mark.parametrize("value", ["false", 0])
     def test_flag_options_must_be_booleans(self, capsys, tmp_path, key, value):
         doc = get_fixture("projective-3").to_input_document()
@@ -267,15 +275,6 @@ class TestReportCommand:
         assert out == ""
         assert f"option '{key}' must be true or false" in err
 
-    def test_prefilter_flag_false_is_honoured(self, capsys, tmp_path):
-        doc = get_fixture("projective-3").to_input_document()
-        doc["options"] = {"modular_prefilter": False}
-        assert not report.parse_run_config(doc).modular_prefilter
-        path = tmp_path / "flag.json"
-        path.write_text(json.dumps(doc))
-        code, out, _ = run_cli(capsys, "report", "--input", str(path), "--json-only")
-        assert code == 0
-        assert json.loads(out)["certificates_pass"] is True
 
 
 class TestConeInverses:
@@ -464,8 +463,6 @@ class TestStrictSchema:
         ("sample_count-bool", "projective-3", _set_option("sample_count", True)),
         ("sample_count-float", "projective-3", _set_option("sample_count", 2.0)),
         ("sample_count-zero", "projective-3", _set_option("sample_count", 0)),
-        ("macaulay_max_extra-string", "projective-3", _set_option("macaulay_max_extra", "1")),
-        ("macaulay_max_extra-negative", "projective-3", _set_option("macaulay_max_extra", -1)),
         ("max_degree_a-negative", "projective-3", _set_option("max_degree_a", -3)),
         ("max_degree_a-float", "projective-3", _set_option("max_degree_a", 1.0)),
         ("threads-float", "projective-3", _set_option("threads", 1.5)),
@@ -483,6 +480,10 @@ class TestStrictSchema:
         ("ray-number", "projective-3", lambda d: d["fan"]["rays"].__setitem__(0, 1)),
         ("cone-string", "projective-3", lambda d: d["fan"]["max_cones"].__setitem__(0, ["0", 1])),
         ("dim-bool", "projective-3", lambda d: d["fan"].__setitem__("dim", True)),
+        # a misspelt key would otherwise drop what it sets without a word
+        ("zero_set-typo", "bundle-p2", lambda d: d.__setitem__("zero_set", d.pop("zero_sets"))),
+        ("option-typo", "projective-3", lambda d: d.__setitem__("option", {"sample_count": 9})),
+        ("fan-typo", "projective-3", lambda d: d["fan"].__setitem__("max_cone", [[0, 1]])),
     ]
 
     @pytest.mark.parametrize("name, fixture, mutate", CASES, ids=[c[0] for c in CASES])
@@ -502,7 +503,6 @@ class TestStrictSchema:
                 {
                     "sample_seed": -4,
                     "sample_count": 7,
-                    "macaulay_max_extra": 0,
                     "max_degree_a": 0,
                     "threads": 2,
                 },
@@ -512,10 +512,9 @@ class TestStrictSchema:
         assert (
             config.sample_seed,
             config.sample_count,
-            config.macaulay_max_extra,
             config.max_degree_a,
             config.threads,
-        ) == (-4, 7, 0, 0, 2)
+        ) == (-4, 7, 0, 2)
 
     def test_null_max_degree_a_means_no_cap(self):
         doc = _mutated("bundle-p6", _set_option("max_degree_a", None))
@@ -530,6 +529,25 @@ class TestStrictSchema:
         assert config.zero_sets == (("y1", "y2"), ("x0", "x1", "x2"))
         assert config.stated_degrees == fx.stated_degrees
         assert config.stated_beta == (2, 2)
+
+    @pytest.mark.parametrize(
+        "beta, match", [((2, 2), True), ((2, 3), False)], ids=["stated", "off-by-one"]
+    )
+    def test_stated_beta_must_be_the_image_of_beta(
+        self, capsys, tmp_path, beta, match
+    ):
+        """The stated degrees of bundle-p2 match through a unimodular T; a
+        stated beta off by one from T . beta makes the match fail."""
+        fx = get_fixture("bundle-p2")
+        doc = fx.to_input_document()
+        doc["stated_degrees"] = [list(d) for d in fx.stated_degrees]
+        doc["stated_beta"] = list(beta)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_json(capsys, "validate", "--input", str(path), "--json-only")
+        assert code == 0
+        assert out["stated_degrees"]["unimodular_transform"] is not None
+        assert out["stated_degrees"]["match"] is match
 
     def test_negative_cli_degree_cap_exits_2(self, capsys):
         code, out, err = run_cli(

@@ -268,11 +268,15 @@ class TestTraceFunctional:
     def test_functional_equals_reduction(self, algebra):
         D = algebra
         r0 = D.r0_piece
+        den, radix, functional = D.trace_functional
         scale = Fraction(D.sign * D.volume) / D.generator_coord
-        assert len(D.trace_functional) == len(r0.monomials)
+        assert len(functional) == len(r0.monomials)
+        wants = []
         for c, mono in enumerate(r0.monomials):
             want = scale * reduced_generator_coord(r0, {c: 1})
-            assert D.trace_functional[c] == want, mono
+            assert Fraction(functional[monomial_code(mono, radix)], den) == want, mono
+            wants.append(want)
+        assert den == math.lcm(*(w.denominator for w in wants))
 
     def test_trace_equals_lift_and_reduce(self, algebra):
         D = algebra
@@ -292,6 +296,19 @@ class TestTraceFunctional:
         p = GradedPolynomial.monomial(cubic_algebra.system.variables, (1, 0, 0))
         with pytest.raises(DegreeMismatch):
             frob.trace_of_polynomial(p, cubic_algebra)
+
+    def test_exponent_that_would_carry_rejected(self, cubic_algebra):
+        """z_1...z_r * z^e with e_0 = radix - 1 has a digit equal to radix;
+        its carry lands on the code of z_1^3 z_2^3, a monomial of S_{m beta}.
+        The trace refuses it instead of reading that monomial's lambda."""
+        D = cubic_algebra
+        _, radix, functional = D.trace_functional
+        mono = (radix - 1, 1, 2)
+        carried = monomial_code((1, 1, 1), radix) + monomial_code(mono, radix)
+        assert carried == monomial_code((0, 3, 3), radix) and carried in functional
+        p = GradedPolynomial.monomial(D.system.variables, mono)
+        with pytest.raises(DegreeMismatch):
+            frob.trace_of_polynomial(p, D)
 
 
 def reference_structure(D):
@@ -509,7 +526,6 @@ class TestSparseKernel:
         D = algebra
         m, dims = D.m, D.dims()
         rng = random.Random(8)
-        scaled = frob.scaled_functional(D)
         for a in range(m):
             for b in range(m - a):
                 c = m - 1 - a - b
@@ -518,7 +534,7 @@ class TestSparseKernel:
                         [rng.randint(-bound, bound) for _ in range(dims[d])]
                         for d in (a, b, c)
                     )
-                    got = frob.direct_trace(D, scaled, ((a, u), (b, v), (c, w)))
+                    got = frob.direct_trace(D, ((a, u), (b, v), (c, w)))
                     want = frob.trace_of_polynomial(
                         lift(D, a, u) * lift(D, b, v) * lift(D, c, w), D
                     )
@@ -529,16 +545,16 @@ class TestSparseKernel:
         whose digits are its exponents (so adding keys never carries), and
         maps to den * lambda, an integer."""
         D = algebra
-        den, radix, functional = frob.scaled_functional(D)
+        den, radix, functional = D.trace_functional
         assert len(functional) == len(D.r0_piece.monomials)
-        for mono, value in zip(D.r0_piece.monomials, D.trace_functional):
+        for mono in D.r0_piece.monomials:
             code = monomial_code(mono, radix)
             digits = []
             for _ in mono:
                 code, digit = divmod(code, radix)
                 digits.append(digit)
             assert (tuple(digits), code) == (mono, 0)
-            assert functional[monomial_code(mono, radix)] == den * value
+            assert type(functional[monomial_code(mono, radix)]) is int
 
     def test_direct_trace_never_reads_the_structure_constants(self, bundle_algebra):
         D = bundle_algebra
@@ -556,9 +572,7 @@ class TestSparseKernel:
         rng = random.Random(9)
         dims = D.dims()
         factors = [(d, [rng.randint(-3, 3) for _ in range(dims[d])]) for d in (1, 1, 0)]
-        assert frob.direct_trace(
-            scrambled, frob.scaled_functional(scrambled), factors
-        ) == frob.direct_trace(D, frob.scaled_functional(D), factors)
+        assert frob.direct_trace(scrambled, factors) == frob.direct_trace(D, factors)
 
 
 class TestInvarianceFaultInjection:
@@ -609,9 +623,10 @@ class TestInvarianceFaultInjection:
         col = next(
             c for c in map(column, products) if c != socle_col and c in r0.echelon.rows
         )
-        functional = list(D.trace_functional)
-        functional[col] += 1
-        bad = dataclasses.replace(D, trace_functional=functional)
+        den, radix, functional = D.trace_functional
+        functional = dict(functional)
+        functional[monomial_code(r0.monomials[col], radix)] += den  # lambda + 1
+        bad = dataclasses.replace(D, trace_functional=(den, radix, functional))
         assert frob.trace([Fraction(1)], bad) == frob.trace([Fraction(1)], D)
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert not report.invariance.ok
@@ -638,9 +653,10 @@ class TestInvarianceFaultInjection:
         assert "vs direct" in report.invariance.witness
 
     def test_fractional_functional_corruption_seen_through_the_lcm(self, bundle_algebra):
-        """+1/7 on one entry of lambda that only the direct path reads: the
-        direct path scales lambda by the lcm of its denominators, computed
-        at every check, so the new denominator 7 enters the scaling."""
+        """+1/7 on one entry of lambda that only the direct path reads.  In
+        the integer form den becomes 7 den: every numerator is multiplied by
+        7 and den is added at one code, so the new denominator 7 enters the
+        scaling."""
         D = bundle_algebra
         index = D.r0_piece.column_index()
         shift = (1,) * len(D.system.variables)
@@ -654,12 +670,11 @@ class TestInvarianceFaultInjection:
             for c in (column(u, v) for u in D.bases[1].basis for v in D.bases[1].basis)
             if c != socle_col
         )
-        functional = list(D.trace_functional)
-        functional[col] += Fraction(1, 7)
-        bad = dataclasses.replace(D, trace_functional=functional)
-        den = frob.scaled_functional(D)[0]
+        den, radix, functional = D.trace_functional
         assert den % 7 != 0
-        assert frob.scaled_functional(bad)[0] == 7 * den
+        functional = {code: 7 * n for code, n in functional.items()}
+        functional[monomial_code(D.r0_piece.monomials[col], radix)] += den
+        bad = dataclasses.replace(D, trace_functional=(7 * den, radix, functional))
         assert frob.trace([Fraction(1)], bad) == frob.trace([Fraction(1)], D)
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert not report.invariance.ok
@@ -715,8 +730,7 @@ class TestExhaustiveInvariance:
         u, v, w = unit(0, 0), unit(1, 0), unit(1, 1)
         uv = bad.product_coords(0, u, 1, v)
         lhs = frob.trace(bad.product_coords(1, uv, 1, w), bad)
-        scaled = frob.scaled_functional(bad)
-        direct = frob.direct_trace(bad, scaled, ((0, u), (1, v), (1, w)))
+        direct = frob.direct_trace(bad, ((0, u), (1, v), (1, w)))
         assert lhs.rational != direct
         assert f"vs direct {direct}" in witness
 
