@@ -9,7 +9,9 @@ certificate failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import frobenius
@@ -81,12 +83,7 @@ def _build_config(args) -> RunConfig:
         overrides["max_degree_a"] = None
     if args.json_only:
         overrides["json_only"] = True
-    config = parse_run_config(doc, overrides)
-    if args.fixture:
-        fx = get_fixture(args.fixture)
-        config.stated_degrees = fx.stated_degrees
-        config.stated_beta = fx.stated_beta
-    return config
+    return parse_run_config(doc, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +152,15 @@ def _human_summary(report: dict, stream):
 
 
 def _emit(report: dict, exit_code: int, json_only: bool) -> int:
-    print(json.dumps(report, indent=2))
+    """Print a document; return ``exit_code``, also once stdout is closed."""
+    try:
+        print(json.dumps(report, indent=2), flush=True)
+    except BrokenPipeError:
+        # the flush at exit goes to devnull instead of raising again; a
+        # stream with no descriptor has nothing left to flush
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
     if not json_only:
         _human_summary(report, sys.stderr)
     return exit_code
@@ -198,8 +203,7 @@ def main(argv=None) -> int:
         except InputSchemaError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        print(json.dumps(doc, indent=2))
-        return EXIT_OK
+        return _emit(doc, EXIT_OK, json_only=True)
 
     try:
         config = _build_config(args)

@@ -55,6 +55,10 @@ class Fixture:
             doc["zero_sets"] = [list(s) for s in self.zero_sets]
         if self.options:
             doc["options"] = dict(self.options)
+        if self.stated_degrees is not None:
+            doc["stated_degrees"] = [list(d) for d in self.stated_degrees]
+        if self.stated_beta is not None:
+            doc["stated_beta"] = list(self.stated_beta)
         if self.expected_fail:
             doc["expected_fail"] = self.expected_fail
         return doc

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, JSON schemas, determinism and
 fixture round-trips."""
 
+import io
 import json
+import sys
 import time
 
 import pytest
@@ -313,8 +315,9 @@ class TestGramRanks:
         doc = get_fixture("projective-4").to_input_document()
         doc_report, code = report.run_report(report.parse_run_config(doc))
         assert code == 0
-        # G_0, G_1, G_2 of the quartic: 1x1, 19x19, 1x1
-        assert calls == [1, 19, 1]
+        # the 4x1 computed degrees, whose rank the stated-degrees comparison
+        # checks, then G_0, G_1, G_2 of the quartic: 1x1, 19x19, 1x1
+        assert calls == [4, 1, 19, 1]
         assert [doc_report["gram"][str(a)]["rank"] for a in range(3)] == [1, 19, 1]
 
     def test_singular_gram_fails_nondegeneracy(self, monkeypatch):
@@ -555,3 +558,31 @@ class TestStrictSchema:
         )
         assert code == 2
         assert "max_degree_a" in err
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """``lgfrob report ... | head`` closes stdout before the report is
+    written; the command must still end with the report's exit code."""
+
+    @pytest.mark.parametrize(
+        "name, want", [("projective-3", 0), ("degenerate-cube", 4)]
+    )
+    def test_returns_the_exit_code(self, monkeypatch, capsys, name, want):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(["report", "--fixture", name, "--json-only"]) == want
+
+    def test_fixture_document(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(["fixture", "bundle-p6"]) == 0
+
+    def test_summary_still_reaches_stderr(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(["report", "--fixture", "projective-3"]) == 0
+        assert "certificates: all pass" in capsys.readouterr().err

@@ -4,16 +4,23 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from reference import lift
 
 from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
-from lgfrob.errors import DegreeMismatch, HessianGeneratorZero, SocleNotOneDimensional
-from lgfrob.fixtures import get_fixture
+from lgfrob import report
+from lgfrob.errors import (
+    DegreeMismatch,
+    HessianGeneratorZero,
+    NotReflexivePipeline,
+    SocleNotOneDimensional,
+)
+from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import GradedPolynomial, monomial_code, parse_polynomial
-from lgfrob.toric import class_group
+from lgfrob.toric import anticanonical_polytope, class_group, monomial_basis
 
 
 def make_system(name):
@@ -776,3 +783,90 @@ def test_unit_corruption_fails_unit_and_associativity(bundle_algebra):
     )
     assert not report.associativity.ok
     assert report.associativity.witness == f"(a,i,b,j,c,k) = (0, 0, 0, 0, 1, {j})"
+
+
+class TestMacaulayFromOnePiece:
+    """R(f)_{m beta} = 0 certifies R(f)_{p beta} = 0 for every p > m (see
+    ``build_algebra``), so a report builds no piece above m beta."""
+
+    @staticmethod
+    def report_system(monkeypatch, name):
+        """(report, exit code, the JacobianSystem the report built)."""
+        systems = []
+        original = jac.jacobian_system
+
+        def recording(*args):
+            systems.append(original(*args))
+            return systems[-1]
+
+        monkeypatch.setattr(jac, "jacobian_system", recording)
+        doc = get_fixture(name).to_input_document()
+        out, code = report.run_report(report.parse_run_config(doc, {"json_only": True}))
+        return out, code, systems[0]
+
+    @pytest.mark.parametrize("name", ["projective-4", "bundle-p2"])
+    def test_report_builds_no_piece_above_m(self, monkeypatch, name):
+        out, code, system = self.report_system(monkeypatch, name)
+        assert code == 0
+        m, grading = system.m, system.grading
+        want = {(jac.IDEAL_J, grading.scaled_beta(a)) for a in range(m + 1)}
+        want.add((jac.IDEAL_J0, grading.scaled_beta(m)))
+        assert set(system._pieces) == want
+        assert out["algebra"]["zero_sums_checked"] == list(range(m, 2 * m - 1))
+
+    @staticmethod
+    def uncovered(name, p):
+        """The monomials of S_{p beta} that are no product of a monomial of
+        S_{m beta} and one of S_{(p-m) beta}."""
+        fx = get_fixture(name)
+        grading, m = class_group(fx.fan), fx.fan.dim
+
+        def basis(q):
+            return monomial_basis(grading, fx.fan, grading.scaled_beta(q))
+
+        top, low = set(basis(m)), basis(p - m)
+        return [
+            z for z in basis(p) if not any(tuple(map(sub, z, y)) in top for y in low)
+        ]
+
+    # bundle-p6 is left out for its size, hirzebruch-3 for its non-integral
+    # vertex (see the next test)
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in fixture_names() if n not in ("bundle-p6", "hirzebruch-3")],
+    )
+    def test_normality_spot_check(self, name):
+        """The identity build_algebra relies on, at every p with
+        m < p <= max(m+1, 2m-2)."""
+        m = get_fixture(name).fan.dim
+        for p in range(m + 1, max(m + 1, 2 * m - 2) + 1):
+            assert self.uncovered(name, p) == [], p
+
+    def test_normality_needs_integral_vertices(self):
+        """hirzebruch-3's Delta has a non-integral vertex.  There the
+        identity fails, and the polytope that build_algebra computes, its
+        guard of the hypothesis, is refused."""
+        assert (0, 1, 0, 5) in self.uncovered("hirzebruch-3", 3)
+        with pytest.raises(NotReflexivePipeline):
+            anticanonical_polytope(get_fixture("hirzebruch-3").fan)
+
+    def test_nonzero_top_piece_fails(self, monkeypatch):
+        """Fault injection: with dim R(f)_{m beta} forced to 1 the Macaulay
+        stage fails and build_algebra refuses."""
+        original = jac.graded_piece
+
+        def forced(system, ideal, alpha):
+            piece = original(system, ideal, alpha)
+            top = system.grading.scaled_beta(system.m)
+            if ideal == jac.IDEAL_J and tuple(alpha) == top:
+                return dataclasses.replace(piece, basis=piece.monomials[:1])
+            return piece
+
+        monkeypatch.setattr(jac, "graded_piece", forced)
+        monkeypatch.setattr(frob, "graded_piece", forced)
+        out, code, system = self.report_system(monkeypatch, "projective-4")
+        assert code == 4
+        assert out["macaulay"] == {"dims": {"3": 1}, "pass": False}
+        assert out["error"]["type"] == "SocleNotOneDimensional"
+        with pytest.raises(SocleNotOneDimensional):
+            frob.build_algebra(system, frob.GENERIC)

@@ -3,6 +3,7 @@ identical for every built-in fixture, and so must ``validate``, ``dims`` and
 ``gram`` (``tests/golden/<command>/X.json``).  README.md (Testing) gives the
 command that regenerates ``tests/golden/``."""
 
+import io
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,17 @@ def test_report_matches_golden(capsys, name):
 def test_command_matches_golden(capsys, command, name):
     main([command, "--fixture", name, "--json-only"])
     want = (GOLDEN / command / f"{name}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_document_through_stdin_matches_golden(capsys, monkeypatch, name):
+    """``lgfrob fixture X | lgfrob report --input - --json-only`` prints the
+    golden report: the document carries everything --fixture reads."""
+    main(["fixture", name])
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    main(["report", "--input", "-", "--json-only"])
+    want = (GOLDEN / f"{name}.json").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == want
 
 
