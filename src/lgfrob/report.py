@@ -363,8 +363,6 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         report["failures"] = failures
         return report, 0 if not failures else 4
 
-    report["hodge_row"] = dims
-
     # R(f)_{m beta} = 0 decides every p >= m; see frobenius.build_algebra
     with _timed(timings, "macaulay"):
         mac_dim = jacobian.dim_R(system, m)
