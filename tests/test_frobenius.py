@@ -11,7 +11,6 @@ from reference import lift
 
 from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
-from lgfrob import report
 from lgfrob.errors import (
     DegreeMismatch,
     HessianGeneratorZero,
@@ -20,6 +19,7 @@ from lgfrob.errors import (
 )
 from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import GradedPolynomial, monomial_code, parse_polynomial
+from lgfrob.report import parse_run_config, run_report
 from lgfrob.toric import anticanonical_polytope, class_group, monomial_basis
 
 
@@ -801,7 +801,7 @@ class TestMacaulayFromOnePiece:
 
         monkeypatch.setattr(jac, "jacobian_system", recording)
         doc = get_fixture(name).to_input_document()
-        out, code = report.run_report(report.parse_run_config(doc, {"json_only": True}))
+        out, code = run_report(parse_run_config(doc, {"json_only": True}))
         return out, code, systems[0]
 
     @pytest.mark.parametrize("name", ["projective-4", "bundle-p2"])
