@@ -9,6 +9,7 @@ from .errors import (
     InputSchemaError,
     InvalidFan,
     LgfrobError,
+    MacaulayNotVanishing,
     NoFunctional,
     NotHomogeneous,
     NotReflexivePipeline,

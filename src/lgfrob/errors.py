@@ -49,7 +49,8 @@ class InvalidFan(LgfrobError):
 
 
 class NotReflexivePipeline(LgfrobError):
-    """A vertex of the anti-canonical polytope violates one of its own inequalities."""
+    """The fan fails a check of ``validate_fan``, so it has no anti-canonical
+    polytope; the message names the first failing check and its witness."""
 
 
 class DegeneratePolytope(LgfrobError):
@@ -62,6 +63,11 @@ class SocleNotOneDimensional(LgfrobError):
             f"socle certificates failed: dim R(f)_(m-1)b = {dim_r}, dim R0(f)_mb = {dim_r0}"
         )
         self.dims = (dim_r, dim_r0)
+
+
+class MacaulayNotVanishing(LgfrobError):
+    def __init__(self, m, dim):
+        super().__init__(f"Macaulay vanishing failed: dim R(f)_{m}b = {dim}, expected 0")
 
 
 class HessianGeneratorZero(LgfrobError):

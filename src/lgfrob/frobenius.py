@@ -56,7 +56,9 @@ from operator import add
 from typing import Callable, Sequence
 
 from . import linalg
-from .errors import DegreeMismatch, HessianGeneratorZero, SocleNotOneDimensional
+from .errors import (
+    DegreeMismatch, HessianGeneratorZero, MacaulayNotVanishing, SocleNotOneDimensional
+)
 from .jacobian import (
     IDEAL_J,
     IDEAL_J0,
@@ -284,7 +286,7 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
     volume = normalized_volume(anticanonical_polytope(system.fan))
     top = graded_piece(system, IDEAL_J, system.grading.scaled_beta(m))
     if top.dim != 0:
-        raise SocleNotOneDimensional(top.dim, socle.dim_r0)
+        raise MacaulayNotVanishing(m, top.dim)
 
     bases = [
         graded_piece(system, IDEAL_J, system.grading.scaled_beta(a))

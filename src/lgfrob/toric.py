@@ -91,47 +91,47 @@ class CheckResult:
     witness: str | None = None
 
 
+CHECKS = ("simplicial", "complete_criterion", "gorenstein", "ample", "torsion_free")
+
+
 @dataclass
 class ValidationReport:
+    """The fan certificates named in ``CHECKS``, and the anti-canonical
+    polytope when every one of them passes (None otherwise)."""
+
     simplicial: CheckResult
     complete_criterion: CheckResult
     gorenstein: CheckResult
     ample: CheckResult
     torsion_free: CheckResult
+    polytope: AnticanPolytope | None = None
 
     @property
     def all_pass(self) -> bool:
-        return all(
-            c.ok
-            for c in (
-                self.simplicial,
-                self.complete_criterion,
-                self.gorenstein,
-                self.ample,
-                self.torsion_free,
-            )
-        )
+        return all(getattr(self, name).ok for name in CHECKS)
 
     def as_dict(self) -> dict:
         return {
-            name: {"pass": check.ok, "witness": check.witness}
-            for name, check in (
-                ("simplicial", self.simplicial),
-                ("complete_criterion", self.complete_criterion),
-                ("gorenstein", self.gorenstein),
-                ("ample", self.ample),
-                ("torsion_free", self.torsion_free),
-            )
+            name: {"pass": getattr(self, name).ok, "witness": getattr(self, name).witness}
+            for name in CHECKS
         }
 
 
 @dataclass(frozen=True)
 class AnticanPolytope:
-    """Anti-canonical polytope {u : <u, rho_i> >= -1 for all rays rho_i}.
+    """Anti-canonical polytope Delta = {u : <u, rho_i> >= -1 for all rays
+    rho_i} of a fan that passes every check of ``validate_fan``, which is its
+    one constructor.
 
-    One vertex per maximal cone; ``cone_inverses[k]`` is the
-    ``linalg.inverse_int`` ``(det, adj)`` of the matrix of a maximal cone
-    whose equations cut out ``vertices[k]``.
+    One vertex per maximal cone, in cone order: ``cone_inverses[k]`` is the
+    ``linalg.inverse_int`` ``(det, adj)`` of the matrix of the k-th cone
+    sigma, and ``vertices[k]`` is u_sigma = -adj . 1 / det, the solution of
+    <u, rho_i> = -1 on the rays of sigma.  Ampleness gives <u_sigma, rho>
+    >= 0 for every ray outside sigma, so the inequalities tight at u_sigma
+    are exactly the m independent ones of sigma's rays.  Hence distinct
+    cones have distinct vertices, with no de-duplication needed, and every
+    vertex lies on exactly m facets: Delta is simple, as the vertex formula
+    of ``normalized_volume`` requires.
     """
 
     dim: int
@@ -148,10 +148,14 @@ def _dot(u: Sequence, v: Sequence):
 
 
 def validate_fan(fan: FanData) -> ValidationReport:
-    """Run the four fan certificates; failures carry concrete witnesses."""
+    """Run the five fan certificates of ``CHECKS``; failures carry concrete
+    witnesses.  When all pass, the report carries the anti-canonical
+    polytope, built from the cone inverses and vertices of this one pass
+    over the maximal cones."""
     m = fan.dim
 
-    # one inverse_int per max cone serves the simplicial and Gorenstein checks
+    # one inverse_int per max cone serves the simplicial and Gorenstein
+    # checks and the polytope
     simplicial = CheckResult(True)
     inverses = []
     for ci, cone in enumerate(fan.max_cones):
@@ -170,14 +174,18 @@ def validate_fan(fan: FanData) -> ValidationReport:
 
     gorenstein = CheckResult(True)
     ample = CheckResult(True)
+    vertices = []
     if simplicial.ok:
-        for ci, (cone, inverse) in enumerate(zip(fan.max_cones, inverses)):
-            vertex = _cone_vertex(inverse)
-            if vertex is None:
+        for ci, (cone, (det, adj)) in enumerate(zip(fan.max_cones, inverses)):
+            # <u, rho_i> = -1 on the cone's rays A: u = -A^-1 . 1 = -adj . 1 / det
+            sums = [sum(row) for row in adj]
+            if any(x % det for x in sums):
                 gorenstein = CheckResult(
                     False, f"max cone {ci}: <u, rho_i> = -1 has no integral solution"
                 )
                 continue
+            vertex = tuple(-x // det for x in sums)
+            vertices.append(vertex)
             if ample.ok:
                 for rj in range(fan.n_rays):
                     if rj in cone:
@@ -201,7 +209,10 @@ def validate_fan(fan: FanData) -> ValidationReport:
     elif any(d != 1 for d in factors):
         torsion_free = CheckResult(False, f"class group torsion: invariant factors {factors}")
 
-    return ValidationReport(simplicial, complete, gorenstein, ample, torsion_free)
+    report = ValidationReport(simplicial, complete, gorenstein, ample, torsion_free)
+    if report.all_pass:
+        report.polytope = AnticanPolytope(m, tuple(vertices), tuple(inverses))
+    return report
 
 
 def _complete_criterion(fan: FanData) -> CheckResult:
@@ -238,21 +249,6 @@ def _complete_criterion(fan: FanData) -> CheckResult:
     return CheckResult(True)
 
 
-def _cone_vertex(inverse):
-    """Integral solution of <u, rho_i> = -1 for the rays of a max cone, from
-    ``inverse``, the ``linalg.inverse_int`` of its cone matrix A, or None
-    when the rays are dependent or the solution is not integral
-    (non-Gorenstein witness).  With A u = -1 and A^-1 = adj / det, the
-    solution is u = -adj . 1 / det."""
-    if inverse is None:
-        return None
-    det, adj = inverse
-    sums = [sum(row) for row in adj]
-    if any(x % det for x in sums):
-        return None
-    return tuple(-x // det for x in sums)
-
-
 # ---------------------------------------------------------------------------
 # class group and grading
 
@@ -287,31 +283,14 @@ def class_group(fan: FanData) -> GradingMap:
 
 
 def anticanonical_polytope(fan: FanData) -> AnticanPolytope:
-    vertices: list[tuple[int, ...]] = []
-    cone_inverses = []
-    seen: set[tuple[int, ...]] = set()
-    for ci, cone in enumerate(fan.max_cones):
-        inverse = linalg.inverse_int(fan.cone_matrix(cone))
-        vertex = _cone_vertex(inverse)
-        if vertex is None:
-            raise NotReflexivePipeline(
-                f"max cone {ci} has no integral vertex; run validate_fan first"
-            )
-        if vertex in seen:
-            continue
-        for rj, ray in enumerate(fan.rays):
-            if _dot(vertex, ray) < -1:
-                raise NotReflexivePipeline(
-                    f"vertex {vertex} violates <u, ray {rj}> >= -1"
-                )
-        seen.add(vertex)
-        vertices.append(vertex)
-        cone_inverses.append(inverse)
-    return AnticanPolytope(
-        dim=fan.dim,
-        vertices=tuple(vertices),
-        cone_inverses=tuple(cone_inverses),
-    )
+    """The polytope of ``validate_fan(fan)``; raises NotReflexivePipeline
+    with the name and witness of the first failing check when there is
+    none."""
+    report = validate_fan(fan)
+    if report.polytope is None:
+        name = next(name for name in CHECKS if not getattr(report, name).ok)
+        raise NotReflexivePipeline(f"{name}: {getattr(report, name).witness}")
+    return report.polytope
 
 
 def normalized_volume(polytope: AnticanPolytope) -> int:

@@ -3,14 +3,17 @@
 None of these is used by the program.  Each one is the plain, slow way to
 compute what a kernel of ``lgfrob`` computes the fast way: dense Fraction
 Gauss-Jordan next to the sparse integer ``EchelonBasis``, cofactor expansion
-next to Bareiss, the product of the recorded factors next to the modular
-elimination, a bounding-box sweep next to the Fourier-Motzkin monomial
-enumeration, and polynomial lifts next to the direct trace.
+next to Bareiss, the anti-canonical polytope cone by cone next to the fan
+validation that builds it, the product of the recorded factors next to the
+modular elimination, a bounding-box sweep next to the Fourier-Motzkin
+monomial enumeration, and polynomial lifts next to the direct trace.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from lgfrob.poly import GradedPolynomial
+from lgfrob.toric import AnticanPolytope
 
 
 def rref(matrix):
@@ -81,6 +84,37 @@ def det(a):
         term = a[0][j] * det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def reference_polytope(fan):
+    """The anti-canonical polytope cone by cone, as the program once built
+    it apart from fan validation: the cofactor inverse (det, adj) of each
+    cone matrix, the vertex -adj . 1 / det, which must be integral and
+    satisfy <u, rho> >= -1 for every ray, and each repeated vertex kept
+    once."""
+    vertices, inverses, seen = [], [], set()
+    for cone in fan.max_cones:
+        a = fan.cone_matrix(cone)
+        n = len(a)
+        d = det(a)
+        adj = [
+            [
+                (-1) ** (i + j)
+                * det([row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != j])
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        sums = [sum(row) for row in adj]
+        assert d and all(x % d == 0 for x in sums)
+        vertex = tuple(-x // d for x in sums)
+        if vertex in seen:
+            continue
+        assert all(sum(map(mul, vertex, ray)) >= -1 for ray in fan.rays)
+        seen.add(vertex)
+        vertices.append(vertex)
+        inverses.append((d, adj))
+    return AnticanPolytope(fan.dim, tuple(vertices), tuple(inverses))
 
 
 def mat_mul_int(a, b):

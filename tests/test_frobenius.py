@@ -14,6 +14,7 @@ from lgfrob import jacobian as jac
 from lgfrob.errors import (
     DegreeMismatch,
     HessianGeneratorZero,
+    MacaulayNotVanishing,
     NotReflexivePipeline,
     SocleNotOneDimensional,
 )
@@ -851,8 +852,9 @@ class TestMacaulayFromOnePiece:
             anticanonical_polytope(get_fixture("hirzebruch-3").fan)
 
     def test_nonzero_top_piece_fails(self, monkeypatch):
-        """Fault injection: with dim R(f)_{m beta} forced to 1 the Macaulay
-        stage fails and build_algebra refuses."""
+        """Fault injection: with dim R(f)_{m beta} forced to 1 the report
+        stops after the Macaulay and socle stages, with no algebra and no
+        error, and build_algebra refuses with the degree and dimension."""
         original = jac.graded_piece
 
         def forced(system, ideal, alpha):
@@ -867,6 +869,7 @@ class TestMacaulayFromOnePiece:
         out, code, system = self.report_system(monkeypatch, "projective-4")
         assert code == 4
         assert out["macaulay"] == {"dims": {"3": 1}, "pass": False}
-        assert out["error"]["type"] == "SocleNotOneDimensional"
-        with pytest.raises(SocleNotOneDimensional):
+        assert out["failures"] == ["macaulay_vanishing"]
+        assert "algebra" not in out and "error" not in out
+        with pytest.raises(MacaulayNotVanishing, match=r"dim R\(f\)_3b = 1,"):
             frob.build_algebra(system, frob.GENERIC)

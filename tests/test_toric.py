@@ -12,7 +12,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from reference import count_lattice_points_dilated, det, mat_mul_int, rref
+from reference import (
+    count_lattice_points_dilated,
+    det,
+    mat_mul_int,
+    reference_polytope,
+    rref,
+)
 
 from lgfrob import linalg
 from lgfrob.errors import InvalidFan, NotReflexivePipeline, TorsionClassGroup
@@ -204,6 +210,46 @@ class TestPolytopeAndVolume:
         # Gorenstein fails for this fan; the polytope pipeline refuses it
         fan = FanData(2, [(1, 0), (0, 1), (-1, -3)], [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(NotReflexivePipeline):
+            anticanonical_polytope(fan)
+
+
+class TestPolytopeFromValidation:
+    @pytest.mark.parametrize(
+        "name", [n for n in fixture_names() if n != "hirzebruch-3"]
+    )
+    def test_equals_reference(self, name):
+        """validate_fan's polytope has the reference's vertices in cone
+        order and the same (det, adj) per cone, and no two cones share a
+        vertex, so the reference's de-duplication removed nothing."""
+        fan = get_fixture(name).fan
+        polytope = validate_fan(fan).polytope
+        assert polytope == reference_polytope(fan)
+        assert len(set(polytope.vertices)) == len(fan.max_cones)
+
+    @pytest.mark.parametrize(
+        "fan, check",
+        [
+            (get_fixture("hirzebruch-3").fan, "ample"),
+            # P(1,1,3), as in test_non_reflexive_rejected
+            (FanData(2, [(1, 0), (0, 1), (-1, -3)], [(0, 1), (1, 2), (0, 2)]), "gorenstein"),
+        ],
+    )
+    def test_none_when_a_check_fails(self, fan, check):
+        assert validate_fan(fan).polytope is None
+        with pytest.raises(NotReflexivePipeline, match=f"^{check}: max cone"):
+            anticanonical_polytope(fan)
+
+    def test_nef_but_not_ample_refused(self):
+        """On the Hirzebruch surface F_2 the cones (0, 1) and (1, 2) share
+        the vertex (-1, -1), where three facets meet, so Delta is not simple
+        and the vertex formula of normalized_volume does not apply (it gave
+        41/4, not (-K)^2 = 8).  Ampleness refuses the fan."""
+        fan = FanData(
+            2, [(1, 0), (0, 1), (-1, 2), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]
+        )
+        assert len(reference_polytope(fan).vertices) == 3
+        witness = r"^ample: max cone 0: <\(-1, -1\), ray 2"
+        with pytest.raises(NotReflexivePipeline, match=witness):
             anticanonical_polytope(fan)
 
 
