@@ -65,6 +65,7 @@ from .jacobian import (
     JacobianSystem,
     QuotientBasis,
     graded_piece,
+    macaulay_dim,
     normal_form,
     socle_certificates,
 )
@@ -259,9 +260,10 @@ def _hessian_determinant(system: JacobianSystem) -> GradedPolynomial:
 
 def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusAlgebraData:
     """Assemble A(f).  Requires both socle certificates to be 1-dimensional
-    and R(f)_{m beta} = 0, which certifies R(f)_{p beta} = 0 for every
-    product degree p = m .. 2m-2 (``zero_sums_checked``) with no piece
-    above m beta built.
+    and R(f)_{m beta} = 0, decided by ``macaulay_dim`` from lambda and one
+    relation row with no piece of J at m beta built; it certifies
+    R(f)_{p beta} = 0 for every product degree p = m .. 2m-2
+    (``zero_sums_checked``) with no piece above m beta built.
 
     The monomials of S_{p beta} are the z^(<u, v_rho> + p) over the lattice
     points u of p Delta, Delta the anti-canonical polytope, and products
@@ -284,9 +286,9 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
     if not socle.ok:
         raise SocleNotOneDimensional(socle.dim_r, socle.dim_r0)
     volume = normalized_volume(anticanonical_polytope(system.fan))
-    top = graded_piece(system, IDEAL_J, system.grading.scaled_beta(m))
-    if top.dim != 0:
-        raise MacaulayNotVanishing(m, top.dim)
+    top_dim = macaulay_dim(system)
+    if top_dim != 0:
+        raise MacaulayNotVanishing(m, top_dim)
 
     bases = [
         graded_piece(system, IDEAL_J, system.grading.scaled_beta(a))

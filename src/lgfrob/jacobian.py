@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Sequence
 
 from . import linalg
@@ -31,6 +32,7 @@ class JacobianSystem:
     partials: list[GradedPolynomial]
     euler_gens: list[GradedPolynomial]
     _pieces: dict = field(default_factory=dict, repr=False)
+    _monomials: dict = field(default_factory=dict, repr=False)
 
     @property
     def m(self) -> int:
@@ -39,6 +41,17 @@ class JacobianSystem:
     @property
     def variables(self) -> tuple[str, ...]:
         return self.f.variables
+
+    def monomials(self, alpha: Sequence[int]) -> list[Monomial]:
+        """The graded-lex monomials of S_alpha, enumerated once per system
+        and shared by every later caller, which must not modify them."""
+        alpha = tuple(alpha)
+        monos = self._monomials.get(alpha)
+        if monos is None:
+            monos = self._monomials[alpha] = monomial_basis(
+                self.grading, self.fan, alpha
+            )
+        return monos
 
 
 def jacobian_system(fan: FanData, grading: GradingMap, f: GradedPolynomial) -> JacobianSystem:
@@ -154,7 +167,7 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
     generator's denominators are cleared once per call, since all of its
     rows carry the same coefficients.
     """
-    monos = monomial_basis(system.grading, system.fan, alpha)
+    monos = system.monomials(alpha)
     radix = 1 + max(map(max, monos), default=0)
     index = {monomial_code(mono, radix): i for i, mono in enumerate(monos)}
     rows: list[dict[int, int]] = []
@@ -163,8 +176,7 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
         cof_degree = tuple(a - d for a, d in zip(alpha, g_deg))
         if cof_degree not in cofactors:
             cofactors[cof_degree] = [
-                monomial_code(cof, radix)
-                for cof in monomial_basis(system.grading, system.fan, cof_degree)
+                monomial_code(cof, radix) for cof in system.monomials(cof_degree)
             ]
         terms = [
             (monomial_code(mono, radix), x)
@@ -256,6 +268,44 @@ def dim_R(system: JacobianSystem, a: int) -> int:
     return graded_piece(system, IDEAL_J, system.grading.scaled_beta(a)).dim
 
 
+def macaulay_dim(system: JacobianSystem) -> int:
+    """dim R(f)_{m beta}, built as a piece only when dim R0(f)_{m beta} != 1.
+
+    Every J0 row z_i f_i * c is the J row f_i * (z_i c), so J0(f)_{m beta}
+    lies in J(f)_{m beta}, which lies in S_{m beta}.  When R0(f)_{m beta}
+    is one-dimensional, J0(f)_{m beta} is the kernel of the functional
+    lambda that sends a monomial to the coefficient of the single basis
+    monomial in its remainder modulo J0 (the table the trace functional
+    reads), so J(f)_{m beta} is ker lambda or all of S_{m beta}: the
+    dimension is 0 as soon as one J row f_i * c has lambda(f_i * c) =
+    sum_t x_t lambda(t * c) != 0, and 1 when every row lies in ker lambda.
+    A row can have lambda != 0 only if one of its monomials t * c lies in
+    supp lambda, so the only rows evaluated, each once, are those with
+    c = z / t, for z in supp lambda and t a term of f_i that divides z; no
+    cofactor basis is enumerated."""
+    top = system.grading.scaled_beta(system.m)
+    r0 = graded_piece(system, IDEAL_J0, top)
+    if r0.dim != 1:
+        return graded_piece(system, IDEAL_J, top).dim
+    lam = {
+        mono: rem[0]
+        for mono, rem in zip(r0.monomials, r0.remainders())
+        if rem
+    }
+    partials = [g.terms for g, _ in _generators(system, IDEAL_J)]
+    evaluated = set()  # (generator, cofactor): a row reached from several z
+    for z in lam:
+        for i, terms in enumerate(partials):
+            for t in terms:
+                c = tuple(map(sub, z, t))
+                if min(c) < 0 or (i, c) in evaluated:
+                    continue
+                evaluated.add((i, c))
+                if sum(x * lam.get(tuple(map(add, u, c)), 0) for u, x in terms.items()):
+                    return 0
+    return 1
+
+
 def normal_form(poly: GradedPolynomial, piece: QuotientBasis) -> list[Fraction]:
     """Coordinates of [poly] over the quotient basis of the piece: the sum of
     the remainders of its monomials."""
@@ -285,7 +335,9 @@ class SocleReport:
 
 
 def socle_certificates(system: JacobianSystem) -> SocleReport:
-    """dim R(f)_{(m-1)beta} and dim R0(f)_{m beta} with quotient generators."""
+    """dim R(f)_{(m-1)beta} and dim R0(f)_{m beta} with quotient generators.
+    In a report both pieces come from the system's cache: the dims stage
+    builds the first and ``macaulay_dim`` the second."""
     m = system.m
     piece_r = graded_piece(system, IDEAL_J, system.grading.scaled_beta(m - 1))
     piece_r0 = graded_piece(system, IDEAL_J0, system.grading.scaled_beta(m))

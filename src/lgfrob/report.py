@@ -362,9 +362,10 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         report["failures"] = failures
         return report, 0 if not failures else 4
 
-    # R(f)_{m beta} = 0 decides every p >= m; see frobenius.build_algebra
+    # R(f)_{m beta} = 0 decides every p >= m; see frobenius.build_algebra.
+    # This stage builds R0(f)_{m beta}, which the socle stage then reuses.
     with _timed(timings, "macaulay"):
-        mac_dim = jacobian.dim_R(system, m)
+        mac_dim = jacobian.macaulay_dim(system)
     mac_ok = mac_dim == 0
     report["macaulay"] = {"dims": {str(m): mac_dim}, "pass": mac_ok}
     if not mac_ok:

@@ -788,7 +788,8 @@ def test_unit_corruption_fails_unit_and_associativity(bundle_algebra):
 
 class TestMacaulayFromOnePiece:
     """R(f)_{m beta} = 0 certifies R(f)_{p beta} = 0 for every p > m (see
-    ``build_algebra``), so a report builds no piece above m beta."""
+    ``build_algebra``), and ``macaulay_dim`` decides it from R0(f)_{m beta},
+    so a report builds no piece of J at or above m beta."""
 
     @staticmethod
     def report_system(monkeypatch, name):
@@ -810,7 +811,7 @@ class TestMacaulayFromOnePiece:
         out, code, system = self.report_system(monkeypatch, name)
         assert code == 0
         m, grading = system.m, system.grading
-        want = {(jac.IDEAL_J, grading.scaled_beta(a)) for a in range(m + 1)}
+        want = {(jac.IDEAL_J, grading.scaled_beta(a)) for a in range(m)}
         want.add((jac.IDEAL_J0, grading.scaled_beta(m)))
         assert set(system._pieces) == want
         assert out["algebra"]["zero_sums_checked"] == list(range(m, 2 * m - 1))
@@ -852,20 +853,18 @@ class TestMacaulayFromOnePiece:
             anticanonical_polytope(get_fixture("hirzebruch-3").fan)
 
     def test_nonzero_top_piece_fails(self, monkeypatch):
-        """Fault injection: with dim R(f)_{m beta} forced to 1 the report
-        stops after the Macaulay and socle stages, with no algebra and no
-        error, and build_algebra refuses with the degree and dimension."""
-        original = jac.graded_piece
+        """Fault injection: the certificate reads the Euler generators z_i f_i
+        in place of the partials f_i.  Their rows span J0(f)_{m beta} = ker
+        lambda, so dim R(f)_{m beta} comes out 1, the report stops after the
+        Macaulay and socle stages, with no algebra and no error, and
+        build_algebra refuses with the degree and dimension."""
+        original = jac.macaulay_dim
 
-        def forced(system, ideal, alpha):
-            piece = original(system, ideal, alpha)
-            top = system.grading.scaled_beta(system.m)
-            if ideal == jac.IDEAL_J and tuple(alpha) == top:
-                return dataclasses.replace(piece, basis=piece.monomials[:1])
-            return piece
+        def corrupted(system):
+            system.partials = list(system.euler_gens)
+            return original(system)
 
-        monkeypatch.setattr(jac, "graded_piece", forced)
-        monkeypatch.setattr(frob, "graded_piece", forced)
+        monkeypatch.setattr(jac, "macaulay_dim", corrupted)
         out, code, system = self.report_system(monkeypatch, "projective-4")
         assert code == 4
         assert out["macaulay"] == {"dims": {"3": 1}, "pass": False}

@@ -5,6 +5,7 @@ import gc
 import random
 import sys
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from reference import rows_from_factorization
@@ -15,6 +16,7 @@ from lgfrob.cli import main
 from lgfrob.errors import DegreeMismatch, NoFunctional
 from lgfrob.fixtures import get_fixture
 from lgfrob.poly import GradedPolynomial, monomial_code, parse_polynomial
+from lgfrob.report import parse_run_config, run_report
 from lgfrob.toric import class_group, monomial_basis
 
 
@@ -465,7 +467,9 @@ class TestBlocks:
     @pytest.mark.parametrize("name", ["projective-4", "bundle-p2"])
     def test_one_cofactor_enumeration_per_degree(self, name, monkeypatch):
         """relation_rows enumerates the ambient piece once and each distinct
-        cofactor degree once, however many generators share it."""
+        cofactor degree once, however many generators share it.  The
+        system's enumeration cache is emptied before each call, so that
+        every call enumerates what it needs."""
         calls = []
         original = jac.monomial_basis
 
@@ -484,9 +488,28 @@ class TestBlocks:
                 }
                 assert len(cofactor_degrees) < len(gens)
                 calls.clear()
+                system._monomials.clear()
                 jac.relation_rows(system, ideal, alpha)
                 assert calls[0] == alpha
                 assert sorted(calls[1:]) == sorted(cofactor_degrees)
+
+    @pytest.mark.parametrize("name, count", [("projective-4", 7), ("bundle-p2", 13)])
+    def test_each_degree_enumerated_once_per_report(self, name, count, monkeypatch):
+        """A report enumerates each degree once: S_{(m-1) beta} is the
+        ambient of R(f)_{(m-1) beta} and the cofactor basis of J0 at
+        m beta, and the second use reads the system's cache."""
+        calls = []
+        original = jac.monomial_basis
+
+        def counting(grading, fan, alpha):
+            calls.append(tuple(alpha))
+            return original(grading, fan, alpha)
+
+        monkeypatch.setattr(jac, "monomial_basis", counting)
+        doc = get_fixture(name).to_input_document()
+        _, code = run_report(parse_run_config(doc, {"json_only": True}))
+        assert code == 0
+        assert len(calls) == len(set(calls)) == count
 
 
 def tuple_keyed_rows(system, ideal, alpha):
@@ -529,7 +552,12 @@ class TestCodeKeyedRows:
         monkeypatch.setattr(jac, "relation_rows", checked)
         assert main(["report", "--fixture", name, "--json-only"]) == 0
         capsys.readouterr()
-        assert len(seen) >= 4
+        # R(f)_{a beta} for a < m and R0(f)_{m beta}, each assembled once
+        fan = get_fixture(name).fan
+        beta = class_group(fan).scaled_beta
+        want = [(jac.IDEAL_J, beta(a)) for a in range(fan.dim)]
+        want.append((jac.IDEAL_J0, beta(fan.dim)))
+        assert sorted(seen) == sorted(want)
 
     @pytest.mark.parametrize("ideal", [jac.IDEAL_J, jac.IDEAL_J0])
     def test_rows_where_the_radix_is_tight(self, ideal):
@@ -558,6 +586,67 @@ class TestCodeKeyedRows:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def rescaled_system(name, scales):
+    """The fixture's system with f replaced by f(scales * z)."""
+    fx = get_fixture(name)
+    terms = {}
+    for mono, coeff in fx.polynomial.terms.items():
+        for lam, e in zip(scales, mono):
+            coeff *= lam**e
+        terms[mono] = coeff
+    f = GradedPolynomial(fx.variables, terms)
+    return jac.jacobian_system(fx.fan, class_group(fx.fan), f)
+
+
+# the fixtures whose report reaches the Macaulay stage
+MACAULAY_FIXTURES = [
+    "projective-3", "weighted-p112", "p1xp1", "projective-4", "bundle-p2",
+    "projective-5", "degenerate-cube",
+]
+
+
+class TestMacaulayDim:
+    @pytest.mark.parametrize(
+        "name, scales",
+        [(name, None) for name in MACAULAY_FIXTURES]
+        + [("projective-4", (2, 3, 1, 2)), ("bundle-p2", (3, 1, 2, 2, 1))],
+        ids=MACAULAY_FIXTURES + ["projective-4-rescaled", "bundle-p2-rescaled"],
+    )
+    def test_equals_the_built_piece(self, name, scales):
+        """macaulay_dim is dim R(f)_{m beta}, also after a torus rescaling,
+        and it builds that piece only when dim R0(f)_{m beta} != 1
+        (degenerate-cube, 18)."""
+        if scales is None:
+            system = make_system(name)
+        else:
+            system = rescaled_system(name, scales)
+        top = system.grading.scaled_beta(system.m)
+        got = jac.macaulay_dim(system)
+        r0 = jac.graded_piece(system, jac.IDEAL_J0, top)
+        assert ((jac.IDEAL_J, top) in system._pieces) == (r0.dim != 1)
+        assert got == jac.graded_piece(system, jac.IDEAL_J, top).dim
+
+    @pytest.mark.parametrize("name", ["p1xp1", "bundle-p2"])
+    def test_rows_inside_ker_lambda_give_one(self, name):
+        """With the partials replaced by the Euler generators z_i f_i, every
+        row lies in J0(f)_{m beta} = ker lambda.  On these fixtures some
+        monomial of supp lambda is divisible by a term of some z_i f_i, so
+        rows are evaluated, and each evaluates to 0: the dimension is 1."""
+        system = make_system(name)
+        top = system.grading.scaled_beta(system.m)
+        r0 = jac.graded_piece(system, jac.IDEAL_J0, top)
+        supp = [z for z, rem in zip(r0.monomials, r0.remainders()) if rem]
+        assert any(
+            min(map(sub, z, t)) >= 0
+            for z in supp
+            for g in system.euler_gens
+            for t in g.terms
+        )
+        system.partials = list(system.euler_gens)
+        assert jac.macaulay_dim(system) == 1
+        assert (jac.IDEAL_J, top) not in system._pieces
 
 
 class TestCertificates:
