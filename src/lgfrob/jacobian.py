@@ -81,9 +81,8 @@ class QuotientBasis:
     ``monomials`` is the graded-lex basis of the ambient piece; ``basis`` the
     non-pivot monomials spanning the quotient.  Of the ``blocks`` blocks of
     relation rows (see ``graded_piece``), ``certified_blocks`` enter ``echelon``
-    as unit rows, and it is None exactly when they cover every column;
-    ``lifted_blocks`` enter as the reduced rows of their lifted kernel.
-    ``eliminated_rows`` rows went through ``add_row``, and
+    as unit rows and ``lifted_blocks`` as the reduced rows of their lifted
+    kernel.  ``eliminated_rows`` rows went through ``add_row``, and
     ``remainder_checked_rows`` were verified exactly against a kernel.
     """
 
@@ -93,7 +92,7 @@ class QuotientBasis:
     rank: int
     pivots: tuple[int, ...]
     basis: list[Monomial]
-    echelon: linalg.EchelonBasis | None
+    echelon: linalg.EchelonBasis
     blocks: int = 0
     certified_blocks: int = 0
     lifted_blocks: int = 0
@@ -126,8 +125,7 @@ class QuotientBasis:
             table: list[dict[int, Fraction]] = [{} for _ in self.monomials]
             for k, mono in enumerate(self.basis):
                 table[self.column_index()[mono]] = {k: Fraction(1)}
-            if self.echelon is not None:
-                self.echelon.back_substitute(table, range(len(table)))
+            self.echelon.back_substitute(table, range(len(table)))
             self._remainders = table
         return self._remainders
 
@@ -233,8 +231,6 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
             lifted += 1
             checked += len(block_rows)
     pivots = echelon.pivots
-    if certified == len(blocks) and echelon.is_full_column_rank():
-        echelon = None  # every column certified, or no columns at all
     pivot_set = set(pivots)
     basis = [mono for i, mono in enumerate(monos) if i not in pivot_set]
     piece = QuotientBasis(

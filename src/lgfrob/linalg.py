@@ -17,9 +17,11 @@ One kernel per job:
   * ``inverse_int`` is the one Bareiss routine: ``(det, adj)`` of a cone
     matrix or of a lifted kernel on its non-pivots, and the determinant
     wherever one is needed;
-  * ``smith_normal_form`` (with ``solve_integer`` and ``invariant_factors``)
-    and ``hermite_row_canonical`` compute the class-group grading and solve
-    for integer points and unimodular transforms;
+  * ``hermite_row_canonical`` is the one integer elimination: the
+    class-group grading reads its degree basis off one Hermite form,
+    ``solve_integer`` is one Hermite form and a forward substitution, and
+    ``smith_normal_form`` (with ``invariant_factors``) alternates Hermite
+    forms of its rows and columns;
   * ``connected_blocks`` splits a sparse matrix into independent blocks.
 
 Conventions:
@@ -47,10 +49,6 @@ PREFILTER_PRIME = 2147483647
 
 def identity_int(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec_int(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def inverse_int(matrix: Sequence[Sequence[int]]):
@@ -90,132 +88,8 @@ def inverse_int(matrix: Sequence[Sequence[int]]):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form with transformation certificates
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]):
-    """Smith normal form ``U @ A @ V = D`` with unimodular ``U``, ``V``.
-
-    ``D`` is diagonal with non-negative entries satisfying ``d1 | d2 | ...``.
-    """
-    a = [list(row) for row in matrix]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = identity_int(nrows)
-    v = identity_int(ncols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):  # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    size = min(nrows, ncols)
-
-    def diagonalize():
-        t = 0
-        while t < size:
-            # locate smallest-magnitude nonzero entry in the trailing block
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    x = a[i][j]
-                    if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
-            # clear row and column t; swaps can reintroduce entries, but each
-            # swap strictly shrinks the pivot magnitude so this terminates
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(t + 1, nrows):
-                    if a[i][t] != 0:
-                        q = a[i][t] // a[t][t]
-                        add_row(t, i, -q)
-                        if a[i][t] != 0:
-                            swap_rows(t, i)
-                            dirty = True
-                for j in range(t + 1, ncols):
-                    if a[t][j] != 0:
-                        q = a[t][j] // a[t][t]
-                        add_col(t, j, -q)
-                        if a[t][j] != 0:
-                            swap_cols(t, j)
-                            dirty = True
-            if a[t][t] < 0:
-                negate_row(t)
-            t += 1
-
-    diagonalize()
-    # enforce the divisibility chain d_i | d_{i+1}: fold the offender into the
-    # earlier position with a column addition and re-diagonalize
-    while True:
-        bad = next(
-            (
-                i
-                for i in range(size - 1)
-                if a[i][i] != 0 and a[i + 1][i + 1] % a[i][i] != 0
-            ),
-            None,
-        )
-        if bad is None:
-            break
-        add_col(bad + 1, bad, 1)
-        diagonalize()
-    return u, a, v
-
-
-def invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    _, d, _ = smith_normal_form(matrix)
-    size = min(len(d), len(d[0]) if d else 0)
-    return [d[i][i] for i in range(size) if d[i][i] != 0]
-
-
-def solve_integer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
-    """A particular integer solution of ``A u = b``, or None if b is not in
-    the integer image of A (decided through the Smith normal form)."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if len(rhs) != nrows:
-        raise ValueError("rhs length does not match row count")
-    u, d, v = smith_normal_form(matrix)
-    ub = mat_vec_int(u, list(rhs))
-    y = [0] * ncols
-    for i in range(nrows):
-        di = d[i][i] if i < min(nrows, ncols) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    return mat_vec_int(v, y)
-
-
-# ---------------------------------------------------------------------------
-# Hermite normal form (row style), used to canonicalize grading bases
+# Hermite normal form (row style), the one integer elimination, and what is
+# computed on it: the Smith form, invariant factors and integer solutions
 
 
 def hermite_row_canonical(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -258,6 +132,97 @@ def hermite_row_canonical(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return rows
+
+
+def _hermite_beside(a: list[list[int]], t: list[list[int]]):
+    """``(W a, W t)`` for the unimodular W that ``hermite_row_canonical``
+    applies to ``[a | t]``."""
+    n = len(a[0]) if a else 0
+    h = hermite_row_canonical([x + y for x, y in zip(a, t)])
+    return [row[:n] for row in h], [row[n:] for row in h]
+
+
+def _transpose(a: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*a)]
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]):
+    """Smith normal form ``U @ A @ V = D`` with unimodular ``U``, ``V``.
+
+    ``D`` is diagonal with non-negative entries satisfying ``d1 | d2 | ...``.
+
+    Hermite forms of ``[D | U]`` (row operations) and of ``[D^T | V^T]``
+    (column operations) alternate until D is diagonal (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979); each keeps U A V = D.
+
+    Termination.  Once the rows and columns before t hold only their
+    diagonal entries, no form changes them.  From the first form that leaves
+    d_t nonzero (the first or the second), each form sets d_t to the
+    positive gcd of the line it eliminates, which holds d_t: a divisor of
+    d_t, at most d_t / 2 unless equal.  If equal, line t stays the pivot
+    (ties go to the lowest index) and the form clears the rest of it; the
+    form before cleared the other line, so d_t is isolated.  Zero lines go
+    last, so the nonzero d_i come first.  Then at the first i where d_i does
+    not divide d_(i+1), column i+1 is added to column i and a row form
+    follows: d_i becomes gcd(d_i, d_(i+1)) < d_i, and d_0 .. d_(i-1) stay.
+    Every d_i divides the gcd of the minors of size rank A, so the tuple
+    (d_0, d_1, ...) takes finitely many values, and each addition lowers it
+    lexicographically.
+    """
+    d = [list(row) for row in matrix]
+    u, v = identity_int(len(d)), identity_int(len(d[0]) if d else 0)
+    rows_next = True
+    while True:
+        if rows_next:
+            d, u = _hermite_beside(d, u)
+        else:
+            dt, vt = _hermite_beside(_transpose(d), _transpose(v))
+            d, v = _transpose(dt), _transpose(vt)
+        rows_next = not rows_next
+        if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+            continue
+        for i in range(min(len(u), len(v)) - 1):
+            if d[i][i] and d[i + 1][i + 1] % d[i][i]:
+                for row in d + v:
+                    row[i] += row[i + 1]
+                rows_next = True
+                break
+        else:
+            return u, d, v
+
+
+def invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
+    _, d, _ = smith_normal_form(matrix)
+    return [x for i, row in enumerate(d) if i < len(row) and (x := row[i])]
+
+
+def solve_integer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
+    """A particular integer solution of ``A u = b``, or None if b is not in
+    the integer image of A.
+
+    The Hermite form of ``[A^T | I]`` gives ``W A^T = H`` with W unimodular,
+    so u = W^T y turns A u = b into H^T y = b.  H is in echelon form, so the
+    columns of H are solved in order: a pivot column fixes the next entry of
+    y, which must be an integer, and any other column must hold already.  The
+    rows of H that are zero leave their entries of y at 0.
+    """
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    if len(rhs) != nrows:
+        raise ValueError("rhs length does not match row count")
+    h, w = _hermite_beside(_transpose(matrix), identity_int(ncols))
+    y: list[int] = []
+    for j, b in enumerate(rhs):
+        rest = b - sum(x * row[j] for x, row in zip(y, h))
+        pivot = h[len(y)][j] if len(y) < len(h) else 0
+        if pivot:
+            x, miss = divmod(rest, pivot)
+            y.append(x)
+        else:
+            miss = rest
+        if miss:
+            return None
+    return [sum(x * row[k] for x, row in zip(y, w)) for k in range(ncols)]
 
 
 # ---------------------------------------------------------------------------

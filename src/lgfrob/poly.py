@@ -57,19 +57,17 @@ def monomial_code(mono: Monomial, radix: int) -> int:
 
 
 class GradedPolynomial:
-    """Sparse exact-rational polynomial over a declared variable list.
-
-    ``degree`` is the class-group degree stamped by ``check_homogeneous`` or
-    by degree-aware constructors; ``None`` means unknown/unstamped.
+    """Sparse exact-rational polynomial over a declared variable list.  It
+    carries no degree: ``check_homogeneous`` computes the class-group degree
+    from a grading.
     """
 
-    __slots__ = ("variables", "terms", "degree")
+    __slots__ = ("variables", "terms")
 
     def __init__(
         self,
         variables: Sequence[str],
         terms: Mapping[Monomial, Fraction | int] | None = None,
-        degree: tuple[int, ...] | None = None,
     ):
         self.variables = tuple(variables)
         clean: dict[Monomial, Fraction] = {}
@@ -83,7 +81,6 @@ class GradedPolynomial:
                 raise ValueError(f"exponent out of range in {mono}")
             clean[tuple(mono)] = coeff
         self.terms = clean
-        self.degree = degree
 
     # -- constructors -------------------------------------------------------
 
@@ -141,9 +138,7 @@ class GradedPolynomial:
         return GradedPolynomial(self.variables, terms)
 
     def __neg__(self) -> "GradedPolynomial":
-        return GradedPolynomial(
-            self.variables, {m: -c for m, c in self.terms.items()}, self.degree
-        )
+        return GradedPolynomial(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return self + (-other)
@@ -152,9 +147,7 @@ class GradedPolynomial:
         value = Fraction(value)
         if value == 0:
             return GradedPolynomial.zero(self.variables)
-        return GradedPolynomial(
-            self.variables, {m: c * value for m, c in self.terms.items()}, self.degree
-        )
+        return GradedPolynomial(self.variables, {m: c * value for m, c in self.terms.items()})
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._check_compatible(other)
@@ -167,10 +160,7 @@ class GradedPolynomial:
                     terms[mono] = cur
                 elif mono in terms:
                     del terms[mono]
-        degree = None
-        if self.degree is not None and other.degree is not None:
-            degree = tuple(x + y for x, y in zip(self.degree, other.degree))
-        return GradedPolynomial(self.variables, terms, degree)
+        return GradedPolynomial(self.variables, terms)
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "GradedPolynomial":
         coeff = Fraction(coeff)
@@ -261,8 +251,8 @@ def monomial_degree(mono: Monomial, degrees: Sequence[tuple[int, ...]]) -> tuple
 
 
 def check_homogeneous(poly: GradedPolynomial, grading) -> tuple[int, ...]:
-    """Return the common class-group degree of all terms and stamp the
-    polynomial; raises NotHomogeneous with a two-monomial witness."""
+    """Return the common class-group degree of all terms; raises
+    NotHomogeneous with a two-monomial witness."""
     if not poly.terms:
         raise DegreeMismatch("the zero polynomial has no well-defined degree")
     degrees = grading.degrees
@@ -276,7 +266,6 @@ def check_homogeneous(poly: GradedPolynomial, grading) -> tuple[int, ...]:
             first_mono, first_deg = mono, deg
         elif deg != first_deg:
             raise NotHomogeneous(first_mono, first_deg, mono, deg)
-    poly.degree = first_deg
     return first_deg
 
 

@@ -55,11 +55,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integer(value, what: str, minimum: int | None = None) -> int:
+def _integer(value, what: str, minimum: int | None, maximum: int | None) -> int:
     if not _is_integer(value):
         raise InputSchemaError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InputSchemaError(f"{what} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InputSchemaError(f"{what} must be <= {maximum}, got {value}")
     return value
 
 
@@ -75,12 +77,13 @@ def _integer_lists(value, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_integer_list(row, f"{what} entry") for row in value)
 
 
-# integer options and their least allowed value (None: any integer)
+# integer options and their bounds (None: none); a sampled axiom check draws
+# no more triples than an exhaustive one may check
 INTEGER_OPTIONS = {
-    "sample_seed": None,
-    "sample_count": 1,
-    "max_degree_a": 0,
-    "threads": 1,
+    "sample_seed": (None, None),
+    "sample_count": (1, frobenius.EXHAUSTIVE_TRIPLE_LIMIT),
+    "max_degree_a": (0, None),
+    "threads": (1, None),
 }
 
 
@@ -148,7 +151,7 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
         elif key in INTEGER_OPTIONS:
             # max_degree_a may be null: no cap
             if not (key == "max_degree_a" and value is None):
-                value = _integer(value, f"option {key!r}", INTEGER_OPTIONS[key])
+                value = _integer(value, f"option {key!r}", *INTEGER_OPTIONS[key])
             setattr(config, key, value)
         elif key == "json_only":
             if not isinstance(value, bool):

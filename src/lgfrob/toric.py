@@ -67,12 +67,15 @@ class GradingMap:
 
     ``degrees[i]`` is the class of the i-th variable in Z^(r-m), written in
     the Hermite-canonical basis; ``beta`` is the anti-canonical class, the sum
-    of all variable degrees.
+    of all variable degrees.  ``section`` is an r x (r-m) integer matrix with
+    ``degree_rows() @ section = I``, so ``section @ alpha`` is an exponent
+    vector, with entries of any sign, of degree alpha.
     """
 
     rank: int
     degrees: tuple[tuple[int, ...], ...]
     beta: tuple[int, ...]
+    section: tuple[tuple[int, ...], ...]
 
     def monomial_degree(self, mono: Monomial) -> tuple[int, ...]:
         return monomial_degree(mono, self.degrees)
@@ -254,23 +257,27 @@ def _complete_criterion(fan: FanData) -> CheckResult:
 
 
 def class_group(fan: FanData) -> GradingMap:
-    """Grading of the Cox ring by the class group, via Smith normal form of
-    the ray matrix; the degree basis is Hermite-canonicalized."""
+    """Grading of the Cox ring by the class group, read off the Hermite form
+    W [R | I] = [H | W] of the r x m ray matrix R.  The class group
+    Z^r / R Z^m is free exactly when the top block of H is I_m.  The rows of
+    W beside the zero rows of H are then the canonical basis of the degree
+    functionals {w : w R = 0}.  The section solves degree_rows() x = e_k."""
     r, m = fan.n_rays, fan.dim
-    ray_matrix = [list(ray) for ray in fan.rays]  # r x m
-    u, d, _ = linalg.smith_normal_form(ray_matrix)
-    factors = [d[i][i] for i in range(min(r, m))]
-    if any(f != 1 for f in factors):  # a zero means the rays are degenerate
-        raise TorsionClassGroup(factors)
-    # cokernel free part: bottom r-m rows of U are the degree functionals
-    functionals = [u[i] for i in range(m, r)]
-    canonical = linalg.hermite_row_canonical(functionals)
-    rank = r - m
-    degrees = tuple(
-        tuple(canonical[k][i] for k in range(rank)) for i in range(r)
+    identity = linalg.identity_int(r)
+    h = linalg.hermite_row_canonical([list(ray) + e for ray, e in zip(fan.rays, identity)])
+    if [row[:m] for row in h[:m]] != linalg.identity_int(m):
+        factors = linalg.invariant_factors(fan.rays)
+        # a zero factor means the rays are degenerate
+        raise TorsionClassGroup(factors + [0] * (min(r, m) - len(factors)))
+    rows = [row[m:] for row in h[m:]]  # the degree functionals
+    rank = len(rows)
+    columns = [linalg.solve_integer(rows, e) for e in linalg.identity_int(rank)]
+    grading = GradingMap(
+        rank=rank,
+        degrees=tuple(tuple(row[i] for row in rows) for i in range(r)),
+        beta=tuple(map(sum, rows)),
+        section=tuple(tuple(col[i] for col in columns) for i in range(r)),
     )
-    beta = tuple(sum(canonical[k][i] for i in range(r)) for k in range(rank))
-    grading = GradingMap(rank=rank, degrees=degrees, beta=beta)
     # Gale duality sanity: the degree functionals annihilate the ray matrix
     for row in grading.degree_rows():
         for j in range(m):
@@ -481,15 +488,13 @@ def monomial_basis(
 ) -> list[Monomial]:
     """All exponent vectors of class-group degree alpha, graded-lex sorted.
 
-    Solves for one particular exponent vector u0, then enumerates the fiber
+    Starts at the exponent vector u0 = section . alpha of degree alpha,
+    whose entries may be negative, then enumerates the fiber
     u0 + (ray matrix) x over the lattice points x of the polytope
     u0_i + <x, rho_i> >= 0, carrying the exponent vector through the sweep
     (column k of the ray matrix is added for each step of x_k).
     """
-    alpha = tuple(alpha)
-    u0 = linalg.solve_integer(grading.degree_rows(), list(alpha))
-    if u0 is None:
-        return []
+    u0 = [sum(map(mul, row, alpha)) for row in grading.section]
     ineqs = [(fan.rays[i], u0[i]) for i in range(fan.n_rays)]
     cols = [tuple(ray[k] for ray in fan.rays) for k in range(fan.dim)]
     monos = _affine_lattice_images(ineqs, u0, cols)

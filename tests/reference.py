@@ -117,6 +117,10 @@ def reference_polytope(fan):
     return AnticanPolytope(fan.dim, tuple(vertices), tuple(inverses))
 
 
+def mat_vec_int(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
 def mat_mul_int(a, b):
     nb = len(b)
     cols = len(b[0]) if nb else 0

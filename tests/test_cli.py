@@ -10,6 +10,7 @@ import pytest
 
 from lgfrob import frobenius, linalg, report, toric
 from lgfrob.cli import main
+from lgfrob.errors import InputSchemaError
 from lgfrob.fixtures import get_fixture
 
 
@@ -81,6 +82,31 @@ class TestValidateCommand:
         assert code == 3
         assert doc["validation"]["ample"]["pass"] is False
         assert "-2" in doc["validation"]["ample"]["witness"]
+
+    def test_six_ray_document_ends_at_once(self, deadline):
+        """Six 4-dimensional rays with two-digit coordinates on three cones:
+        the fan is not complete (exit 3) but its class group is torsion-free.
+        A Smith form that eliminates entry by entry lets the entries of this
+        ray matrix grow without bound; the one on Hermite forms takes
+        milliseconds."""
+        rays = [
+            [99, 72, -31, -14], [-78, -21, -15, -97], [-37, 80, -75, -98],
+            [-85, 19, 24, -55], [74, 43, -52, 14], [30, -52, 87, 96],
+        ]
+        doc = {
+            "fan": {
+                "dim": 4,
+                "rays": rays,
+                "max_cones": [[0, 1, 2, 3], [0, 1, 2, 4], [2, 3, 4, 5]],
+            },
+            "variables": ["a", "b", "c", "d", "e", "f"],
+            "polynomial": "a*b*c*d*e*f",
+        }
+        with deadline(1.0):
+            doc_report, code = report.run_report(report.parse_run_config(doc), "validate")
+        assert code == 3
+        assert doc_report["validation"]["torsion_free"] == {"pass": True, "witness": None}
+        assert doc_report["validation"]["complete_criterion"]["pass"] is False
 
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -469,6 +495,7 @@ class TestStrictSchema:
         ("sample_count-bool", "projective-3", _set_option("sample_count", True)),
         ("sample_count-float", "projective-3", _set_option("sample_count", 2.0)),
         ("sample_count-zero", "projective-3", _set_option("sample_count", 0)),
+        ("sample_count-above-limit", "projective-3", _set_option("sample_count", 10_001)),
         ("max_degree_a-negative", "projective-3", _set_option("max_degree_a", -3)),
         ("max_degree_a-float", "projective-3", _set_option("max_degree_a", 1.0)),
         ("threads-float", "projective-3", _set_option("threads", 1.5)),
@@ -521,6 +548,20 @@ class TestStrictSchema:
             config.max_degree_a,
             config.threads,
         ) == (-4, 7, 0, 2)
+
+    def test_sample_count_ceiling(self, capsys):
+        """A sampled check draws at most as many triples as an exhaustive one
+        may check; a larger count is refused before anything runs."""
+        limit = frobenius.EXHAUSTIVE_TRIPLE_LIMIT
+        doc = _mutated("projective-3", _set_option("sample_count", limit))
+        assert report.parse_run_config(doc).sample_count == limit == 10_000
+        with pytest.raises(InputSchemaError, match=f"must be <= {limit}, got {limit + 1}$"):
+            report.parse_run_config(doc, {"sample_count": limit + 1})
+        code, out, err = run_cli(
+            capsys, "report", "--fixture", "projective-5", "--sample-count", "100000000"
+        )
+        assert (code, out) == (2, "")
+        assert f"must be <= {limit}, got 100000000" in err
 
     def test_null_max_degree_a_means_no_cap(self):
         doc = _mutated("bundle-p6", _set_option("max_degree_a", None))

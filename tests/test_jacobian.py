@@ -445,7 +445,7 @@ class TestBlocks:
     def test_block_counters(self, bundle_p2):
         piece = jac.graded_piece(bundle_p2, jac.IDEAL_J, (8, 8))
         assert (piece.blocks, piece.certified_blocks) == (2, 2)
-        assert piece.echelon is None and piece.dim == 0
+        assert piece.rank == len(piece.monomials) and piece.dim == 0
         piece = jac.graded_piece(bundle_p2, jac.IDEAL_J, (4, 4))
         assert (piece.blocks, piece.certified_blocks, piece.lifted_blocks) == (2, 1, 1)
         piece0 = jac.graded_piece(bundle_p2, jac.IDEAL_J0, (6, 6))

@@ -7,11 +7,12 @@ Gauss-Jordan itself on known answers."""
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, prod
 
 import pytest
 from reference import det as reference_det
-from reference import mat_mul_int, rows_from_factorization, rref
+from reference import mat_mul_int, mat_vec_int, rows_from_factorization, rref
 
 from lgfrob import linalg
 
@@ -196,6 +197,66 @@ class TestSmithNormalForm:
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             self.check_certificate(random_matrix(rng, rows, cols))
 
+    @staticmethod
+    def determinantal_divisors(a):
+        """gcd of the k x k minors of ``a`` for k = 1 .. min(rows, cols),
+        each minor a cofactor determinant."""
+        rows, cols = len(a), len(a[0])
+        out = []
+        for k in range(1, min(rows, cols) + 1):
+            g = 0
+            for rs in combinations(range(rows), k):
+                for cs in combinations(range(cols), k):
+                    g = gcd(g, reference_det([[a[i][j] for j in cs] for i in rs]))
+            out.append(g)
+        return out
+
+    @staticmethod
+    def oracle_matrix(rng):
+        """A matrix of up to 6 x 6 with entries of at most 10^6: dense, small
+        (so that invariant factors other than 1 are common), a product of
+        rank at most min(rows, cols) - 1, or rows scaled by small factors;
+        a third of them get a zero row or a zero column."""
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.choice(["dense", "small", "low-rank", "scaled"])
+        if kind == "dense":
+            a = random_matrix(rng, rows, cols, -(10**6), 10**6)
+        elif kind == "small":
+            a = random_matrix(rng, rows, cols, -3, 3)
+        elif kind == "low-rank":
+            r = rng.randint(0, min(rows, cols) - 1)
+            b = random_matrix(rng, rows, r, -1000, 1000)
+            c = random_matrix(rng, r, cols, -(1000 // max(r, 1)), 1000 // max(r, 1))
+            a = mat_mul_int(b, c) if r else [[0] * cols for _ in range(rows)]
+        else:
+            a = [[rng.choice([1, 2, 3, 4, 6]) * x for x in row]
+                 for row in random_matrix(rng, rows, cols, -300, 300)]
+        if rng.random() < 1 / 6:
+            a[rng.randrange(rows)] = [0] * cols
+        elif rng.random() < 1 / 5:
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+        return a
+
+    def test_determinantal_divisor_oracle(self, deadline):
+        """d_1 ... d_k is the gcd of the k x k minors, on 1,200 seeded
+        matrices; each Smith form must take under 0.5 s (a few ms here)."""
+        rng = random.Random(2029)
+        for _ in range(1200):
+            a = self.oracle_matrix(rng)
+            with deadline(0.5):
+                u, d, v = linalg.smith_normal_form(a)
+            assert mat_mul_int(mat_mul_int(u, a), v) == d
+            assert abs(reference_det(u)) == abs(reference_det(v)) == 1
+            diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
+            assert all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
+            assert all(x >= 0 for x in diag)
+            for prev, cur in zip(diag, diag[1:]):
+                assert cur % prev == 0 if prev else cur == 0
+            divisors = self.determinantal_divisors(a)
+            assert [prod(diag[:k]) for k in range(1, len(diag) + 1)] == divisors
+
     def test_projective_ray_matrix_torsion_free(self):
         rays = [[1, 0], [0, 1], [-1, -1]]
         assert linalg.invariant_factors(rays) == [1, 1]
@@ -226,10 +287,10 @@ class TestSolveInteger:
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             a = random_matrix(rng, rows, cols)
             x = [rng.randint(-5, 5) for _ in range(cols)]
-            b = linalg.mat_vec_int(a, x)
+            b = mat_vec_int(a, x)
             sol = linalg.solve_integer(a, b)
             assert sol is not None
-            assert linalg.mat_vec_int(a, sol) == b
+            assert mat_vec_int(a, sol) == b
 
 
 class TestHermiteRowCanonical:

@@ -16,6 +16,7 @@ from reference import (
     count_lattice_points_dilated,
     det,
     mat_mul_int,
+    mat_vec_int,
     reference_polytope,
     rref,
 )
@@ -147,6 +148,17 @@ class TestClassGroup:
                 for j in range(fan.dim):
                     assert sum(row[i] * fan.rays[i][j] for i in range(fan.n_rays)) == 0
 
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_canonical_degree_rows_and_section(self, name):
+        """The degree rows are their own Hermite form, annihilate the rays,
+        and the section is a right inverse of them."""
+        fan = get_fixture(name).fan
+        g = class_group(fan)
+        rows = g.degree_rows()
+        assert linalg.hermite_row_canonical(rows) == rows
+        assert mat_mul_int(rows, [list(ray) for ray in fan.rays]) == [[0] * fan.dim] * g.rank
+        assert mat_mul_int(rows, [list(x) for x in g.section]) == linalg.identity_int(g.rank)
+
     def test_torsion_rejected(self):
         # rays (1,2), (1,-2) span an index-4 sublattice of Z^2
         fan = FanData(2, [(1, 2), (1, -2), (-1, 0)], [(0, 1), (1, 2), (0, 2)])
@@ -201,7 +213,7 @@ class TestPolytopeAndVolume:
                 else:
                     u = mat_mul_int(u, [[1, 0], [s, 1]])
             rays = [
-                tuple(linalg.mat_vec_int(u, list(ray))) for ray in base.rays
+                tuple(mat_vec_int(u, list(ray))) for ray in base.rays
             ]
             fan = FanData(2, rays, base.max_cones)
             assert normalized_volume(anticanonical_polytope(fan)) == expected
@@ -368,6 +380,21 @@ class TestMonomialBasis:
         assert len(monos) == 10
         assert monos == sorted(monos, key=lambda m: (sum(m), m))
         assert all(g.monomial_degree(m) == (3,) for m in monos)
+
+    def test_no_integer_solve_per_degree(self, monkeypatch):
+        """Every enumeration starts at section . alpha and eliminates
+        nothing."""
+        fan = get_fixture("bundle-p2").fan
+        g = class_group(fan)
+        polytope = anticanonical_polytope(fan)
+
+        def refuse(*args):
+            raise AssertionError("monomial_basis eliminated")
+
+        for name in ("hermite_row_canonical", "smith_normal_form", "solve_integer"):
+            monkeypatch.setattr(linalg, name, refuse)
+        monos = monomial_basis(g, fan, g.scaled_beta(2))
+        assert len(monos) == count_lattice_points_dilated(fan, polytope, 2)
 
     def test_empty_for_unreachable_degree(self):
         fan = product_p1p1()
