@@ -6,20 +6,21 @@ unit (2 pi i)^(m-1), where c is the coordinate of z_1...z_r * U against a
 chosen generator of the one-dimensional R0(f)_{m beta} and the sign is
 -(-1)^(m(m-1)/2).
 
-Every trace is evaluated through one linear functional lambda on the
-monomials of S_{m beta}, computed once when the algebra is built and stored
-once, in integer form: ``trace_functional = (den, radix, {code(z): den *
-lambda(z)})``.  lambda(z) = sign * m!Vol / generator_coord times the
-generator coordinate of the canonical remainder of z modulo J0(f), read from
-the remainder table of R0(f)_{m beta} (``QuotientBasis.remainders``); den is
-the lcm of the denominators of lambda, and code(z) = sum_i z_i radix^i with
-radix above every exponent in S_{m beta}.  Exponents are nonnegative and
-every monomial a trace forms divides one of S_{m beta}, so adding codes
-multiplies monomials with no carry between exponents.  A trace is then
-sum coeff * den * lambda over the monomials of z_1...z_r * p, divided by
-den once, with no reduction.  The structure constants come from the same
-kind of table: the constant of basis[a][i] * basis[b][j] is the remainder of
-the product monomial in R(f)_{(a+b) beta}, one lookup per pair.
+Every trace is Tr(y) = lambda(z_1...z_r * y) on S_{(m-1) beta}, where
+lambda(z) = sign * m!Vol / generator_coord times the generator coordinate of
+the remainder of z modulo J0(f) (``QuotientBasis.remainders`` of
+R0(f)_{m beta}).  Only ``build_algebra`` knows about z_1...z_r: it stores
+the trace itself, in integer form and only where it is nonzero, as
+``trace_functional = (den, radix, {code(y): den * Tr(y)})``, den the lcm of
+the denominators, code(y) = sum_i y_i radix^i and radix = 1 + the largest
+exponent in S_{(m-1) beta}.  Readers look codes up with default 0 and divide
+by den once.  Codes never carry: every code a reader adds up is that of a
+product lying in S_{(m-1) beta}, whose exponents are below radix, and no
+factor has an exponent above the product's, as exponents are nonnegative.
+A lone monomial is refused unless its class-group degree is (m-1) beta, and
+then its code names it.  The structure constants come from the same kind of
+table: the constant of basis[a][i] * basis[b][j] is the remainder of the
+product monomial in R(f)_{(a+b) beta}, one lookup per pair.
 
 Every product of A(f) goes through one sparse kernel.  The structure
 constants are stored once, as integers over one denominator per product
@@ -35,15 +36,15 @@ denominators of its two coordinate vectors once, accumulates numerators and
 forms one ``Fraction`` per output coordinate.  Associativity compares
 cross-multiplied ``int`` sums.  A Gram entry G_a[i][j] is
 sum_k n_k tau_k / den over the index, where tau_k is the trace of the k-th
-degree-(m-1) basis element, read once from lambda.
+degree-(m-1) basis element, read once from the trace table.
 
 The invariance check keeps an independent direct path that never reads the
 structure constants.  When the axiom check is exhaustive, the direct trace
-of a basis triple z^i z^j z^k is one lookup of den * lambda at the sum of
-four codes (the fourth that of z_1...z_r).  When it is sampled, the direct
-path multiplies the lifts of its integer sample vectors as polynomials with
-Python ``int`` coefficients (lifted basis monomials have coefficient 1) and
-dots the result with den * lambda, so one ``Fraction`` is formed per trace.
+of a basis triple z^i z^j z^k is one lookup of den * Tr at the sum of three
+codes.  When it is sampled, the direct path multiplies the lifts of its
+integer sample vectors as polynomials with Python ``int`` coefficients
+(lifted basis monomials have coefficient 1) and dots the result with
+den * Tr, so one ``Fraction`` is formed per trace.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def _cleared(coords: Sequence[int | Fraction]) -> tuple[Sequence[int], int]:
 # c has no entry
 Constants = list[tuple[int, int | Fraction]]
 NonzeroIndex = dict[tuple[int, int], list[dict[int, list[tuple[int, int]]]]]
-# (den, radix, {code(z): den * lambda(z)}) over the monomials z of S_{m beta}
+# (den, radix, {code(y): den * Tr(y)}) over the monomials y of
+# S_{(m-1) beta} with Tr(y) != 0; a code with no entry has trace 0
 TraceFunctional = tuple[int, int, dict[int, int]]
 
 
@@ -136,7 +138,7 @@ class FrobeniusAlgebraData:
     generator_coord: Fraction  # coordinate of the strategy generator in r0_piece
     generator_monomial: Monomial | None  # Generic strategy generator
     zero_sums_checked: list[int]  # product degrees a+b >= m certified zero
-    trace_functional: TraceFunctional  # lambda; see the module docstring
+    trace_functional: TraceFunctional  # the trace; see the module docstring
 
     @property
     def structure(self) -> dict[tuple[int, int], list[list[list[Fraction]]]]:
@@ -356,18 +358,18 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
         zero_sums_checked=list(range(m, 2 * m - 1)),
         trace_functional=(1, 1, {}),
     )
+    # Tr(y) = lambda(z) for y = z / (z_1...z_r), over the z of S_{m beta}
+    # with no zero exponent and a nonzero remainder
     scale = Fraction(algebra.sign * volume) / generator_coord
-    values = [scale * remainder.get(0, 0) for remainder in r0_piece.remainders()]
-    den = lcm(*(x.denominator for x in values))
-    radix = 1 + max(map(max, r0_piece.monomials))
-    algebra.trace_functional = (
-        den,
-        radix,
-        {
-            monomial_code(mono, radix): x.numerator * (den // x.denominator)
-            for mono, x in zip(r0_piece.monomials, values)
-        },
-    )
+    radix = 1 + max(map(max, bases[m - 1].monomials))
+    values = {
+        monomial_code(tuple(e - 1 for e in z), radix): scale * remainder[0]
+        for z, remainder in zip(r0_piece.monomials, r0_piece.remainders())
+        if remainder and min(z)
+    }
+    den = lcm(*(x.denominator for x in values.values()))
+    table = {code: x.numerator * (den // x.denominator) for code, x in values.items()}
+    algebra.trace_functional = (den, radix, table)
     return algebra
 
 
@@ -382,29 +384,23 @@ def trace(U: Sequence[Fraction], D: FrobeniusAlgebraData) -> TraceScalar:
 
 
 def trace_of_polynomial(p: GradedPolynomial, D: FrobeniusAlgebraData) -> TraceScalar:
-    """Trace of a degree-(m-1)beta polynomial read off its monomials: an
-    independent path that never touches the structure constants."""
+    """Trace of a degree-(m-1)beta polynomial read off the trace table at its
+    monomials: an independent path that never touches the structure constants."""
     return _evaluate_trace(p.terms.items(), D)
 
 
 def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> TraceScalar:
-    """sum of coeff * lambda over the monomials of z_1...z_r * p, for the
-    (monomial, coefficient) pairs of a degree-(m-1)beta polynomial p.  An
-    exponent of p at or above radix - 1 would carry into the next digit of
-    the shifted code, so it is refused before the lookup."""
-    den, radix, functional = D.trace_functional
-    shift = monomial_code((1,) * len(D.system.variables), radix)
+    """sum of coeff * Tr(y) over (monomial y, coefficient) pairs, read from
+    the trace table with default 0 once y is known to lie in S_{(m-1) beta}:
+    a monomial of any other class-group degree is refused."""
+    den, radix, table = D.trace_functional
+    grading = D.system.grading
+    degree = grading.scaled_beta(D.m - 1)
     total = 0
     for mono, coeff in terms:
-        value = None
-        if max(mono) < radix - 1:
-            value = functional.get(shift + monomial_code(mono, radix))
-        if value is None:
-            raise DegreeMismatch(
-                f"monomial {tuple(e + 1 for e in mono)} does not lie in the "
-                f"degree-{D.r0_piece.degree} piece"
-            )
-        total += coeff * value
+        if grading.monomial_degree(mono) != degree:
+            raise DegreeMismatch(f"monomial {mono} does not lie in the degree-{degree} piece")
+        total += coeff * table.get(monomial_code(mono, radix), 0)
     return TraceScalar(Fraction(total, den), D.m - 1)
 
 
@@ -416,15 +412,11 @@ def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[TraceScalar]]:
     if not 0 <= a <= D.m - 1:
         raise DegreeMismatch(f"degree {a} outside 0..{D.m - 1}")
     b = D.m - 1 - a
-    socle = D.bases[D.m - 1]
-    tau = [
-        _evaluate_trace([(mono, Fraction(1))], D).rational for mono in socle.basis
-    ]
-    zero = Fraction(0)
+    tau = [_evaluate_trace([(mono, 1)], D).rational for mono in D.bases[D.m - 1].basis]
     lookup, den = D.products(a, b)
 
     def entry(i, j):
-        total = sum((n * tau[k] for k, n in lookup(i, j)), zero)
+        total = sum((n * tau[k] for k, n in lookup(i, j)), Fraction(0))
         return TraceScalar(total / den if den != 1 else total, D.m - 1)
 
     return [
@@ -678,15 +670,14 @@ def _check_invariance_on_basis(D, degree_triples) -> AxiomCheck:
     """<e_i e_j, e_k>, from the nonzero index and the traces tau_n of the
     degree-(m-1) basis, as an int numerator over den times its product
     denominators, against the direct trace of z^i z^j z^k, one lookup of
-    den * lambda.  <e_i, e_j e_k> needs no comparison of its own: it reads
-    the stored entries that <e_j e_k, e_i> reads at the rotated triple
-    (b, c, a), also checked here, as ``products(x, y)`` with x > y reads
-    the (y, x) index transposed; when a = b+c, those are the transposed
-    (a, a) entries that ``_check_commutativity`` compares."""
-    den, radix, functional = D.trace_functional
-    shift = monomial_code((1,) * len(D.system.variables), radix)
+    den * Tr with default 0.  <e_i, e_j e_k> needs no comparison of its
+    own: it reads the stored entries that <e_j e_k, e_i> reads at the
+    rotated triple (b, c, a), also checked here, as ``products(x, y)`` with
+    x > y reads the (y, x) index transposed; when a = b+c, those are the
+    transposed (a, a) entries that ``_check_commutativity`` compares."""
+    den, radix, table = D.trace_functional
     codes = [[monomial_code(mono, radix) for mono in p.basis] for p in D.bases]
-    tau = [functional[shift + code] for code in codes[D.m - 1]]  # den * tau_n
+    tau = [table.get(code, 0) for code in codes[D.m - 1]]  # den * tau_n
     checked = 0
     for a, b, c in degree_triples:
         ab, d_ab = D.products(a, b)
@@ -699,7 +690,7 @@ def _check_invariance_on_basis(D, degree_triples) -> AxiomCheck:
                     lhs = sum(
                         x * y * tau[n] for mid, x in ab(i, j) for n, y in ab_c(mid, k)
                     )
-                    direct = functional[shift + code_i + code_j + code_k]
+                    direct = table.get(code_i + code_j + code_k, 0)
                     if lhs != direct * lhs_den:
                         return AxiomCheck(
                             False,
@@ -715,12 +706,11 @@ def direct_trace(
     D: FrobeniusAlgebraData, factors: Sequence[tuple[int, Sequence[int]]]
 ) -> Fraction:
     """Trace of the product of the lifts of integer coordinate vectors
-    ``factors`` = [(degree, coords), ...] whose degrees sum to m-1, by
-    polynomial multiplication with int coefficients, read from the integer
-    form of lambda.  Never reads the structure constants."""
-    den, radix, functional = D.trace_functional
-    # start from z_1...z_r, the shift of the trace, with coefficient 1
-    product = {monomial_code((1,) * len(D.system.variables), radix): 1}
+    ``factors`` = [(degree, coords), ...] whose degrees sum to m-1: int
+    polynomial multiplication on codes from 0, the code of 1, then one lookup
+    per product monomial.  Never reads the structure constants."""
+    den, radix, table = D.trace_functional
+    product = {0: 1}
     for degree, coords in factors:
         step: dict[int, int] = {}
         for mono, coeff in zip(D.bases[degree].basis, coords):
@@ -731,7 +721,7 @@ def direct_trace(
                 key = left + code
                 step[key] = step.get(key, 0) + x * coeff
         product = step
-    total = sum(x * functional[key] for key, x in product.items())
+    total = sum(x * table.get(key, 0) for key, x in product.items())
     return Fraction(total, den)
 
 

@@ -271,8 +271,8 @@ def macaulay_dim(system: JacobianSystem) -> int:
     lies in J(f)_{m beta}, which lies in S_{m beta}.  When R0(f)_{m beta}
     is one-dimensional, J0(f)_{m beta} is the kernel of the functional
     lambda that sends a monomial to the coefficient of the single basis
-    monomial in its remainder modulo J0 (the table the trace functional
-    reads), so J(f)_{m beta} is ker lambda or all of S_{m beta}: the
+    monomial in its remainder modulo J0 (the table the trace is built
+    from), so J(f)_{m beta} is ker lambda or all of S_{m beta}: the
     dimension is 0 as soon as one J row f_i * c has lambda(f_i * c) =
     sum_t x_t lambda(t * c) != 0, and 1 when every row lies in ker lambda.
     A row can have lambda != 0 only if one of its monomials t * c lies in

@@ -88,7 +88,7 @@ INTEGER_OPTIONS = {
 
 
 # the keys an input document and its fan may carry; expected_fail labels a
-# negative-control fixture and is not read
+# negative-control fixture and is read only to check that it is a string
 DOCUMENT_KEYS = {
     "schema_version", "name", "fan", "variables", "polynomial", "zero_sets",
     "options", "stated_degrees", "stated_beta", "expected_fail",
@@ -107,9 +107,11 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
     if not isinstance(doc, dict):
         raise InputSchemaError("input document must be a JSON object")
     _known_keys(doc, DOCUMENT_KEYS, "input")
-    version = doc.get("schema_version", SCHEMA_VERSION)
+    version = _integer(doc.get("schema_version", SCHEMA_VERSION), "schema_version", None, None)
     if version != SCHEMA_VERSION:
         raise InputSchemaError(f"unsupported schema_version {version}")
+    if "expected_fail" in doc:
+        _expect(doc, "expected_fail", str, "input")
     fan_doc = _expect(doc, "fan", dict, "input")
     _known_keys(fan_doc, FAN_KEYS, "fan")
     dim = _expect(fan_doc, "dim", int, "fan")
@@ -139,7 +141,7 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
         fan=fan,
         variables=tuple(variables),
         poly_text=poly_text,
-        name=str(doc.get("name", "custom")),
+        name=_expect(doc, "name", str, "input") if "name" in doc else "custom",
         zero_sets=_zero_sets(doc.get("zero_sets", []), variables),
     )
     # the document's options are checked even where an override replaces them

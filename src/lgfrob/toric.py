@@ -206,11 +206,12 @@ def validate_fan(fan: FanData) -> ValidationReport:
         ample = CheckResult(False, "skipped: simplicial check failed")
 
     torsion_free = CheckResult(True)
-    factors = linalg.invariant_factors([list(r) for r in fan.rays])
-    if len(factors) < m:
-        torsion_free = CheckResult(False, "rays do not span the ambient lattice over Q")
-    elif any(d != 1 for d in factors):
-        torsion_free = CheckResult(False, f"class group torsion: invariant factors {factors}")
+    if _free_hermite_form(fan) is None:  # the Smith form only words the failure
+        factors = linalg.invariant_factors(fan.rays)
+        witness = f"class group torsion: invariant factors {factors}"
+        if len(factors) < m:
+            witness = "rays do not span the ambient lattice over Q"
+        torsion_free = CheckResult(False, witness)
 
     report = ValidationReport(simplicial, complete, gorenstein, ample, torsion_free)
     if report.all_pass:
@@ -256,16 +257,22 @@ def _complete_criterion(fan: FanData) -> CheckResult:
 # class group and grading
 
 
+def _free_hermite_form(fan: FanData) -> list[list[int]] | None:
+    """The Hermite form W [R | I] = [H | W] of the r x m ray matrix R, or None
+    when the class group Z^r / R Z^m is not free: when H's top block is not I_m."""
+    m, identity = fan.dim, linalg.identity_int(fan.n_rays)
+    h = linalg.hermite_row_canonical([list(ray) + e for ray, e in zip(fan.rays, identity)])
+    return h if [row[:m] for row in h[:m]] == linalg.identity_int(m) else None
+
+
 def class_group(fan: FanData) -> GradingMap:
     """Grading of the Cox ring by the class group, read off the Hermite form
-    W [R | I] = [H | W] of the r x m ray matrix R.  The class group
-    Z^r / R Z^m is free exactly when the top block of H is I_m.  The rows of
-    W beside the zero rows of H are then the canonical basis of the degree
-    functionals {w : w R = 0}.  The section solves degree_rows() x = e_k."""
+    W [R | I] = [H | W] of ``_free_hermite_form``.  The rows of W beside the
+    zero rows of H are the canonical basis of the degree functionals
+    {w : w R = 0}.  The section solves degree_rows() x = e_k."""
     r, m = fan.n_rays, fan.dim
-    identity = linalg.identity_int(r)
-    h = linalg.hermite_row_canonical([list(ray) + e for ray, e in zip(fan.rays, identity)])
-    if [row[:m] for row in h[:m]] != linalg.identity_int(m):
+    h = _free_hermite_form(fan)
+    if h is None:
         factors = linalg.invariant_factors(fan.rays)
         # a zero factor means the rays are degenerate
         raise TorsionClassGroup(factors + [0] * (min(r, m) - len(factors)))

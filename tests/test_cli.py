@@ -246,6 +246,18 @@ class TestReportCommand:
             assert report.run_report(config, command)[1] == 0
             assert len(calls) == 1, command
 
+    def test_passing_report_takes_no_smith_form(self, monkeypatch):
+        """Torsion is decided by the Hermite form; the Smith form only words
+        a failure, so a passing report never calls it."""
+
+        def refuse(matrix):
+            raise AssertionError("invariant_factors called on a passing fan")
+
+        monkeypatch.setattr(linalg, "invariant_factors", refuse)
+        doc = get_fixture("bundle-p2").to_input_document()
+        config = report.parse_run_config(doc, {"json_only": True})
+        assert report.run_report(config, "report")[1] == 0
+
     def test_strategy_flag(self, capsys):
         code, doc, _ = run_json(
             capsys,
@@ -513,6 +525,11 @@ class TestStrictSchema:
         ("ray-number", "projective-3", lambda d: d["fan"]["rays"].__setitem__(0, 1)),
         ("cone-string", "projective-3", lambda d: d["fan"]["max_cones"].__setitem__(0, ["0", 1])),
         ("dim-bool", "projective-3", lambda d: d["fan"].__setitem__("dim", True)),
+        ("name-list", "projective-3", lambda d: d.__setitem__("name", ["a", 1])),
+        ("name-number", "projective-3", lambda d: d.__setitem__("name", 5)),
+        ("expected_fail-bool", "hirzebruch-3", lambda d: d.__setitem__("expected_fail", True)),
+        ("schema_version-bool", "projective-3", lambda d: d.__setitem__("schema_version", True)),
+        ("schema_version-float", "projective-3", lambda d: d.__setitem__("schema_version", 1.0)),
         # a misspelt key would otherwise drop what it sets without a word
         ("zero_set-typo", "bundle-p2", lambda d: d.__setitem__("zero_set", d.pop("zero_sets"))),
         ("option-typo", "projective-3", lambda d: d.__setitem__("option", {"sample_count": 9})),
@@ -527,6 +544,7 @@ class TestStrictSchema:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+        assert name.split("-")[0] in err  # the message names the field
 
     def test_integer_options_are_kept(self):
         doc = _mutated(

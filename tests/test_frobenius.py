@@ -274,17 +274,35 @@ class TestTraceFunctional:
         return frob.build_algebra(make_system(name), strategy)
 
     def test_functional_equals_reduction(self, algebra):
+        """den * Tr(y) is stored at code(y) for exactly the monomials y of
+        S_{(m-1) beta} with a nonzero trace, and every other y reads 0."""
         D = algebra
-        r0 = D.r0_piece
-        den, radix, functional = D.trace_functional
-        scale = Fraction(D.sign * D.volume) / D.generator_coord
-        assert len(functional) == len(r0.monomials)
-        wants = []
-        for c, mono in enumerate(r0.monomials):
-            want = scale * reduced_generator_coord(r0, {c: 1})
-            assert Fraction(functional[monomial_code(mono, radix)], den) == want, mono
-            wants.append(want)
-        assert den == math.lcm(*(w.denominator for w in wants))
+        den, radix, table = D.trace_functional
+        wants = {}
+        for y in D.bases[D.m - 1].monomials:
+            want = reduced_trace(GradedPolynomial.monomial(D.system.variables, y), D)
+            assert Fraction(table.get(monomial_code(y, radix), 0), den) == want, y
+            if want:
+                wants[monomial_code(y, radix)] = want
+        assert set(table) == set(wants)
+        assert den == math.lcm(*(w.denominator for w in wants.values()))
+
+    @pytest.mark.parametrize(
+        "name, entries",
+        [
+            ("projective-3", 1),
+            ("projective-4", 1),
+            ("projective-5", 1),
+            ("weighted-p112", 1),
+            ("bundle-p2", 88),
+        ],
+    )
+    def test_table_holds_only_nonzero_traces(self, name, entries):
+        """S_{m beta} has 28, 455, 10,626, 25 and 399 monomials; the table
+        keeps only the nonzero traces on S_{(m-1) beta}."""
+        _, _, table = frob.build_algebra(make_system(name)).trace_functional
+        assert len(table) == entries
+        assert all(table.values())
 
     def test_trace_equals_lift_and_reduce(self, algebra):
         D = algebra
@@ -306,14 +324,16 @@ class TestTraceFunctional:
             frob.trace_of_polynomial(p, cubic_algebra)
 
     def test_exponent_that_would_carry_rejected(self, cubic_algebra):
-        """z_1...z_r * z^e with e_0 = radix - 1 has a digit equal to radix;
-        its carry lands on the code of z_1^3 z_2^3, a monomial of S_{m beta}.
-        The trace refuses it instead of reading that monomial's lambda."""
+        """The one key is the code of y = z_1 z_2 z_3.  Moving a unit of its
+        second digit into the first gives z_1^(radix+1) z_3, whose exponent
+        reaches radix and carries onto that key.  The monomial lies outside
+        S_beta, and the trace refuses it instead of reading Tr(y)."""
         D = cubic_algebra
-        _, radix, functional = D.trace_functional
-        mono = (radix - 1, 1, 2)
-        carried = monomial_code((1, 1, 1), radix) + monomial_code(mono, radix)
-        assert carried == monomial_code((0, 3, 3), radix) and carried in functional
+        _, radix, table = D.trace_functional
+        assert list(table) == [monomial_code((1, 1, 1), radix)]
+        mono = (radix + 1, 0, 1)
+        assert monomial_code(mono, radix) in table
+        assert mono not in D.bases[D.m - 1].monomials
         p = GradedPolynomial.monomial(D.system.variables, mono)
         with pytest.raises(DegreeMismatch):
             frob.trace_of_polynomial(p, D)
@@ -549,20 +569,20 @@ class TestSparseKernel:
                     assert got == want.rational
 
     def test_scaled_functional_keys_every_monomial_by_its_digits(self, algebra):
-        """Each monomial of S_{m beta} is keyed by the base-radix number
-        whose digits are its exponents (so adding keys never carries), and
-        maps to den * lambda, an integer."""
+        """Each key is the base-radix number whose digits are the exponents
+        of a monomial y of S_{(m-1) beta}, and maps to den * Tr(y), a nonzero
+        integer."""
         D = algebra
-        den, radix, functional = D.trace_functional
-        assert len(functional) == len(D.r0_piece.monomials)
-        for mono in D.r0_piece.monomials:
-            code = monomial_code(mono, radix)
-            digits = []
-            for _ in mono:
+        _, radix, table = D.trace_functional
+        socle_monomials = set(D.bases[D.m - 1].monomials)
+        assert table
+        for key, value in table.items():
+            code, digits = key, []
+            for _ in D.system.variables:
                 code, digit = divmod(code, radix)
                 digits.append(digit)
-            assert (tuple(digits), code) == (mono, 0)
-            assert type(functional[monomial_code(mono, radix)]) is int
+            assert code == 0 and tuple(digits) in socle_monomials, key
+            assert type(value) is int and value
 
     def test_direct_trace_never_reads_the_structure_constants(self, bundle_algebra):
         D = bundle_algebra
@@ -619,22 +639,21 @@ class TestInvarianceFaultInjection:
         def column(mono):
             return index[tuple(x + y for x, y in zip(mono, shift))]
 
-        # the structure path reads the functional only at z_1...z_r * socle
-        socle_col = column(D.bases[2].basis[0])
-        # a pivot column that the product of two degree-1 basis monomials,
-        # and so the direct path, reaches
+        # the structure path reads the trace only at the socle basis; y is a
+        # product of two degree-1 basis monomials, so the direct path reaches
+        # it, and z_1...z_r * y is a pivot column of R0(f)_{m beta}
+        socle = D.bases[2].basis[0]
         products = (
             tuple(x + y for x, y in zip(u, v))
             for u in D.bases[1].basis
             for v in D.bases[1].basis
         )
-        col = next(
-            c for c in map(column, products) if c != socle_col and c in r0.echelon.rows
-        )
-        den, radix, functional = D.trace_functional
-        functional = dict(functional)
-        functional[monomial_code(r0.monomials[col], radix)] += den  # lambda + 1
-        bad = dataclasses.replace(D, trace_functional=(den, radix, functional))
+        y = next(y for y in products if y != socle and column(y) in r0.echelon.rows)
+        den, radix, table = D.trace_functional
+        table = dict(table)
+        code = monomial_code(y, radix)
+        table[code] = table.get(code, 0) + den  # Tr(y) + 1
+        bad = dataclasses.replace(D, trace_functional=(den, radix, table))
         assert frob.trace([Fraction(1)], bad) == frob.trace([Fraction(1)], D)
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert not report.invariance.ok
@@ -661,28 +680,23 @@ class TestInvarianceFaultInjection:
         assert "vs direct" in report.invariance.witness
 
     def test_fractional_functional_corruption_seen_through_the_lcm(self, bundle_algebra):
-        """+1/7 on one entry of lambda that only the direct path reads.  In
-        the integer form den becomes 7 den: every numerator is multiplied by
-        7 and den is added at one code, so the new denominator 7 enters the
-        scaling."""
+        """+1/7 on the trace of one monomial that only the direct path
+        reads.  In the integer form den becomes 7 den: every numerator is
+        multiplied by 7 and den is added at one code, so the new denominator
+        7 enters the scaling."""
         D = bundle_algebra
-        index = D.r0_piece.column_index()
-        shift = (1,) * len(D.system.variables)
-
-        def column(*monos):
-            return index[tuple(map(sum, zip(shift, *monos)))]
-
-        socle_col = column(D.bases[2].basis[0])
-        col = next(
-            c
-            for c in (column(u, v) for u in D.bases[1].basis for v in D.bases[1].basis)
-            if c != socle_col
+        socle = D.bases[2].basis[0]
+        y = next(
+            y
+            for y in (tuple(map(sum, zip(u, v))) for u in D.bases[1].basis for v in D.bases[1].basis)
+            if y != socle
         )
-        den, radix, functional = D.trace_functional
+        den, radix, table = D.trace_functional
         assert den % 7 != 0
-        functional = {code: 7 * n for code, n in functional.items()}
-        functional[monomial_code(D.r0_piece.monomials[col], radix)] += den
-        bad = dataclasses.replace(D, trace_functional=(7 * den, radix, functional))
+        table = {code: 7 * n for code, n in table.items()}
+        code = monomial_code(y, radix)
+        table[code] = table.get(code, 0) + den
+        bad = dataclasses.replace(D, trace_functional=(7 * den, radix, table))
         assert frob.trace([Fraction(1)], bad) == frob.trace([Fraction(1)], D)
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert not report.invariance.ok

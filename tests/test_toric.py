@@ -115,6 +115,24 @@ class TestValidation:
         assert report.simplicial.witness == "max cone 0 has linearly dependent rays"
         assert report.gorenstein.witness == "skipped: simplicial check failed"
 
+    @pytest.mark.parametrize(
+        "rays, cones, witness",
+        [
+            # the rays span the index-2 lattice of points with x + y even
+            (
+                [(1, 1), (-1, 1), (-1, -1), (1, -1)],
+                [(0, 1), (1, 2), (2, 3), (0, 3)],
+                "class group torsion: invariant factors [1, 2]",
+            ),
+            ([(1, 0), (-1, 0)], [(0,), (1,)], "rays do not span the ambient lattice over Q"),
+        ],
+        ids=["index-2", "rank-1"],
+    )
+    def test_torsion_witness(self, rays, cones, witness):
+        report = validate_fan(FanData(2, rays, cones))
+        assert not report.torsion_free.ok
+        assert report.torsion_free.witness == witness
+
     def test_non_gorenstein_detected(self):
         # P(1,1,3): the cone over (1,0) and (-1,-3) needs u = (-1, 2/3)
         fan = FanData(2, [(1, 0), (0, 1), (-1, -3)], [(0, 1), (1, 2), (0, 2)])
