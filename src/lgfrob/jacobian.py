@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add, sub
 from typing import Sequence
 
@@ -41,6 +42,28 @@ class JacobianSystem:
     @property
     def variables(self) -> tuple[str, ...]:
         return self.f.variables
+
+    @cached_property
+    def j0_generators(self) -> list[GradedPolynomial]:
+        """The Euler generators z_i f_i that J0(f) is built from: scanning
+        i = 0, 1, ..., each one whose coefficient vector on supp f is
+        independent of those kept before it.  The scan follows the variable
+        order, so which ones are kept does not depend on hashing.
+
+        sum_i e_i z_i f_i = sum_t <e, t> c_t z^t for f = sum_t c_t z^t, so a
+        dropped generator is a constant combination of kept ones, and each of
+        its rows g * u is the same combination of kept rows at the same
+        cofactor u.  Every J0 piece therefore has the same row space, pivots,
+        basis and remainders as with all r generators.  The coefficient
+        vectors have the rank of the exponent matrix of supp f, at most
+        m + 1, since J0(f) = (f, theta_1 f, ..., theta_m f)."""
+        support = {mono: k for k, mono in enumerate(self.f.terms)}
+        scan = linalg.EchelonBasis(len(support))
+        return [
+            g
+            for g in self.euler_gens
+            if scan.add_row({support[mono]: x for mono, x in g.terms.items()})
+        ]
 
     def monomials(self, alpha: Sequence[int]) -> list[Monomial]:
         """The graded-lex monomials of S_alpha, enumerated once per system
@@ -131,7 +154,8 @@ class QuotientBasis:
 
 
 def _generators(system: JacobianSystem, ideal: str):
-    """Ideal generators with their class-group degrees."""
+    """Ideal generators with their class-group degrees: the nonzero partials
+    for J, ``JacobianSystem.j0_generators`` for J0."""
     beta = system.grading.beta
     out = []
     if ideal == IDEAL_J:
@@ -141,10 +165,7 @@ def _generators(system: JacobianSystem, ideal: str):
             var_deg = system.grading.degrees[i]
             out.append((g, tuple(b - d for b, d in zip(beta, var_deg))))
     elif ideal == IDEAL_J0:
-        for g in system.euler_gens:
-            if g.is_zero():
-                continue
-            out.append((g, beta))
+        out = [(g, beta) for g in system.j0_generators]
     else:
         raise ValueError(f"unknown ideal tag {ideal!r}")
     return out

@@ -39,8 +39,11 @@ from operator import mul
 from struct import pack
 from typing import Iterable, Mapping, Sequence
 
-# Prime of the modular full-rank certificate (the Mersenne prime 2^31 - 1).
-PREFILTER_PRIME = 2147483647
+# Prime of the modular full-rank certificate: the largest prime below 2^30.
+# Every residue then fits one 30-bit CPython digit, so each ``% p`` of the
+# modular kernel takes the single-digit-divisor path instead of general long
+# division.
+PREFILTER_PRIME = 1073741789
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +451,9 @@ class ModularEchelon:
     over those columns is ``1 / inverse`` times e_pivot + ``tail`` mod p,
     and ``tail`` lists ``(column, value)`` right of the pivot.  At 4 bytes
     an entry, the multipliers of bundle-p2's 475-column block take 190 KB,
-    which pairs of Python ints would take several times over."""
+    which pairs of Python ints would take several times over.  Below 2^30
+    (``PREFILTER_PRIME``) every residue is a one-digit CPython int, and the
+    lift's arithmetic mod p stays on single-digit divisions."""
 
     def __init__(self, p: int, steps: list[tuple[int, int, int, bytes, list]]):
         self.p, self.steps = p, steps
@@ -470,7 +475,9 @@ def rank_mod_p(
     p: int = PREFILTER_PRIME,
 ) -> ModularEchelon:
     """Row basis mod ``p`` (a prime at most 2^31, so that the multipliers
-    fit 32 bits) of an integer sparse matrix, with its factorization.
+    fit 32 bits; the default ``PREFILTER_PRIME`` is below 2^30, so that
+    every residue is one CPython digit and each ``% p`` is a single-digit
+    division) of an integer sparse matrix, with its factorization.
     Sparse incremental echelon until full column rank: each row, dense from
     its lowest column, is reduced mod p by the pivot rows so far, kept as
     their ``(column, value)`` pairs right of a pivot scaled to 1.  A row

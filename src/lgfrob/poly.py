@@ -85,6 +85,18 @@ class GradedPolynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _unchecked(
+        cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction]
+    ) -> "GradedPolynomial":
+        """The polynomial with ``terms`` as given, which it then owns: exponent
+        tuples of the right length and nonzero ``Fraction`` coefficients, as
+        every arithmetic result of checked operands has.  Nothing is copied,
+        rewrapped or checked again."""
+        poly = object.__new__(cls)
+        poly.variables, poly.terms = variables, terms
+        return poly
+
+    @classmethod
     def zero(cls, variables: Sequence[str]) -> "GradedPolynomial":
         return cls(variables, {})
 
@@ -129,16 +141,13 @@ class GradedPolynomial:
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._check_compatible(other)
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            cur = terms.get(mono, Fraction(0)) + coeff
-            if cur:
-                terms[mono] = cur
-            elif mono in terms:
-                del terms[mono]
-        return GradedPolynomial(self.variables, terms)
+        _add_into(terms, other.terms)
+        return GradedPolynomial._unchecked(self.variables, terms)
 
     def __neg__(self) -> "GradedPolynomial":
-        return GradedPolynomial(self.variables, {m: -c for m, c in self.terms.items()})
+        return GradedPolynomial._unchecked(
+            self.variables, {m: -c for m, c in self.terms.items()}
+        )
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return self + (-other)
@@ -147,7 +156,9 @@ class GradedPolynomial:
         value = Fraction(value)
         if value == 0:
             return GradedPolynomial.zero(self.variables)
-        return GradedPolynomial(self.variables, {m: c * value for m, c in self.terms.items()})
+        return GradedPolynomial._unchecked(
+            self.variables, {m: c * value for m, c in self.terms.items()}
+        )
 
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._check_compatible(other)
@@ -160,11 +171,14 @@ class GradedPolynomial:
                     terms[mono] = cur
                 elif mono in terms:
                     del terms[mono]
-        return GradedPolynomial(self.variables, terms)
+        return GradedPolynomial._unchecked(self.variables, terms)
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "GradedPolynomial":
+        """self * coeff * z^mono, for an exponent tuple ``mono``."""
         coeff = Fraction(coeff)
-        return GradedPolynomial(
+        if coeff == 0:
+            return GradedPolynomial.zero(self.variables)
+        return GradedPolynomial._unchecked(
             self.variables,
             {
                 tuple(x + y for x, y in zip(m, mono)): c * coeff
@@ -186,7 +200,7 @@ class GradedPolynomial:
                 terms[key] = cur
             elif key in terms:
                 del terms[key]
-        return GradedPolynomial(self.variables, terms)
+        return GradedPolynomial._unchecked(self.variables, terms)
 
     def restrict_to_zero(self, var_names: Iterable[str]) -> "GradedPolynomial":
         """Substitute 0 for each named variable."""
@@ -200,7 +214,7 @@ class GradedPolynomial:
             for mono, coeff in self.terms.items()
             if all(mono[i] == 0 for i in indices)
         }
-        return GradedPolynomial(self.variables, terms)
+        return GradedPolynomial._unchecked(self.variables, terms)
 
     # -- printing -----------------------------------------------------------
 
@@ -228,6 +242,19 @@ class GradedPolynomial:
             else:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _add_into(
+    terms: dict[Monomial, Fraction], other: Mapping[Monomial, Fraction], negate=False
+) -> None:
+    """terms += other (or -= other, when ``negate``) in place: a new monomial
+    goes last, and one whose coefficient cancels is deleted."""
+    for mono, coeff in other.items():
+        cur = terms.get(mono, 0) + (-coeff if negate else coeff)
+        if cur:
+            terms[mono] = cur
+        elif mono in terms:
+            del terms[mono]
 
 
 def _format_rational(value: Fraction) -> str:
@@ -356,21 +383,18 @@ class _Parser:
         return poly
 
     def expr(self) -> GradedPolynomial:
+        """A signed sum of terms, added into one dict as they are read, with
+        the term order and cancellations of adding them one by one."""
         kind, _, _ = self.tok.peek()
-        negate = False
         if kind in ("+", "-"):
             self.tok.take()
-            negate = kind == "-"
-        poly = self.term()
-        if negate:
-            poly = -poly
+        terms: dict[Monomial, Fraction] = {}
         while True:
+            _add_into(terms, self.term().terms, negate=kind == "-")
             kind, _, _ = self.tok.peek()
             if kind not in ("+", "-"):
-                return poly
+                return GradedPolynomial._unchecked(self.variables, terms)
             self.tok.take()
-            rhs = self.term()
-            poly = poly - rhs if kind == "-" else poly + rhs
 
     def term(self) -> GradedPolynomial:
         poly = self.factor()

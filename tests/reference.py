@@ -6,13 +6,14 @@ Gauss-Jordan next to the sparse integer ``EchelonBasis``, cofactor expansion
 next to Bareiss, the anti-canonical polytope cone by cone next to the fan
 validation that builds it, the product of the recorded factors next to the
 modular elimination, a bounding-box sweep next to the Fourier-Motzkin
-monomial enumeration, and polynomial lifts next to the direct trace.
+monomial enumeration, polynomial lifts next to the direct trace, and sums
+folded through the public operators next to the parser's one-dict sums.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from lgfrob.poly import GradedPolynomial
+from lgfrob.poly import GradedPolynomial, _Parser
 from lgfrob.toric import AnticanPolytope
 
 
@@ -165,3 +166,26 @@ def lift(algebra, a: int, coords) -> GradedPolynomial:
     piece = algebra.bases[a]
     terms = {mono: Fraction(c) for mono, c in zip(piece.basis, coords) if c != 0}
     return GradedPolynomial(algebra.system.variables, terms)
+
+
+class FoldingParser(_Parser):
+    """The polynomial parser with every sum formed by the public operators:
+    one new polynomial per '+' or '-', each built from its operands'
+    terms."""
+
+    def expr(self):
+        kind, _, _ = self.tok.peek()
+        negate = False
+        if kind in ("+", "-"):
+            self.tok.take()
+            negate = kind == "-"
+        poly = self.term()
+        if negate:
+            poly = -poly
+        while True:
+            kind, _, _ = self.tok.peek()
+            if kind not in ("+", "-"):
+                return poly
+            self.tok.take()
+            rhs = self.term()
+            poly = poly - rhs if kind == "-" else poly + rhs

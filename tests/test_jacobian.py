@@ -14,7 +14,7 @@ from lgfrob import jacobian as jac
 from lgfrob import linalg
 from lgfrob.cli import main
 from lgfrob.errors import DegreeMismatch, NoFunctional
-from lgfrob.fixtures import get_fixture
+from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import GradedPolynomial, monomial_code, parse_polynomial
 from lgfrob.report import parse_run_config, run_report
 from lgfrob.toric import class_group, monomial_basis
@@ -191,13 +191,29 @@ class TestNormalForm:
             assert all(c == 0 for c in jac.normal_form(shifted, piece0))
 
 
+def every_generator(system, ideal):
+    """Every nonzero generator of the ideal with its degree, from the
+    system's own lists: each partial f_i for J, each z_i f_i for J0, with
+    none of the Euler generators left out."""
+    beta = system.grading.beta
+    if ideal == jac.IDEAL_J:
+        gens = [
+            (g, tuple(map(sub, beta, deg)))
+            for g, deg in zip(system.partials, system.grading.degrees)
+        ]
+    else:
+        gens = [(g, beta) for g in system.euler_gens]
+    return [(g, deg) for g, deg in gens if not g.is_zero()]
+
+
 def plain_piece(system, ideal, alpha):
-    """Reference: every relation row of the piece through one EchelonBasis,
-    with no blocks and no modular certificate.  The row space does not
-    depend on the order of the rows; taking them by highest column keeps
-    the coefficients small.  Returns the ambient monomials, the pivots and
-    ``EchelonBasis.reduce`` of every ambient column."""
-    monos, rows = jac.relation_rows(system, ideal, alpha)
+    """Reference: the rows of every nonzero generator of the ideal
+    (``every_generator``) through one EchelonBasis, with no blocks and no
+    modular certificate.  The row space does not depend on the order of the
+    rows; taking them by highest column keeps the coefficients small.
+    Returns the ambient monomials, the pivots and ``EchelonBasis.reduce`` of
+    every ambient column."""
+    monos, rows = tuple_keyed_rows(system, every_generator(system, ideal), alpha)
     echelon = linalg.EchelonBasis(len(monos))
     for row in sorted(rows, key=max):
         echelon.add_row(row)
@@ -244,7 +260,7 @@ class TestBlocks:
     relation rows), with full-rank blocks certified instead of eliminated."""
 
     @pytest.mark.parametrize(
-        "name", ["projective-3", "projective-4", "weighted-p112", "bundle-p2"]
+        "name", ["projective-3", "projective-4", "weighted-p112", "p1xp1", "bundle-p2"]
     )
     def test_blocked_pieces_equal_plain_echelon(self, name, plain_pieces):
         system = make_system(name)
@@ -389,7 +405,7 @@ class TestBlocks:
         piece = jac.graded_piece(bundle_p2, jac.IDEAL_J, (4, 4))
         assert (piece.eliminated_rows, piece.remainder_checked_rows) == (0, 135)
         piece0 = jac.graded_piece(bundle_p2, jac.IDEAL_J0, (6, 6))
-        assert (piece0.eliminated_rows, piece0.remainder_checked_rows) == (0, 285)
+        assert (piece0.eliminated_rows, piece0.remainder_checked_rows) == (0, 228)
 
     @pytest.mark.parametrize("always", [False, True])
     def test_perturbed_kernel_entry_is_rejected(self, always, monkeypatch, plain_pieces):
@@ -512,13 +528,14 @@ class TestBlocks:
         assert len(calls) == len(set(calls)) == count
 
 
-def tuple_keyed_rows(system, ideal, alpha):
-    """Reference assembly: columns keyed by exponent tuples, each row the
-    generator's terms times one cofactor with its denominators cleared."""
+def tuple_keyed_rows(system, generators, alpha):
+    """Reference assembly: columns keyed by exponent tuples, each row one of
+    ``generators`` (pairs of polynomial and degree) times one cofactor, with
+    its denominators cleared."""
     monos = monomial_basis(system.grading, system.fan, alpha)
     index = {mono: i for i, mono in enumerate(monos)}
     rows = []
-    for g, g_deg in jac._generators(system, ideal):
+    for g, g_deg in generators:
         cof_degree = tuple(a - d for a, d in zip(alpha, g_deg))
         for cof in monomial_basis(system.grading, system.fan, cof_degree):
             row = {
@@ -527,6 +544,41 @@ def tuple_keyed_rows(system, ideal, alpha):
             }
             rows.append(linalg.clear_denominators(row))
     return monos, rows
+
+
+class TestEulerGenerators:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_kept_generators_match_the_exponent_rank(self, name):
+        """z_i f_i has coefficient vector (t_i c_t)_t on supp f, so the
+        generators J0 keeps are as many as the rank of the exponent matrix
+        of supp f, which is at most m + 1.  They are Euler generators taken
+        in variable order, and J0's rows come from them alone."""
+        system = make_system(name)
+        kept = system.j0_generators
+        exponents = [list(t) for t in system.f.terms]
+        assert len(kept) == linalg.rank_rational(exponents) <= system.m + 1
+        positions = [
+            next(i for i, g in enumerate(system.euler_gens) if g is k) for k in kept
+        ]
+        assert positions == sorted(positions)
+        assert [g for g, _ in jac._generators(system, jac.IDEAL_J0)] == kept
+
+    @pytest.mark.parametrize(
+        "name, kept, nonzero",
+        [
+            ("bundle-p2", 4, 5),
+            ("p1xp1", 3, 4),
+            ("bundle-p6", 8, 9),
+            ("projective-3", 3, 3),
+            ("projective-4", 4, 4),
+            ("projective-5", 5, 5),
+            ("weighted-p112", 3, 3),
+        ],
+    )
+    def test_kept_generator_counts(self, name, kept, nonzero):
+        system = make_system(name)
+        assert len(system.j0_generators) == kept
+        assert len(every_generator(system, jac.IDEAL_J0)) == nonzero
 
 
 class TestCodeKeyedRows:
@@ -541,7 +593,9 @@ class TestCodeKeyedRows:
 
         def checked(system, ideal, alpha):
             monos, rows = original(system, ideal, alpha)
-            want_monos, want_rows = tuple_keyed_rows(system, ideal, alpha)
+            want_monos, want_rows = tuple_keyed_rows(
+                system, jac._generators(system, ideal), alpha
+            )
             assert monos == want_monos
             assert [list(r.items()) for r in rows] == [
                 list(r.items()) for r in want_rows
@@ -569,7 +623,9 @@ class TestCodeKeyedRows:
         assert system.grading.degrees == ((1,), (1,), (2,))
         for d in range(9):
             monos, rows = jac.relation_rows(system, ideal, (d,))
-            want_monos, want_rows = tuple_keyed_rows(system, ideal, (d,))
+            want_monos, want_rows = tuple_keyed_rows(
+                system, jac._generators(system, ideal), (d,)
+            )
             assert monos == want_monos
             assert [list(r.items()) for r in rows] == [
                 list(r.items()) for r in want_rows

@@ -491,6 +491,17 @@ class TestRankModP:
         with pytest.raises(ValueError):
             linalg.rank_mod_p([{0: 1}], 1, (1 << 31) + 11)
 
+    def test_prefilter_prime_is_the_largest_prime_below_2_30(self):
+        """By trial division: the default prime is prime and below 2^30, so
+        each residue is one 30-bit CPython digit, and no larger prime is."""
+
+        def is_prime(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        p = linalg.PREFILTER_PRIME
+        assert p < 1 << 30 and is_prime(p)
+        assert not any(is_prime(n) for n in range(p + 1, 1 << 30))
+
 
 def sparse(matrix):
     return [{j: x for j, x in enumerate(row) if x} for row in matrix]

@@ -1,11 +1,14 @@
 """Polynomial arithmetic, the text grammar, and class-group grading."""
 
+import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import FoldingParser
 
 from lgfrob import poly
 from lgfrob.errors import (
@@ -14,6 +17,7 @@ from lgfrob.errors import (
     PolySyntaxError,
     UnknownVariable,
 )
+from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import (
     MAX_EXPONENT,
     GradedPolynomial,
@@ -72,6 +76,22 @@ class TestArithmetic:
         shifted = p.mul_monomial((1, 0, 2), Fraction(5))
         reference = p * GradedPolynomial.monomial(VARS, (1, 0, 2), 5)
         assert shifted == reference
+
+    def test_scaling_by_zero_stores_no_terms(self):
+        p = parse_polynomial("x^2 + 3*y*z", VARS)
+        assert p.mul_monomial((1, 0, 0), 0).terms == {}
+        assert p.scale(0).terms == {}
+
+    def test_public_constructor_checks_every_term(self):
+        """The public constructor drops zeros, wraps each coefficient in a
+        Fraction and refuses a monomial of the wrong length or with an
+        exponent outside 0..MAX_EXPONENT; arithmetic results skip this."""
+        p = GradedPolynomial(VARS, {(1, 0, 0): 2, (0, 1, 0): 0})
+        assert list(p.terms.items()) == [((1, 0, 0), Fraction(2))]
+        assert type(p.terms[(1, 0, 0)]) is Fraction
+        for mono in [(1, 0), (-1, 0, 0), (MAX_EXPONENT + 1, 0, 0)]:
+            with pytest.raises(ValueError):
+                GradedPolynomial(VARS, {mono: 1})
 
     def test_restrict_to_zero(self):
         p = parse_polynomial("x^2*y + z^3 + x*z", VARS)
@@ -195,6 +215,71 @@ class TestParserLimits:
             parse_polynomial("(x+y)*(x-y)*z", VARS)
         assert err.value.position == 12
         assert formed == [4]
+
+
+def rescaled_text(name, seed):
+    """The text of a fixture's f(lambda * z), lambda_i drawn from 1, 2, 3
+    by the seed: the shape of the benchmark's workload documents."""
+    fx = get_fixture(name)
+    rng = random.Random(seed)
+    scales = [rng.choice((1, 2, 3)) for _ in fx.variables]
+    terms = {
+        mono: coeff * prod(lam**e for lam, e in zip(scales, mono))
+        for mono, coeff in fx.polynomial.terms.items()
+    }
+    return GradedPolynomial(fx.variables, terms).to_text()
+
+
+PARSE_CASES = [
+    (name, get_fixture(name).poly_text, get_fixture(name).variables)
+    for name in fixture_names()
+] + [
+    (f"{name}-rescaled-{seed}", rescaled_text(name, seed), get_fixture(name).variables)
+    for name in ("projective-4", "bundle-p2", "bundle-p6")
+    for seed in (1, 2)
+] + [
+    (f"cancel-{k}", text, VARS)
+    for k, text in enumerate([
+        "x - x + y",
+        "-(x + y)^2 + x^2 + 2*x*y",
+        "x*y - y*x + 3/2*z - 1/2*z + x",
+        "(x - y)*(x + y) - x^2 + y^2",
+        "+x - 0*y - (z - z)^3 + 0",
+    ])
+]
+
+
+class TestParsedTerms:
+    @pytest.mark.parametrize(
+        "text, variables", [case[1:] for case in PARSE_CASES],
+        ids=[case[0] for case in PARSE_CASES],
+    )
+    def test_terms_equal_the_checked_fold(self, text, variables, monkeypatch):
+        """Sums added into one dict, and arithmetic results that skip the
+        constructor's checks, give the same terms in the same order, all
+        Fractions, as folding every sum through the public operators with
+        every result built by the checking constructor."""
+        got = parse_polynomial(text, variables)
+        monkeypatch.setattr(
+            GradedPolynomial, "_unchecked", classmethod(lambda cls, v, t: cls(v, t))
+        )
+        want = FoldingParser(text, variables).parse()
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert got.variables == want.variables == tuple(variables)
+
+    @given(polynomials, polynomials, polynomials)
+    @settings(max_examples=50, deadline=None)
+    def test_random_sums_equal_the_fold(self, p, q, r):
+        """Sums with cancellation: the value of the arithmetic, and the term
+        order of folding the sum through the public operators."""
+        tp, tq, tr = (f"({s.to_text()})" for s in (p, q, r))
+        text = f"{tp} - {tq}*{tr} + {tq} - {tp}"
+        got = parse_polynomial(text, VARS)
+        assert got == q - q * r
+        assert all(type(c) is Fraction for c in got.terms.values())
+        want = FoldingParser(text, VARS).parse()
+        assert list(got.terms.items()) == list(want.terms.items())
 
 
 class _FakeGrading:
