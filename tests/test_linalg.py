@@ -471,11 +471,13 @@ class TestRankModP:
             assert linalg.rank_rational(dense([rows[i] for i in basis], cols)) == len(basis)
             assert len(basis) == linalg.rank_rational(dense(rows, cols))
 
-    @pytest.mark.parametrize("p", [3, linalg.PREFILTER_PRIME])
+    @pytest.mark.parametrize("p", [3, linalg.PREFILTER_PRIME, 2**31 - 1])
     def test_factorization_rebuilds_the_kept_rows(self, p):
         """Seeded matrices with entries shifted by multiples of p: the
-        recorded step of each kept row rebuilds that row mod p, and a prime
-        above 2^31, whose multipliers would not fit 32 bits, is refused."""
+        recorded step of each kept row rebuilds that row mod p, for the
+        default prime and for 2^31 - 1, the largest prime still accepted,
+        and a prime above 2^31, whose multipliers would not fit 32 bits, is
+        refused."""
         rng = random.Random(67 + p % 7)
         for _ in range(100):
             cols = rng.randint(1, 7)
