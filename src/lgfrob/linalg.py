@@ -402,7 +402,8 @@ def connected_blocks(
     Each block is ``(columns, row indices)``, both ascending, and the blocks
     are ordered by their lowest column.  Every nonzero row lies in exactly
     one block, so the row space is the direct sum of the blocks' row spaces;
-    a column that no row touches lies in no block.
+    a column that no row touches lies in no block, and only the touched
+    columns are looked up.
     """
     parent = list(range(ncols))
 
@@ -429,11 +430,9 @@ def connected_blocks(
     for i, row in enumerate(rows):
         if row:
             block_rows.setdefault(find(min(row)), []).append(i)
-    block_cols: dict[int, list[int]] = {root: [] for root in block_rows}
-    for c in range(ncols):
-        cols = block_cols.get(find(c))
-        if cols is not None:
-            cols.append(c)
+    block_cols: dict[int, list[int]] = {}
+    for c in sorted(set().union(*rows)):
+        block_cols.setdefault(find(c), []).append(c)
     return [(block_cols[root], block_rows[root]) for root in sorted(block_rows)]
 
 

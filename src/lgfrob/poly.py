@@ -301,45 +301,49 @@ def check_homogeneous(poly: GradedPolynomial, grading) -> tuple[int, ...]:
 
 
 class _Tokenizer:
+    """Scans each token once: ``peek`` reads the next token and keeps it
+    until ``take`` consumes it, so the parser's peek before each take costs
+    no second scan."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.token = None  # the next token, once peeked
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        ch = self.text[self.pos]
-        start = self.pos
+    def _scan(self):
+        text, start = self.text, self.pos
+        while start < len(text) and text[start].isspace():
+            start += 1
+        if start >= len(text):
+            return ("end", "", start)
+        ch = text[start]
+        end = start + 1
         if ch.isdigit():
-            end = start
-            while end < len(self.text) and self.text[end].isdigit():
+            while end < len(text) and text[end].isdigit():
                 end += 1
-            return ("number", self.text[start:end], start)
+            return ("number", text[start:end], start)
         if ch.isalpha() or ch == "_":
-            end = start
-            while end < len(self.text) and (
-                self.text[end].isalnum() or self.text[end] == "_"
-            ):
+            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
                 end += 1
-            return ("name", self.text[start:end], start)
+            return ("name", text[start:end], start)
         if ch in "+-*^()/":
             return (ch, ch, start)
         raise PolySyntaxError(f"unexpected character {ch!r}", start)
 
+    def peek(self):
+        if self.token is None:
+            self.token = self._scan()
+        return self.token
+
     def offset(self) -> int:
         """Offset of the next token."""
-        self._skip_ws()
-        return self.pos
+        return self.peek()[2]
 
     def take(self):
-        kind, value, start = self.peek()
-        self.pos = start + len(value) if kind != "end" else self.pos
-        return kind, value, start
+        token = self.peek()
+        self.token = None
+        self.pos = token[2] + len(token[1])
+        return token
 
 
 def _literal(digits: str, pos: int) -> int:

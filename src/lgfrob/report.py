@@ -78,12 +78,15 @@ def _integer_lists(value, what: str) -> tuple[tuple[int, ...], ...]:
 
 
 # integer options and their bounds (None: none); a sampled axiom check draws
-# no more triples than an exhaustive one may check
+# no more triples than an exhaustive one may check; ``threads``, which no
+# stage reads (the certifier is one process), has a ceiling so that no
+# document can ask for an unbounded worker count
+MAX_THREADS = 64
 INTEGER_OPTIONS = {
     "sample_seed": (None, None),
     "sample_count": (1, frobenius.EXHAUSTIVE_TRIPLE_LIMIT),
     "max_degree_a": (0, None),
-    "threads": (1, None),
+    "threads": (1, MAX_THREADS),
 }
 
 

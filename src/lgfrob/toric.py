@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd
+from itertools import combinations, repeat
+from math import comb, gcd, inf
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -21,7 +21,7 @@ from .errors import (
     NotReflexivePipeline,
     TorsionClassGroup,
 )
-from .poly import Monomial, grlex_key, monomial_degree
+from .poly import Monomial, monomial_degree
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +419,10 @@ def lattice_points(ineqs: list[tuple[tuple[int, ...], int]], dim: int) -> list[t
     return _affine_lattice_images(ineqs, (0,) * dim, identity)
 
 
-def _affine_lattice_images(
-    ineqs: list[tuple[tuple[int, ...], int]],
-    start: Sequence[int],
-    cols: Sequence[Sequence[int]],
-) -> list[tuple[int, ...]]:
-    """``start + sum_k x_k cols[k]`` for every integer point x satisfying
-    coeffs . x + const >= 0 for every inequality, in lex order of x.
-
-    Fourier-Motzkin projection gives, for each coordinate k, the
-    inequalities on x_0..x_k that bound x_k; ``_sweep`` then runs over
-    x_0, x_1, ... within those bounds and carries the image vector, adding
-    cols[k] for each step of x_k, so a point costs one vector add rather
-    than a dot product per coordinate of the image.
-    """
-    dim = len(cols)
-    if dim == 0:
-        return [tuple(start)] if all(c >= 0 for _, c in ineqs) else []
+def _projection_bounds(ineqs: Iterable[tuple[tuple[int, ...], int]], dim: int) -> list:
+    """Fourier-Motzkin projection: for each coordinate k, the pair (lower,
+    upper) of the inequalities on x_0..x_k that bound x_k from below and
+    from above, each as (coeffs on x_0..x_{k-1}, const, |a|)."""
     system = {_normalize_ineq(c, k) for c, k in ineqs}
     bounds: list = [None] * dim
     for level in range(dim - 1, -1, -1):
@@ -446,8 +433,8 @@ def _affine_lattice_images(
         lower, upper = [], []
         for coeffs, const in sorted(system):
             a = coeffs[level]
-            if a == 0:
-                nxt.add(_normalize_ineq(coeffs[:level], const))
+            if a == 0:  # dropping a zero coefficient keeps the gcd
+                nxt.add((coeffs[:level], const))
             elif a > 0:
                 lower.append((coeffs[:level], const, a))
             else:
@@ -458,8 +445,34 @@ def _affine_lattice_images(
                 nxt.add(_normalize_ineq(combo, an * pk + ap * nk))
         bounds[level] = (lower, upper)
         system = nxt
+    return bounds
+
+
+def _affine_lattice_images(
+    ineqs: list[tuple[tuple[int, ...], int]],
+    start: Sequence[int],
+    cols: Sequence[Sequence[int]],
+) -> list[tuple[int, ...]]:
+    """``start + sum_k x_k cols[k]`` for every integer point x satisfying
+    coeffs . x + const >= 0 for every inequality, in lex order of x.
+
+    ``_projection_bounds`` gives, for each coordinate k, the inequalities
+    on x_0..x_k that bound x_k; ``_sweep`` then runs over x_0, x_1, ...
+    within those bounds and carries the image vector, adding cols[k] for
+    each step of x_k, so a point costs one vector add rather than a dot
+    product per coordinate of the image.  The set of images does not
+    depend on the order of the coordinates, only their order in the list
+    does: a caller that sorts the list may permute the coordinates (the
+    inequalities and ``cols`` alike) to make the sweep cheaper.
+    """
+    # no level bounds an inequality with no coefficient, so check it here
+    if any(const < 0 and not any(coeffs) for coeffs, const in ineqs):
+        return []
+    dim = len(cols)
+    if dim == 0:
+        return [tuple(start)]
     out: list[tuple[int, ...]] = []
-    _sweep(0, bounds, cols, [0] * dim, tuple(start), out)
+    _sweep(0, _projection_bounds(ineqs, dim), cols, [0] * dim, tuple(start), out)
     return out
 
 
@@ -467,27 +480,56 @@ def _sweep(level, bounds, cols, prefix, image, out) -> None:
     """Append to ``out`` the image of every point whose first ``level``
     coordinates are ``prefix[:level]``; ``image`` is the image of that
     prefix with the later coordinates zero.  A module-level function rather
-    than a closure, so no reference cycle keeps ``out`` alive."""
+    than a closure, so no reference cycle keeps ``out`` alive.
+
+    A level bounded by one inequality on a side, as most are, evaluates it
+    directly rather than through a list and ``max`` or ``min``."""
     lower, upper = bounds[level]
     if not lower or not upper:
         raise DegeneratePolytope(
             f"unbounded direction at coordinate {level}; fan not complete?"
         )
-    lo = max([-((const + sum(map(mul, coeffs, prefix))) // a) for coeffs, const, a in lower])
-    hi = min([(const + sum(map(mul, coeffs, prefix))) // a for coeffs, const, a in upper])
+    if len(lower) == 1:
+        coeffs, const, a = lower[0]
+        lo = -((const + sum(map(mul, coeffs, prefix))) // a)
+    else:
+        lo = max([-((const + sum(map(mul, coeffs, prefix))) // a) for coeffs, const, a in lower])
+    if len(upper) == 1:
+        coeffs, const, a = upper[0]
+        hi = (const + sum(map(mul, coeffs, prefix))) // a
+    else:
+        hi = min([(const + sum(map(mul, coeffs, prefix))) // a for coeffs, const, a in upper])
     if lo > hi:
         return
     col = cols[level]
-    image = tuple(map(add, image, (lo * x for x in col)))
+    image = tuple(map(add, image, map(mul, col, repeat(lo))))
     if level == len(cols) - 1:
-        for _ in range(lo, hi + 1):
-            out.append(image)
+        out.append(image)
+        for _ in range(hi - lo):
             image = tuple(map(add, image, col))
+            out.append(image)
         return
     for value in range(lo, hi + 1):
         prefix[level] = value
         _sweep(level + 1, bounds, cols, prefix, image, out)
         image = tuple(map(add, image, col))
+
+
+def _sweep_order(ineqs: list[tuple[tuple[int, ...], int]], dim: int) -> list[int]:
+    """The coordinates by increasing width of the polytope along them, ties
+    by index: the narrowest outermost makes fewer ``_sweep`` calls.
+    The width along x_k is read off the projection onto x_k alone, one
+    Fourier-Motzkin pass with x_k first."""
+    widths = []
+    for k in range(dim):
+        perm = [k] + [j for j in range(dim) if j != k]
+        lower, upper = _projection_bounds(
+            [(tuple(c[j] for j in perm), const) for c, const in ineqs], dim
+        )[0]
+        lo = max((-(const // a) for _, const, a in lower), default=-inf)
+        hi = min((const // a for _, const, a in upper), default=inf)
+        widths.append((hi - lo, k))
+    return [k for _, k in sorted(widths)]
 
 
 def monomial_basis(
@@ -500,10 +542,19 @@ def monomial_basis(
     u0 + (ray matrix) x over the lattice points x of the polytope
     u0_i + <x, rho_i> >= 0, carrying the exponent vector through the sweep
     (column k of the ray matrix is added for each step of x_k).
+
+    The coordinates are swept in the order of ``_sweep_order``.  The order
+    changes which monomial comes out when, never which monomials come out,
+    and the two stable sorts at the end fix the list: lex order, then total
+    degree, which is the order of ``poly.grlex_key`` with no key call per
+    monomial.
     """
     u0 = [sum(map(mul, row, alpha)) for row in grading.section]
     ineqs = [(fan.rays[i], u0[i]) for i in range(fan.n_rays)]
-    cols = [tuple(ray[k] for ray in fan.rays) for k in range(fan.dim)]
+    order = _sweep_order(ineqs, fan.dim)
+    ineqs = [(tuple(ray[k] for k in order), const) for ray, const in ineqs]
+    cols = [tuple(ray[k] for ray in fan.rays) for k in order]
     monos = _affine_lattice_images(ineqs, u0, cols)
-    monos.sort(key=grlex_key)
+    monos.sort()
+    monos.sort(key=sum)
     return monos

@@ -5,12 +5,15 @@ compute what a kernel of ``lgfrob`` computes the fast way: dense Fraction
 Gauss-Jordan next to the sparse integer ``EchelonBasis``, cofactor expansion
 next to Bareiss, the anti-canonical polytope cone by cone next to the fan
 validation that builds it, the product of the recorded factors next to the
-modular elimination, a bounding-box sweep next to the Fourier-Motzkin
-monomial enumeration, polynomial lifts next to the direct trace, and sums
-folded through the public operators next to the parser's one-dict sums.
+modular elimination, a bounding-box sweep over brute-force vertices next
+to the Fourier-Motzkin monomial enumeration, polynomial lifts next to the
+direct trace, and sums folded through the public operators next to the
+parser's one-dict sums.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import ceil, floor
 from operator import mul
 
 from lgfrob.poly import GradedPolynomial, _Parser
@@ -131,33 +134,60 @@ def mat_mul_int(a, b):
     ]
 
 
-def count_lattice_points_dilated(fan, polytope, a: int) -> int:
-    """Independent lattice-point count of the a-fold dilation of the
-    anti-canonical polytope of ``fan`` by a direct bounding-box inequality
-    sweep: every box point x is tested against every ray, <x, rho> >= -a.  The pairings
-    <x, rho> are carried through the sweep, each step of x_k adding ray
-    coordinate k, instead of one dot product per ray per point."""
-    if a == 0:
-        return 1
-    m = polytope.dim
-    lows = [min(v[k] * a for v in polytope.vertices) for k in range(m)]
-    highs = [max(v[k] * a for v in polytope.vertices) for k in range(m)]
+def polytope_vertices(fan):
+    """The vertices of Delta = {u : <u, rho> >= -1 for every ray rho} by
+    brute force, for any complete fan whether or not it passes the fan
+    checks: the solution of <u, rho> = -1 on each m linearly independent
+    rays, kept when it satisfies every inequality."""
+    m = fan.dim
+    vertices = set()
+    for rays in combinations(fan.rays, m):
+        reduced, _, pivots = rref([list(ray) + [-1] for ray in rays])
+        if pivots != tuple(range(m)):
+            continue
+        u = tuple(row[m] for row in reduced)
+        if all(sum(map(mul, u, ray)) >= -1 for ray in fan.rays):
+            vertices.add(u)
+    return sorted(vertices)
+
+
+def dilated_points(fan, vertices, a: int):
+    """The exponent vectors e_i = <x, rho_i> + a of the lattice points x of
+    the a-fold dilation of the anti-canonical polytope of ``fan``, in lex
+    order of x, by a bounding-box sweep: x runs over the box of ``vertices``
+    scaled by a, and is kept when <x, rho> >= -a for every ray.  The
+    pairings <x, rho> are carried through the sweep, each step of x_k
+    adding ray coordinate k, and a branch is cut as soon as some pairing
+    falls below -a by more than the rest of the box can make up."""
+    m = fan.dim
+    lows = [ceil(a * min(v[k] for v in vertices)) for k in range(m)]
+    highs = [floor(a * max(v[k] for v in vertices)) for k in range(m)]
     columns = [[ray[k] for ray in fan.rays] for k in range(m)]
-    count = 0
+    # reach[k][i]: the largest <y, rho_i> over box points y with y_0..y_k = 0
+    extremes = [[max(r * lo, r * hi) for r, lo, hi in zip(ray, lows, highs)] for ray in fan.rays]
+    reach = [[sum(e[k + 1 :]) for e in extremes] for k in range(m)]
+    points = []
 
     def sweep(level: int, pairings: list[int]):
-        nonlocal count
         column = columns[level]
         pairings = [p + lows[level] * c for p, c in zip(pairings, column)]
         for _ in range(lows[level], highs[level] + 1):
-            if level + 1 < m:
-                sweep(level + 1, pairings)
-            elif min(pairings) >= -a:
-                count += 1
+            if all(p + r >= -a for p, r in zip(pairings, reach[level])):
+                if level + 1 < m:
+                    sweep(level + 1, pairings)
+                else:
+                    points.append(tuple(p + a for p in pairings))
             pairings = [p + c for p, c in zip(pairings, column)]
 
     sweep(0, [0] * len(fan.rays))
-    return count
+    return points
+
+
+def count_lattice_points_dilated(fan, polytope, a: int) -> int:
+    """Independent lattice-point count of the a-fold dilation of the
+    anti-canonical polytope of ``fan``: the bounding-box sweep of
+    ``dilated_points`` over the box of the polytope's vertices."""
+    return len(dilated_points(fan, polytope.vertices, a))
 
 
 def lift(algebra, a: int, coords) -> GradedPolynomial:

@@ -581,6 +581,19 @@ class TestStrictSchema:
         assert (code, out) == (2, "")
         assert f"must be <= {limit}, got 100000000" in err
 
+    def test_threads_ceiling(self):
+        """``threads`` above ``report.MAX_THREADS`` is refused, from a
+        document and from ``--threads`` (an override), before any stage."""
+        limit = report.MAX_THREADS
+        doc = _mutated("projective-3", _set_option("threads", limit))
+        assert report.parse_run_config(doc).threads == limit == 64
+        message = f"option 'threads' must be <= {limit}, got {limit + 1}$"
+        with pytest.raises(InputSchemaError, match=message):
+            report.parse_run_config(_mutated("projective-3", _set_option("threads", limit + 1)))
+        plain = get_fixture("projective-3").to_input_document()
+        with pytest.raises(InputSchemaError, match=message):
+            report.parse_run_config(plain, {"threads": limit + 1})
+
     def test_null_max_degree_a_means_no_cap(self):
         doc = _mutated("bundle-p6", _set_option("max_degree_a", None))
         assert report.parse_run_config(doc).max_degree_a is None

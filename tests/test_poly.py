@@ -100,6 +100,71 @@ class TestArithmetic:
             p.restrict_to_zero(["w"])
 
 
+# malformed texts with the error, the message and the offset of each, pinned
+# so that a change to the tokenizer cannot move them
+MALFORMED = [
+    ('', PolySyntaxError, 'unexpected end of input (at offset 0)', 0),
+    ('   ', PolySyntaxError, 'unexpected end of input (at offset 3)', 3),
+    ('x^^2', PolySyntaxError, "expected exponent after '^' (at offset 2)", 2),
+    ('x^', PolySyntaxError, "expected exponent after '^' (at offset 2)", 2),
+    ('x^y', PolySyntaxError, "expected exponent after '^' (at offset 2)", 2),
+    ('x^-1', PolySyntaxError, "expected exponent after '^' (at offset 2)", 2),
+    ('x +', PolySyntaxError, 'unexpected end of input (at offset 3)', 3),
+    ('x + y )', PolySyntaxError, "unexpected token ')' (at offset 6)", 6),
+    (')', PolySyntaxError, "expected number, variable or '(' but found ')' (at offset 0)", 0),
+    ('*x', PolySyntaxError, "expected number, variable or '(' but found '*' (at offset 0)", 0),
+    ('x y', PolySyntaxError, "unexpected token 'y' (at offset 2)", 2),
+    ('x + $', PolySyntaxError, "unexpected character '$' (at offset 4)", 4),
+    ('x + + $', PolySyntaxError, "expected number, variable or '(' but found '+' (at offset 4)", 4),
+    ('x$', PolySyntaxError, "unexpected character '$' (at offset 1)", 1),
+    ('$', PolySyntaxError, "unexpected character '$' (at offset 0)", 0),
+    ('  \t$', PolySyntaxError, "unexpected character '$' (at offset 3)", 3),
+    ('x**2', PolySyntaxError, "expected number, variable or '(' but found '*' (at offset 2)", 2),
+    ('1/', PolySyntaxError, "expected denominator after '/' (at offset 2)", 2),
+    ('1/0', PolySyntaxError, 'zero denominator (at offset 2)', 2),
+    ('1/ 0', PolySyntaxError, 'zero denominator (at offset 3)', 3),
+    ('1/x', PolySyntaxError, "expected denominator after '/' (at offset 2)", 2),
+    ('2/3/4', PolySyntaxError, "unexpected token '/' (at offset 3)", 3),
+    ('(x', PolySyntaxError, "expected ')' (at offset 2)", 2),
+    ('()', PolySyntaxError, "expected number, variable or '(' but found ')' (at offset 1)", 1),
+    ('(x + y', PolySyntaxError, "expected ')' (at offset 6)", 6),
+    ('x + (', PolySyntaxError, 'unexpected end of input (at offset 5)', 5),
+    ('x^2^3', PolySyntaxError, "unexpected token '^' (at offset 3)", 3),
+    ('x + w', UnknownVariable, "unknown variable 'w'", 4),
+    ('x1 + y', UnknownVariable, "unknown variable 'x1'", 0),
+    ('_a', UnknownVariable, "unknown variable '_a'", 0),
+    ('x + y\xa0+ \xe9', UnknownVariable, "unknown variable 'é'", 8),
+    ('x\u3000+ \xb2', PolySyntaxError, '1-digit literal is too long (at offset 4)', 4),
+    ('3 x', PolySyntaxError, "unexpected token 'x' (at offset 2)", 2),
+    ('x + 2*', PolySyntaxError, 'unexpected end of input (at offset 6)', 6),
+    ('x*(y+)', PolySyntaxError, "expected number, variable or '(' but found ')' (at offset 5)", 5),
+    ('x\n+\n\ny )  ', PolySyntaxError, "unexpected token ')' (at offset 7)", 7),
+    ('((x)', PolySyntaxError, "expected ')' (at offset 4)", 4),
+    ('x+y)*(z', PolySyntaxError, "unexpected token ')' (at offset 3)", 3),
+    ('-', PolySyntaxError, 'unexpected end of input (at offset 1)', 1),
+    ('+', PolySyntaxError, 'unexpected end of input (at offset 1)', 1),
+    ('- -x', PolySyntaxError, "expected number, variable or '(' but found '-' (at offset 2)", 2),
+    ('x^ 2 3', PolySyntaxError, "unexpected token '3' (at offset 5)", 5),
+    ('x ^\t', PolySyntaxError, "expected exponent after '^' (at offset 4)", 4),
+    ('1 / 2 / z', PolySyntaxError, "unexpected token '/' (at offset 6)", 6),
+    ('x*y*', PolySyntaxError, 'unexpected end of input (at offset 4)', 4),
+    ('(', PolySyntaxError, 'unexpected end of input (at offset 1)', 1),
+    ('x^(2)', PolySyntaxError, "expected exponent after '^' (at offset 2)", 2),
+    ('y + 1/z', PolySyntaxError, "expected denominator after '/' (at offset 6)", 6),
+    ('x + y + 5/', PolySyntaxError, "expected denominator after '/' (at offset 10)", 10),
+    ('7//2', PolySyntaxError, "expected denominator after '/' (at offset 2)", 2),
+    ('x+y/2', PolySyntaxError, "unexpected token '/' (at offset 3)", 3),
+    ('x^2 $ y', PolySyntaxError, "unexpected character '$' (at offset 4)", 4),
+    ('x + 1/0 $', PolySyntaxError, 'zero denominator (at offset 6)', 6),
+    ('x*$', PolySyntaxError, "unexpected character '$' (at offset 2)", 2),
+    ('x * $', PolySyntaxError, "unexpected character '$' (at offset 4)", 4),
+    ('x^$', PolySyntaxError, "unexpected character '$' (at offset 2)", 2),
+    ('(x)^ $', PolySyntaxError, "unexpected character '$' (at offset 5)", 5),
+    ('x*\t', PolySyntaxError, 'unexpected end of input (at offset 3)', 3),
+    ('x* )', PolySyntaxError, "expected number, variable or '(' but found ')' (at offset 3)", 3),
+]
+
+
 class TestTextFormat:
     @given(polynomials)
     @settings(max_examples=200)
@@ -141,6 +206,13 @@ class TestTextFormat:
     def test_unexpected_end(self):
         with pytest.raises(PolySyntaxError):
             parse_polynomial("x +", VARS)
+
+    @pytest.mark.parametrize("text, error, message, position", MALFORMED)
+    def test_error_message_and_offset(self, text, error, message, position):
+        with pytest.raises(error) as err:
+            parse_polynomial(text, VARS)
+        assert type(err.value) is error
+        assert (str(err.value), err.value.position) == (message, position)
 
 
 class TestParserLimits:

@@ -9,14 +9,20 @@ in a whose m-th finite difference equals m! times the Euclidean volume.
 import gc
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import (
     count_lattice_points_dilated,
     det,
+    dilated_points,
     mat_mul_int,
     mat_vec_int,
+    polytope_vertices,
     reference_polytope,
     rref,
 )
@@ -27,6 +33,7 @@ from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import grlex_key
 from lgfrob.toric import (
     FanData,
+    _affine_lattice_images,
     anticanonical_polytope,
     betti_numbers,
     class_group,
@@ -302,35 +309,51 @@ class TestIntegerInverse:
             ]
 
 
-def _reference_monomials(grading, fan, alpha):
-    """The per-point formula: u0 + <p, rho_i> for each lattice point p."""
-    u0 = linalg.solve_integer(grading.degree_rows(), list(alpha))
-    if u0 is None:
-        return []
-    ineqs = [(ray, u0[i]) for i, ray in enumerate(fan.rays)]
-    monos = [
-        tuple(u0[i] + sum(x * y for x, y in zip(p, ray)) for i, ray in enumerate(fan.rays))
-        for p in lattice_points(ineqs, fan.dim)
-    ]
-    return sorted(monos, key=grlex_key)
+@st.composite
+def bounded_systems(draw):
+    """(box, inequalities, start, cols): coeffs . x + const >= 0 in 1 to 4
+    dimensions, bounded by lo_k <= x_k <= hi_k (empty when some hi_k <
+    lo_k), which alone puts one inequality on each side of every level, and
+    cut by up to three more, which may have no coefficient; with a start
+    vector and the image columns of the coordinates."""
+    dim = draw(st.integers(1, 4))
+    lows = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    box = [(lo, lo + draw(st.integers(-1, 4))) for lo in lows]
+    ineqs = []
+    for k, (lo, hi) in enumerate(box):
+        unit = [int(i == k) for i in range(dim)]
+        ineqs += [(tuple(unit), -lo), (tuple(-x for x in unit), hi)]
+    coeffs = st.tuples(*[st.integers(-3, 3)] * dim)
+    ineqs += draw(st.lists(st.tuples(coeffs, st.integers(-6, 6)), max_size=3))
+    width = draw(st.integers(1, 3))
+    start = draw(st.tuples(*[st.integers(-5, 5)] * width))
+    cols = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * width), min_size=dim, max_size=dim))
+    return box, ineqs, start, cols
 
 
 class TestCarriedEnumeration:
     @pytest.mark.parametrize("name", fixture_names())
     def test_monomial_basis_equals_per_point_formula(self, name):
         """At every a beta and a beta - deg z_i with a <= m + 1 (a <= 1 on
-        bundle-p6), including degrees with no monomials."""
+        bundle-p6), including degrees with no monomials, against the
+        reference box sweep: the monomials of degree a beta are the
+        exponent vectors <x, rho> + a of the lattice points x of a Delta,
+        and those of degree a beta - deg z_i are z^e / z_i for the ones
+        with e_i > 0.  The box of a Delta's vertices covers both."""
         fan = get_fixture(name).fan
         g = class_group(fan)
+        vertices = polytope_vertices(fan)
         top = 1 if name == "bundle-p6" else fan.dim + 1
         empty = 0
         for a in range(top + 1):
+            points = dilated_points(fan, vertices, a)
             alpha = g.scaled_beta(a)
-            for degree in [alpha] + [
-                tuple(x - d for x, d in zip(alpha, deg)) for deg in g.degrees
-            ]:
+            assert monomial_basis(g, fan, alpha) == sorted(points, key=grlex_key), a
+            for i, deg in enumerate(g.degrees):
+                degree = tuple(x - d for x, d in zip(alpha, deg))
+                cofactors = [e[:i] + (e[i] - 1,) + e[i + 1 :] for e in points if e[i]]
                 monos = monomial_basis(g, fan, degree)
-                assert monos == _reference_monomials(g, fan, degree), degree
+                assert monos == sorted(cofactors, key=grlex_key), degree
                 empty += not monos
         assert empty
 
@@ -339,6 +362,24 @@ class TestCarriedEnumeration:
         assert lattice_points(ineqs, 2) == [
             (x, y) for x in range(-1, 3) for y in range(0, 2)
         ]
+
+    @given(bounded_systems())
+    @settings(max_examples=50, deadline=None)
+    def test_sweep_equals_box_enumeration(self, system):
+        """``_affine_lattice_images`` lists the image of every point of the
+        box that satisfies every inequality, in lex order of the point."""
+        box, ineqs, start, cols = system
+        want = [
+            tuple(s + sum(map(mul, col, x)) for s, col in zip(start, zip(*cols)))
+            for x in product(*(range(lo, hi + 1) for lo, hi in box))
+            if all(sum(map(mul, coeffs, x)) + const >= 0 for coeffs, const in ineqs)
+        ]
+        assert _affine_lattice_images(ineqs, start, cols) == want
+
+    def test_inequality_without_coefficients(self):
+        box = [((1,), 0), ((-1,), 2)]
+        assert lattice_points(box + [((0,), 0)], 1) == [(0,), (1,), (2,)]
+        assert lattice_points(box + [((0,), -1)], 1) == []
 
     @pytest.mark.parametrize("name", ["projective-4", "bundle-p2"])
     def test_no_cyclic_garbage(self, name):
