@@ -10,7 +10,6 @@ from .errors import (
     InvalidFan,
     LgfrobError,
     MacaulayNotVanishing,
-    NoFunctional,
     NotHomogeneous,
     NotReflexivePipeline,
     PolySyntaxError,
@@ -37,7 +36,6 @@ from .jacobian import (
     QuotientBasis,
     crit_containment_check,
     dim_R,
-    euler_membership_check,
     graded_piece,
     jacobian_system,
     normal_form,

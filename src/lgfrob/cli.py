@@ -94,13 +94,14 @@ def _human_summary(report: dict, stream):
     def line(text=""):
         print(text, file=stream)
 
+    def record(label, check):
+        status = "pass" if check["pass"] else "FAIL"
+        suffix = f"  [{check['witness']}]" if check["witness"] else ""
+        line(f"  {label:20s} {status}{suffix}")
+
     line(f"== {report.get('name', '?')} ({report.get('command', '?')}) ==")
-    validation = report.get("validation")
-    if validation:
-        for name, check in validation.items():
-            status = "pass" if check["pass"] else "FAIL"
-            suffix = f"  [{check['witness']}]" if check.get("witness") else ""
-            line(f"  {name:20s} {status}{suffix}")
+    for name, check in report.get("validation", {}).items():
+        record(name, check)
     grading = report.get("grading")
     if grading:
         line(f"  class group rank {grading['rank']}, beta = {tuple(grading['beta'])}")
@@ -112,13 +113,11 @@ def _human_summary(report: dict, stream):
     if "dims" in report:
         capped = " (capped)" if report.get("capped") else ""
         line(f"  dims = {report['dims']}{capped}")
-    for key in ("macaulay", "socle", "euler"):
-        section = report.get(key)
-        if section:
-            line(f"  {key}: {'pass' if section['pass'] else 'FAIL'}")
     for entry in report.get("crit_containment", []):
-        status = "pass" if entry["pass"] else "FAIL"
-        line(f"  crit containment {entry['zero_set']}: {status}")
+        record(f"crit {','.join(entry['zero_set'])}", entry)
+    for key in ("macaulay", "socle"):
+        if key in report:
+            record(key, report[key])
     algebra = report.get("algebra")
     if algebra:
         tr = algebra["socle_generator_trace"]
@@ -145,7 +144,8 @@ def _human_summary(report: dict, stream):
     if error:
         line(f"  error: {error['type']}: {error['message']}")
     if "certificates_pass" in report:
-        line(f"  certificates: {'all pass' if report['certificates_pass'] else 'FAILED'}")
+        failed = ", ".join(report.get("failures", []))
+        line(f"  certificates: {'all pass' if report['certificates_pass'] else 'FAILED: ' + failed}")
     timings = report.get("timings")
     if timings:
         line("  timings: " + ", ".join(f"{k} {v:.3f}s" for k, v in timings.items()))

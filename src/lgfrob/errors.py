@@ -74,9 +74,5 @@ class HessianGeneratorZero(LgfrobError):
     pass
 
 
-class NoFunctional(LgfrobError):
-    pass
-
-
 class InputSchemaError(LgfrobError):
     pass

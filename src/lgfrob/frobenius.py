@@ -71,7 +71,7 @@ from .jacobian import (
     socle_certificates,
 )
 from .poly import GradedPolynomial, Monomial, monomial_code
-from .toric import anticanonical_polytope, normalized_volume
+from .toric import CheckResult, anticanonical_polytope, normalized_volume
 
 
 GENERIC = "generic"
@@ -285,7 +285,7 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
         raise ValueError(f"unknown trace strategy {strategy!r}")
     m = system.m
     socle = socle_certificates(system)
-    if not socle.ok:
+    if not socle.record.ok:
         raise SocleNotOneDimensional(socle.dim_r, socle.dim_r0)
     volume = normalized_volume(anticanonical_polytope(system.fan))
     top_dim = macaulay_dim(system)
@@ -438,38 +438,25 @@ def mul_twisted(
     return [sign * c for c in D.product_coords(a, u, b, v)]
 
 
-@dataclass
-class AxiomCheck:
-    ok: bool
-    checked: int = 0
-    witness: str | None = None
-
-
 AXIOMS = ("unit", "commutativity", "associativity", "invariance", "nondegeneracy")
 
 
 @dataclass
 class AxiomReport:
-    unit: AxiomCheck
-    commutativity: AxiomCheck
-    associativity: AxiomCheck
-    invariance: AxiomCheck
-    nondegeneracy: AxiomCheck
+    """The records of the axioms named in ``AXIOMS``, each ``checked``
+    counting the cases it compared."""
+
+    unit: CheckResult
+    commutativity: CheckResult
+    associativity: CheckResult
+    invariance: CheckResult
+    nondegeneracy: CheckResult
     sampled: bool = False
     seed: int | None = None
 
     @property
     def all_pass(self) -> bool:
         return all(getattr(self, name).ok for name in AXIOMS)
-
-    def as_dict(self) -> dict:
-        out = {}
-        for name in AXIOMS:
-            c = getattr(self, name)
-            out[name] = {"pass": c.ok, "checked": c.checked, "witness": c.witness}
-        out["sampled"] = self.sampled
-        out["seed"] = self.seed
-        return out
 
 
 EXHAUSTIVE_TRIPLE_LIMIT = 10_000
@@ -528,20 +515,20 @@ def frobenius_axiom_check(
     return AxiomReport(unit, comm, assoc, inv, nondeg, sampled, sample_seed)
 
 
-def _check_unit(D: FrobeniusAlgebraData) -> AxiomCheck:
+def _check_unit(D: FrobeniusAlgebraData) -> CheckResult:
     checked = 0
     for b in range(D.m):
         for j in range(D.bases[b].dim):
             checked += 1
             got, want = D.basis_product(0, 0, b, j), [(j, 1)]
             if got != want:
-                return AxiomCheck(
+                return CheckResult(
                     False, checked, f"1 * basis[{b}][{j}] = {got}, expected {want}"
                 )
-    return AxiomCheck(True, checked)
+    return CheckResult(True, checked)
 
 
-def _check_commutativity(D: FrobeniusAlgebraData) -> AxiomCheck:
+def _check_commutativity(D: FrobeniusAlgebraData) -> CheckResult:
     checked = 0
     for a in range(D.m):
         # the nonzero index of the (a, a) products
@@ -553,15 +540,15 @@ def _check_commutativity(D: FrobeniusAlgebraData) -> AxiomCheck:
             for j in range(i + 1, n):
                 checked += 1
                 if index[i].get(j) != index[j].get(i):
-                    return AxiomCheck(
+                    return CheckResult(
                         False,
                         checked,
                         f"degree {a}: basis[{i}]*basis[{j}] != basis[{j}]*basis[{i}]",
                     )
-    return AxiomCheck(True, checked)
+    return CheckResult(True, checked)
 
 
-def _check_associativity(D, triples, sampled, rng, sample_count) -> AxiomCheck:
+def _check_associativity(D, triples, sampled, rng, sample_count) -> CheckResult:
     dims = D.dims()
 
     def collect(pairs, scale) -> dict[int, int]:
@@ -604,10 +591,10 @@ def _check_associativity(D, triples, sampled, rng, sample_count) -> AxiomCheck:
                     for k in range(dims[c]):
                         checked += 1
                         if not one(i, j, k):
-                            return AxiomCheck(
+                            return CheckResult(
                                 False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}"
                             )
-        return AxiomCheck(True, checked)
+        return CheckResult(True, checked)
 
     usable = [t for t in triples if dims[t[0]] and dims[t[1]] and dims[t[2]]]
     checks = {t: check(*t) for t in usable}
@@ -618,11 +605,11 @@ def _check_associativity(D, triples, sampled, rng, sample_count) -> AxiomCheck:
         k = rng.randrange(dims[c])
         checked += 1
         if not checks[(a, b, c)](i, j, k):
-            return AxiomCheck(False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}")
-    return AxiomCheck(True, checked)
+            return CheckResult(False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}")
+    return CheckResult(True, checked)
 
 
-def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
+def _check_invariance(D, sampled, rng, sample_count) -> CheckResult:
     """<u*v, w> = <u, v*w>, recomputed against the direct trace of the
     triple product.  Unless ``sampled``, on every basis triple of every
     degree triple with a+b+c = m-1: the sides are trilinear forms, so
@@ -639,7 +626,7 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
         if a + b + c == m - 1 and dims[a] and dims[b] and dims[c]
     ]
     if not degree_triples:
-        return AxiomCheck(True, 0)
+        return CheckResult(True, 0)
     if not sampled:
         return _check_invariance_on_basis(D, degree_triples)
 
@@ -657,16 +644,16 @@ def _check_invariance(D, sampled, rng, sample_count) -> AxiomCheck:
         direct = direct_trace(D, ((a, u), (b, v), (c, w)))
         checked += 1
         if not (lhs.rational == rhs.rational == direct):
-            return AxiomCheck(
+            return CheckResult(
                 False,
                 checked,
                 f"degrees {(a, b, c)}: {lhs.rational} vs {rhs.rational} "
                 f"vs direct {direct}",
             )
-    return AxiomCheck(True, checked)
+    return CheckResult(True, checked)
 
 
-def _check_invariance_on_basis(D, degree_triples) -> AxiomCheck:
+def _check_invariance_on_basis(D, degree_triples) -> CheckResult:
     """<e_i e_j, e_k>, from the nonzero index and the traces tau_n of the
     degree-(m-1) basis, as an int numerator over den times its product
     denominators, against the direct trace of z^i z^j z^k, one lookup of
@@ -692,14 +679,14 @@ def _check_invariance_on_basis(D, degree_triples) -> AxiomCheck:
                     )
                     direct = table.get(code_i + code_j + code_k, 0)
                     if lhs != direct * lhs_den:
-                        return AxiomCheck(
+                        return CheckResult(
                             False,
                             checked,
                             f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}: "
                             f"{Fraction(lhs, lhs_den * den)} vs direct "
                             f"{Fraction(direct, den)}",
                         )
-    return AxiomCheck(True, checked)
+    return CheckResult(True, checked)
 
 
 def direct_trace(
@@ -732,16 +719,16 @@ def gram_rank(gram: Sequence[Sequence[TraceScalar]]) -> int:
     return linalg.rank_rational([[entry.rational for entry in row] for row in gram])
 
 
-def _check_nondegeneracy(grams, ranks) -> AxiomCheck:
+def _check_nondegeneracy(grams, ranks) -> CheckResult:
     checked = 0
     for a, (gram, rank) in enumerate(zip(grams, ranks)):
         rows = len(gram)
         cols = len(gram[0]) if gram else 0
         checked += 1
         if rows != cols:
-            return AxiomCheck(
+            return CheckResult(
                 False, checked, f"G_{a} is {rows}x{cols}, not square"
             )
         if rank != rows:
-            return AxiomCheck(False, checked, f"G_{a} is singular")
-    return AxiomCheck(True, checked)
+            return CheckResult(False, checked, f"G_{a} is singular")
+    return CheckResult(True, checked)

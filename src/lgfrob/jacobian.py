@@ -14,9 +14,9 @@ from operator import add, sub
 from typing import Sequence
 
 from . import linalg
-from .errors import DegreeMismatch, NoFunctional, SocleNotOneDimensional
+from .errors import DegreeMismatch
 from .poly import GradedPolynomial, Monomial, check_homogeneous, monomial_code
-from .toric import FanData, GradingMap, monomial_basis
+from .toric import CheckResult, FanData, GradingMap, monomial_basis
 
 IDEAL_J = "J"
 IDEAL_J0 = "J0"
@@ -347,8 +347,14 @@ class SocleReport:
     generator_r0: Monomial | None
 
     @property
-    def ok(self) -> bool:
-        return self.dim_r == 1 and self.dim_r0 == 1
+    def record(self) -> CheckResult:
+        """Both pieces one-dimensional; on a failure the witness gives their
+        dimensions."""
+        if self.dim_r == 1 and self.dim_r0 == 1:
+            return CheckResult(True, 2)
+        return CheckResult(
+            False, 2, f"dim R(f)_(m-1)b = {self.dim_r}, dim R0(f)_mb = {self.dim_r0}"
+        )
 
 
 def socle_certificates(system: JacobianSystem) -> SocleReport:
@@ -366,55 +372,25 @@ def socle_certificates(system: JacobianSystem) -> SocleReport:
     )
 
 
-@dataclass
-class EulerReport:
-    functional: tuple[int, ...]
-    scale: int  # lambda(beta)
-    ok: bool
-
-
-def euler_membership_check(system: JacobianSystem) -> EulerReport:
-    """Verify sum_i lambda(deg z_i) z_i f_i = lambda(beta) f exactly for an
-    integer functional lambda with lambda(beta) != 0."""
-    grading = system.grading
-    beta = grading.beta
-    k = next((i for i, b in enumerate(beta) if b != 0), None)
-    if k is None:
-        raise NoFunctional("anti-canonical class is zero; no functional with lambda(beta) != 0")
-    functional = tuple(1 if i == k else 0 for i in range(grading.rank))
-    lhs = GradedPolynomial.zero(system.variables)
-    for i, gen in enumerate(system.euler_gens):
-        weight = grading.degrees[i][k]
-        if weight:
-            lhs = lhs + gen.scale(weight)
-    rhs = system.f.scale(beta[k])
-    return EulerReport(functional, beta[k], lhs == rhs)
-
-
-@dataclass
-class ContainmentResult:
-    zero_set: tuple[str, ...]
-    ok: bool
-    witness: str | None
-
-
 def crit_containment_check(
     system: JacobianSystem, zero_sets: Sequence[Sequence[str]]
-) -> list[ContainmentResult]:
-    """For each variable subset V: pass iff every partial vanishes after
-    substituting 0 for the variables of V (so the complementary coordinate
-    subspace lies in the critical locus of f)."""
+) -> list[CheckResult]:
+    """One record per variable subset V, in order: pass iff every partial
+    vanishes after substituting 0 for the variables of V (so the
+    complementary coordinate subspace lies in the critical locus of f).
+    ``checked`` counts the partials restricted."""
     results = []
-    for subset in zero_sets:
-        subset = tuple(subset)
-        witness = None
+    for subset in map(tuple, zero_sets):
+        result = CheckResult(True, len(system.partials))
         for i, g in enumerate(system.partials):
             restricted = g.restrict_to_zero(subset)
             if not restricted.is_zero():
-                witness = (
+                result = CheckResult(
+                    False,
+                    i + 1,
                     f"partial with respect to {system.variables[i]} restricts to "
-                    f"{restricted.to_text()}"
+                    f"{restricted.to_text()}",
                 )
                 break
-        results.append(ContainmentResult(subset, witness is None, witness))
+        results.append(result)
     return results

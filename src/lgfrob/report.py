@@ -279,13 +279,15 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         report["timings"] = timings
     with _timed(timings, "validate"):
         vrep = toric.validate_fan(config.fan)
-    report["validation"] = vrep.as_dict()
+    report["validation"] = {
+        name: getattr(vrep, name).as_dict() for name in toric.CHECKS
+    }
     report["validation_pass"] = vrep.all_pass
     if not vrep.all_pass:
         return report, 3
 
     with _timed(timings, "grading"):
-        grading = toric.class_group(config.fan)
+        grading = toric.class_group(config.fan, vrep.hermite)
     report["grading"] = {
         "rank": grading.rank,
         "degrees": [list(d) for d in grading.degrees],
@@ -315,16 +317,16 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         return report, 0
 
     m = config.fan.dim
-    failures: list[str] = []
+    # (failure name, record) of every certificate from here on, in order;
+    # _verdicts derives the run's verdicts from them
+    records: list[tuple[str, toric.CheckResult]] = []
 
     try:
         with _timed(timings, "potential"):
             f = parse_polynomial(config.poly_text, config.variables)
             system = jacobian.jacobian_system(config.fan, grading, f)
     except LgfrobError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        report["certificates_pass"] = False
-        return report, 4
+        return report, _verdicts(report, records, ("potential", exc))
     # jacobian_system checked that f is homogeneous of degree beta
     report["potential"] = {"text": config.poly_text, "degree": list(grading.beta)}
 
@@ -338,74 +340,43 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
     if command == "dims":
         return report, 0
 
-    with _timed(timings, "euler"):
-        euler = jacobian.euler_membership_check(system)
-    report["euler"] = {
-        "functional": list(euler.functional),
-        "scale": euler.scale,
-        "pass": euler.ok,
-    }
-    if not euler.ok:
-        failures.append("euler_membership")
-
     if config.zero_sets:
         with _timed(timings, "crit_containment"):
             crit = jacobian.crit_containment_check(system, config.zero_sets)
         report["crit_containment"] = [
-            {"zero_set": list(r.zero_set), "pass": r.ok, "witness": r.witness}
-            for r in crit
+            {"zero_set": list(zero_set), **record.as_dict()}
+            for zero_set, record in zip(config.zero_sets, crit)
         ]
-        failures.extend(
-            f"crit_containment:{','.join(r.zero_set)}" for r in crit if not r.ok
-        )
+        records += [
+            (f"crit_containment:{','.join(zero_set)}", record)
+            for zero_set, record in zip(config.zero_sets, crit)
+        ]
 
     if capped:
         # middle graded pieces out of scope for this run: no socle, algebra
         # or axiom certificates
-        report["hypotheses"] = {
-            "quasi_smoothness": "not-evaluated (capped run)",
-            "non_degeneracy": "asserted",
-        }
-        report["certificates_pass"] = not failures
-        report["failures"] = failures
-        return report, 0 if not failures else 4
+        return report, _verdicts(report, records)
 
     # R(f)_{m beta} = 0 decides every p >= m; see frobenius.build_algebra.
     # This stage builds R0(f)_{m beta}, which the socle stage then reuses.
     with _timed(timings, "macaulay"):
         mac_dim = jacobian.macaulay_dim(system)
-    mac_ok = mac_dim == 0
-    report["macaulay"] = {"dims": {str(m): mac_dim}, "pass": mac_ok}
-    if not mac_ok:
-        failures.append("macaulay_vanishing")
-
+    macaulay = toric.CheckResult(
+        mac_dim == 0, 1, f"dim R(f)_{m}b = {mac_dim}, expected 0" if mac_dim else None
+    )
+    report["macaulay"] = macaulay.as_dict()
     with _timed(timings, "socle"):
-        socle = jacobian.socle_certificates(system)
-    report["socle"] = {
-        "dim_r": socle.dim_r,
-        "dim_r0": socle.dim_r0,
-        "generator_r": list(socle.generator_r) if socle.generator_r else None,
-        "generator_r0": list(socle.generator_r0) if socle.generator_r0 else None,
-        "pass": socle.ok,
-    }
-    if not socle.ok:
-        failures.append("socle_certificates")
-    if not (mac_ok and socle.ok):
-        report["hypotheses"] = {
-            "quasi_smoothness": "inconsistent",
-            "non_degeneracy": "asserted",
-        }
-        report["certificates_pass"] = False
-        report["failures"] = failures
-        return report, 4
+        socle = jacobian.socle_certificates(system).record
+    report["socle"] = socle.as_dict()
+    records += [("macaulay_vanishing", macaulay), ("socle_certificates", socle)]
+    if not (macaulay.ok and socle.ok):
+        return report, _verdicts(report, records)
 
     try:
         with _timed(timings, "algebra"):
             algebra = frobenius.build_algebra(system, config.strategy)
     except LgfrobError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        report["certificates_pass"] = False
-        return report, 4
+        return report, _verdicts(report, records, ("algebra", exc))
 
     socle_trace = frobenius.trace(
         [Fraction(1)] + [Fraction(0)] * (algebra.bases[m - 1].dim - 1), algebra
@@ -420,6 +391,8 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
             else None
         ),
         "generator_coord": frac_str(algebra.generator_coord),
+        # the first basis monomial of R(f)_{(m-1) beta}, whose trace follows
+        "socle_generator": list(algebra.bases[m - 1].basis[0]),
         "socle_generator_trace": trace_dict(socle_trace),
         "zero_sums_checked": algebra.zero_sums_checked,
     }
@@ -445,14 +418,50 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         axioms = frobenius.frobenius_axiom_check(
             algebra, config.sample_seed, config.sample_count, grams, ranks
         )
-    report["axioms"] = axioms.as_dict()
-    if not axioms.all_pass:
-        failures.append("frobenius_axioms")
-
-    report["hypotheses"] = {
-        "quasi_smoothness": "consistent",
-        "non_degeneracy": "asserted",
+    report["axioms"] = {
+        **{name: getattr(axioms, name).as_dict() for name in frobenius.AXIOMS},
+        "sampled": axioms.sampled,
+        "seed": axioms.seed,
     }
+    records += [("frobenius_axioms", getattr(axioms, name)) for name in frobenius.AXIOMS]
+    return report, _verdicts(report, records)
+
+
+def _verdicts(
+    report: dict,
+    records: list[tuple[str, toric.CheckResult]],
+    error: tuple[str, LgfrobError] | None = None,
+) -> int:
+    """The one derivation of a run's verdicts, through which every exit
+    from the potential stage on goes; returns the exit code.
+
+    ``failures`` names each failing record once, in stage order, then the
+    stage that raised ``error``, if any, whose ``error`` entry it prints.
+    ``certificates_pass`` is whether ``failures`` is empty, and the exit
+    code is 0 if it is, 4 otherwise.  ``hypotheses`` is printed once
+    quasi-smoothness has been decided, by the Macaulay and socle records,
+    or left out of scope by a capped run; non-degeneracy is asserted."""
+    failures = list(dict.fromkeys(name for name, record in records if not record.ok))
+    if error is not None:
+        stage, exc = error
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        failures.append(stage)
+    decided = [
+        record.ok
+        for name, record in records
+        if name in ("macaulay_vanishing", "socle_certificates")
+    ]
+    if report.get("capped"):
+        quasi_smoothness = "not-evaluated (capped run)"
+    elif decided:
+        quasi_smoothness = "consistent" if all(decided) else "inconsistent"
+    else:
+        quasi_smoothness = None
+    if quasi_smoothness is not None:
+        report["hypotheses"] = {
+            "quasi_smoothness": quasi_smoothness,
+            "non_degeneracy": "asserted",
+        }
     report["certificates_pass"] = not failures
     report["failures"] = failures
-    return report, 0 if not failures else 4
+    return 4 if failures else 0

@@ -90,8 +90,16 @@ class GradingMap:
 
 @dataclass
 class CheckResult:
+    """The record of one certificate, the one shape every check reports in:
+    its verdict, how many objects it decided, and on a failure a witness
+    naming what failed."""
+
     ok: bool
+    checked: int
     witness: str | None = None
+
+    def as_dict(self) -> dict:
+        return {"pass": self.ok, "checked": self.checked, "witness": self.witness}
 
 
 CHECKS = ("simplicial", "complete_criterion", "gorenstein", "ample", "torsion_free")
@@ -99,8 +107,9 @@ CHECKS = ("simplicial", "complete_criterion", "gorenstein", "ample", "torsion_fr
 
 @dataclass
 class ValidationReport:
-    """The fan certificates named in ``CHECKS``, and the anti-canonical
-    polytope when every one of them passes (None otherwise)."""
+    """The fan certificates named in ``CHECKS``; when every one of them
+    passes, the anti-canonical polytope and the Hermite form of
+    ``_free_hermite_form``, which ``class_group`` accepts (None otherwise)."""
 
     simplicial: CheckResult
     complete_criterion: CheckResult
@@ -108,16 +117,11 @@ class ValidationReport:
     ample: CheckResult
     torsion_free: CheckResult
     polytope: AnticanPolytope | None = None
+    hermite: list[list[int]] | None = None
 
     @property
     def all_pass(self) -> bool:
         return all(getattr(self, name).ok for name in CHECKS)
-
-    def as_dict(self) -> dict:
-        return {
-            name: {"pass": getattr(self, name).ok, "witness": getattr(self, name).witness}
-            for name in CHECKS
-        }
 
 
 @dataclass(frozen=True)
@@ -152,92 +156,95 @@ def _dot(u: Sequence, v: Sequence):
 
 def validate_fan(fan: FanData) -> ValidationReport:
     """Run the five fan certificates of ``CHECKS``; failures carry concrete
-    witnesses.  When all pass, the report carries the anti-canonical
-    polytope, built from the cone inverses and vertices of this one pass
-    over the maximal cones."""
-    m = fan.dim
+    witnesses.  A check's ``checked`` counts the maximal cones it decided,
+    1 for torsion-freeness, decided once on the ray matrix.  When all
+    pass, the report carries the anti-canonical polytope, built from the
+    cone inverses and vertices of this one pass over the maximal cones."""
+    m, cones = fan.dim, len(fan.max_cones)
 
     # one inverse_int per max cone serves the simplicial and Gorenstein
     # checks and the polytope
-    simplicial = CheckResult(True)
+    simplicial = CheckResult(True, cones)
     inverses = []
     for ci, cone in enumerate(fan.max_cones):
         if len(cone) != m:
-            simplicial = CheckResult(False, f"max cone {ci} has {len(cone)} rays, expected {m}")
+            simplicial = CheckResult(
+                False, ci + 1, f"max cone {ci} has {len(cone)} rays, expected {m}"
+            )
             break
         inverse = linalg.inverse_int(fan.cone_matrix(cone))
         if inverse is None:
-            simplicial = CheckResult(False, f"max cone {ci} has linearly dependent rays")
+            simplicial = CheckResult(False, ci + 1, f"max cone {ci} has linearly dependent rays")
             break
         inverses.append(inverse)
 
-    complete = _complete_criterion(fan) if simplicial.ok else CheckResult(
-        False, "skipped: simplicial check failed"
-    )
-
-    gorenstein = CheckResult(True)
-    ample = CheckResult(True)
+    skipped = CheckResult(False, 0, "skipped: simplicial check failed")
+    complete = gorenstein = ample = skipped
     vertices = []
     if simplicial.ok:
+        complete = _complete_criterion(fan)
+        gorenstein_witness = ample_witness = None
+        ample_checked = 0
         for ci, (cone, (det, adj)) in enumerate(zip(fan.max_cones, inverses)):
             # <u, rho_i> = -1 on the cone's rays A: u = -A^-1 . 1 = -adj . 1 / det
             sums = [sum(row) for row in adj]
             if any(x % det for x in sums):
-                gorenstein = CheckResult(
-                    False, f"max cone {ci}: <u, rho_i> = -1 has no integral solution"
-                )
+                gorenstein_witness = f"max cone {ci}: <u, rho_i> = -1 has no integral solution"
                 continue
             vertex = tuple(-x // det for x in sums)
             vertices.append(vertex)
-            if ample.ok:
+            if ample_witness is None:
+                ample_checked += 1
                 for rj in range(fan.n_rays):
                     if rj in cone:
                         continue
                     pairing = _dot(vertex, fan.rays[rj])
                     if pairing <= -1:
-                        ample = CheckResult(
-                            False,
+                        ample_witness = (
                             f"max cone {ci}: <{tuple(vertex)}, ray {rj} {fan.rays[rj]}> "
-                            f"= {pairing} <= -1",
+                            f"= {pairing} <= -1"
                         )
                         break
-    else:
-        gorenstein = CheckResult(False, "skipped: simplicial check failed")
-        ample = CheckResult(False, "skipped: simplicial check failed")
+        gorenstein = CheckResult(gorenstein_witness is None, cones, gorenstein_witness)
+        ample = CheckResult(ample_witness is None, ample_checked, ample_witness)
 
-    torsion_free = CheckResult(True)
-    if _free_hermite_form(fan) is None:  # the Smith form only words the failure
+    torsion_free = CheckResult(True, 1)
+    hermite = _free_hermite_form(fan)
+    if hermite is None:  # the Smith form only words the failure
         factors = linalg.invariant_factors(fan.rays)
         witness = f"class group torsion: invariant factors {factors}"
         if len(factors) < m:
             witness = "rays do not span the ambient lattice over Q"
-        torsion_free = CheckResult(False, witness)
+        torsion_free = CheckResult(False, 1, witness)
 
     report = ValidationReport(simplicial, complete, gorenstein, ample, torsion_free)
     if report.all_pass:
         report.polytope = AnticanPolytope(m, tuple(vertices), tuple(inverses))
+        report.hermite = hermite
     return report
 
 
 def _complete_criterion(fan: FanData) -> CheckResult:
     """Ridge pairing: every (m-1)-face of a max cone lies in exactly two max
-    cones and the induced adjacency graph is connected."""
+    cones and the induced adjacency graph is connected.  Every max cone's
+    ridges are paired before either is decided, so it checks them all."""
+    cones = len(fan.max_cones)
     ridge_count: dict[tuple[int, ...], list[int]] = {}
     for ci, cone in enumerate(fan.max_cones):
         for ridge in combinations(cone, fan.dim - 1):
             ridge_count.setdefault(ridge, []).append(ci)
-    for ridge, cones in ridge_count.items():
-        if len(cones) != 2:
+    for ridge, owners in ridge_count.items():
+        if len(owners) != 2:
             return CheckResult(
                 False,
-                f"ridge {ridge} lies in {len(cones)} max cone(s): {cones}",
+                cones,
+                f"ridge {ridge} lies in {len(owners)} max cone(s): {owners}",
             )
     # connectivity of the adjacency graph
-    if not fan.max_cones:
-        return CheckResult(False, "no maximal cones")
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(fan.max_cones))}
-    for cones in ridge_count.values():
-        a, b = cones
+    if not cones:
+        return CheckResult(False, 0, "no maximal cones")
+    adjacency: dict[int, set[int]] = {i: set() for i in range(cones)}
+    for a, b in ridge_count.values():
         adjacency[a].add(b)
         adjacency[b].add(a)
     seen = {0}
@@ -247,10 +254,10 @@ def _complete_criterion(fan: FanData) -> CheckResult:
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    if len(seen) != len(fan.max_cones):
-        missing = sorted(set(range(len(fan.max_cones))) - seen)
-        return CheckResult(False, f"cone adjacency graph disconnected; unreachable {missing}")
-    return CheckResult(True)
+    if len(seen) != cones:
+        missing = sorted(set(range(cones)) - seen)
+        return CheckResult(False, cones, f"cone adjacency graph disconnected; unreachable {missing}")
+    return CheckResult(True, cones)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +272,14 @@ def _free_hermite_form(fan: FanData) -> list[list[int]] | None:
     return h if [row[:m] for row in h[:m]] == linalg.identity_int(m) else None
 
 
-def class_group(fan: FanData) -> GradingMap:
+def class_group(fan: FanData, hermite: list[list[int]] | None = None) -> GradingMap:
     """Grading of the Cox ring by the class group, read off the Hermite form
-    W [R | I] = [H | W] of ``_free_hermite_form``.  The rows of W beside the
-    zero rows of H are the canonical basis of the degree functionals
-    {w : w R = 0}.  The section solves degree_rows() x = e_k."""
+    W [R | I] = [H | W] of ``_free_hermite_form``, or ``hermite`` when given,
+    which must be that form (``ValidationReport.hermite``).  The rows of W
+    beside the zero rows of H are the canonical basis of the degree
+    functionals {w : w R = 0}.  The section solves degree_rows() x = e_k."""
     r, m = fan.n_rays, fan.dim
-    h = _free_hermite_form(fan)
+    h = _free_hermite_form(fan) if hermite is None else hermite
     if h is None:
         factors = linalg.invariant_factors(fan.rays)
         # a zero factor means the rays are degenerate

@@ -267,7 +267,7 @@ def test_criterion_7_negative_controls(capsys, tmp_path):
     ok = (
         not hirzebruch.ample.ok
         and "-2" in ample_witness
-        and not degenerate.ok
+        and not degenerate.record.ok
         and codes == {
             "ok": 0,
             "input": 2,

@@ -105,7 +105,11 @@ class TestValidateCommand:
         with deadline(1.0):
             doc_report, code = report.run_report(report.parse_run_config(doc), "validate")
         assert code == 3
-        assert doc_report["validation"]["torsion_free"] == {"pass": True, "witness": None}
+        assert doc_report["validation"]["torsion_free"] == {
+            "pass": True,
+            "checked": 1,
+            "witness": None,
+        }
         assert doc_report["validation"]["complete_criterion"]["pass"] is False
 
     def test_malformed_json_exit_2(self, capsys, tmp_path):
@@ -186,7 +190,7 @@ class TestReportCommand:
         code, doc, _ = run_json(capsys, "report", "--fixture", "p1xp1", "--json-only")
         assert code == 4
         assert doc["dims"] == [1, 2]
-        assert doc["socle"]["dim_r"] == 2
+        assert doc["socle"]["witness"] == "dim R(f)_(m-1)b = 2, dim R0(f)_mb = 1"
 
     def test_bundle_p6_capped_run(self, capsys):
         code, doc, _ = run_json(capsys, "report", "--fixture", "bundle-p6", "--json-only")
@@ -205,6 +209,50 @@ class TestReportCommand:
         code, report, _ = run_json(capsys, "report", "--input", str(path), "--json-only")
         assert code == 4
         assert report["error"]["type"] == "NotHomogeneous"
+        # the derivation names the stage that raised
+        assert report["failures"] == ["potential"]
+        assert report["certificates_pass"] is False
+        assert "hypotheses" not in report
+
+    @pytest.mark.parametrize("command", ["report", "gram"])
+    def test_algebra_error_names_its_stage(self, capsys, command):
+        """projective-hessian refuses a fan that is not the standard
+        projective one only in the algebra stage, after the Macaulay and
+        socle records have passed."""
+        code, doc, _ = run_json(
+            capsys, command, "--fixture", "weighted-p112",
+            "--strategy", "projective-hessian", "--json-only",
+        )
+        assert code == 4
+        assert doc["error"]["type"] == "HessianGeneratorZero"
+        assert doc["failures"] == ["algebra"]
+        assert doc["certificates_pass"] is False
+        assert doc["hypotheses"]["quasi_smoothness"] == "consistent"
+        assert "algebra" not in doc and "axioms" not in doc
+
+    @pytest.mark.parametrize(
+        "name, capped, partial",
+        [("bundle-p2", False, "x0"), ("bundle-p6", True, "x1")],
+    )
+    def test_crit_containment_failure_exit_4(self, name, capped, partial):
+        """A zero set on which a partial does not restrict to 0 fails through
+        the report, on a full run and on a capped one."""
+        fx = get_fixture(name)
+        doc = dict(fx.to_input_document(), zero_sets=[["x0"]])
+        out, code = report.run_report(report.parse_run_config(doc, {"json_only": True}))
+        assert code == 4
+        assert out["failures"] == ["crit_containment:x0"]
+        assert out["certificates_pass"] is False
+        restricted = fx.polynomial.partial_derivative(fx.variables.index(partial))
+        (entry,) = out["crit_containment"]
+        assert entry["zero_set"] == ["x0"] and entry["pass"] is False
+        assert entry["witness"] == (
+            f"partial with respect to {partial} restricts to "
+            f"{restricted.restrict_to_zero(('x0',)).to_text()}"
+        )
+        quasi_smoothness = "not-evaluated (capped run)" if capped else "consistent"
+        assert out["capped"] is capped
+        assert out["hypotheses"]["quasi_smoothness"] == quasi_smoothness
 
     def test_human_summary_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "report", "--fixture", "projective-3")
@@ -222,7 +270,6 @@ class TestReportCommand:
             "topology",
             "potential",
             "dims",
-            "euler",
             "macaulay",
             "socle",
             "algebra",
@@ -234,9 +281,9 @@ class TestReportCommand:
         calls = []
         original = toric.class_group
 
-        def counting(fan):
+        def counting(fan, hermite=None):
             calls.append(fan)
-            return original(fan)
+            return original(fan, hermite)
 
         monkeypatch.setattr(toric, "class_group", counting)
         doc = get_fixture("projective-3").to_input_document()
@@ -245,6 +292,22 @@ class TestReportCommand:
             calls.clear()
             assert report.run_report(config, command)[1] == 0
             assert len(calls) == 1, command
+
+    def test_hermite_form_computed_twice_per_report(self, monkeypatch):
+        """validate_fan's form serves class_group; build_algebra's guard,
+        library API that cannot assume a validated fan, takes the other."""
+        calls = []
+        original = toric._free_hermite_form
+
+        def counting(fan):
+            calls.append(fan)
+            return original(fan)
+
+        monkeypatch.setattr(toric, "_free_hermite_form", counting)
+        doc = get_fixture("projective-3").to_input_document()
+        config = report.parse_run_config(doc, {"json_only": True})
+        assert report.run_report(config, "report")[1] == 0
+        assert len(calls) == 2
 
     def test_passing_report_takes_no_smith_form(self, monkeypatch):
         """Torsion is decided by the Hermite form; the Smith form only words
@@ -459,7 +522,7 @@ class TestDimsAndGram:
         "command, keys",
         [
             ("dims", [*VALIDATE_KEYS, "error"]),
-            ("gram", [*VALIDATE_KEYS, "error", "certificates_pass"]),
+            ("gram", [*VALIDATE_KEYS, "error", "certificates_pass", "failures"]),
         ],
     )
     def test_inhomogeneous_input_exit_4(self, capsys, tmp_path, command, keys):

@@ -76,7 +76,7 @@ class TestValidation:
     @pytest.mark.parametrize("name", SMALL_FIXTURES + ["bundle-p6"])
     def test_positive_fixtures_all_pass(self, name):
         report = validate_fan(get_fixture(name).fan)
-        assert report.all_pass, report.as_dict()
+        assert report.all_pass, report
 
     def test_hirzebruch_ample_witness(self):
         report = validate_fan(get_fixture("hirzebruch-3").fan)
