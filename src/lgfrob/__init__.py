@@ -5,7 +5,6 @@ variety."""
 from .errors import (
     DegeneratePolytope,
     DegreeMismatch,
-    HessianGeneratorZero,
     InputSchemaError,
     InvalidFan,
     LgfrobError,
@@ -15,12 +14,11 @@ from .errors import (
     PolySyntaxError,
     SocleNotOneDimensional,
     TorsionClassGroup,
+    ToricJacobianZero,
     UnknownVariable,
 )
 from .fixtures import Fixture, fixture_names, get_fixture
 from .frobenius import (
-    GENERIC,
-    PROJECTIVE_HESSIAN,
     FrobeniusAlgebraData,
     TraceScalar,
     build_algebra,

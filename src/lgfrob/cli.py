@@ -14,7 +14,6 @@ import json
 import os
 import sys
 
-from . import frobenius
 from .errors import InputSchemaError, LgfrobError
 from .fixtures import fixture_names, get_fixture
 from .report import RunConfig, parse_run_config, run_report
@@ -28,11 +27,6 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="PATH", help="input JSON document ('-' for stdin)")
     source.add_argument("--fixture", metavar="NAME", help="use a built-in fixture as input")
-    parser.add_argument(
-        "--strategy",
-        choices=list(frobenius.STRATEGIES),
-        help="trace normalization strategy",
-    )
     parser.add_argument("--seed", type=int, help="seed for sampled axiom checks")
     parser.add_argument("--sample-count", type=int, help="number of sampled checks")
     parser.add_argument("--threads", type=int, help="worker count (results are identical)")
@@ -69,8 +63,6 @@ def _load_document(args) -> dict:
 def _build_config(args) -> RunConfig:
     doc = _load_document(args)
     overrides = {}
-    if args.strategy is not None:
-        overrides["strategy"] = args.strategy
     if args.seed is not None:
         overrides["sample_seed"] = args.seed
     if args.sample_count is not None:
@@ -121,10 +113,7 @@ def _human_summary(report: dict, stream):
     algebra = report.get("algebra")
     if algebra:
         tr = algebra["socle_generator_trace"]
-        line(
-            f"  trace(socle gen) = {tr['rational']} * (2*pi*i)^{tr['unit_exponent']}"
-            f"  [{algebra['strategy']}]"
-        )
+        line(f"  trace(socle gen) = {tr['rational']} * (2*pi*i)^{tr['unit_exponent']}")
     gram = report.get("gram")
     if gram:
         shapes = ", ".join(

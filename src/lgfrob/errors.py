@@ -70,8 +70,9 @@ class MacaulayNotVanishing(LgfrobError):
         super().__init__(f"Macaulay vanishing failed: dim R(f)_{m}b = {dim}, expected 0")
 
 
-class HessianGeneratorZero(LgfrobError):
-    pass
+class ToricJacobianZero(LgfrobError):
+    """The toric Jacobian of f reduces to 0 in R0(f)_{m beta}, so it cannot
+    normalize the trace."""
 
 
 class InputSchemaError(LgfrobError):

@@ -1,16 +1,25 @@
 """The graded Frobenius algebra A(f) = sum_a R(f)_{a beta}: structure
 constants, trace, pairing, twisted product, and axiom certification.
 
-The trace of a socle class U is sign * c * m!Vol(polytope) times the formal
-unit (2 pi i)^(m-1), where c is the coordinate of z_1...z_r * U against a
-chosen generator of the one-dimensional R0(f)_{m beta} and the sign is
--(-1)^(m(m-1)/2).
+The trace is the toric residue, times the formal unit (2 pi i)^(m-1).
+J0(f) = (f, theta_1 f, ..., theta_m f), so the toric residue of that system
+is a functional on S_{m beta} that vanishes on J0(f)_{m beta}: a multiple of
+the functional lambda that reads the one coordinate of the remainder modulo
+J0(f) (``QuotientBasis.remainders`` of the one-dimensional R0(f)_{m beta}).
+Cattani, Cox & Dickenstein (Compositio Math. 108, 1997) fix the multiple:
+the residue of the toric Jacobian J^Delta (``toric_jacobian``) is
+m!Vol(Delta).  With the sign -(-1)^(m(m-1)/2) of the pairing, lambda is
+scaled so that lambda(J^Delta) = sign * m!Vol, on every fan and with no
+choice of monomial, so the trace is continuous in f.  Along a Fermat
+pencil sum_i z_i^d - d psi z_0...z_m it goes as the Yukawa coupling
+1/(1 - psi^d) (Candelas, de la Ossa, Green & Parkes, Nucl. Phys. B 359,
+1991).
 
 Every trace is Tr(y) = lambda(z_1...z_r * y) on S_{(m-1) beta}, where
-lambda(z) = sign * m!Vol / generator_coord times the generator coordinate of
-the remainder of z modulo J0(f) (``QuotientBasis.remainders`` of
-R0(f)_{m beta}).  Only ``build_algebra`` knows about z_1...z_r: it stores
-the trace itself, in integer form and only where it is nonzero, as
+lambda(z) = sign * m!Vol / generator_coord times the coordinate of the
+remainder of z, and generator_coord is the coordinate of J^Delta.  No
+reader of the trace knows about z_1...z_r: ``build_algebra`` stores the
+trace itself, in integer form and only where it is nonzero, as
 ``trace_functional = (den, radix, {code(y): den * Tr(y)})``, den the lcm of
 the denominators, code(y) = sum_i y_i radix^i and radix = 1 + the largest
 exponent in S_{(m-1) beta}.  Readers look codes up with default 0 and divide
@@ -58,7 +67,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .errors import (
-    DegreeMismatch, HessianGeneratorZero, MacaulayNotVanishing, SocleNotOneDimensional
+    DegreeMismatch, MacaulayNotVanishing, SocleNotOneDimensional, ToricJacobianZero
 )
 from .jacobian import (
     IDEAL_J,
@@ -72,11 +81,6 @@ from .jacobian import (
 )
 from .poly import GradedPolynomial, Monomial, monomial_code
 from .toric import CheckResult, anticanonical_polytope, normalized_volume
-
-
-GENERIC = "generic"
-PROJECTIVE_HESSIAN = "projective-hessian"
-STRATEGIES = (GENERIC, PROJECTIVE_HESSIAN)
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,6 @@ class FrobeniusAlgebraData:
     """Bases, structure constants, socle data and Gram matrices of A(f)."""
 
     system: JacobianSystem
-    strategy: str
     m: int
     volume: int  # m! Vol of the anti-canonical polytope
     bases: list[QuotientBasis]  # index a = 0 .. m-1
@@ -135,8 +138,7 @@ class FrobeniusAlgebraData:
     # (a, b) -> the lcm of the denominators of that pair's constants
     denominators: dict[tuple[int, int], int]
     r0_piece: QuotientBasis  # R0(f)_{m beta}, one-dimensional
-    generator_coord: Fraction  # coordinate of the strategy generator in r0_piece
-    generator_monomial: Monomial | None  # Generic strategy generator
+    generator_coord: Fraction  # coordinate of J^Delta in r0_piece
     zero_sums_checked: list[int]  # product degrees a+b >= m certified zero
     trace_functional: TraceFunctional  # the trace; see the module docstring
 
@@ -157,6 +159,11 @@ class FrobeniusAlgebraData:
                         tensor[i][j][k] = Fraction(n, den)
             out[(a, b)] = tensor
         return out
+
+    @property
+    def generator_monomial(self) -> Monomial:
+        """The basis monomial of R0(f)_{m beta}."""
+        return self.r0_piece.basis[0]
 
     @property
     def sign(self) -> int:
@@ -213,59 +220,80 @@ class FrobeniusAlgebraData:
         return [Fraction(x, den) for x in out]
 
 
-def _is_standard_projective_fan(fan) -> bool:
-    m = fan.dim
-    if fan.n_rays != m + 1:
-        return False
-    expected = {tuple(1 if j == i else 0 for j in range(m)) for i in range(m)}
-    expected.add((-1,) * m)
-    if set(fan.rays) != expected:
-        return False
-    cones = {tuple(sorted(c)) for c in fan.max_cones}
-    want = {
-        tuple(sorted(set(range(m + 1)) - {i})) for i in range(m + 1)
-    }
-    return cones == want
+def toric_jacobian(system: JacobianSystem) -> GradedPolynomial:
+    """J^Delta = det[theta_j theta_i f]_{i,j=0..m} / (z_1...z_r), the toric
+    Jacobian of f, theta_1 f, ..., theta_m f (Cattani, Cox & Dickenstein,
+    Compositio Math. 108, 1997), where theta_0 = 1 and theta_j = sum_rho
+    <e_j, v_rho> z_rho d/dz_rho.  It lies in S_{m beta}.
 
-
-def _hessian_determinant(system: JacobianSystem) -> GradedPolynomial:
-    """det of the matrix of second partials, by Laplace expansion with
-    memoization on (row offset, unused column set)."""
-    r = len(system.variables)
-    second = [
-        [system.partials[i].partial_derivative(j) for j in range(r)]
-        for i in range(r)
+    theta_j z^t = l_j(t) z^t with l_j(t) = sum_rho (v_rho)_j t_rho and
+    l_0 = 1, so entry (i, j) is f with each coefficient c_t multiplied by
+    l_i(t) l_j(t).  The determinant is expanded by Laplace along the rows,
+    memoized on the set of unused columns, on integer code dicts once f's
+    denominators are cleared, and divided by their lcm to the m+1 at the
+    end.  Codes never carry: a product of at most m+1 terms of f has every
+    exponent at most m+1 times the largest exponent of f, below radix.  A
+    term that z_1...z_r does not divide keeps a negative exponent, which
+    ``normal_form`` refuses with ``DegreeMismatch``."""
+    m, rays = system.m, system.fan.rays
+    den = lcm(*(c.denominator for c in system.f.terms.values()))
+    radix = 1 + (m + 1) * max(map(max, system.f.terms))
+    terms = [
+        (
+            monomial_code(t, radix),
+            c.numerator * (den // c.denominator),
+            (1, *(sum(v[j] * e for v, e in zip(rays, t)) for j in range(m))),
+        )
+        for t, c in system.f.terms.items()
     ]
-    zero = GradedPolynomial.zero(system.variables)
-    cache: dict[tuple[int, ...], GradedPolynomial] = {}
+    entries = [
+        [
+            {code: x * ell[i] * ell[j] for code, x, ell in terms if ell[i] * ell[j]}
+            for j in range(m + 1)
+        ]
+        for i in range(m + 1)
+    ]
+    cache: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
-    def minor(cols: tuple[int, ...]) -> GradedPolynomial:
-        if not cols:
-            return GradedPolynomial.constant(system.variables, 1)
+    def minor(cols: tuple[int, ...]) -> dict[int, int]:
+        """det of the rows m+1-len(cols) .. m and the columns ``cols``."""
         got = cache.get(cols)
         if got is not None:
             return got
-        row = r - len(cols)
-        acc = zero
+        row = entries[m + 1 - len(cols)]
+        acc: dict[int, int] = {}
         for k, col in enumerate(cols):
-            entry = second[row][col]
-            if entry.is_zero():
+            if not row[col]:
                 continue
-            rest = cols[:k] + cols[k + 1 :]
-            term = entry * minor(rest)
-            acc = acc + term if k % 2 == 0 else acc - term
-        cache[cols] = acc
+            rest = minor(cols[:k] + cols[k + 1 :])
+            sign = -1 if k % 2 else 1
+            for c1, x1 in row[col].items():
+                x1 *= sign
+                for c2, x2 in rest.items():
+                    acc[c1 + c2] = acc.get(c1 + c2, 0) + x1 * x2
+        cache[cols] = acc = {code: x for code, x in acc.items() if x}
         return acc
 
-    return minor(tuple(range(r)))
+    scale = den ** (m + 1)
+    out = {}
+    for code, x in minor(tuple(range(m + 1))).items():
+        mono = []
+        for _ in system.variables:
+            code, e = divmod(code, radix)
+            mono.append(e - 1)
+        out[tuple(mono)] = Fraction(x, scale)
+    return GradedPolynomial._unchecked(system.variables, out)
 
 
-def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusAlgebraData:
+def build_algebra(system: JacobianSystem) -> FrobeniusAlgebraData:
     """Assemble A(f).  Requires both socle certificates to be 1-dimensional
     and R(f)_{m beta} = 0, decided by ``macaulay_dim`` from lambda and one
     relation row with no piece of J at m beta built; it certifies
     R(f)_{p beta} = 0 for every product degree p = m .. 2m-2
-    (``zero_sums_checked``) with no piece above m beta built.
+    (``zero_sums_checked``) with no piece above m beta built.  The trace
+    is normalized by lambda(J^Delta) = sign * m!Vol (see the module
+    docstring); ``ToricJacobianZero`` if J^Delta reduces to 0 in
+    R0(f)_{m beta}.
 
     The monomials of S_{p beta} are the z^(<u, v_rho> + p) over the lattice
     points u of p Delta, Delta the anti-canonical polytope, and products
@@ -281,8 +309,6 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
     induction S_{p beta} = S_{m beta} S_{(p-m) beta}, inside J once
     S_{m beta} is.  The hypothesis that Delta has integral vertices is
     checked by ``anticanonical_polytope``, which raises otherwise."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown trace strategy {strategy!r}")
     m = system.m
     socle = socle_certificates(system)
     if not socle.record.ok:
@@ -325,28 +351,12 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
             nonzero[(a, b)] = rows
             denominators[(a, b)] = den
 
-    generator_monomial: Monomial | None = None
-    if strategy == GENERIC:
-        # graded-lex-least quotient basis monomial of R0(f)_{m beta}
-        generator_monomial = r0_piece.basis[0]
-        generator_coord = Fraction(1)
-    else:
-        if not _is_standard_projective_fan(system.fan):
-            raise HessianGeneratorZero(
-                "projective-hessian strategy requires the standard projective fan"
-            )
-        hess = _hessian_determinant(system)
-        gen_poly = hess.mul_monomial((1,) * len(system.variables))
-        coords = normal_form(gen_poly, r0_piece)
-        if not coords or coords[0] == 0:
-            raise HessianGeneratorZero(
-                "z_1...z_r * det of second partials reduces to 0 in R0(f)_{m beta}"
-            )
-        generator_coord = coords[0]
+    generator_coord = normal_form(toric_jacobian(system), r0_piece)[0]
+    if not generator_coord:
+        raise ToricJacobianZero("the toric Jacobian reduces to 0 in R0(f)_{m beta}")
 
     algebra = FrobeniusAlgebraData(
         system=system,
-        strategy=strategy,
         m=m,
         volume=volume,
         bases=bases,
@@ -354,7 +364,6 @@ def build_algebra(system: JacobianSystem, strategy: str = GENERIC) -> FrobeniusA
         denominators=denominators,
         r0_piece=r0_piece,
         generator_coord=generator_coord,
-        generator_monomial=generator_monomial,
         zero_sums_checked=list(range(m, 2 * m - 1)),
         trace_functional=(1, 1, {}),
     )

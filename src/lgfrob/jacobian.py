@@ -343,8 +343,6 @@ def normal_form(poly: GradedPolynomial, piece: QuotientBasis) -> list[Fraction]:
 class SocleReport:
     dim_r: int
     dim_r0: int
-    generator_r: Monomial | None
-    generator_r0: Monomial | None
 
     @property
     def record(self) -> CheckResult:
@@ -358,17 +356,13 @@ class SocleReport:
 
 
 def socle_certificates(system: JacobianSystem) -> SocleReport:
-    """dim R(f)_{(m-1)beta} and dim R0(f)_{m beta} with quotient generators.
-    In a report both pieces come from the system's cache: the dims stage
-    builds the first and ``macaulay_dim`` the second."""
+    """dim R(f)_{(m-1)beta} and dim R0(f)_{m beta}.  In a report both pieces
+    come from the system's cache: the dims stage builds the first and
+    ``macaulay_dim`` the second."""
     m = system.m
-    piece_r = graded_piece(system, IDEAL_J, system.grading.scaled_beta(m - 1))
-    piece_r0 = graded_piece(system, IDEAL_J0, system.grading.scaled_beta(m))
     return SocleReport(
-        piece_r.dim,
-        piece_r0.dim,
-        piece_r.basis[0] if piece_r.dim >= 1 else None,
-        piece_r0.basis[0] if piece_r0.dim >= 1 else None,
+        graded_piece(system, IDEAL_J, system.grading.scaled_beta(m - 1)).dim,
+        graded_piece(system, IDEAL_J0, system.grading.scaled_beta(m)).dim,
     )
 
 

@@ -27,7 +27,6 @@ class RunConfig:
     poly_text: str
     name: str = "custom"
     zero_sets: tuple[tuple[str, ...], ...] = ()
-    strategy: str = frobenius.GENERIC
     sample_seed: int = 0
     sample_count: int = 200
     max_degree_a: int | None = None
@@ -149,11 +148,7 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
     )
     # the document's options are checked even where an override replaces them
     for key, value in [*options.items(), *(overrides or {}).items()]:
-        if key == "strategy":
-            if value not in frobenius.STRATEGIES:
-                raise InputSchemaError(f"unknown trace strategy {value!r}")
-            config.strategy = value
-        elif key in INTEGER_OPTIONS:
+        if key in INTEGER_OPTIONS:
             # max_degree_a may be null: no cap
             if not (key == "max_degree_a" and value is None):
                 value = _integer(value, f"option {key!r}", *INTEGER_OPTIONS[key])
@@ -233,6 +228,8 @@ PRINTED_KEYS = {
         "dims",
         "capped",
         "error",
+        "failures",
+        "certificates_pass",
     },
     "gram": {
         "schema_version",
@@ -374,7 +371,7 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
 
     try:
         with _timed(timings, "algebra"):
-            algebra = frobenius.build_algebra(system, config.strategy)
+            algebra = frobenius.build_algebra(system)
     except LgfrobError as exc:
         return report, _verdicts(report, records, ("algebra", exc))
 
@@ -382,14 +379,9 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         [Fraction(1)] + [Fraction(0)] * (algebra.bases[m - 1].dim - 1), algebra
     )
     report["algebra"] = {
-        "strategy": algebra.strategy,
         "volume": algebra.volume,
         "sign_convention": algebra.sign,
-        "generator_monomial": (
-            list(algebra.generator_monomial)
-            if algebra.generator_monomial is not None
-            else None
-        ),
+        "generator_monomial": list(algebra.generator_monomial),
         "generator_coord": frac_str(algebra.generator_coord),
         # the first basis monomial of R(f)_{(m-1) beta}, whose trace follows
         "socle_generator": list(algebra.bases[m - 1].basis[0]),

@@ -7,8 +7,9 @@ next to Bareiss, the anti-canonical polytope cone by cone next to the fan
 validation that builds it, the product of the recorded factors next to the
 modular elimination, a bounding-box sweep over brute-force vertices next
 to the Fourier-Motzkin monomial enumeration, polynomial lifts next to the
-direct trace, and sums folded through the public operators next to the
-parser's one-dict sums.
+direct trace, sums folded through the public operators next to the
+parser's one-dict sums, and the Hessian normalization of the trace on
+projective space next to the toric Jacobian one.
 """
 
 from fractions import Fraction
@@ -196,6 +197,39 @@ def lift(algebra, a: int, coords) -> GradedPolynomial:
     piece = algebra.bases[a]
     terms = {mono: Fraction(c) for mono, c in zip(piece.basis, coords) if c != 0}
     return GradedPolynomial(algebra.system.variables, terms)
+
+
+def hessian_determinant(system) -> GradedPolynomial:
+    """det of the matrix of second partials of f, by Laplace expansion with
+    memoization on (row offset, unused column set), in ``GradedPolynomial``
+    arithmetic."""
+    r = len(system.variables)
+    second = [
+        [system.partials[i].partial_derivative(j) for j in range(r)]
+        for i in range(r)
+    ]
+    zero = GradedPolynomial.zero(system.variables)
+    cache: dict[tuple[int, ...], GradedPolynomial] = {}
+
+    def minor(cols: tuple[int, ...]) -> GradedPolynomial:
+        if not cols:
+            return GradedPolynomial.constant(system.variables, 1)
+        got = cache.get(cols)
+        if got is not None:
+            return got
+        row = r - len(cols)
+        acc = zero
+        for k, col in enumerate(cols):
+            entry = second[row][col]
+            if entry.is_zero():
+                continue
+            rest = cols[:k] + cols[k + 1 :]
+            term = entry * minor(rest)
+            acc = acc + term if k % 2 == 0 else acc - term
+        cache[cols] = acc
+        return acc
+
+    return minor(tuple(range(r)))
 
 
 class FoldingParser(_Parser):

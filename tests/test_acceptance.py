@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from reference import count_lattice_points_dilated, det
+from reference import count_lattice_points_dilated, det, hessian_determinant, lift
 
 from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
@@ -42,17 +42,29 @@ def report_line(capsys, number, ok, detail):
 @pytest.fixture(scope="module")
 def quintic_algebra():
     start = time.perf_counter()
-    algebra = frob.build_algebra(make_system("projective-5"), frob.GENERIC)
+    algebra = frob.build_algebra(make_system("projective-5"))
     return algebra, time.perf_counter() - start
 
 
 def test_criterion_1_fermat_cubic(capsys):
+    """The trace puts sign * m!Vol = 9 at the toric Jacobian J^Delta, which on
+    the Fermat cubic is 3^6 (z0 z1 z2)^2: entry (i, j) of its matrix is
+    sum_k l_i(3 e_k) l_j(3 e_k) z_k^3, so the matrix is L^T diag(z_k^3) L
+    for L with rows (1, 3 v_k), det L = 3^2 det[1 | v] = +-27, and J^Delta =
+    27^2 (z0 z1 z2)^3 / (z0 z1 z2).  So the class y with z0 z1 z2 * y =
+    J^Delta, y = 729 z0 z1 z2, has trace 9, and z0 z1 z2 has trace 9/729."""
     start = time.perf_counter()
     system = make_system("projective-3")
     dims = [jac.dim_R(system, a) for a in range(2)]
     socle = jac.socle_certificates(system)
+    generators = [
+        jac.graded_piece(system, ideal, system.grading.scaled_beta(a)).basis[0]
+        for ideal, a in ((jac.IDEAL_J, 1), (jac.IDEAL_J0, 2))
+    ]
     volume = toric.normalized_volume(toric.anticanonical_polytope(system.fan))
-    algebra = frob.build_algebra(system, frob.GENERIC)
+    algebra = frob.build_algebra(system)
+    jacobian = frob.toric_jacobian(system)
+    t_jacobian = frob.trace([Fraction(729)], algebra)
     t = frob.trace([Fraction(1)], algebra)
     gram_ok = all(
         linalg.rank_rational([[e.rational for e in row] for row in frob.pairing_gram(algebra, a)])
@@ -64,10 +76,11 @@ def test_criterion_1_fermat_cubic(capsys):
     ok = (
         dims == [1, 1]
         and (socle.dim_r, socle.dim_r0) == (1, 1)
-        and socle.generator_r == (1, 1, 1)
-        and socle.generator_r0 == (2, 2, 2)
+        and generators == [(1, 1, 1), (2, 2, 2)]
         and volume == 9
-        and t.rational == 9
+        and jacobian.terms == {(2, 2, 2): 729}
+        and t_jacobian.rational == 9
+        and t.rational == Fraction(9, 729) == Fraction(1, 81)
         and t.unit_exponent == 1
         and gram_ok
         and axioms.all_pass
@@ -77,7 +90,7 @@ def test_criterion_1_fermat_cubic(capsys):
         capsys,
         1,
         ok,
-        f"cubic surface dims {dims}, m!Vol {volume}, trace 9*(2*pi*i)^1, "
+        f"cubic surface dims {dims}, m!Vol {volume}, trace(z0z1z2) 1/81*(2*pi*i)^1, "
         f"axioms exact, {elapsed:.2f}s",
     )
     assert ok
@@ -147,7 +160,7 @@ def test_criterion_4_weighted_orbifold(capsys):
     validation = validate_fan(fx.fan)
     system = make_system("weighted-p112")
     dims = [jac.dim_R(system, a) for a in range(2)]
-    algebra = frob.build_algebra(system, frob.GENERIC)
+    algebra = frob.build_algebra(system)
     axioms = frob.frobenius_axiom_check(algebra, 0, 200)
     elapsed = time.perf_counter() - start
     ok = (
@@ -175,7 +188,7 @@ def test_criterion_5_surface_bundle(capsys):
     dims = [jac.dim_R(system, a) for a in range(3)]
     macaulay = {p: jac.dim_R(system, p) for p in (3, 4)}
     socle = jac.socle_certificates(system)
-    algebra = frob.build_algebra(system, frob.GENERIC)
+    algebra = frob.build_algebra(system)
     grams = [frob.pairing_gram(algebra, a) for a in range(3)]
     gram_ok = all(
         len(g) == len(g[0])
@@ -348,21 +361,24 @@ def test_criterion_8_property_suites(capsys):
         add_ok &= d12 == tuple(a + b for a, b in zip(d1, d2))
     checks["grading_additivity"] = add_ok
 
-    # trace-strategy proportionality on a projective fixture
+    # the trace is (2/3)^3 times the Hessian-normalized one on the cubic,
+    # which puts sign * m!Vol at z0 z1 z2 * Hess (J^Delta / (z0 z1 z2 Hess)
+    # = 3^3 / 2^3 on the Fermat cubic)
     system = make_system("projective-3")
-    gen = frob.build_algebra(system, frob.GENERIC)
-    hess = frob.build_algebra(system, frob.PROJECTIVE_HESSIAN)
+    algebra = frob.build_algebra(system)
+    r0 = algebra.r0_piece
+    hess = jac.normal_form(hessian_determinant(system).mul_monomial((1, 1, 1)), r0)[0]
     prop_ok = True
     for _ in range(10):
         u = [Fraction(rng.randint(-9, 9))]
-        prop_ok &= (
-            frob.trace(u, gen).rational
-            == hess.generator_coord * frob.trace(u, hess).rational
+        y = jac.normal_form(lift(algebra, 1, u).mul_monomial((1, 1, 1)), r0)[0]
+        prop_ok &= frob.trace(u, algebra).rational == Fraction(8, 27) * (
+            algebra.sign * algebra.volume * y / hess
         )
     checks["trace_proportionality"] = prop_ok
 
     # mul_twisted symmetry sign (-1)^(m-1)
-    bundle = frob.build_algebra(make_system("bundle-p2"), frob.GENERIC)
+    bundle = frob.build_algebra(make_system("bundle-p2"))
     m = bundle.m
     dims = bundle.dims()
     sign_ok = True

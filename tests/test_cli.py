@@ -12,6 +12,7 @@ from lgfrob import frobenius, linalg, report, toric
 from lgfrob.cli import main
 from lgfrob.errors import InputSchemaError
 from lgfrob.fixtures import get_fixture
+from lgfrob.poly import GradedPolynomial
 
 
 # a cubic fan with a potential that is not homogeneous for its grading
@@ -138,10 +139,10 @@ class TestReportCommand:
         assert doc["dims"] == [1, 1]
         assert doc["socle"]["pass"] is True
         assert doc["algebra"]["socle_generator_trace"] == {
-            "rational": "9",
+            "rational": "1/81",
             "unit_exponent": 1,
         }
-        assert doc["gram"]["0"]["entries"] == [["9"]]
+        assert doc["gram"]["0"]["entries"] == [["1/81"]]
         assert doc["axioms"]["associativity"]["pass"] is True
         assert doc["hypotheses"]["quasi_smoothness"] == "consistent"
         assert doc["certificates_pass"] is True
@@ -215,16 +216,15 @@ class TestReportCommand:
         assert "hypotheses" not in report
 
     @pytest.mark.parametrize("command", ["report", "gram"])
-    def test_algebra_error_names_its_stage(self, capsys, command):
-        """projective-hessian refuses a fan that is not the standard
-        projective one only in the algebra stage, after the Macaulay and
-        socle records have passed."""
-        code, doc, _ = run_json(
-            capsys, command, "--fixture", "weighted-p112",
-            "--strategy", "projective-hessian", "--json-only",
+    def test_algebra_error_names_its_stage(self, capsys, monkeypatch, command):
+        """A toric Jacobian that reduces to 0 is refused only in the algebra
+        stage, after the Macaulay and socle records have passed."""
+        monkeypatch.setattr(
+            frobenius, "toric_jacobian", lambda system: GradedPolynomial.zero(system.variables)
         )
+        code, doc, _ = run_json(capsys, command, "--fixture", "weighted-p112", "--json-only")
         assert code == 4
-        assert doc["error"]["type"] == "HessianGeneratorZero"
+        assert doc["error"]["type"] == "ToricJacobianZero"
         assert doc["failures"] == ["algebra"]
         assert doc["certificates_pass"] is False
         assert doc["hypotheses"]["quasi_smoothness"] == "consistent"
@@ -257,7 +257,7 @@ class TestReportCommand:
     def test_human_summary_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "report", "--fixture", "projective-3")
         assert code == 0
-        assert "trace(socle gen) = 9" in err
+        assert "trace(socle gen) = 1/81 * (2*pi*i)^1\n" in err
         json.loads(out)  # stdout stays parseable
 
     def test_timings_list_every_stage(self, capsys):
@@ -322,20 +322,16 @@ class TestReportCommand:
         assert report.run_report(config, "report")[1] == 0
 
     def test_strategy_flag(self, capsys):
-        code, doc, _ = run_json(
-            capsys,
-            "report",
-            "--fixture",
-            "projective-3",
-            "--strategy",
-            "projective-hessian",
-            "--json-only",
-        )
-        assert code == 0
-        assert doc["algebra"]["strategy"] == "projective-hessian"
-        assert doc["algebra"]["socle_generator_trace"]["rational"] == "1/24"
+        """The trace has one normalization: the old --strategy flag exits 2
+        and names itself."""
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--fixture", "projective-3", "--strategy", "projective-hessian"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--strategy" in captured.err
 
-    # besides wat, three keys an older document may still set: each is
+    # besides wat, four keys an older document may still set: each is
     # refused like any unknown option, not silently dropped
     @pytest.mark.parametrize(
         "key, value",
@@ -344,8 +340,9 @@ class TestReportCommand:
             ("modular_prefilter", False),
             ("macaulay_max_extra", 1),
             ("trace_strategy", "generic"),
+            ("strategy", "projective-hessian"),
         ],
-        ids=["wat", "modular_prefilter", "macaulay_max_extra", "trace_strategy"],
+        ids=["wat", "modular_prefilter", "macaulay_max_extra", "trace_strategy", "strategy"],
     )
     def test_unknown_option_exit_2(self, capsys, tmp_path, key, value):
         doc = {
@@ -521,7 +518,7 @@ class TestDimsAndGram:
     @pytest.mark.parametrize(
         "command, keys",
         [
-            ("dims", [*VALIDATE_KEYS, "error"]),
+            ("dims", [*VALIDATE_KEYS, "error", "certificates_pass", "failures"]),
             ("gram", [*VALIDATE_KEYS, "error", "certificates_pass", "failures"]),
         ],
     )

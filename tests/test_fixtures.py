@@ -119,7 +119,7 @@ class TestGauntlet:
             assert all(
                 r.ok for r in jac.crit_containment_check(system, fx.zero_sets)
             )
-        D = frob.build_algebra(system, frob.GENERIC)
+        D = frob.build_algebra(system)
         report = frob.frobenius_axiom_check(D, sample_seed=0, sample_count=50)
         assert report.all_pass, report
 

@@ -1,19 +1,19 @@
 """Algebra assembly, trace normalization, pairing and the axiom suite."""
 
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 
 import pytest
-from reference import lift
+from reference import hessian_determinant, lift
 
 from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
 from lgfrob.errors import (
     DegreeMismatch,
-    HessianGeneratorZero,
     MacaulayNotVanishing,
     NotReflexivePipeline,
     SocleNotOneDimensional,
@@ -32,17 +32,17 @@ def make_system(name):
 
 @pytest.fixture(scope="module")
 def cubic_algebra():
-    return frob.build_algebra(make_system("projective-3"), frob.GENERIC)
+    return frob.build_algebra(make_system("projective-3"))
 
 
 @pytest.fixture(scope="module")
 def quartic_algebra():
-    return frob.build_algebra(make_system("projective-4"), frob.GENERIC)
+    return frob.build_algebra(make_system("projective-4"))
 
 
 @pytest.fixture(scope="module")
 def bundle_algebra():
-    return frob.build_algebra(make_system("bundle-p2"), frob.GENERIC)
+    return frob.build_algebra(make_system("bundle-p2"))
 
 
 class TestBuild:
@@ -57,17 +57,13 @@ class TestBuild:
 
     def test_degenerate_rejected(self):
         with pytest.raises(SocleNotOneDimensional):
-            frob.build_algebra(make_system("degenerate-cube"), frob.GENERIC)
+            frob.build_algebra(make_system("degenerate-cube"))
 
     def test_p1xp1_rejected(self):
         # socle dimension is forced to 2 on P^1 x P^1 (failed middle
         # cup-product hypothesis); the builder must refuse
         with pytest.raises(SocleNotOneDimensional):
-            frob.build_algebra(make_system("p1xp1"), frob.GENERIC)
-
-    def test_hessian_strategy_needs_projective_fan(self):
-        with pytest.raises(HessianGeneratorZero):
-            frob.build_algebra(make_system("weighted-p112"), frob.PROJECTIVE_HESSIAN)
+            frob.build_algebra(make_system("p1xp1"))
 
     def test_remainder_tables_only_for_the_pieces_the_algebra_reads(self):
         """dims-only pieces never build a remainder table; the algebra
@@ -79,7 +75,7 @@ class TestBuild:
             jac.dim_R(system, a)
         assert system._pieces
         assert all(p._remainders is None for p in system._pieces.values())
-        frob.build_algebra(system, frob.GENERIC)
+        frob.build_algebra(system)
         beta = system.grading.scaled_beta
         tabled = {k for k, p in system._pieces.items() if p._remainders is not None}
         assert tabled == {(jac.IDEAL_J, beta(a)) for a in range(m)} | {
@@ -87,21 +83,20 @@ class TestBuild:
         }
         assert len(system._pieces) > len(tabled)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            frob.build_algebra(make_system("projective-3"), "newton")
-
 
 class TestTrace:
     def test_cubic_generic_value(self, cubic_algebra):
+        """On the Fermat cubic J^Delta = 3^6 (z_0 z_1 z_2)^2 (see
+        ``TestToricJacobian``), so Tr(z_0 z_1 z_2) = sign * m!Vol / 729 =
+        9/729."""
         t = frob.trace([Fraction(1)], cubic_algebra)
-        assert t.rational == 9
+        assert t.rational == Fraction(1, 81)
         assert t.unit_exponent == 1
 
     def test_linearity_and_zero(self, cubic_algebra):
         assert frob.trace([Fraction(0)], cubic_algebra).rational == 0
         t2 = frob.trace([Fraction(-2, 3)], cubic_algebra)
-        assert t2.rational == Fraction(-6)
+        assert t2.rational == Fraction(-2, 243)
 
     def test_sign_convention(self, cubic_algebra, quartic_algebra, bundle_algebra):
         # -(-1)^(m(m-1)/2): +1 for m = 2 and 3, -1 for m = 4 and 5
@@ -111,58 +106,126 @@ class TestTrace:
         for m, expected in ((2, 1), (3, 1), (4, -1), (5, -1), (7, 1)):
             assert -((-1) ** (m * (m - 1) // 2)) == expected
 
+    # The Hessian normalization of the trace on P^m (Candelas, de la Ossa,
+    # Green & Parkes) puts sign * m!Vol at z_1...z_r * Hess instead of at
+    # J^Delta.  On the Fermat potentials J^Delta / (z_1...z_r * Hess) =
+    # d^d / (d-1)^d (see ``TestToricJacobian``), so the program's trace is
+    # (d-1)^d / d^d times the Hessian one on every class.
+
     def test_strategy_proportionality_cubic(self, cubic_algebra):
-        """Generic and projective-hessian traces differ by one global
-        nonzero rational ratio on all inputs; the ratio is recorded."""
-        hess = frob.build_algebra(make_system("projective-3"), frob.PROJECTIVE_HESSIAN)
+        """The toric Jacobian and the Hessian traces differ by the one
+        factor (2/3)^3 on every class."""
         rng = random.Random(7)
-        ratio = None
         for _ in range(10):
             u = [Fraction(rng.randint(-5, 5))]
-            a = frob.trace(u, cubic_algebra).rational
-            b = frob.trace(u, hess).rational
-            if b == 0:
-                assert a == 0
-                continue
-            if ratio is None:
-                ratio = a / b
-            assert a == ratio * b
-        assert ratio is not None and ratio != 0
-        # the detected ratio equals the hessian generator coordinate
-        assert ratio == hess.generator_coord
+            assert frob.trace(u, cubic_algebra).rational == Fraction(8, 27) * hessian_trace(
+                lift(cubic_algebra, 1, u), cubic_algebra
+            )
 
     def test_strategy_proportionality_quintic_socle(self):
-        system = make_system("projective-5")
-        gen = frob.build_algebra(system, frob.GENERIC)
-        hess = frob.build_algebra(system, frob.PROJECTIVE_HESSIAN)
-        u = [Fraction(1)]
-        a = frob.trace(u, gen).rational
-        b = frob.trace(u, hess).rational
+        D = frob.build_algebra(make_system("projective-5"))
+        a = frob.trace([Fraction(1)], D).rational
+        b = hessian_trace(lift(D, 3, [1]), D)
         assert a != 0 and b != 0
-        assert a / b == hess.generator_coord
+        assert a / b == Fraction(4**5, 5**5)
 
     def test_gram_proportionality_across_degrees(self, quartic_algebra):
-        """The strategy ratio is one global factor shared by every degree."""
-        hess = frob.build_algebra(make_system("projective-4"), frob.PROJECTIVE_HESSIAN)
-        ratio = hess.generator_coord
-        for a in range(quartic_algebra.m):
-            g1 = frob.pairing_gram(quartic_algebra, a)
-            g2 = frob.pairing_gram(hess, a)
-            for row1, row2 in zip(g1, g2):
-                for e1, e2 in zip(row1, row2):
-                    assert e1.rational == ratio * e2.rational
+        """The ratio (3/4)^4 is one global factor shared by every degree:
+        each Gram entry against the Hessian trace of the lifted product."""
+        D = quartic_algebra
+        for a in range(D.m):
+            gram = frob.pairing_gram(D, a)
+            for i, mono_i in enumerate(D.bases[a].basis):
+                for j, mono_j in enumerate(D.bases[D.m - 1 - a].basis):
+                    product = GradedPolynomial.monomial(
+                        D.system.variables, tuple(map(add, mono_i, mono_j))
+                    )
+                    assert gram[i][j].rational == Fraction(81, 256) * hessian_trace(product, D)
 
     def test_wrong_coordinate_count(self, cubic_algebra):
         with pytest.raises(DegreeMismatch):
             frob.trace([Fraction(1), Fraction(2)], cubic_algebra)
 
 
+PENCIL_POINTS = [Fraction(0), Fraction(1, 2), Fraction(2), Fraction(1, 3), Fraction(3, 2)]
+
+
+@functools.cache
+def pencil_algebra(d: int, psi: Fraction):
+    """A(f_psi) of the Fermat pencil f_psi = sum_i z_i^d - d psi z_0...z_m on
+    the fan of P^m, m = d-1; psi = 0 is the projective-d fixture."""
+    fx = get_fixture(f"projective-{d}")
+    terms = {tuple(d * (j == i) for j in range(d)): 1 for i in range(d)}
+    terms[(1,) * d] = -d * psi
+    f = GradedPolynomial(fx.variables, terms)
+    return frob.build_algebra(jac.jacobian_system(fx.fan, class_group(fx.fan), f))
+
+
+class TestToricJacobian:
+    @pytest.mark.parametrize("psi", PENCIL_POINTS, ids=str)
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_fermat_pencil_closed_form(self, d, psi):
+        """Tr(P^(m-1)) = sign / (d^(d+1) (1 - psi^d)) for P = z_0...z_m.
+
+        The terms of f_psi are t_i = d e_i, with l(t_i) = (1, d v_i), and P,
+        with l(P) = (1, 0, ..., 0), since the rays of P^m sum to 0.  So the
+        matrix of J^Delta is L^T diag(z_i^d) L - d psi P E_00, where L has
+        the rows (1, d v_i) and det L = d^m det[1 | v] = +-d^m * d = +-d^d.
+        Its determinant is det(L)^2 prod z_i^d - d psi P C, where C is the
+        (0, 0) minor of L^T diag(z_i^d) L, which is d^(2m) sum_k
+        prod_{i != k} z_i^d by Cauchy-Binet, as any m rays of P^m have
+        determinant +-1.  Dividing by z_0...z_m = P,
+        J^Delta = d^(2d) prod z_i^(d-1) - psi d^(2m+1) sum_k prod_{i != k} z_i^d,
+        and at psi = 0 this is d^(2d) prod z_i^(d-1).  Modulo J0(f),
+        z_k d f / d z_k = d z_k^d - d psi P gives z_k^d = psi P, so each
+        prod_{i != k} z_i^d = psi^m P^m = psi^m prod z_i^(d-1), and with
+        2m + 2 = 2d, J^Delta = d^(2d) (1 - psi^d) P^m.  The trace puts
+        sign * m!Vol = sign * d^m at J^Delta, so Tr(P^(m-1)) = lambda(P^m) =
+        sign d^m / (d^(2d) (1 - psi^d)).  The psi-dependence 1/(1 - psi^d)
+        is the Yukawa coupling in the residue gauge (Candelas, de la Ossa,
+        Green & Parkes, Nucl. Phys. B 359, 1991, for d = 5)."""
+        D = pencil_algebra(d, psi)
+        m = d - 1
+        sign = -((-1) ** (m * (m - 1) // 2))
+        p = GradedPolynomial.monomial(D.system.variables, (m - 1,) * d)
+        want = Fraction(sign, d ** (d + 1)) / (1 - psi**d)
+        assert frob.trace_of_polynomial(p, D).rational == want
+
+    @pytest.mark.parametrize("psi", PENCIL_POINTS, ids=str)
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_hessian_coordinate_ratio(self, d, psi):
+        """J^Delta / (z_0...z_m * Hess) = d^d / (d-1)^d in R0(f)_{m beta}.
+        At psi = 0, Hess = prod_i d(d-1) z_i^(d-2), so z_0...z_m * Hess =
+        d^d (d-1)^d prod z_i^(d-1), against J^Delta = d^(2d) prod z_i^(d-1);
+        at every other point the ratio stays the same."""
+        D = pencil_algebra(d, psi)
+        hess = hessian_determinant(D.system).mul_monomial((1,) * d)
+        ratio = D.generator_coord / jac.normal_form(hess, D.r0_piece)[0]
+        assert ratio == Fraction(d**d, (d - 1) ** d)
+
+    def test_vanishes_on_degenerate_cube(self):
+        """f = x^3 has one term t, so the matrix is l(t) l(t)^T x^3, of rank
+        1, and J^Delta is identically 0: a witness that f is degenerate that
+        needs no piece of R0(f)."""
+        assert frob.toric_jacobian(make_system("degenerate-cube")).is_zero()
+
+    def test_term_outside_the_top_piece_refused(self, monkeypatch):
+        """A term of the wrong degree, standing for one that z_1...z_r does
+        not divide, is refused by ``normal_form``."""
+        original = frob.toric_jacobian
+        monkeypatch.setattr(
+            frob, "toric_jacobian", lambda s: original(s).mul_monomial((1, 0, 0))
+        )
+        with pytest.raises(DegreeMismatch):
+            frob.build_algebra(make_system("projective-3"))
+
+
 class TestPairing:
     def test_cubic_gram(self, cubic_algebra):
         g0 = frob.pairing_gram(cubic_algebra, 0)
-        assert g0[0][0].rational == 9
+        assert g0[0][0].rational == Fraction(1, 81)
         g1 = frob.pairing_gram(cubic_algebra, 1)
-        assert g1[0][0].rational == 9
+        assert g1[0][0].rational == Fraction(1, 81)
 
     def test_transpose_symmetry(self, bundle_algebra):
         m = bundle_algebra.m
@@ -209,7 +272,7 @@ class TestMulTwisted:
 class TestAxioms:
     @pytest.mark.parametrize("name", ["projective-3", "projective-4", "weighted-p112", "bundle-p2"])
     def test_all_axioms_pass(self, name):
-        D = frob.build_algebra(make_system(name), frob.GENERIC)
+        D = frob.build_algebra(make_system(name))
         report = frob.frobenius_axiom_check(D, sample_seed=0, sample_count=60)
         assert report.all_pass, report
 
@@ -257,21 +320,31 @@ def reduced_trace(p, D):
     return D.sign * c * D.volume
 
 
+def hessian_trace(p, D):
+    """Trace of a degree-(m-1)beta polynomial in the Hessian normalization,
+    which puts sign * m!Vol at z_1...z_r * Hess (``reference``), by full
+    reductions in R0."""
+    index = D.r0_piece.column_index()
+    hess = hessian_determinant(D.system).mul_monomial((1,) * len(D.system.variables))
+    h = reduced_generator_coord(D.r0_piece, {index[mono]: c for mono, c in hess.terms.items()})
+    return reduced_trace(p, D) * D.generator_coord / h
+
+
 class TestTraceFunctional:
     CASES = [
-        ("projective-3", frob.GENERIC, "cubic_algebra"),
-        ("projective-4", frob.GENERIC, "quartic_algebra"),
-        ("weighted-p112", frob.GENERIC, None),
-        ("bundle-p2", frob.GENERIC, "bundle_algebra"),
-        ("projective-4", frob.PROJECTIVE_HESSIAN, None),
+        ("projective-3", "cubic_algebra"),
+        ("projective-4", "quartic_algebra"),
+        ("weighted-p112", None),
+        ("bundle-p2", "bundle_algebra"),
     ]
 
-    @pytest.fixture(params=CASES, ids=[f"{n}-{s}" for n, s, _ in CASES])
+    # the ids keep the suffix they had when the trace had two normalizations
+    @pytest.fixture(params=CASES, ids=[f"{n}-generic" for n, _ in CASES])
     def algebra(self, request):
-        name, strategy, shared = request.param
+        name, shared = request.param
         if shared is not None:
             return request.getfixturevalue(shared)
-        return frob.build_algebra(make_system(name), strategy)
+        return frob.build_algebra(make_system(name))
 
     def test_functional_equals_reduction(self, algebra):
         """den * Tr(y) is stored at code(y) for exactly the monomials y of
@@ -415,7 +488,7 @@ class TestSparseKernel:
         shared = self.SHARED.get(request.param)
         if shared is not None:
             return request.getfixturevalue(shared)
-        return frob.build_algebra(make_system(request.param), frob.GENERIC)
+        return frob.build_algebra(make_system(request.param))
 
     @pytest.fixture
     def reference(self, algebra):
@@ -680,10 +753,10 @@ class TestInvarianceFaultInjection:
         assert "vs direct" in report.invariance.witness
 
     def test_fractional_functional_corruption_seen_through_the_lcm(self, bundle_algebra):
-        """+1/7 on the trace of one monomial that only the direct path
-        reads.  In the integer form den becomes 7 den: every numerator is
-        multiplied by 7 and den is added at one code, so the new denominator
-        7 enters the scaling."""
+        """+1/11 on the trace of one monomial that only the direct path
+        reads.  In the integer form den becomes 11 den: every numerator is
+        multiplied by 11 and den is added at one code, so the new
+        denominator 11 enters the scaling."""
         D = bundle_algebra
         socle = D.bases[2].basis[0]
         y = next(
@@ -692,11 +765,11 @@ class TestInvarianceFaultInjection:
             if y != socle
         )
         den, radix, table = D.trace_functional
-        assert den % 7 != 0
-        table = {code: 7 * n for code, n in table.items()}
+        assert den % 11 != 0
+        table = {code: 11 * n for code, n in table.items()}
         code = monomial_code(y, radix)
         table[code] = table.get(code, 0) + den
-        bad = dataclasses.replace(D, trace_functional=(7 * den, radix, table))
+        bad = dataclasses.replace(D, trace_functional=(11 * den, radix, table))
         assert frob.trace([Fraction(1)], bad) == frob.trace([Fraction(1)], D)
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert not report.invariance.ok
@@ -888,4 +961,4 @@ class TestMacaulayFromOnePiece:
         assert out["failures"] == ["macaulay_vanishing"]
         assert "algebra" not in out and "error" not in out
         with pytest.raises(MacaulayNotVanishing, match=r"dim R\(f\)_3b = 1,"):
-            frob.build_algebra(system, frob.GENERIC)
+            frob.build_algebra(system)
