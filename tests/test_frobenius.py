@@ -109,7 +109,7 @@ class TestTrace:
     # The Hessian normalization of the trace on P^m (Candelas, de la Ossa,
     # Green & Parkes) puts sign * m!Vol at z_1...z_r * Hess instead of at
     # J^Delta.  On the Fermat potentials J^Delta / (z_1...z_r * Hess) =
-    # d^d / (d-1)^d (see ``TestToricJacobian``), so the program's trace is
+    # d^d / (d-1)^d (see ``TestToricJacobian``), so the trace is
     # (d-1)^d / d^d times the Hessian one on every class.
 
     def test_strategy_proportionality_cubic(self, cubic_algebra):
@@ -123,7 +123,7 @@ class TestTrace:
             )
 
     def test_strategy_proportionality_quintic_socle(self):
-        D = frob.build_algebra(make_system("projective-5"))
+        D = pencil_algebra(5, Fraction(0))
         a = frob.trace([Fraction(1)], D).rational
         b = hessian_trace(lift(D, 3, [1]), D)
         assert a != 0 and b != 0
@@ -338,7 +338,7 @@ class TestTraceFunctional:
         ("bundle-p2", "bundle_algebra"),
     ]
 
-    # the ids keep the suffix they had when the trace had two normalizations
+    # the "-generic" suffix is kept so that the test ids stay stable
     @pytest.fixture(params=CASES, ids=[f"{n}-generic" for n, _ in CASES])
     def algebra(self, request):
         name, shared = request.param
