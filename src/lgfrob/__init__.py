@@ -20,7 +20,6 @@ from .errors import (
 from .fixtures import Fixture, fixture_names, get_fixture
 from .frobenius import (
     FrobeniusAlgebraData,
-    TraceScalar,
     build_algebra,
     frobenius_axiom_check,
     mul_twisted,

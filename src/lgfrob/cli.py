@@ -29,7 +29,6 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     source.add_argument("--fixture", metavar="NAME", help="use a built-in fixture as input")
     parser.add_argument("--seed", type=int, help="seed for sampled axiom checks")
     parser.add_argument("--sample-count", type=int, help="number of sampled checks")
-    parser.add_argument("--threads", type=int, help="worker count (results are identical)")
     parser.add_argument(
         "--max-degree-a", type=int, help="cap graded dimension computations at this a"
     )
@@ -67,8 +66,6 @@ def _build_config(args) -> RunConfig:
         overrides["sample_seed"] = args.seed
     if args.sample_count is not None:
         overrides["sample_count"] = args.sample_count
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.max_degree_a is not None:
         overrides["max_degree_a"] = args.max_degree_a
     if args.full:

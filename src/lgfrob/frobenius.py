@@ -1,9 +1,12 @@
 """The graded Frobenius algebra A(f) = sum_a R(f)_{a beta}: structure
 constants, trace, pairing, twisted product, and axiom certification.
 
-The trace is the toric residue, times the formal unit (2 pi i)^(m-1).
-J0(f) = (f, theta_1 f, ..., theta_m f), so the toric residue of that system
-is a functional on S_{m beta} that vanishes on J0(f)_{m beta}: a multiple of
+The trace is the toric residue times the formal unit (2 pi i)^(m-1), one
+constant per algebra: ``trace``, ``trace_of_polynomial``, ``pairing_gram``
+and every other reader return the rational part, a ``Fraction``, and the
+report prints the exponent m-1 beside it.  J0(f) = (f, theta_1 f, ...,
+theta_m f), so the toric residue of that system is a functional on
+S_{m beta} that vanishes on J0(f)_{m beta}: a multiple of
 the functional lambda that reads the one coordinate of the remainder modulo
 J0(f) (``QuotientBasis.remainders`` of the one-dimensional R0(f)_{m beta}).
 Cattani, Cox & Dickenstein (Compositio Math. 108, 1997) fix the multiple:
@@ -83,22 +86,6 @@ from .poly import GradedPolynomial, Monomial, monomial_code
 from .toric import CheckResult, anticanonical_polytope, normalized_volume
 
 
-@dataclass(frozen=True)
-class TraceScalar:
-    """Exact trace value: rational part times the formal unit (2 pi i)^e."""
-
-    rational: Fraction
-    unit_exponent: int
-
-    def __str__(self):
-        return f"{self.rational} * (2*pi*i)^{self.unit_exponent}"
-
-
-def _integral(c: int | Fraction) -> int | Fraction:
-    """c as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _cleared(coords: Sequence[int | Fraction]) -> tuple[Sequence[int], int]:
     """(numerators, den): den is the lcm of the denominators of ``coords``
     and numerators[i] = coords[i] * den, an int.  A list of ints is
@@ -118,7 +105,6 @@ def _cleared(coords: Sequence[int | Fraction]) -> tuple[Sequence[int], int]:
 # (a, b) -> i -> {j: [(k, n), ...]} over the nonzero constants c, k
 # ascending, each n = c * denominators[(a, b)] an int; a j with no nonzero
 # c has no entry
-Constants = list[tuple[int, int | Fraction]]
 NonzeroIndex = dict[tuple[int, int], list[dict[int, list[tuple[int, int]]]]]
 # (den, radix, {code(y): den * Tr(y)}) over the monomials y of
 # S_{(m-1) beta} with Tr(y) != 0; a code with no entry has trace 0
@@ -183,14 +169,6 @@ class FrobeniusAlgebraData:
             return (lambda i, j: index[i].get(j, [])), self.denominators[(a, b)]
         index = self.nonzero[(b, a)]
         return (lambda i, j: index[j].get(i, [])), self.denominators[(b, a)]
-
-    def basis_product(self, a: int, i: int, b: int, j: int) -> Constants:
-        """Nonzero (k, c) of basis[a][i] * basis[b][j] in degree a+b < m,
-        each c an int when integral; the caller must not modify it."""
-        lookup, den = self.products(a, b)
-        if den == 1:
-            return lookup(i, j)
-        return [(k, _integral(Fraction(n, den))) for k, n in lookup(i, j)]
 
     def product_coords(
         self, a: int, u: Sequence[Fraction], b: int, v: Sequence[Fraction]
@@ -382,7 +360,7 @@ def build_algebra(system: JacobianSystem) -> FrobeniusAlgebraData:
     return algebra
 
 
-def trace(U: Sequence[Fraction], D: FrobeniusAlgebraData) -> TraceScalar:
+def trace(U: Sequence[Fraction], D: FrobeniusAlgebraData) -> Fraction:
     """Trace of a socle class given by coordinates in the degree-(m-1) basis."""
     socle = D.bases[D.m - 1]
     if len(U) != socle.dim:
@@ -392,13 +370,13 @@ def trace(U: Sequence[Fraction], D: FrobeniusAlgebraData) -> TraceScalar:
     return _evaluate_trace(zip(socle.basis, map(Fraction, U)), D)
 
 
-def trace_of_polynomial(p: GradedPolynomial, D: FrobeniusAlgebraData) -> TraceScalar:
+def trace_of_polynomial(p: GradedPolynomial, D: FrobeniusAlgebraData) -> Fraction:
     """Trace of a degree-(m-1)beta polynomial read off the trace table at its
     monomials: an independent path that never touches the structure constants."""
     return _evaluate_trace(p.terms.items(), D)
 
 
-def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> TraceScalar:
+def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> Fraction:
     """sum of coeff * Tr(y) over (monomial y, coefficient) pairs, read from
     the trace table with default 0 once y is known to lie in S_{(m-1) beta}:
     a monomial of any other class-group degree is refused."""
@@ -410,26 +388,26 @@ def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> TraceScalar:
         if grading.monomial_degree(mono) != degree:
             raise DegreeMismatch(f"monomial {mono} does not lie in the degree-{degree} piece")
         total += coeff * table.get(monomial_code(mono, radix), 0)
-    return TraceScalar(Fraction(total, den), D.m - 1)
+    return Fraction(total, den)
 
 
-def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[TraceScalar]]:
+def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[Fraction]]:
     """Gram matrix G_a: traces of products of degree-a and degree-(m-1-a)
     basis elements, sum_k n_k tau_k / den over the nonzero constants
     n_k / den of each product, where tau_k is the trace of the k-th
-    degree-(m-1) basis element."""
+    degree-(m-1) basis element, read as the int t_den * tau_k from the
+    trace table."""
     if not 0 <= a <= D.m - 1:
         raise DegreeMismatch(f"degree {a} outside 0..{D.m - 1}")
     b = D.m - 1 - a
-    tau = [_evaluate_trace([(mono, 1)], D).rational for mono in D.bases[D.m - 1].basis]
+    t_den, radix, table = D.trace_functional
+    tau = [table.get(monomial_code(mono, radix), 0) for mono in D.bases[D.m - 1].basis]
     lookup, den = D.products(a, b)
-
-    def entry(i, j):
-        total = sum((n * tau[k] for k, n in lookup(i, j)), Fraction(0))
-        return TraceScalar(total / den if den != 1 else total, D.m - 1)
-
+    den *= t_den
+    cols = range(D.bases[b].dim)
     return [
-        [entry(i, j) for j in range(D.bases[b].dim)] for i in range(D.bases[a].dim)
+        [Fraction(sum(n * tau[k] for k, n in lookup(i, j)), den) for j in cols]
+        for i in range(D.bases[a].dim)
     ]
 
 
@@ -475,7 +453,6 @@ def frobenius_axiom_check(
     D: FrobeniusAlgebraData,
     sample_seed: int = 0,
     sample_count: int = 200,
-    grams: Sequence[list[list[TraceScalar]]] | None = None,
     gram_ranks: Sequence[int] | None = None,
 ) -> AxiomReport:
     """Certify the Frobenius axioms on D.
@@ -491,10 +468,9 @@ def frobenius_axiom_check(
     covers <u, v*w> (see ``_check_invariance_on_basis``).  Otherwise it
     draws ``sample_count`` seeded random triples (u, v, w) of integer
     coordinate vectors with entries in [-3, 3].  Nondegeneracy is exact full
-    rank of every Gram matrix; ``grams``, when given, must be
-    ``pairing_gram(D, a)`` for a = 0..m-1 and are used instead of being
-    computed again; likewise ``gram_ranks``, which must be ``gram_rank`` of
-    each of them.
+    rank of every Gram matrix G_a, of shape dims[a] x dims[m-1-a];
+    ``gram_ranks``, when given, must be the rank of ``pairing_gram(D, a)``
+    for a = 0..m-1 and is used instead of being computed again.
     """
     m = D.m
     dims = D.dims()
@@ -515,21 +491,22 @@ def frobenius_axiom_check(
 
     assoc = _check_associativity(D, triples, sampled, rng, sample_count)
     inv = _check_invariance(D, sampled, rng, sample_count)
-    if grams is None:
-        grams = [pairing_gram(D, a) for a in range(m)]
     if gram_ranks is None:
-        gram_ranks = [gram_rank(gram) for gram in grams]
-    nondeg = _check_nondegeneracy(grams, gram_ranks)
+        gram_ranks = [linalg.rank_rational(pairing_gram(D, a)) for a in range(m)]
+    nondeg = _check_nondegeneracy(dims, gram_ranks)
 
     return AxiomReport(unit, comm, assoc, inv, nondeg, sampled, sample_seed)
 
 
 def _check_unit(D: FrobeniusAlgebraData) -> CheckResult:
+    """1 * basis[b][j] = basis[b][j]: its one nonzero numerator, over the
+    pair's denominator den, is den at j; the witness prints numerators."""
     checked = 0
     for b in range(D.m):
+        lookup, den = D.products(0, b)
         for j in range(D.bases[b].dim):
             checked += 1
-            got, want = D.basis_product(0, 0, b, j), [(j, 1)]
+            got, want = lookup(0, j), [(j, den)]
             if got != want:
                 return CheckResult(
                     False, checked, f"1 * basis[{b}][{j}] = {got}, expected {want}"
@@ -652,12 +629,9 @@ def _check_invariance(D, sampled, rng, sample_count) -> CheckResult:
         rhs = trace(D.product_coords(a, u, b + c, D.product_coords(b, v, c, w)), D)
         direct = direct_trace(D, ((a, u), (b, v), (c, w)))
         checked += 1
-        if not (lhs.rational == rhs.rational == direct):
+        if not (lhs == rhs == direct):
             return CheckResult(
-                False,
-                checked,
-                f"degrees {(a, b, c)}: {lhs.rational} vs {rhs.rational} "
-                f"vs direct {direct}",
+                False, checked, f"degrees {(a, b, c)}: {lhs} vs {rhs} vs direct {direct}"
             )
     return CheckResult(True, checked)
 
@@ -721,18 +695,11 @@ def direct_trace(
     return Fraction(total, den)
 
 
-def gram_rank(gram: Sequence[Sequence[TraceScalar]]) -> int:
-    """Exact rank of a Gram matrix (0 for an empty one)."""
-    if not gram:
-        return 0
-    return linalg.rank_rational([[entry.rational for entry in row] for row in gram])
-
-
-def _check_nondegeneracy(grams, ranks) -> CheckResult:
+def _check_nondegeneracy(dims, ranks) -> CheckResult:
+    """G_a, of shape dims[a] x dims[m-1-a], is square of full rank."""
     checked = 0
-    for a, (gram, rank) in enumerate(zip(grams, ranks)):
-        rows = len(gram)
-        cols = len(gram[0]) if gram else 0
+    for a, rank in enumerate(ranks):
+        rows, cols = dims[a], dims[-1 - a]
         checked += 1
         if rows != cols:
             return CheckResult(

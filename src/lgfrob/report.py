@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import frobenius, jacobian, toric
+from . import frobenius, jacobian, linalg, toric
 from .errors import InputSchemaError, LgfrobError
 from .fixtures import SCHEMA_VERSION, unimodular_transform
 from .poly import parse_polynomial
@@ -30,7 +30,6 @@ class RunConfig:
     sample_seed: int = 0
     sample_count: int = 200
     max_degree_a: int | None = None
-    threads: int = 1
     json_only: bool = False
     # stated degree data to compare against, when the input carries it
     stated_degrees: tuple[tuple[int, ...], ...] | None = None
@@ -77,15 +76,11 @@ def _integer_lists(value, what: str) -> tuple[tuple[int, ...], ...]:
 
 
 # integer options and their bounds (None: none); a sampled axiom check draws
-# no more triples than an exhaustive one may check; ``threads``, which no
-# stage reads (the certifier is one process), has a ceiling so that no
-# document can ask for an unbounded worker count
-MAX_THREADS = 64
+# no more triples than an exhaustive one may check
 INTEGER_OPTIONS = {
     "sample_seed": (None, None),
     "sample_count": (1, frobenius.EXHAUSTIVE_TRIPLE_LIMIT),
     "max_degree_a": (0, None),
-    "threads": (1, MAX_THREADS),
 }
 
 
@@ -188,10 +183,6 @@ def frac_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def trace_dict(t: frobenius.TraceScalar) -> dict:
-    return {"rational": frac_str(t.rational), "unit_exponent": t.unit_exponent}
 
 
 @contextmanager
@@ -385,30 +376,31 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         "generator_coord": frac_str(algebra.generator_coord),
         # the first basis monomial of R(f)_{(m-1) beta}, whose trace follows
         "socle_generator": list(algebra.bases[m - 1].basis[0]),
-        "socle_generator_trace": trace_dict(socle_trace),
+        "socle_generator_trace": {
+            "rational": frac_str(socle_trace),
+            "unit_exponent": m - 1,
+        },
         "zero_sums_checked": algebra.zero_sums_checked,
     }
 
     with _timed(timings, "gram"):
         grams = [frobenius.pairing_gram(algebra, a) for a in range(m)]
-        ranks = [frobenius.gram_rank(gram) for gram in grams]
+        ranks = [linalg.rank_rational(gram) for gram in grams]
+        dims = algebra.dims()
         gram_section = {}
         for a, (gram, rank) in enumerate(zip(grams, ranks)):
-            rows = len(gram)
-            cols = len(gram[0]) if gram else 0
+            rows, cols = dims[a], dims[m - 1 - a]
             entry: dict = {"shape": [rows, cols], "rank": rank}
             entry["nondegenerate"] = rows == cols and rank == rows
             if rows * cols and rows <= GRAM_ENTRY_LIMIT and cols <= GRAM_ENTRY_LIMIT:
-                entry["entries"] = [
-                    [frac_str(e.rational) for e in row] for row in gram
-                ]
+                entry["entries"] = [[frac_str(e) for e in row] for row in gram]
             gram_section[str(a)] = entry
     report["gram"] = gram_section
     report["gram_unit_exponent"] = m - 1
 
     with _timed(timings, "axioms"):
         axioms = frobenius.frobenius_axiom_check(
-            algebra, config.sample_seed, config.sample_count, grams, ranks
+            algebra, config.sample_seed, config.sample_count, ranks
         )
     report["axioms"] = {
         **{name: getattr(axioms, name).as_dict() for name in frobenius.AXIOMS},

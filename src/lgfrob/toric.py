@@ -41,6 +41,8 @@ class FanData:
         object.__setattr__(
             self, "max_cones", tuple(tuple(sorted(c)) for c in self.max_cones)
         )
+        if self.dim < 1:
+            raise InvalidFan(f"dimension {self.dim} is not positive")
         for ray in self.rays:
             if len(ray) != self.dim:
                 raise InvalidFan(f"ray {ray} does not have length {self.dim}")

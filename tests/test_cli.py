@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON schemas, determinism and
 fixture round-trips."""
 
+import dataclasses
 import io
 import json
 import sys
@@ -123,6 +124,22 @@ class TestValidateCommand:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--input", "/nonexistent.json", "--json-only")
         assert code == 2
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_fan_dimension_below_1_exit_2(self, capsys, monkeypatch, command, dim):
+        """A fan of dimension 0 has no ridges to pair, and one of negative
+        dimension no cone of the right size: both are refused with a message
+        that names the fan, before any stage runs."""
+        doc = {
+            "fan": {"dim": dim, "rays": [], "max_cones": [[]]},
+            "variables": [],
+            "polynomial": "1",
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, command, "--input", "-", "--json-only")
+        assert (code, out) == (2, "")
+        assert err == f"error: fan: dimension {dim} is not positive\n"
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "incomplete.json"
@@ -331,7 +348,17 @@ class TestReportCommand:
         assert captured.out == ""
         assert "--strategy" in captured.err
 
-    # besides wat, four keys an older document may still set: each is
+    def test_threads_flag(self, capsys):
+        """No stage ever read a worker count: the old --threads flag exits 2
+        and names itself."""
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--fixture", "projective-3", "--threads", "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--threads" in captured.err
+
+    # besides wat, five keys an older document may still set: each is
     # refused like any unknown option, not silently dropped
     @pytest.mark.parametrize(
         "key, value",
@@ -341,8 +368,16 @@ class TestReportCommand:
             ("macaulay_max_extra", 1),
             ("trace_strategy", "generic"),
             ("strategy", "projective-hessian"),
+            ("threads", 1),
         ],
-        ids=["wat", "modular_prefilter", "macaulay_max_extra", "trace_strategy", "strategy"],
+        ids=[
+            "wat",
+            "modular_prefilter",
+            "macaulay_max_extra",
+            "trace_strategy",
+            "strategy",
+            "threads",
+        ],
     )
     def test_unknown_option_exit_2(self, capsys, tmp_path, key, value):
         doc = {
@@ -443,26 +478,31 @@ class TestGramRanks:
         assert nondeg["witness"] == "G_1 is singular"
         assert "frobenius_axioms" in doc_report["failures"]
 
+    def test_non_square_gram_fails_nondegeneracy(self, monkeypatch):
+        """Fault injection: the cubic's one degree-1 basis monomial listed
+        twice gives dims [1, 2], so G_0 is 1x2; the gram section and the
+        nondegeneracy axiom must both say so."""
+        original = frobenius.build_algebra
+
+        def corrupted(system):
+            algebra = original(system)
+            top = algebra.bases[-1]
+            algebra.bases[-1] = dataclasses.replace(top, basis=top.basis * 2)
+            return algebra
+
+        monkeypatch.setattr(frobenius, "build_algebra", corrupted)
+        doc = get_fixture("projective-3").to_input_document()
+        doc_report, code = report.run_report(report.parse_run_config(doc))
+        assert code == 4
+        assert doc_report["gram"]["0"]["shape"] == [1, 2]
+        assert doc_report["gram"]["0"]["nondegenerate"] is False
+        nondeg = doc_report["axioms"]["nondegeneracy"]
+        assert nondeg["pass"] is False
+        assert nondeg["witness"] == "G_0 is 1x2, not square"
+        assert "frobenius_axioms" in doc_report["failures"]
+
 
 class TestDeterminism:
-    def test_byte_identical_across_thread_counts(self, capsys):
-        outputs = []
-        for threads in ("1", "4"):
-            code, out, _ = run_cli(
-                capsys,
-                "report",
-                "--fixture",
-                "bundle-p2",
-                "--seed",
-                "11",
-                "--threads",
-                threads,
-                "--json-only",
-            )
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-
     def test_repeat_runs_identical(self, capsys):
         a = run_cli(capsys, "report", "--fixture", "weighted-p112", "--json-only")
         b = run_cli(capsys, "report", "--fixture", "weighted-p112", "--json-only")
@@ -570,8 +610,6 @@ class TestStrictSchema:
         ("sample_count-above-limit", "projective-3", _set_option("sample_count", 10_001)),
         ("max_degree_a-negative", "projective-3", _set_option("max_degree_a", -3)),
         ("max_degree_a-float", "projective-3", _set_option("max_degree_a", 1.0)),
-        ("threads-float", "projective-3", _set_option("threads", 1.5)),
-        ("threads-bool", "projective-3", _set_option("threads", False)),
         ("zero_sets-number", "bundle-p2", lambda d: d.__setitem__("zero_sets", 5)),
         ("zero_sets-flat", "bundle-p2", lambda d: d.__setitem__("zero_sets", ["y1"])),
         ("zero_sets-unknown", "bundle-p2", lambda d: d.__setitem__("zero_sets", [["nope"]])),
@@ -615,17 +653,11 @@ class TestStrictSchema:
                     "sample_seed": -4,
                     "sample_count": 7,
                     "max_degree_a": 0,
-                    "threads": 2,
                 },
             ),
         )
         config = report.parse_run_config(doc)
-        assert (
-            config.sample_seed,
-            config.sample_count,
-            config.max_degree_a,
-            config.threads,
-        ) == (-4, 7, 0, 2)
+        assert (config.sample_seed, config.sample_count, config.max_degree_a) == (-4, 7, 0)
 
     def test_sample_count_ceiling(self, capsys):
         """A sampled check draws at most as many triples as an exhaustive one
@@ -640,19 +672,6 @@ class TestStrictSchema:
         )
         assert (code, out) == (2, "")
         assert f"must be <= {limit}, got 100000000" in err
-
-    def test_threads_ceiling(self):
-        """``threads`` above ``report.MAX_THREADS`` is refused, from a
-        document and from ``--threads`` (an override), before any stage."""
-        limit = report.MAX_THREADS
-        doc = _mutated("projective-3", _set_option("threads", limit))
-        assert report.parse_run_config(doc).threads == limit == 64
-        message = f"option 'threads' must be <= {limit}, got {limit + 1}$"
-        with pytest.raises(InputSchemaError, match=message):
-            report.parse_run_config(_mutated("projective-3", _set_option("threads", limit + 1)))
-        plain = get_fixture("projective-3").to_input_document()
-        with pytest.raises(InputSchemaError, match=message):
-            report.parse_run_config(plain, {"threads": limit + 1})
 
     def test_null_max_degree_a_means_no_cap(self):
         doc = _mutated("bundle-p6", _set_option("max_degree_a", None))

@@ -84,7 +84,8 @@ VERDICTS = {
 }
 
 # name -> (the first basis monomial of R(f)_{(m-1) beta}, whose trace is
-# socle_generator_trace; the generic generator of R0(f)_{m beta})
+# socle_generator_trace; the basis monomial of R0(f)_{m beta}, printed as
+# generator_monomial)
 GENERATORS = {
     "bundle-p2": ([8, 0, 0, 0, 4], [11, 0, 0, 1, 5]),
     "projective-3": ([1, 1, 1], [2, 2, 2]),
