@@ -5,14 +5,13 @@ variety."""
 from .errors import (
     DegeneratePolytope,
     DegreeMismatch,
+    HypothesisFailed,
     InputSchemaError,
     InvalidFan,
     LgfrobError,
-    MacaulayNotVanishing,
     NotHomogeneous,
     NotReflexivePipeline,
     PolySyntaxError,
-    SocleNotOneDimensional,
     TorsionClassGroup,
     ToricJacobianZero,
     UnknownVariable,

@@ -45,17 +45,22 @@ def _add_run_flags(parser: argparse.ArgumentParser):
 def _load_document(args) -> dict:
     if args.fixture:
         return get_fixture(args.fixture).to_input_document()
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise InputSchemaError(f"cannot read {args.input}: {exc}") from exc
+    # bytes, decoded here: a text stdin would decode them by the locale,
+    # which under C or POSIX turns bytes that are not UTF-8 into surrogates
+    try:
+        if args.input == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(args.input, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputSchemaError(f"cannot read {args.input}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, an integer past the interpreter's digit limit or
+    # nesting past its recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InputSchemaError(f"malformed JSON: {exc}") from exc
 
 

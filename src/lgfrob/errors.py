@@ -57,17 +57,14 @@ class DegeneratePolytope(LgfrobError):
     pass
 
 
-class SocleNotOneDimensional(LgfrobError):
-    def __init__(self, dim_r, dim_r0):
-        super().__init__(
-            f"socle certificates failed: dim R(f)_(m-1)b = {dim_r}, dim R0(f)_mb = {dim_r0}"
-        )
-        self.dims = (dim_r, dim_r0)
+class HypothesisFailed(LgfrobError):
+    """A check of ``jacobian.HYPOTHESES`` fails; the message names it and
+    gives its record's witness."""
 
-
-class MacaulayNotVanishing(LgfrobError):
-    def __init__(self, m, dim):
-        super().__init__(f"Macaulay vanishing failed: dim R(f)_{m}b = {dim}, expected 0")
+    def __init__(self, name: str, record):
+        super().__init__(f"{name}: {record.witness}")
+        self.name = name
+        self.record = record
 
 
 class ToricJacobianZero(LgfrobError):

@@ -68,19 +68,15 @@ from math import lcm
 from operator import add
 from typing import Callable, Sequence
 
-from . import linalg
-from .errors import (
-    DegreeMismatch, MacaulayNotVanishing, SocleNotOneDimensional, ToricJacobianZero
-)
+from . import jacobian, linalg
+from .errors import DegreeMismatch, HypothesisFailed, ToricJacobianZero
 from .jacobian import (
     IDEAL_J,
     IDEAL_J0,
     JacobianSystem,
     QuotientBasis,
     graded_piece,
-    macaulay_dim,
     normal_form,
-    socle_certificates,
 )
 from .poly import GradedPolynomial, Monomial, monomial_code
 from .toric import CheckResult, anticanonical_polytope, normalized_volume
@@ -264,14 +260,14 @@ def toric_jacobian(system: JacobianSystem) -> GradedPolynomial:
 
 
 def build_algebra(system: JacobianSystem) -> FrobeniusAlgebraData:
-    """Assemble A(f).  Requires both socle certificates to be 1-dimensional
-    and R(f)_{m beta} = 0, decided by ``macaulay_dim`` from lambda and one
-    relation row with no piece of J at m beta built; it certifies
-    R(f)_{p beta} = 0 for every product degree p = m .. 2m-2
-    (``zero_sums_checked``) with no piece above m beta built.  The trace
-    is normalized by lambda(J^Delta) = sign * m!Vol (see the module
-    docstring); ``ToricJacobianZero`` if J^Delta reduces to 0 in
-    R0(f)_{m beta}.
+    """Assemble A(f).  Raises ``HypothesisFailed`` on the first failing
+    check of ``jacobian.HYPOTHESES``.  R(f)_{m beta} = 0, decided by
+    ``macaulay_dim`` from lambda and one relation row with no piece of J at
+    m beta built, certifies R(f)_{p beta} = 0 for every product degree
+    p = m .. 2m-2 (``zero_sums_checked``) with no piece above m beta
+    built.  The trace is normalized by lambda(J^Delta) = sign * m!Vol (see
+    the module docstring); ``ToricJacobianZero`` if J^Delta reduces to 0
+    in R0(f)_{m beta}.
 
     The monomials of S_{p beta} are the z^(<u, v_rho> + p) over the lattice
     points u of p Delta, Delta the anti-canonical polytope, and products
@@ -288,13 +284,11 @@ def build_algebra(system: JacobianSystem) -> FrobeniusAlgebraData:
     S_{m beta} is.  The hypothesis that Delta has integral vertices is
     checked by ``anticanonical_polytope``, which raises otherwise."""
     m = system.m
-    socle = socle_certificates(system)
-    if not socle.record.ok:
-        raise SocleNotOneDimensional(socle.dim_r, socle.dim_r0)
+    for name, _, check in jacobian.HYPOTHESES:
+        record = check(system)
+        if not record.ok:
+            raise HypothesisFailed(name, record)
     volume = normalized_volume(anticanonical_polytope(system.fan))
-    top_dim = macaulay_dim(system)
-    if top_dim != 0:
-        raise MacaulayNotVanishing(m, top_dim)
 
     bases = [
         graded_piece(system, IDEAL_J, system.grading.scaled_beta(a))

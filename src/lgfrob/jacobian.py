@@ -339,31 +339,33 @@ def normal_form(poly: GradedPolynomial, piece: QuotientBasis) -> list[Fraction]:
     return coords
 
 
-@dataclass
-class SocleReport:
-    dim_r: int
-    dim_r0: int
-
-    @property
-    def record(self) -> CheckResult:
-        """Both pieces one-dimensional; on a failure the witness gives their
-        dimensions."""
-        if self.dim_r == 1 and self.dim_r0 == 1:
-            return CheckResult(True, 2)
-        return CheckResult(
-            False, 2, f"dim R(f)_(m-1)b = {self.dim_r}, dim R0(f)_mb = {self.dim_r0}"
-        )
+def macaulay_vanishing(system: JacobianSystem) -> CheckResult:
+    """R(f)_{m beta} = 0, by ``macaulay_dim``; on a failure the witness
+    gives the dimension."""
+    dim = macaulay_dim(system)
+    witness = f"dim R(f)_{system.m}b = {dim}, expected 0" if dim else None
+    return CheckResult(dim == 0, 1, witness)
 
 
-def socle_certificates(system: JacobianSystem) -> SocleReport:
-    """dim R(f)_{(m-1)beta} and dim R0(f)_{m beta}.  In a report both pieces
+def socle_certificates(system: JacobianSystem) -> CheckResult:
+    """R(f)_{(m-1)beta} and R0(f)_{m beta} both one-dimensional; on a
+    failure the witness gives their dimensions.  In a report both pieces
     come from the system's cache: the dims stage builds the first and
     ``macaulay_dim`` the second."""
-    m = system.m
-    return SocleReport(
-        graded_piece(system, IDEAL_J, system.grading.scaled_beta(m - 1)).dim,
-        graded_piece(system, IDEAL_J0, system.grading.scaled_beta(m)).dim,
-    )
+    beta = system.grading.scaled_beta
+    dim_r = graded_piece(system, IDEAL_J, beta(system.m - 1)).dim
+    dim_r0 = graded_piece(system, IDEAL_J0, beta(system.m)).dim
+    if dim_r == 1 and dim_r0 == 1:
+        return CheckResult(True, 2)
+    return CheckResult(False, 2, f"dim R(f)_(m-1)b = {dim_r}, dim R0(f)_mb = {dim_r0}")
+
+
+# (failure name, report key, check) of each hypothesis that build_algebra
+# needs, in report order; the report and build_algebra both read it
+HYPOTHESES = (
+    ("macaulay_vanishing", "macaulay", macaulay_vanishing),
+    ("socle_certificates", "socle", socle_certificates),
+)
 
 
 def crit_containment_check(

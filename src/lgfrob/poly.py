@@ -12,7 +12,8 @@ stored.  The text format is the grammar
 where ``rational`` is an integer or ``a/b`` literal and ``nat`` is at most
 ``MAX_EXPONENT``.  The parser refuses, before multiplying, a product or
 power that would give an exponent above ``MAX_EXPONENT`` or take the parse
-past ``MAX_TERM_PRODUCTS`` term-by-term products.
+past ``MAX_TERM_PRODUCTS`` term-by-term products, and parentheses nested
+more than ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ MAX_EXPONENT = 2**31 - 1
 # inputs like (x+y)^100000000 in well under a second, before the product
 # that would pass it is formed.
 MAX_TERM_PRODUCTS = 50_000
+
+# The deepest nesting of parentheses a parse accepts; the parser recurses
+# once per level, so the cap keeps it inside the recursion limit.
+MAX_NESTING = 100
 
 
 def grlex_key(mono: Monomial) -> tuple:
@@ -360,6 +365,7 @@ class _Parser:
         self.variables = tuple(variables)
         self.index = {name: i for i, name in enumerate(self.variables)}
         self.term_products = 0
+        self.depth = 0  # of the parentheses open at the next token
 
     def multiply(
         self, left: GradedPolynomial, right: GradedPolynomial, pos: int
@@ -458,11 +464,17 @@ class _Parser:
                 raise UnknownVariable(value, pos)
             return GradedPolynomial.variable(self.variables, self.index[value])
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolySyntaxError(
+                    f"parentheses nested more than {MAX_NESTING} deep", pos
+                )
             poly = self.expr()
             kind2, _, pos2 = self.tok.peek()
             if kind2 != ")":
                 raise PolySyntaxError("expected ')'", pos2)
             self.tok.take()
+            self.depth -= 1
             return poly
         raise PolySyntaxError(
             f"expected number, variable or '(' but found {value!r}"

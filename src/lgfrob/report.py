@@ -299,8 +299,8 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         "normalized_volume": volume,
     }
     with _timed(timings, "topology"):
-        report["betti"] = toric.betti_numbers(config.fan)
-        report["extraisom"] = toric.extraisom_necessary_check(config.fan)
+        betti = report["betti"] = toric.betti_numbers(config.fan)
+        report["extraisom"] = toric.extraisom_necessary_check(betti)
     if command == "validate":
         return report, 0
 
@@ -345,19 +345,16 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         # or axiom certificates
         return report, _verdicts(report, records)
 
-    # R(f)_{m beta} = 0 decides every p >= m; see frobenius.build_algebra.
-    # This stage builds R0(f)_{m beta}, which the socle stage then reuses.
-    with _timed(timings, "macaulay"):
-        mac_dim = jacobian.macaulay_dim(system)
-    macaulay = toric.CheckResult(
-        mac_dim == 0, 1, f"dim R(f)_{m}b = {mac_dim}, expected 0" if mac_dim else None
-    )
-    report["macaulay"] = macaulay.as_dict()
-    with _timed(timings, "socle"):
-        socle = jacobian.socle_certificates(system).record
-    report["socle"] = socle.as_dict()
-    records += [("macaulay_vanishing", macaulay), ("socle_certificates", socle)]
-    if not (macaulay.ok and socle.ok):
+    # one stage per hypothesis of build_algebra, each timed under its key;
+    # the Macaulay stage builds R0(f)_{m beta}, which the socle stage reuses
+    hypotheses = []
+    for name, key, check in jacobian.HYPOTHESES:
+        with _timed(timings, key):
+            record = check(system)
+        report[key] = record.as_dict()
+        hypotheses.append((name, record))
+    records += hypotheses
+    if not all(record.ok for _, record in hypotheses):
         return report, _verdicts(report, records)
 
     try:
@@ -423,18 +420,16 @@ def _verdicts(
     stage that raised ``error``, if any, whose ``error`` entry it prints.
     ``certificates_pass`` is whether ``failures`` is empty, and the exit
     code is 0 if it is, 4 otherwise.  ``hypotheses`` is printed once
-    quasi-smoothness has been decided, by the Macaulay and socle records,
-    or left out of scope by a capped run; non-degeneracy is asserted."""
+    quasi-smoothness has been decided, by the records of
+    ``jacobian.HYPOTHESES``, or left out of scope by a capped run;
+    non-degeneracy is asserted."""
     failures = list(dict.fromkeys(name for name, record in records if not record.ok))
     if error is not None:
         stage, exc = error
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         failures.append(stage)
-    decided = [
-        record.ok
-        for name, record in records
-        if name in ("macaulay_vanishing", "socle_certificates")
-    ]
+    hypotheses = {name for name, _, _ in jacobian.HYPOTHESES}
+    decided = [record.ok for name, record in records if name in hypotheses]
     if report.get("capped"):
         quasi_smoothness = "not-evaluated (capped run)"
     elif decided:

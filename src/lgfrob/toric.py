@@ -390,17 +390,17 @@ def betti_numbers(fan: FanData) -> list[int]:
     return [poly[k // 2] if k % 2 == 0 else 0 for k in range(2 * m + 1)]
 
 
-def extraisom_necessary_check(fan: FanData) -> str:
-    """Necessary-condition status for the middle cup-product hypothesis.
+def extraisom_necessary_check(betti: Sequence[int]) -> str:
+    """Necessary-condition status for the middle cup-product hypothesis,
+    from the Betti numbers b_0 .. b_{2m} of ``betti_numbers``.
 
     Returns "TriviallyHolds" for odd ambient dimension (both cohomology
     groups sit in odd degree and vanish), otherwise compares the Betti
     numbers b_{m-2} and b_m as a dimension-equality necessary condition.
     """
-    m = fan.dim
+    m = (len(betti) - 1) // 2
     if m % 2 == 1:
         return "TriviallyHolds"
-    betti = betti_numbers(fan)
     if betti[m - 2] == betti[m]:
         return "NecessaryConditionOK"
     return "NecessaryConditionFails"

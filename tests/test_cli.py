@@ -41,6 +41,12 @@ VALIDATE_KEYS = [
 ]
 
 
+def stdin_of(data: bytes):
+    """A stdin that reads ``data``, decoding it as Python does under the C
+    locale, where bytes that are not UTF-8 become surrogates."""
+    return io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -121,6 +127,33 @@ class TestValidateCommand:
         assert code == 2
         assert "malformed JSON" in err
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff\xfe{", "cannot read"),
+            (b"[" * 100_000 + b"]" * 100_000, "malformed JSON"),
+            (b'{"fan": {"dim": ' + b"1" * 5000 + b"}}", "malformed JSON"),
+        ],
+        ids=["not-utf8", "nested-100000", "5000-digit-integer"],
+    )
+    def test_unreadable_document_exit_2(
+        self, capsys, monkeypatch, tmp_path, source, data, message
+    ):
+        """Bytes that are not UTF-8, JSON nested deeper than the recursion
+        limit and an integer longer than the interpreter's digit limit are
+        input errors, from a file and from stdin alike, whatever the locale."""
+        if source == "file":
+            path = tmp_path / "doc.json"
+            path.write_bytes(data)
+            argument = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", stdin_of(data))
+            argument = "-"
+        code, out, err = run_cli(capsys, "validate", "--input", argument, "--json-only")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--input", "/nonexistent.json", "--json-only")
         assert code == 2
@@ -136,7 +169,7 @@ class TestValidateCommand:
             "variables": [],
             "polynomial": "1",
         }
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        monkeypatch.setattr("sys.stdin", stdin_of(json.dumps(doc).encode()))
         code, out, err = run_cli(capsys, command, "--input", "-", "--json-only")
         assert (code, out) == (2, "")
         assert err == f"error: fan: dimension {dim} is not positive\n"
@@ -174,6 +207,7 @@ class TestReportCommand:
             ("x^2000000000*x^2000000000*y^0", "PolySyntaxError"),
             ("(x^2)^2000000000", "PolySyntaxError"),
             ("(x+y)^100000000", "PolySyntaxError"),
+            ("(" * 10_000 + "x" + ")" * 10_000, "PolySyntaxError"),
         ],
         ids=[
             "zero-power",
@@ -182,6 +216,7 @@ class TestReportCommand:
             "product-exponent",
             "power-exponent",
             "term-products",
+            "deep-nesting",
         ],
     )
     def test_huge_power_or_long_literal_exit_4(self, capsys, tmp_path, poly, error):

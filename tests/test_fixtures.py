@@ -111,8 +111,9 @@ class TestGauntlet:
         m = system.m
 
         assert [jac.dim_R(system, p) for p in (m, m + 1)] == [0, 0]
-        socle = jac.socle_certificates(system)
-        assert (socle.dim_r, socle.dim_r0) == (1, 1)
+        assert jac.socle_certificates(system).ok
+        r0 = jac.graded_piece(system, jac.IDEAL_J0, grading.scaled_beta(m))
+        assert (jac.dim_R(system, m - 1), r0.dim) == (1, 1)
         dims = [jac.dim_R(system, a) for a in range(m)]
         assert dims == dims[::-1]
         if fx.zero_sets:

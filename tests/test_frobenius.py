@@ -12,16 +12,11 @@ from reference import hessian_determinant, lift
 
 from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
-from lgfrob.errors import (
-    DegreeMismatch,
-    MacaulayNotVanishing,
-    NotReflexivePipeline,
-    SocleNotOneDimensional,
-)
+from lgfrob.errors import DegreeMismatch, HypothesisFailed, NotReflexivePipeline
 from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import GradedPolynomial, monomial_code, parse_polynomial
 from lgfrob.report import parse_run_config, run_report
-from lgfrob.toric import anticanonical_polytope, class_group, monomial_basis
+from lgfrob.toric import CheckResult, anticanonical_polytope, class_group, monomial_basis
 
 
 def make_system(name):
@@ -56,13 +51,14 @@ class TestBuild:
         assert D.zero_sums_checked == [2]
 
     def test_degenerate_rejected(self):
-        with pytest.raises(SocleNotOneDimensional):
+        # both hypotheses fail; the first entry of jacobian.HYPOTHESES refuses
+        with pytest.raises(HypothesisFailed, match="^macaulay_vanishing: "):
             frob.build_algebra(make_system("degenerate-cube"))
 
     def test_p1xp1_rejected(self):
         # socle dimension is forced to 2 on P^1 x P^1 (failed middle
         # cup-product hypothesis); the builder must refuse
-        with pytest.raises(SocleNotOneDimensional):
+        with pytest.raises(HypothesisFailed, match="^socle_certificates: "):
             frob.build_algebra(make_system("p1xp1"))
 
     def test_remainder_tables_only_for_the_pieces_the_algebra_reads(self):
@@ -962,5 +958,36 @@ class TestMacaulayFromOnePiece:
         }
         assert out["failures"] == ["macaulay_vanishing"]
         assert "algebra" not in out and "error" not in out
-        with pytest.raises(MacaulayNotVanishing, match=r"dim R\(f\)_3b = 1,"):
+        with pytest.raises(HypothesisFailed, match=r"dim R\(f\)_3b = 1,"):
             frob.build_algebra(system)
+
+
+class TestHypothesisTable:
+    """The report and build_algebra read one table, ``jacobian.HYPOTHESES``:
+    a failing record of any entry is printed under its key, named in the
+    failures and stops the report before the algebra, and build_algebra
+    refuses with the same entry."""
+
+    @pytest.mark.parametrize(
+        "index", range(len(jac.HYPOTHESES)), ids=[n for n, _, _ in jac.HYPOTHESES]
+    )
+    def test_failing_entry_stops_both_readers(self, monkeypatch, index):
+        failing = CheckResult(False, 1, "injected")
+        table = list(jac.HYPOTHESES)
+        name, key, _ = table[index]
+        table[index] = (name, key, lambda system: failing)
+        monkeypatch.setattr(jac, "HYPOTHESES", tuple(table))
+
+        doc = get_fixture("projective-3").to_input_document()
+        out, code = run_report(parse_run_config(doc, {"json_only": True}))
+        assert code == 4
+        assert out[key] == failing.as_dict()
+        assert all(out[k]["pass"] for _, k, _ in table if k != key)
+        assert out["failures"] == [name]
+        assert out["hypotheses"]["quasi_smoothness"] == "inconsistent"
+        assert "algebra" not in out and "error" not in out
+
+        with pytest.raises(HypothesisFailed) as err:
+            frob.build_algebra(make_system("projective-3"))
+        assert (err.value.name, err.value.record) == (name, failing)
+        assert str(err.value) == f"{name}: injected"

@@ -46,7 +46,8 @@ def test_fixture_document_through_stdin_matches_golden(capsys, monkeypatch, name
     """``lgfrob fixture X | lgfrob report --input - --json-only`` prints the
     golden report: the document carries everything --fixture reads."""
     main(["fixture", name])
-    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    document = capsys.readouterr().out.encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(document)))
     main(["report", "--input", "-", "--json-only"])
     want = (GOLDEN / f"{name}.json").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == want

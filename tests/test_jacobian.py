@@ -106,7 +106,7 @@ class TestGradedPieces:
         for every potential; the socle certificate must fail."""
         system = make_system("p1xp1")
         assert jac.dim_R(system, 1) == 2
-        assert not jac.socle_certificates(system).record.ok
+        assert not jac.socle_certificates(system).ok
 
     def test_prefilter_agrees_with_exact(self, cubic, monkeypatch):
         """The modular shortcut never changes a committed dimension."""
@@ -717,18 +717,19 @@ class TestCertificates:
         assert all(jac.dim_R(system, p) > 0 for p in (m, m + 1))
 
     def test_socle_certificates(self, cubic, quintic):
-        rep = jac.socle_certificates(cubic)
-        assert (rep.dim_r, rep.dim_r0) == (1, 1)
+        for system in (cubic, quintic):
+            m = system.m
+            r0 = jac.graded_piece(system, jac.IDEAL_J0, system.grading.scaled_beta(m))
+            assert jac.socle_certificates(system).ok
+            assert (jac.dim_R(system, m - 1), r0.dim) == (1, 1)
         beta = cubic.grading.scaled_beta
         assert jac.graded_piece(cubic, jac.IDEAL_J, beta(1)).basis[0] == (1, 1, 1)
         assert jac.graded_piece(cubic, jac.IDEAL_J0, beta(2)).basis[0] == (2, 2, 2)
-        rep5 = jac.socle_certificates(quintic)
-        assert (rep5.dim_r, rep5.dim_r0) == (1, 1)
 
     def test_socle_fails_for_degenerate(self):
         rep = jac.socle_certificates(make_system("degenerate-cube"))
-        assert not rep.record.ok
-        assert rep.record.witness == "dim R(f)_(m-1)b = 7, dim R0(f)_mb = 18"
+        assert not rep.ok
+        assert rep.witness == "dim R(f)_(m-1)b = 7, dim R0(f)_mb = 18"
 
     def test_crit_containment_bundles(self, bundle_p2):
         results = jac.crit_containment_check(

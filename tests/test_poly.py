@@ -20,6 +20,7 @@ from lgfrob.errors import (
 from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import (
     MAX_EXPONENT,
+    MAX_NESTING,
     GradedPolynomial,
     check_homogeneous,
     grlex_key,
@@ -217,8 +218,8 @@ class TestTextFormat:
 
 class TestParserLimits:
     """Powers are taken by repeated squaring, and an exponent, literal,
-    product or power the parser cannot take is a syntax error at its
-    offset."""
+    product, power or nesting the parser cannot take is a syntax error at
+    its offset."""
 
     def test_huge_power_of_a_zero_product_is_fast(self):
         start = time.perf_counter()
@@ -236,6 +237,10 @@ class TestParserLimits:
         p = parse_polynomial(f"x^{MAX_EXPONENT}", VARS)
         assert p.terms == {(MAX_EXPONENT, 0, 0): 1}
 
+    def test_deepest_nesting_accepted(self):
+        text = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_polynomial(text, VARS).terms == {(1, 0, 0): 1}
+
     @pytest.mark.parametrize(
         "text, position",
         [
@@ -247,6 +252,8 @@ class TestParserLimits:
             ("x^2000000000*x^2000000000*y^0", 13),
             ("(x^2)^2000000000", 0),
             ("y + (x+y)^100000000", 4),
+            ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), MAX_NESTING),
+            ("(" * 10_000 + "x" + ")" * 10_000, MAX_NESTING),
         ],
         ids=[
             "max-plus-one",
@@ -257,6 +264,8 @@ class TestParserLimits:
             "product-exponent",
             "power-exponent",
             "term-products",
+            "nesting-max-plus-one",
+            "nesting-10000",
         ],
     )
     def test_rejected_at_offset(self, text, position):
