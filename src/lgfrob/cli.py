@@ -58,10 +58,15 @@ def _load_document(args) -> dict:
         raise InputSchemaError(f"cannot read {args.input}: {exc}") from exc
     try:
         return json.loads(text)
-    # a JSONDecodeError, an integer past the interpreter's digit limit or
-    # nesting past its recursion limit
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputSchemaError(f"malformed JSON: {exc}") from exc
+    # the one other ValueError: an integer past the interpreter's digit
+    # limit, whose own text advises a call that a document cannot make
+    except ValueError as exc:
+        raise InputSchemaError(
+            "malformed JSON: an integer is longer than the interpreter's "
+            "digit limit (4,300 digits by default)"
+        ) from exc
 
 
 def _build_config(args) -> RunConfig:

@@ -33,7 +33,6 @@ class Fixture:
     zero_sets: tuple[tuple[str, ...], ...] = ()
     expected_fail: str | None = None  # validation flag expected to fail
     options: dict = field(default_factory=dict)
-    description: str = ""
 
     @property
     def polynomial(self) -> GradedPolynomial:
@@ -81,7 +80,6 @@ def fixture_projective(r: int) -> Fixture:
         poly_text=poly,
         stated_degrees=tuple((1,) for _ in range(r)),
         stated_beta=(r,),
-        description=f"Fermat degree-{r} hypersurface in P^{m}",
     )
 
 
@@ -99,13 +97,6 @@ def fixture_product_p1p1() -> Fixture:
         ),
         stated_degrees=((1, 0), (1, 0), (0, 1), (0, 1)),
         stated_beta=(2, 2),
-        description=(
-            "degree-(2,2) curve in P^1 x P^1.  The middle cup-product "
-            "hypothesis fails here (b_0 = 1 != 2 = b_2), and indeed the two "
-            "Euler relations force dim R(f)_beta >= 2 for every potential, "
-            "so the socle certificate cannot hold: a live demonstration "
-            "that the necessary condition has teeth."
-        ),
     )
 
 
@@ -136,7 +127,6 @@ def fixture_bundle_p2() -> Fixture:
         stated_degrees=((1, 0), (1, 0), (1, 0), (0, 1), (-1, 1)),
         stated_beta=(2, 2),
         zero_sets=(("y1", "y2"), ("x0", "x1", "x2")),
-        description="anti-canonical hypersurface in P(O + O(1)) over P^2",
     )
 
 
@@ -169,7 +159,6 @@ def fixture_bundle_p6() -> Fixture:
         stated_beta=(2, 2),
         zero_sets=(("y1", "y2"), tuple(f"x{i}" for i in range(7))),
         options={"max_degree_a": 1},
-        description="anti-canonical hypersurface in P(O(2) + O(3)) over P^6",
     )
 
 
@@ -187,7 +176,6 @@ def fixture_weighted_p112() -> Fixture:
         poly_text="x^4 + y^4 + z^2",
         stated_degrees=((1,), (1,), (2,)),
         stated_beta=(4,),
-        description="degree-4 curve in P(1,1,2)",
     )
 
 
@@ -204,7 +192,6 @@ def fixture_hirzebruch3() -> Fixture:
         variables=("a", "b", "c", "d"),
         poly_text="a*b*c*d",
         expected_fail="ample",
-        description="Hirzebruch surface F_3; anti-canonical class not ample",
     )
 
 
@@ -217,7 +204,6 @@ def fixture_degenerate_cube() -> Fixture:
         fan=base.fan,
         variables=("x", "y", "z"),
         poly_text="x^3",
-        description="degenerate cubic: socle certificates must fail",
     )
 
 

@@ -453,7 +453,8 @@ def frobenius_axiom_check(
 
     Unit and commutativity are exact over all stored structure constants.
     Associativity runs over every basis triple when the triple count is at
-    most 10^4, otherwise over ``sample_count`` seeded basis triples.
+    most 10^4, otherwise over ``sample_count`` seeded basis triples whose
+    degrees are all at least 1 (see ``_check_associativity``).
     Invariance compares both structure-constant traces <u*v, w> and
     <u, v*w> with a direct trace that never reads the structure constants.
     When associativity is exhaustive, so is invariance: it runs over every
@@ -529,6 +530,15 @@ def _check_commutativity(D: FrobeniusAlgebraData) -> CheckResult:
 
 
 def _check_associativity(D, triples, sampled, rng, sample_count) -> CheckResult:
+    """(e_i e_j) e_k = e_i (e_j e_k): on every basis triple of ``triples``
+    unless ``sampled``, otherwise on ``sample_count`` seeded basis triples
+    whose degrees are all at least 1.  A triple with a zero degree cannot
+    fail once ``_check_unit`` passes: basis[0] is the unit 1, and every
+    product with it reads a (0, b) constant (``products(x, 0)`` reads the
+    (0, x) index transposed), which the unit check compares for every
+    b <= m-1; both sides of such a triple are then the product of its two
+    other factors.  So the draws skip those triples, and a sampled check
+    with no other triple checks nothing."""
     dims = D.dims()
 
     def collect(pairs, scale) -> dict[int, int]:
@@ -576,7 +586,9 @@ def _check_associativity(D, triples, sampled, rng, sample_count) -> CheckResult:
                             )
         return CheckResult(True, checked)
 
-    usable = [t for t in triples if dims[t[0]] and dims[t[1]] and dims[t[2]]]
+    usable = [t for t in triples if all(t) and all(dims[d] for d in t)]
+    if not usable:
+        return CheckResult(True, 0)
     checks = {t: check(*t) for t in usable}
     for _ in range(sample_count):
         a, b, c = usable[rng.randrange(len(usable))]

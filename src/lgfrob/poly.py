@@ -131,9 +131,6 @@ class GradedPolynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
     def __repr__(self):
         return f"GradedPolynomial({self.to_text()!r})"
 
@@ -178,17 +175,11 @@ class GradedPolynomial:
                     del terms[mono]
         return GradedPolynomial._unchecked(self.variables, terms)
 
-    def mul_monomial(self, mono: Monomial, coeff=1) -> "GradedPolynomial":
-        """self * coeff * z^mono, for an exponent tuple ``mono``."""
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return GradedPolynomial.zero(self.variables)
+    def mul_monomial(self, mono: Monomial) -> "GradedPolynomial":
+        """self * z^mono, for an exponent tuple ``mono``."""
         return GradedPolynomial._unchecked(
             self.variables,
-            {
-                tuple(x + y for x, y in zip(m, mono)): c * coeff
-                for m, c in self.terms.items()
-            },
+            {tuple(x + y for x, y in zip(m, mono)): c for m, c in self.terms.items()},
         )
 
     def partial_derivative(self, index: int) -> "GradedPolynomial":
@@ -240,7 +231,7 @@ class GradedPolynomial:
                     factors.append(f"{name}^{e}")
             mag = abs(coeff)
             if not factors or mag != 1:
-                factors.insert(0, _format_rational(mag))
+                factors.insert(0, format_rational(mag))
             body = "*".join(factors)
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
@@ -262,7 +253,8 @@ def _add_into(
             del terms[mono]
 
 
-def _format_rational(value: Fraction) -> str:
+def format_rational(value: Fraction) -> str:
+    """``n`` or ``n/d``, for a rational in lowest terms."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

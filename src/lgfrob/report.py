@@ -8,6 +8,7 @@ they are omitted in json-only mode.
 
 from __future__ import annotations
 
+import reprlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from fractions import Fraction
 from . import frobenius, jacobian, linalg, toric
 from .errors import InputSchemaError, LgfrobError
 from .fixtures import SCHEMA_VERSION, unimodular_transform
-from .poly import parse_polynomial
+from .poly import format_rational, parse_polynomial
 from .toric import FanData
 
 
@@ -55,17 +56,17 @@ def _is_integer(value) -> bool:
 
 def _integer(value, what: str, minimum: int | None, maximum: int | None) -> int:
     if not _is_integer(value):
-        raise InputSchemaError(f"{what} must be an integer, got {value!r}")
+        raise InputSchemaError(f"{what} must be an integer, got {reprlib.repr(value)}")
     if minimum is not None and value < minimum:
-        raise InputSchemaError(f"{what} must be >= {minimum}, got {value}")
+        raise InputSchemaError(f"{what} must be >= {minimum}, got {reprlib.repr(value)}")
     if maximum is not None and value > maximum:
-        raise InputSchemaError(f"{what} must be <= {maximum}, got {value}")
+        raise InputSchemaError(f"{what} must be <= {maximum}, got {reprlib.repr(value)}")
     return value
 
 
 def _integer_list(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(map(_is_integer, value)):
-        raise InputSchemaError(f"{what} {value!r} must be a list of integers")
+        raise InputSchemaError(f"{what} {reprlib.repr(value)} must be a list of integers")
     return tuple(value)
 
 
@@ -96,7 +97,7 @@ FAN_KEYS = {"dim", "rays", "max_cones"}
 def _known_keys(doc: dict, known: set[str], context: str):
     unknown = sorted(set(doc) - known)
     if unknown:
-        raise InputSchemaError(f"{context}: unknown field {unknown[0]!r}")
+        raise InputSchemaError(f"{context}: unknown field {reprlib.repr(unknown[0])}")
 
 
 def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
@@ -153,13 +154,16 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
                 raise InputSchemaError(f"option {key!r} must be true or false")
             config.json_only = value
         else:
-            raise InputSchemaError(f"unknown option {key!r}")
+            raise InputSchemaError(f"unknown option {reprlib.repr(key)}")
 
     stated = doc.get("stated_degrees")
     if stated is not None:
         config.stated_degrees = _integer_lists(stated, "stated_degrees")
     beta = doc.get("stated_beta")
     if beta is not None:
+        # beta can only be compared through the transform of stated_degrees
+        if stated is None:
+            raise InputSchemaError("stated_beta needs stated_degrees")
         config.stated_beta = _integer_list(beta, "stated_beta")
     return config
 
@@ -170,19 +174,12 @@ def _zero_sets(value, variables: list[str]) -> tuple[tuple[str, ...], ...]:
     for s in value:
         for v in s:
             if not isinstance(v, str) or v not in variables:
-                raise InputSchemaError(f"zero_sets: {v!r} is not a declared variable")
+                raise InputSchemaError(f"zero_sets: {reprlib.repr(v)} is not a declared variable")
     return tuple(tuple(s) for s in value)
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
-
-
-def frac_str(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+# orchestration
 
 
 @contextmanager
@@ -196,11 +193,6 @@ def _timed(timings: dict[str, float], stage: str):
 
 
 GRAM_ENTRY_LIMIT = 12
-
-
-# ---------------------------------------------------------------------------
-# orchestration
-
 
 # the keys dims and gram print; validate and report print every key
 PRINTED_KEYS = {
@@ -370,11 +362,11 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         "volume": algebra.volume,
         "sign_convention": algebra.sign,
         "generator_monomial": list(algebra.generator_monomial),
-        "generator_coord": frac_str(algebra.generator_coord),
+        "generator_coord": format_rational(algebra.generator_coord),
         # the first basis monomial of R(f)_{(m-1) beta}, whose trace follows
         "socle_generator": list(algebra.bases[m - 1].basis[0]),
         "socle_generator_trace": {
-            "rational": frac_str(socle_trace),
+            "rational": format_rational(socle_trace),
             "unit_exponent": m - 1,
         },
         "zero_sums_checked": algebra.zero_sums_checked,
@@ -390,7 +382,7 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
             entry: dict = {"shape": [rows, cols], "rank": rank}
             entry["nondegenerate"] = rows == cols and rank == rows
             if rows * cols and rows <= GRAM_ENTRY_LIMIT and cols <= GRAM_ENTRY_LIMIT:
-                entry["entries"] = [[frac_str(e) for e in row] for row in gram]
+                entry["entries"] = [[format_rational(e) for e in row] for row in gram]
             gram_section[str(a)] = entry
     report["gram"] = gram_section
     report["gram_unit_exponent"] = m - 1

@@ -418,17 +418,6 @@ def _normalize_ineq(coeffs: Sequence[int], const: int):
     return tuple(coeffs), const
 
 
-def lattice_points(ineqs: list[tuple[tuple[int, ...], int]], dim: int) -> list[tuple[int, ...]]:
-    """All integer points satisfying coeffs . x + const >= 0 for every
-    inequality: the sweep of ``_affine_lattice_images`` under the identity
-    map.
-
-    Raises DegeneratePolytope when some direction is unbounded.
-    """
-    identity = [tuple(1 if i == k else 0 for i in range(dim)) for k in range(dim)]
-    return _affine_lattice_images(ineqs, (0,) * dim, identity)
-
-
 def _projection_bounds(ineqs: Iterable[tuple[tuple[int, ...], int]], dim: int) -> list:
     """Fourier-Motzkin projection: for each coordinate k, the pair (lower,
     upper) of the inequalities on x_0..x_k that bound x_k from below and

@@ -2,6 +2,7 @@
 fixture round-trips."""
 
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -133,7 +134,10 @@ class TestValidateCommand:
         [
             (b"\xff\xfe{", "cannot read"),
             (b"[" * 100_000 + b"]" * 100_000, "malformed JSON"),
-            (b'{"fan": {"dim": ' + b"1" * 5000 + b"}}", "malformed JSON"),
+            (
+                b'{"fan": {"dim": ' + b"1" * 5000 + b"}}",
+                "malformed JSON: an integer is longer than the interpreter's digit limit",
+            ),
         ],
         ids=["not-utf8", "nested-100000", "5000-digit-integer"],
     )
@@ -153,6 +157,7 @@ class TestValidateCommand:
         code, out, err = run_cli(capsys, "validate", "--input", argument, "--json-only")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+        assert "set_int_max_str_digits" not in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--input", "/nonexistent.json", "--json-only")
@@ -653,6 +658,8 @@ class TestStrictSchema:
         ("stated_degrees-flat", "projective-3", lambda d: d.__setitem__("stated_degrees", [1, 1, 1])),
         ("stated_beta-string", "projective-3", lambda d: d.__setitem__("stated_beta", ["a"])),
         ("stated_beta-float", "projective-3", lambda d: d.__setitem__("stated_beta", [3.0])),
+        # stated_beta is compared only through the transform of stated_degrees
+        ("stated_beta-alone", "projective-3", lambda d: d.pop("stated_degrees")),
         ("ray-float", "projective-3", lambda d: d["fan"]["rays"].__setitem__(0, [1.5, 0])),
         ("ray-bool", "projective-3", lambda d: d["fan"]["rays"].__setitem__(0, [True, 0])),
         ("ray-number", "projective-3", lambda d: d["fan"]["rays"].__setitem__(0, 1)),
@@ -678,6 +685,22 @@ class TestStrictSchema:
         assert out == ""
         assert err.startswith("error: ")
         assert name.split("-")[0] in err  # the message names the field
+
+    @pytest.mark.parametrize(
+        "entry", [[0.5] * 20_000, functools.reduce(lambda x, _: [x], range(980), [])],
+        ids=["20000-floats", "nested-980"],
+    )
+    def test_echo_of_a_bad_value_is_short(self, entry):
+        """The message names the field and cuts the value it echoes (the
+        CLI prints it after "error: "); the full repr of these entries runs
+        to about 100,000 and 2,000 characters."""
+        doc = _mutated("projective-3", lambda d: d["fan"]["rays"].__setitem__(0, entry))
+        with pytest.raises(InputSchemaError) as caught:
+            report.parse_run_config(doc)
+        message = str(caught.value)
+        assert message.startswith("fan: rays entry [")
+        assert message.endswith(" must be a list of integers")
+        assert len(message) < 100
 
     def test_integer_options_are_kept(self):
         doc = _mutated(

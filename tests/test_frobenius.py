@@ -870,6 +870,46 @@ def test_unit_corruption_fails_unit_and_associativity(bundle_algebra):
     assert report.associativity.witness == f"(a,i,b,j,c,k) = (0, 0, 0, 0, 1, {j})"
 
 
+class TestSampledAssociativity:
+    """The sampled branch draws only degree triples with no zero degree:
+    the others cannot fail once the unit check passes."""
+
+    @staticmethod
+    def skewed(D):
+        """D with every (1, 1) product set to basis[2][0] and basis[1][i] *
+        basis[2][0] to (i+1) basis[3][0]: commutative with the same unit,
+        but (e_i e_j) e_k - e_i (e_j e_k) = (k - i) basis[3][0]."""
+        n = D.dims()[1]
+        nonzero = dict(D.nonzero)
+        nonzero[(1, 1)] = [{j: [(0, 1)] for j in range(n)} for _ in range(n)]
+        nonzero[(1, 2)] = [{0: [(0, i + 1)]} for i in range(n)]
+        denominators = {**D.denominators, (1, 1): 1, (1, 2): 1}
+        return dataclasses.replace(D, nonzero=nonzero, denominators=denominators)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_skewed_product_fails_at_the_first_draw(self, seed):
+        """On projective-5 (dims [1, 101, 101, 1]) 19 of the 20 degree
+        triples with a+b+c <= 3 have a zero degree; (1, 1, 1) is the one
+        that can fail, and every draw lands on it."""
+        bad = self.skewed(pencil_algebra(5, Fraction(0)))
+        report = frob.frobenius_axiom_check(bad, sample_seed=seed, sample_count=5)
+        assert report.sampled
+        assert report.unit.ok and report.commutativity.ok
+        assert not report.associativity.ok
+        assert report.associativity.checked == 1
+        assert report.associativity.witness.startswith("(a,i,b,j,c,k) = (1, ")
+
+    def test_no_triple_without_a_zero_degree_checks_nothing(
+        self, quartic_algebra, monkeypatch
+    ):
+        """On projective-4 (m = 3) every degree triple with a+b+c <= 2 has a
+        zero degree, so the sampled check has nothing to draw."""
+        monkeypatch.setattr(frob, "EXHAUSTIVE_TRIPLE_LIMIT", 0)
+        report = frob.frobenius_axiom_check(quartic_algebra, sample_seed=0, sample_count=200)
+        assert report.sampled
+        assert report.associativity == CheckResult(True, 0)
+
+
 class TestMacaulayFromOnePiece:
     """R(f)_{m beta} = 0 certifies R(f)_{p beta} = 0 for every p > m (see
     ``build_algebra``), and ``macaulay_dim`` decides it from R0(f)_{m beta},

@@ -38,11 +38,15 @@ from lgfrob.toric import (
     betti_numbers,
     class_group,
     extraisom_necessary_check,
-    lattice_points,
     monomial_basis,
     normalized_volume,
     validate_fan,
 )
+
+
+def lattice_points(ineqs, dim):
+    identity = [tuple(1 if i == k else 0 for i in range(dim)) for k in range(dim)]
+    return _affine_lattice_images(ineqs, (0,) * dim, identity)
 
 
 def projective_plane():
