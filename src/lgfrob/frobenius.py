@@ -41,22 +41,25 @@ built straight from the remainder table of the target piece holds only the
 pairs (j, k) with a nonzero constant c, k ascending, as the ``int``
 n = c * denominators[(a, b)], where ``denominators[(a, b)]`` is the lcm of
 the denominators of that pair's constants (1 on every Fermat potential).
-``product_coords`` and the associativity check iterate that index, so their
-cost is the number of nonzero constants reached, not dim_a * dim_b *
-dim_(a+b), and every multiply-add is an ``int`` one: a product clears the
-denominators of its two coordinate vectors once, accumulates numerators and
-forms one ``Fraction`` per output coordinate.  Associativity compares
-cross-multiplied ``int`` sums.  A Gram entry G_a[i][j] is
+``product_coords``, the Gram matrices and the axiom checks iterate that
+index through ``products``, so their cost is the number of nonzero constants
+reached, not dim_a * dim_b * dim_(a+b), and every multiply-add is an ``int``
+one: a product clears the denominators of its two coordinate vectors once,
+accumulates numerators and forms one ``Fraction`` per output coordinate.
+The exhaustive associativity check contracts the index into both sides of
+each degree triple at once and compares cross-multiplied ``int`` sums; its
+``checked`` still counts every basis triple.  A Gram entry G_a[i][j] is
 sum_k n_k tau_k / den over the index, where tau_k is the trace of the k-th
 degree-(m-1) basis element, read once from the trace table.
 
 The invariance check keeps an independent direct path that never reads the
 structure constants.  When the axiom check is exhaustive, the direct trace
 of a basis triple z^i z^j z^k is one lookup of den * Tr at the sum of three
-codes.  When it is sampled, the direct path multiplies the lifts of its
-integer sample vectors as polynomials with Python ``int`` coefficients
-(lifted basis monomials have coefficient 1) and dots the result with
-den * Tr, so one ``Fraction`` is formed per trace.
+codes, and the structure-constant side reads each product e_i e_j once
+against Gram numerators.  When it is sampled, the direct path multiplies the
+lifts of its integer sample vectors as polynomials with Python ``int``
+coefficients (lifted basis monomials have coefficient 1) and dots the result
+with den * Tr, so one ``Fraction`` is formed per trace.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import jacobian, linalg
 from .errors import DegreeMismatch, HypothesisFailed, ToricJacobianZero
@@ -98,10 +101,11 @@ def _cleared(coords: Sequence[int | Fraction]) -> tuple[Sequence[int], int]:
     return [c.numerator * (den // c.denominator) for c in coords], den
 
 
-# (a, b) -> i -> {j: [(k, n), ...]} over the nonzero constants c, k
-# ascending, each n = c * denominators[(a, b)] an int; a j with no nonzero
-# c has no entry
-NonzeroIndex = dict[tuple[int, int], list[dict[int, list[tuple[int, int]]]]]
+# i -> {j: [(k, n), ...]} over the nonzero constants c of the products of
+# two degrees (a, b), k ascending, each n = c * denominators[(a, b)] an int;
+# a j with no nonzero c has no entry
+Rows = list[dict[int, list[tuple[int, int]]]]
+NonzeroIndex = dict[tuple[int, int], Rows]
 # (den, radix, {code(y): den * Tr(y)}) over the monomials y of
 # S_{(m-1) beta} with Tr(y) != 0; a code with no entry has trace 0
 TraceFunctional = tuple[int, int, dict[int, int]]
@@ -154,17 +158,19 @@ class FrobeniusAlgebraData:
     def dims(self) -> list[int]:
         return [piece.dim for piece in self.bases]
 
-    def products(
-        self, a: int, b: int
-    ) -> tuple[Callable[[int, int], list[tuple[int, int]]], int]:
-        """(lookup, den) for degrees with a+b < m: lookup(i, j) is the list
-        of nonzero (k, n) of basis[a][i] * basis[b][j], read from the nonzero
-        index, whose constants are n / den; the caller must not modify it."""
+    def products(self, a: int, b: int) -> tuple[Rows, int]:
+        """(rows, den) for degrees with a+b < m: rows[i].get(j, []) is the
+        list of nonzero (k, n) of basis[a][i] * basis[b][j], whose constants
+        are n / den.  The rows are the (a, b) nonzero index itself when
+        a <= b, and the (b, a) index transposed otherwise; the caller must
+        not modify them."""
         if a <= b:
-            index = self.nonzero[(a, b)]
-            return (lambda i, j: index[i].get(j, [])), self.denominators[(a, b)]
-        index = self.nonzero[(b, a)]
-        return (lambda i, j: index[j].get(i, [])), self.denominators[(b, a)]
+            return self.nonzero[(a, b)], self.denominators[(a, b)]
+        rows: Rows = [{} for _ in self.bases[a].basis]
+        for j, row in enumerate(self.nonzero[(b, a)]):
+            for i, entries in row.items():
+                rows[i][j] = entries
+        return rows, self.denominators[(b, a)]
 
     def product_coords(
         self, a: int, u: Sequence[Fraction], b: int, v: Sequence[Fraction]
@@ -393,16 +399,23 @@ def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[Fraction]]:
     trace table."""
     if not 0 <= a <= D.m - 1:
         raise DegreeMismatch(f"degree {a} outside 0..{D.m - 1}")
-    b = D.m - 1 - a
-    t_den, radix, table = D.trace_functional
+    numerators, den = _gram_numerators(D, a)
+    den *= D.trace_functional[0]
+    return [[Fraction(x, den) for x in row] for row in numerators]
+
+
+def _gram_numerators(D: FrobeniusAlgebraData, a: int) -> tuple[list[list[int]], int]:
+    """(G, d) with G_a = G / (d * t_den): G[i][j] is the int sum of
+    n_k * t_den * tau_k over the nonzero constants n_k / d of
+    basis[a][i] * basis[m-1-a][j], t_den the trace table's denominator."""
+    _, radix, table = D.trace_functional
     tau = [table.get(monomial_code(mono, radix), 0) for mono in D.bases[D.m - 1].basis]
-    lookup, den = D.products(a, b)
-    den *= t_den
-    cols = range(D.bases[b].dim)
-    return [
-        [Fraction(sum(n * tau[k] for k, n in lookup(i, j)), den) for j in cols]
-        for i in range(D.bases[a].dim)
-    ]
+    rows, den = D.products(a, D.m - 1 - a)
+    gram = [[0] * D.bases[D.m - 1 - a].dim for _ in rows]
+    for g, row in zip(gram, rows):
+        for j, entries in row.items():
+            g[j] = sum(n * tau[k] for k, n in entries)
+    return gram, den
 
 
 def mul_twisted(
@@ -498,10 +511,10 @@ def _check_unit(D: FrobeniusAlgebraData) -> CheckResult:
     pair's denominator den, is den at j; the witness prints numerators."""
     checked = 0
     for b in range(D.m):
-        lookup, den = D.products(0, b)
+        rows, den = D.products(0, b)
         for j in range(D.bases[b].dim):
             checked += 1
-            got, want = lookup(0, j), [(j, den)]
+            got, want = rows[0].get(j, []), [(j, den)]
             if got != want:
                 return CheckResult(
                     False, checked, f"1 * basis[{b}][{j}] = {got}, expected {want}"
@@ -538,67 +551,77 @@ def _check_associativity(D, triples, sampled, rng, sample_count) -> CheckResult:
     (0, x) index transposed), which the unit check compares for every
     b <= m-1; both sides of such a triple are then the product of its two
     other factors.  So the draws skip those triples, and a sampled check
-    with no other triple checks nothing."""
+    with no other triple checks nothing.  The exhaustive check contracts
+    the nonzero index into each side once per degree triple, keyed by
+    (i, j, k, n), so it costs the nonzero products reached, while
+    ``checked`` counts every basis triple in i, j, k order up to the
+    smallest failing one."""
     dims = D.dims()
 
-    def collect(pairs, scale) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for n, y in pairs:
-            out[n] = out.get(n, 0) + y
-        return {n: y * scale for n, y in out.items() if y}
-
-    def check(a, b, c):
-        """(i, j, k) -> whether (e_i e_j) e_k = e_i (e_j e_k) for the basis
-        elements of degrees a, b, c; a + b + c <= m - 1, so every partial
-        product has degree below m."""
-        ab, d_ab = D.products(a, b)
-        ab_c, d_ab_c = D.products(a + b, c)
-        bc, d_bc = D.products(b, c)
-        a_bc, d_a_bc = D.products(a, b + c)
-        # the sides have denominators d_ab d_ab_c and d_bc d_a_bc, so each
-        # side's numerators are scaled by the other side's denominator
-        lhs_scale, rhs_scale = d_bc * d_a_bc, d_ab * d_ab_c
-
-        def one(i, j, k):
-            lhs = collect(
-                ((n, x * y) for mid, x in ab(i, j) for n, y in ab_c(mid, k)),
-                lhs_scale,
-            )
-            rhs = collect(
-                ((n, x * y) for mid, x in bc(j, k) for n, y in a_bc(i, mid)),
-                rhs_scale,
-            )
-            return lhs == rhs
-
-        return one
+    def sides(a, b, c):
+        """The rows of the products each side reads, each side scaled by
+        the other's denominators d_bc d_a_bc and d_ab d_ab_c; a+b+c <= m-1,
+        so every partial product has degree below m."""
+        (ab, d_ab), (ab_c, d_ab_c) = D.products(a, b), D.products(a + b, c)
+        (bc, d_bc), (a_bc, d_a_bc) = D.products(b, c), D.products(a, b + c)
+        return ab, ab_c, bc, a_bc, d_bc * d_a_bc, d_ab * d_ab_c
 
     checked = 0
     if not sampled:
         for a, b, c in triples:
-            one = check(a, b, c)
-            for i in range(dims[a]):
-                for j in range(dims[b]):
-                    for k in range(dims[c]):
-                        checked += 1
-                        if not one(i, j, k):
-                            return CheckResult(
-                                False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}"
-                            )
+            ab, ab_c, bc, a_bc, lhs_scale, rhs_scale = sides(a, b, c)
+            lhs = (
+                ((i, j, k, n), x * y)
+                for i, row in enumerate(ab) for j, mids in row.items() for mid, x in mids
+                for k, entries in ab_c[mid].items() for n, y in entries
+            )
+            # e_j e_k grouped by its basis element mid, so that e_i e_mid is
+            # read from row i of the (a, b+c) products
+            by_mid: dict = {}
+            for j, row in enumerate(bc):
+                for k, mids in row.items():
+                    for mid, x in mids:
+                        by_mid.setdefault(mid, []).append((j, k, x))
+            rhs = (
+                ((i, j, k, n), x * y)
+                for i, row in enumerate(a_bc) for mid, entries in row.items()
+                for j, k, x in by_mid.get(mid, ()) for n, y in entries
+            )
+            lhs, rhs = _collect(lhs, lhs_scale), _collect(rhs, rhs_scale)
+            if lhs == rhs:
+                checked += dims[a] * dims[b] * dims[c]
+                continue
+            differ = (key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
+            i, j, k, _ = min(differ)
+            checked += (i * dims[b] + j) * dims[c] + k + 1
+            return CheckResult(False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}")
         return CheckResult(True, checked)
 
     usable = [t for t in triples if all(t) and all(dims[d] for d in t)]
     if not usable:
         return CheckResult(True, 0)
-    checks = {t: check(*t) for t in usable}
+    by_triple = {t: sides(*t) for t in usable}
     for _ in range(sample_count):
         a, b, c = usable[rng.randrange(len(usable))]
         i = rng.randrange(dims[a])
         j = rng.randrange(dims[b])
         k = rng.randrange(dims[c])
         checked += 1
-        if not checks[(a, b, c)](i, j, k):
+        ab, ab_c, bc, a_bc, lhs_scale, rhs_scale = by_triple[(a, b, c)]
+        lhs = ((n, x * y) for mid, x in ab[i].get(j, ()) for n, y in ab_c[mid].get(k, ()))
+        rhs = ((n, x * y) for mid, x in bc[j].get(k, ()) for n, y in a_bc[i].get(mid, ()))
+        if _collect(lhs, lhs_scale) != _collect(rhs, rhs_scale):
             return CheckResult(False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}")
     return CheckResult(True, checked)
+
+
+def _collect(pairs, scale: int) -> dict:
+    """{key: scale * the sum of its values} over (key, value) ``pairs``,
+    for the keys whose sum is nonzero."""
+    out: dict = {}
+    for key, y in pairs:
+        out[key] = out.get(key, 0) + y
+    return {key: y * scale for key, y in out.items() if y}
 
 
 def _check_invariance(D, sampled, rng, sample_count) -> CheckResult:
@@ -643,38 +666,45 @@ def _check_invariance(D, sampled, rng, sample_count) -> CheckResult:
 
 
 def _check_invariance_on_basis(D, degree_triples) -> CheckResult:
-    """<e_i e_j, e_k>, from the nonzero index and the traces tau_n of the
-    degree-(m-1) basis, as an int numerator over den times its product
+    """<e_i e_j, e_k>, an int numerator over den times its product
     denominators, against the direct trace of z^i z^j z^k, one lookup of
-    den * Tr with default 0.  <e_i, e_j e_k> needs no comparison of its
-    own: it reads the stored entries that <e_j e_k, e_i> reads at the
-    rotated triple (b, c, a), also checked here, as ``products(x, y)`` with
-    x > y reads the (y, x) index transposed; when a = b+c, those are the
-    transposed (a, a) entries that ``_check_commutativity`` compares."""
+    den * Tr with default 0.  Per degree triple the (a+b, c) products are
+    contracted with den * tau once, into Gram numerators, and per (i, j)
+    e_i e_j is read once, so this side costs the nonzero products reached;
+    ``checked`` still counts every basis triple.  <e_i, e_j e_k> needs no
+    comparison of its own: it reads the stored entries that <e_j e_k, e_i>
+    reads at the rotated triple (b, c, a), also checked here, as
+    ``products(x, y)`` with x > y reads the (y, x) index transposed; when
+    a = b+c, those are the transposed (a, a) entries that
+    ``_check_commutativity`` compares."""
     den, radix, table = D.trace_functional
     codes = [[monomial_code(mono, radix) for mono in p.basis] for p in D.bases]
-    tau = [table.get(code, 0) for code in codes[D.m - 1]]  # den * tau_n
     checked = 0
     for a, b, c in degree_triples:
         ab, d_ab = D.products(a, b)
-        ab_c, d_ab_c = D.products(a + b, c)
+        gram, d_ab_c = _gram_numerators(D, a + b)
         lhs_den = d_ab * d_ab_c
+        zero = [0] * len(codes[c])
         for i, code_i in enumerate(codes[a]):
+            row = ab[i]
             for j, code_j in enumerate(codes[b]):
-                for k, code_k in enumerate(codes[c]):
-                    checked += 1
-                    lhs = sum(
-                        x * y * tau[n] for mid, x in ab(i, j) for n, y in ab_c(mid, k)
-                    )
-                    direct = table.get(code_i + code_j + code_k, 0)
-                    if lhs != direct * lhs_den:
-                        return CheckResult(
-                            False,
-                            checked,
-                            f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}: "
-                            f"{Fraction(lhs, lhs_den * den)} vs direct "
-                            f"{Fraction(direct, den)}",
-                        )
+                lhs = zero
+                for mid, x in row.get(j, ()):
+                    lhs = [s + x * g for s, g in zip(lhs, gram[mid])]
+                code = code_i + code_j
+                # the direct traces, as numerators over the same denominator
+                direct = [table.get(code + code_k, 0) * lhs_den for code_k in codes[c]]
+                if lhs == direct:
+                    checked += len(direct)
+                    continue
+                k = next(k for k, t in enumerate(direct) if lhs[k] != t)
+                return CheckResult(
+                    False,
+                    checked + k + 1,
+                    f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}: "
+                    f"{Fraction(lhs[k], lhs_den * den)} vs direct "
+                    f"{Fraction(direct[k], lhs_den * den)}",
+                )
     return CheckResult(True, checked)
 
 

@@ -49,6 +49,21 @@ def _expect(doc: dict, key: str, kind, context: str):
     return value
 
 
+class _Echo(reprlib.Repr):
+    """``reprlib.repr``, which cuts a long value short, except that an int
+    that ``str()`` refuses (past the interpreter's digit limit) is named by
+    its bit length instead of raising ``ValueError``."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+_echo = _Echo().repr
+
+
 def _is_integer(value) -> bool:
     """A JSON integer: not a bool, a float or a string."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -56,17 +71,17 @@ def _is_integer(value) -> bool:
 
 def _integer(value, what: str, minimum: int | None, maximum: int | None) -> int:
     if not _is_integer(value):
-        raise InputSchemaError(f"{what} must be an integer, got {reprlib.repr(value)}")
+        raise InputSchemaError(f"{what} must be an integer, got {_echo(value)}")
     if minimum is not None and value < minimum:
-        raise InputSchemaError(f"{what} must be >= {minimum}, got {reprlib.repr(value)}")
+        raise InputSchemaError(f"{what} must be >= {minimum}, got {_echo(value)}")
     if maximum is not None and value > maximum:
-        raise InputSchemaError(f"{what} must be <= {maximum}, got {reprlib.repr(value)}")
+        raise InputSchemaError(f"{what} must be <= {maximum}, got {_echo(value)}")
     return value
 
 
 def _integer_list(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(map(_is_integer, value)):
-        raise InputSchemaError(f"{what} {reprlib.repr(value)} must be a list of integers")
+        raise InputSchemaError(f"{what} {_echo(value)} must be a list of integers")
     return tuple(value)
 
 
@@ -76,12 +91,13 @@ def _integer_lists(value, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_integer_list(row, f"{what} entry") for row in value)
 
 
-# integer options and their bounds (None: none); a sampled axiom check draws
-# no more triples than an exhaustive one may check
+# integer options and their bounds: a seed and a cap are signed 64-bit
+# integers, so the report that prints them stays printable, and a sampled
+# axiom check draws no more triples than an exhaustive one may check
 INTEGER_OPTIONS = {
-    "sample_seed": (None, None),
+    "sample_seed": (-(2**63), 2**63 - 1),
     "sample_count": (1, frobenius.EXHAUSTIVE_TRIPLE_LIMIT),
-    "max_degree_a": (0, None),
+    "max_degree_a": (0, 2**63 - 1),
 }
 
 
@@ -97,7 +113,7 @@ FAN_KEYS = {"dim", "rays", "max_cones"}
 def _known_keys(doc: dict, known: set[str], context: str):
     unknown = sorted(set(doc) - known)
     if unknown:
-        raise InputSchemaError(f"{context}: unknown field {reprlib.repr(unknown[0])}")
+        raise InputSchemaError(f"{context}: unknown field {_echo(unknown[0])}")
 
 
 def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
@@ -107,7 +123,7 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
     _known_keys(doc, DOCUMENT_KEYS, "input")
     version = _integer(doc.get("schema_version", SCHEMA_VERSION), "schema_version", None, None)
     if version != SCHEMA_VERSION:
-        raise InputSchemaError(f"unsupported schema_version {version}")
+        raise InputSchemaError(f"unsupported schema_version {_echo(version)}")
     if "expected_fail" in doc:
         _expect(doc, "expected_fail", str, "input")
     fan_doc = _expect(doc, "fan", dict, "input")
@@ -154,7 +170,7 @@ def parse_run_config(doc, overrides: dict | None = None) -> RunConfig:
                 raise InputSchemaError(f"option {key!r} must be true or false")
             config.json_only = value
         else:
-            raise InputSchemaError(f"unknown option {reprlib.repr(key)}")
+            raise InputSchemaError(f"unknown option {_echo(key)}")
 
     stated = doc.get("stated_degrees")
     if stated is not None:
@@ -174,7 +190,7 @@ def _zero_sets(value, variables: list[str]) -> tuple[tuple[str, ...], ...]:
     for s in value:
         for v in s:
             if not isinstance(v, str) or v not in variables:
-                raise InputSchemaError(f"zero_sets: {reprlib.repr(v)} is not a declared variable")
+                raise InputSchemaError(f"zero_sets: {_echo(v)} is not a declared variable")
     return tuple(tuple(s) for s in value)
 
 

@@ -8,8 +8,10 @@ validation that builds it, the product of the recorded factors next to the
 modular elimination, a bounding-box sweep over brute-force vertices next
 to the Fourier-Motzkin monomial enumeration, polynomial lifts next to the
 direct trace, sums folded through the public operators next to the
-parser's one-dict sums, and the Hessian normalization of the trace on
-projective space next to the toric Jacobian one.
+parser's one-dict sums, the Hessian normalization of the trace on
+projective space next to the toric Jacobian one, and a loop over every basis
+triple next to the exhaustive axiom checks' contractions of the nonzero
+index.
 """
 
 from fractions import Fraction
@@ -17,8 +19,8 @@ from itertools import combinations
 from math import ceil, floor
 from operator import mul
 
-from lgfrob.poly import GradedPolynomial, _Parser
-from lgfrob.toric import AnticanPolytope
+from lgfrob.poly import GradedPolynomial, _Parser, monomial_code
+from lgfrob.toric import AnticanPolytope, CheckResult
 
 
 def rref(matrix):
@@ -253,3 +255,83 @@ class FoldingParser(_Parser):
             self.tok.take()
             rhs = self.term()
             poly = poly - rhs if kind == "-" else poly + rhs
+
+
+def basis_products(D, a, b):
+    """(lookup, den): lookup(i, j) is the list of nonzero (k, n) of
+    basis[a][i] * basis[b][j], read from the (a, b) nonzero index, or for
+    a > b from the (b, a) index at (j, i); the constants are n / den."""
+    if a <= b:
+        index = D.nonzero[(a, b)]
+        return (lambda i, j: index[i].get(j, [])), D.denominators[(a, b)]
+    index = D.nonzero[(b, a)]
+    return (lambda i, j: index[j].get(i, [])), D.denominators[(b, a)]
+
+
+def _collect(pairs, scale):
+    out = {}
+    for n, y in pairs:
+        out[n] = out.get(n, 0) + y
+    return {n: y * scale for n, y in out.items() if y}
+
+
+def associativity_on_basis(D, triples):
+    """The exhaustive associativity check one basis triple at a time:
+    (e_i e_j) e_k against e_i (e_j e_k) for every (i, j, k) of every degree
+    triple of ``triples``, in that order, each side's int sums scaled by the
+    other side's denominators; stops at the first triple that differs."""
+    dims = D.dims()
+    checked = 0
+    for a, b, c in triples:
+        ab, d_ab = basis_products(D, a, b)
+        ab_c, d_ab_c = basis_products(D, a + b, c)
+        bc, d_bc = basis_products(D, b, c)
+        a_bc, d_a_bc = basis_products(D, a, b + c)
+        for i in range(dims[a]):
+            for j in range(dims[b]):
+                for k in range(dims[c]):
+                    checked += 1
+                    lhs = _collect(
+                        ((n, x * y) for mid, x in ab(i, j) for n, y in ab_c(mid, k)),
+                        d_bc * d_a_bc,
+                    )
+                    rhs = _collect(
+                        ((n, x * y) for mid, x in bc(j, k) for n, y in a_bc(i, mid)),
+                        d_ab * d_ab_c,
+                    )
+                    if lhs != rhs:
+                        return CheckResult(
+                            False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}"
+                        )
+    return CheckResult(True, checked)
+
+
+def invariance_on_basis(D, degree_triples):
+    """The exhaustive invariance check one basis triple at a time:
+    <e_i e_j, e_k> summed over the nonzero index against the direct trace of
+    z^i z^j z^k, one lookup in the trace table."""
+    den, radix, table = D.trace_functional
+    codes = [[monomial_code(mono, radix) for mono in p.basis] for p in D.bases]
+    tau = [table.get(code, 0) for code in codes[D.m - 1]]
+    checked = 0
+    for a, b, c in degree_triples:
+        ab, d_ab = basis_products(D, a, b)
+        ab_c, d_ab_c = basis_products(D, a + b, c)
+        lhs_den = d_ab * d_ab_c
+        for i, code_i in enumerate(codes[a]):
+            for j, code_j in enumerate(codes[b]):
+                for k, code_k in enumerate(codes[c]):
+                    checked += 1
+                    lhs = sum(
+                        x * y * tau[n] for mid, x in ab(i, j) for n, y in ab_c(mid, k)
+                    )
+                    direct = table.get(code_i + code_j + code_k, 0)
+                    if lhs != direct * lhs_den:
+                        return CheckResult(
+                            False,
+                            checked,
+                            f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}: "
+                            f"{Fraction(lhs, lhs_den * den)} vs direct "
+                            f"{Fraction(direct, den)}",
+                        )
+    return CheckResult(True, checked)

@@ -687,13 +687,19 @@ class TestStrictSchema:
         assert name.split("-")[0] in err  # the message names the field
 
     @pytest.mark.parametrize(
-        "entry", [[0.5] * 20_000, functools.reduce(lambda x, _: [x], range(980), [])],
-        ids=["20000-floats", "nested-980"],
+        "entry",
+        [
+            [0.5] * 20_000,
+            functools.reduce(lambda x, _: [x], range(980), []),
+            [10**5000, 0.5],
+        ],
+        ids=["20000-floats", "nested-980", "5000-digits"],
     )
     def test_echo_of_a_bad_value_is_short(self, entry):
         """The message names the field and cuts the value it echoes (the
         CLI prints it after "error: "); the full repr of these entries runs
-        to about 100,000 and 2,000 characters."""
+        to about 100,000 and 2,000 characters, or, for an int past the
+        interpreter's digit limit, raises ``ValueError``."""
         doc = _mutated("projective-3", lambda d: d["fan"]["rays"].__setitem__(0, entry))
         with pytest.raises(InputSchemaError) as caught:
             report.parse_run_config(doc)
@@ -730,6 +736,56 @@ class TestStrictSchema:
         )
         assert (code, out) == (2, "")
         assert f"must be <= {limit}, got 100000000" in err
+
+    @pytest.mark.parametrize("value", [10**5000, 2**63], ids=["5000-digits", "2**63"])
+    @pytest.mark.parametrize(
+        "key, bound",
+        [
+            ("sample_seed", 2**63 - 1),
+            ("sample_count", frobenius.EXHAUSTIVE_TRIPLE_LIMIT),
+            ("max_degree_a", 2**63 - 1),
+        ],
+        ids=["sample_seed", "sample_count", "max_degree_a"],
+    )
+    def test_integer_option_past_its_bound(self, key, bound, value):
+        """In-process, where no JSON parser stops an integer past the
+        interpreter's digit limit, the refusal names the option and its
+        bound; a value that ``str()`` cannot print is named by its bit
+        length."""
+        doc = _mutated("projective-3", _set_option(key, value))
+        with pytest.raises(InputSchemaError) as caught:
+            report.parse_run_config(doc)
+        message = str(caught.value)
+        assert message.startswith(f"option {key!r} must be <= {bound}, got ")
+        shown = "<int of 16610 bits>" if value > 2**63 else str(value)
+        assert message.endswith(f"got {shown}")
+
+    def test_seed_below_its_bound(self):
+        doc = _mutated("projective-3", _set_option("sample_seed", -(2**63) - 1))
+        with pytest.raises(InputSchemaError, match=f"must be >= {-(2**63)}, got "):
+            report.parse_run_config(doc)
+
+    def test_unprintable_schema_version(self):
+        doc = _mutated("projective-3", lambda d: d.__setitem__("schema_version", 10**5000))
+        with pytest.raises(InputSchemaError, match="^unsupported schema_version <int of 16610 bits>$"):
+            report.parse_run_config(doc)
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_extreme_seeds_give_a_printable_report(self, capsys, seed):
+        code, doc, _ = run_json(
+            capsys, "report", "--fixture", "projective-3", "--seed", str(seed), "--json-only"
+        )
+        assert code == 0
+        assert doc["axioms"]["seed"] == seed
+
+    def test_seed_past_64_bits_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "report", "--fixture", "projective-3", "--seed", str(2**63), "--json-only"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: option 'sample_seed' must be <= {2**63 - 1}, got {2**63}\n"
+        )
 
     def test_null_max_degree_a_means_no_cap(self):
         doc = _mutated("bundle-p6", _set_option("max_degree_a", None))

@@ -8,7 +8,7 @@ from fractions import Fraction
 from operator import add, sub
 
 import pytest
-from reference import hessian_determinant, lift
+from reference import associativity_on_basis, hessian_determinant, invariance_on_basis, lift
 
 from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
@@ -448,16 +448,15 @@ def dense_product(tensors, D, a, u, b, v):
 def basis_product(D, a, i, b, j):
     """Nonzero (k, c) of basis[a][i] * basis[b][j], read through
     ``D.products``: the numerators of the index over their denominator."""
-    lookup, den = D.products(a, b)
-    return [(k, Fraction(n, den)) for k, n in lookup(i, j)]
+    rows, den = D.products(a, b)
+    return [(k, Fraction(n, den)) for k, n in rows[i].get(j, [])]
 
 
-def with_constants(D, *changes):
-    """D with a copy of its nonzero index in which the integer delta is added
-    to the k-th constant of basis[a][i] * basis[b][j] for each ((a, b), i, j,
-    k, delta), keeping k ascending and dropping constants that become zero.
-    The index holds numerators over ``denominators[(a, b)]``, so delta enters
-    it as delta * den."""
+def with_numerators(D, *changes):
+    """D with a copy of its nonzero index in which the int delta is added to
+    the numerator of the k-th constant of basis[a][i] * basis[b][j] for each
+    ((a, b), i, j, k, delta), keeping k ascending and dropping constants that
+    become zero."""
     nonzero = {
         key: [{j: list(entries) for j, entries in row.items()} for row in index]
         for key, index in D.nonzero.items()
@@ -465,10 +464,19 @@ def with_constants(D, *changes):
     for key, i, j, k, delta in changes:
         row = nonzero[key][i]
         constants = dict(row.pop(j, []))
-        constants[k] = constants.get(k, 0) + delta * D.denominators[key]
+        constants[k] = constants.get(k, 0) + delta
         if any(constants.values()):
             row[j] = [(n, c) for n, c in sorted(constants.items()) if c]
     return dataclasses.replace(D, nonzero=nonzero)
+
+
+def with_constants(D, *changes):
+    """``with_numerators`` with each integer delta added to the constant
+    itself: the index holds numerators over ``denominators[(a, b)]``, so
+    delta enters it as delta * den."""
+    return with_numerators(
+        D, *((key, i, j, k, delta * D.denominators[key]) for key, i, j, k, delta in changes)
+    )
 
 
 class TestSparseKernel:
@@ -908,6 +916,129 @@ class TestSampledAssociativity:
         report = frob.frobenius_axiom_check(quartic_algebra, sample_seed=0, sample_count=200)
         assert report.sampled
         assert report.associativity == CheckResult(True, 0)
+
+
+class TestExhaustiveChecksEqualTheBasisLoops:
+    """The exhaustive associativity and invariance checks contract the
+    nonzero index once per degree triple; ``associativity_on_basis`` and
+    ``invariance_on_basis`` of ``reference`` compare one basis triple at a
+    time.  Their ``CheckResult``s, ``checked`` and witness included, must be
+    equal on each algebra and on seeded corruptions of its index."""
+
+    NAMES = ["projective-3", "projective-4", "weighted-p112", "bundle-p2", "pencil-4"]
+    SHARED = {
+        "projective-3": "cubic_algebra",
+        "projective-4": "quartic_algebra",
+        "bundle-p2": "bundle_algebra",
+    }
+    SEEDS = 200
+
+    @pytest.fixture(params=NAMES)
+    def algebra(self, request):
+        shared = self.SHARED.get(request.param)
+        if shared is not None:
+            return request.getfixturevalue(shared)
+        if request.param == "pencil-4":
+            return pencil_algebra(4, Fraction(1, 2))
+        return frob.build_algebra(make_system(request.param))
+
+    @staticmethod
+    def corrupt(D, rng):
+        """(kind, D with one seeded corruption of its nonzero index, in
+        numerators): ``changed``, one to three constants moved by a small
+        multiple of 1 or of the pair's denominator; ``added``, a constant
+        where the index has none; ``cancelled``, a stored constant set to
+        zero; ``asymmetric``, one side only of an off-diagonal entry of an
+        (a, a) index with a = b + c for some degree triple (a, b, c), so
+        2a <= m-1.  A kind with no candidate falls back to ``changed``."""
+        dims, m = D.dims(), D.m
+        keys = sorted(D.nonzero)
+        stored = [
+            (key, i, j, k, n)
+            for key in keys
+            for i, row in enumerate(D.nonzero[key])
+            for j, entries in row.items()
+            for k, n in entries
+        ]
+        held = {entry[:4] for entry in stored}
+        empty = [
+            (key, i, j, k)
+            for key in keys
+            for i in range(dims[key[0]])
+            for j in range(dims[key[1]])
+            for k in range(dims[sum(key)])
+            if (key, i, j, k) not in held
+        ]
+        square = [(a, a) for a in range(1, m) if 2 * a <= m - 1 and dims[a] > 1]
+        kind = rng.choice(["changed", "added", "cancelled", "asymmetric"])
+        if kind == "added" and empty:
+            key, i, j, k = rng.choice(empty)
+            return kind, with_numerators(D, (key, i, j, k, rng.choice([-1, 1, 2])))
+        if kind == "cancelled":
+            key, i, j, k, n = rng.choice(stored)
+            return kind, with_numerators(D, (key, i, j, k, -n))
+        if kind == "asymmetric" and square:
+            key = rng.choice(square)
+            i, j = rng.sample(range(dims[key[0]]), 2)
+            k = rng.randrange(dims[2 * key[0]])
+            return kind, with_numerators(D, (key, i, j, k, rng.choice([-1, 1])))
+        changes = []
+        for _ in range(rng.randint(1, 3)):
+            key = rng.choice(keys)
+            a, b = key
+            cell = (rng.randrange(dims[a]), rng.randrange(dims[b]), rng.randrange(dims[a + b]))
+            scale = rng.choice([1, D.denominators[key]])
+            changes.append((key, *cell, rng.choice([-2, -1, 1, 2]) * scale))
+        return "changed", with_numerators(D, *changes)
+
+    @staticmethod
+    def checks(D):
+        """The associativity and invariance records of the axiom check, with
+        the reference's on the same degree triples."""
+        m, dims = D.m, D.dims()
+        triples = [
+            (a, b, c)
+            for a in range(m)
+            for b in range(m)
+            for c in range(m)
+            if a + b + c <= m - 1
+        ]
+        on_socle = [t for t in triples if sum(t) == m - 1 and all(dims[d] for d in t)]
+        report = frob.frobenius_axiom_check(D, gram_ranks=dims)
+        assert not report.sampled
+        return (
+            (report.associativity, report.invariance),
+            (associativity_on_basis(D, triples), invariance_on_basis(D, on_socle)),
+        )
+
+    def test_uncorrupted_algebra(self, algebra):
+        got, want = self.checks(algebra)
+        assert got == want
+        assert all(record.ok for record in got)
+
+    def test_seeded_corruptions(self, algebra):
+        failed = dict.fromkeys(["associativity", "invariance"], 0)
+        for seed in range(self.SEEDS):
+            kind, bad = self.corrupt(algebra, random.Random(seed))
+            got, want = self.checks(bad)
+            assert got == want, (seed, kind)
+            failed["associativity"] += not got[0].ok
+            failed["invariance"] += not got[1].ok
+        # the corruptions reach both checks: each fails on some seed
+        assert all(failed.values()), failed
+
+    def test_asymmetric_square_entry_is_read_in_its_own_orientation(self, quartic_algebra):
+        """On projective-4 (m = 3) every degree triple has a zero degree, so
+        both sides of each triple read the same stored entry and a one-sided
+        change of the (1, 1) entry at (0, 1) is seen by commutativity alone.
+        At degrees (1, 1, 0) the right side reads basis[1][i] * basis[1][mid]
+        from row i of the (1, 1) index, as ``products(1, 1)`` does; reading
+        row mid at column i instead would see the other side of the entry
+        and fail the triple (0, 1, 0)."""
+        bad = with_numerators(quartic_algebra, ((1, 1), 0, 1, 0, 1))
+        report = frob.frobenius_axiom_check(bad, gram_ranks=bad.dims())
+        assert report.commutativity.witness == "degree 1: basis[0]*basis[1] != basis[1]*basis[0]"
+        assert report.associativity == CheckResult(True, 1144)
 
 
 class TestMacaulayFromOnePiece:
