@@ -53,13 +53,11 @@ sum_k n_k tau_k / den over the index, where tau_k is the trace of the k-th
 degree-(m-1) basis element, read once from the trace table.
 
 The invariance check keeps an independent direct path that never reads the
-structure constants.  When the axiom check is exhaustive, the direct trace
-of a basis triple z^i z^j z^k is one lookup of den * Tr at the sum of three
-codes, and the structure-constant side reads each product e_i e_j once
-against Gram numerators.  When it is sampled, the direct path multiplies the
-lifts of its integer sample vectors as polynomials with Python ``int``
-coefficients (lifted basis monomials have coefficient 1) and dots the result
-with den * Tr, so one ``Fraction`` is formed per trace.
+structure constants, on every basis triple of every algebra: the direct
+trace of z^i z^j z^k is one lookup of den * Tr at the sum of three codes,
+and the structure-constant side reads each product e_i e_j once against
+Gram numerators.  Only associativity is sampled, and only on algebras with
+more basis triples than ``EXHAUSTIVE_TRIPLE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -438,7 +436,8 @@ AXIOMS = ("unit", "commutativity", "associativity", "invariance", "nondegeneracy
 @dataclass
 class AxiomReport:
     """The records of the axioms named in ``AXIOMS``, each ``checked``
-    counting the cases it compared."""
+    counting the cases it compared.  ``sampled`` says whether associativity
+    drew its basis triples, with ``seed``; every other axiom is exact."""
 
     unit: CheckResult
     commutativity: CheckResult
@@ -466,16 +465,14 @@ def frobenius_axiom_check(
 
     Unit and commutativity are exact over all stored structure constants.
     Associativity runs over every basis triple when the triple count is at
-    most 10^4, otherwise over ``sample_count`` seeded basis triples whose
-    degrees are all at least 1 (see ``_check_associativity``).
-    Invariance compares both structure-constant traces <u*v, w> and
-    <u, v*w> with a direct trace that never reads the structure constants.
-    When associativity is exhaustive, so is invariance: it runs over every
-    basis triple with a+b+c = m-1, a subset of associativity's, draws no
-    random number and is exact, and with commutativity <u*v, w> alone
-    covers <u, v*w> (see ``_check_invariance_on_basis``).  Otherwise it
-    draws ``sample_count`` seeded random triples (u, v, w) of integer
-    coordinate vectors with entries in [-3, 3].  Nondegeneracy is exact full
+    most ``EXHAUSTIVE_TRIPLE_LIMIT``, otherwise over ``sample_count`` basis
+    triples drawn with ``sample_seed`` whose degrees are all at least 1 (see
+    ``_check_associativity``); ``sampled`` and ``seed`` of the report
+    describe that check alone.  Invariance is exact on every algebra: it
+    compares the structure-constant trace <u*v, w> with a direct trace that
+    never reads the structure constants on every basis triple with
+    a+b+c = m-1, and with commutativity <u*v, w> alone covers <u, v*w> (see
+    ``_check_invariance``).  Nondegeneracy is exact full
     rank of every Gram matrix G_a, of shape dims[a] x dims[m-1-a];
     ``gram_ranks``, when given, must be the rank of ``pairing_gram(D, a)``
     for a = 0..m-1 and is used instead of being computed again.
@@ -498,7 +495,7 @@ def frobenius_axiom_check(
     rng = random.Random(sample_seed)
 
     assoc = _check_associativity(D, triples, sampled, rng, sample_count)
-    inv = _check_invariance(D, sampled, rng, sample_count)
+    inv = _check_invariance(D)
     if gram_ranks is None:
         gram_ranks = [linalg.rank_rational(pairing_gram(D, a)) for a in range(m)]
     nondeg = _check_nondegeneracy(dims, gram_ranks)
@@ -624,63 +621,27 @@ def _collect(pairs, scale: int) -> dict:
     return {key: y * scale for key, y in out.items() if y}
 
 
-def _check_invariance(D, sampled, rng, sample_count) -> CheckResult:
-    """<u*v, w> = <u, v*w>, recomputed against the direct trace of the
-    triple product.  Unless ``sampled``, on every basis triple of every
-    degree triple with a+b+c = m-1: the sides are trilinear forms, so
-    agreeing on a basis they agree everywhere, and the check is exact.
-    Otherwise on ``sample_count`` seeded random integer triples, the direct
-    trace taken of the lifted triple-product polynomial."""
-    m = D.m
-    dims = D.dims()
-    degree_triples = [
-        (a, b, c)
-        for a in range(m)
-        for b in range(m)
-        for c in range(m)
-        if a + b + c == m - 1 and dims[a] and dims[b] and dims[c]
-    ]
-    if not degree_triples:
-        return CheckResult(True, 0)
-    if not sampled:
-        return _check_invariance_on_basis(D, degree_triples)
-
-    def random_vector(n):
-        return [rng.randint(-3, 3) for _ in range(n)]
-
-    checked = 0
-    for _ in range(sample_count):
-        a, b, c = degree_triples[rng.randrange(len(degree_triples))]
-        u = random_vector(dims[a])
-        v = random_vector(dims[b])
-        w = random_vector(dims[c])
-        lhs = trace(D.product_coords(a + b, D.product_coords(a, u, b, v), c, w), D)
-        rhs = trace(D.product_coords(a, u, b + c, D.product_coords(b, v, c, w)), D)
-        direct = direct_trace(D, ((a, u), (b, v), (c, w)))
-        checked += 1
-        if not (lhs == rhs == direct):
-            return CheckResult(
-                False, checked, f"degrees {(a, b, c)}: {lhs} vs {rhs} vs direct {direct}"
-            )
-    return CheckResult(True, checked)
-
-
-def _check_invariance_on_basis(D, degree_triples) -> CheckResult:
-    """<e_i e_j, e_k>, an int numerator over den times its product
-    denominators, against the direct trace of z^i z^j z^k, one lookup of
-    den * Tr with default 0.  Per degree triple the (a+b, c) products are
-    contracted with den * tau once, into Gram numerators, and per (i, j)
-    e_i e_j is read once, so this side costs the nonzero products reached;
-    ``checked`` still counts every basis triple.  <e_i, e_j e_k> needs no
-    comparison of its own: it reads the stored entries that <e_j e_k, e_i>
-    reads at the rotated triple (b, c, a), also checked here, as
-    ``products(x, y)`` with x > y reads the (y, x) index transposed; when
-    a = b+c, those are the transposed (a, a) entries that
+def _check_invariance(D: FrobeniusAlgebraData) -> CheckResult:
+    """<u*v, w> = <u, v*w> on every basis triple of every degree triple
+    with a+b+c = m-1: the sides are trilinear forms, so agreeing on a basis
+    they agree everywhere, and the check is exact and draws no random
+    number.  <e_i e_j, e_k>, an int numerator over den times its product
+    denominators, is compared with the direct trace of z^i z^j z^k, one
+    lookup of den * Tr with default 0 that never reads the structure
+    constants.  Per degree triple the (a+b, c) products are contracted with
+    den * tau once, into Gram numerators, and per (i, j) e_i e_j is read
+    once, so this side costs the nonzero products reached; ``checked``
+    counts every basis triple in i, j, k order up to the first failing one.
+    <e_i, e_j e_k> needs no comparison of its own: it reads the stored
+    entries that <e_j e_k, e_i> reads at the rotated triple (b, c, a), also
+    checked here, as ``products(x, y)`` with x > y reads the (y, x) index
+    transposed; when a = b+c, those are the transposed (a, a) entries that
     ``_check_commutativity`` compares."""
+    m = D.m
     den, radix, table = D.trace_functional
     codes = [[monomial_code(mono, radix) for mono in p.basis] for p in D.bases]
     checked = 0
-    for a, b, c in degree_triples:
+    for a, b, c in [(a, b, m - 1 - a - b) for a in range(m) for b in range(m - a)]:
         ab, d_ab = D.products(a, b)
         gram, d_ab_c = _gram_numerators(D, a + b)
         lhs_den = d_ab * d_ab_c
@@ -706,29 +667,6 @@ def _check_invariance_on_basis(D, degree_triples) -> CheckResult:
                     f"{Fraction(direct[k], lhs_den * den)}",
                 )
     return CheckResult(True, checked)
-
-
-def direct_trace(
-    D: FrobeniusAlgebraData, factors: Sequence[tuple[int, Sequence[int]]]
-) -> Fraction:
-    """Trace of the product of the lifts of integer coordinate vectors
-    ``factors`` = [(degree, coords), ...] whose degrees sum to m-1: int
-    polynomial multiplication on codes from 0, the code of 1, then one lookup
-    per product monomial.  Never reads the structure constants."""
-    den, radix, table = D.trace_functional
-    product = {0: 1}
-    for degree, coords in factors:
-        step: dict[int, int] = {}
-        for mono, coeff in zip(D.bases[degree].basis, coords):
-            if not coeff:
-                continue
-            code = monomial_code(mono, radix)
-            for left, x in product.items():
-                key = left + code
-                step[key] = step.get(key, 0) + x * coeff
-        product = step
-    total = sum(x * table.get(key, 0) for key, x in product.items())
-    return Fraction(total, den)
 
 
 def _check_nondegeneracy(dims, ranks) -> CheckResult:

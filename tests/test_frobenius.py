@@ -1,5 +1,6 @@
 """Algebra assembly, trace normalization, pairing and the axiom suite."""
 
+import ast
 import dataclasses
 import functools
 import math
@@ -479,6 +480,20 @@ def with_constants(D, *changes):
     )
 
 
+def triple_trace(D, a, i, b, j, c, k):
+    """Tr(z^i z^j z^k) of basis[a][i], basis[b][j] and basis[c][k], read by
+    ``trace_of_polynomial`` at the product monomial."""
+    mono = tuple(map(sum, zip(D.bases[a].basis[i], D.bases[b].basis[j], D.bases[c].basis[k])))
+    return frob.trace_of_polynomial(GradedPolynomial.monomial(D.system.variables, mono), D)
+
+
+def witness_parts(witness):
+    """((a, i, b, j, c, k), direct) of an invariance witness
+    "(a,i,b,j,c,k) = (...): lhs vs direct value"."""
+    triple, values = witness.removeprefix("(a,i,b,j,c,k) = ").split(": ")
+    return ast.literal_eval(triple), Fraction(values.split(" vs direct ")[1])
+
+
 class TestSparseKernel:
     """The nonzero-index kernel against dense references on seeded vectors."""
 
@@ -629,24 +644,6 @@ class TestSparseKernel:
                     )
                     assert entry == want
 
-    def test_direct_trace_equals_trace_of_lifted_product(self, algebra):
-        D = algebra
-        m, dims = D.m, D.dims()
-        rng = random.Random(8)
-        for a in range(m):
-            for b in range(m - a):
-                c = m - 1 - a - b
-                for bound in (3, 50):
-                    u, v, w = (
-                        [rng.randint(-bound, bound) for _ in range(dims[d])]
-                        for d in (a, b, c)
-                    )
-                    got = frob.direct_trace(D, ((a, u), (b, v), (c, w)))
-                    want = frob.trace_of_polynomial(
-                        lift(D, a, u) * lift(D, b, v) * lift(D, c, w), D
-                    )
-                    assert got == want
-
     def test_scaled_functional_keys_every_monomial_by_its_digits(self, algebra):
         """Each key is the base-radix number whose digits are the exponents
         of a monomial y of S_{(m-1) beta}, and maps to den * Tr(y), a nonzero
@@ -664,6 +661,9 @@ class TestSparseKernel:
             assert type(value) is int and value
 
     def test_direct_trace_never_reads_the_structure_constants(self, bundle_algebra):
+        """Scrambled constants and denominators make the invariance check
+        fail, and the direct side of its witness is still the trace of
+        z^i z^j z^k on the unscrambled algebra."""
         D = bundle_algebra
         scrambled = dataclasses.replace(
             D,
@@ -676,10 +676,10 @@ class TestSparseKernel:
             },
             denominators={key: 2 * den + 1 for key, den in D.denominators.items()},
         )
-        rng = random.Random(9)
-        dims = D.dims()
-        factors = [(d, [rng.randint(-3, 3) for _ in range(dims[d])]) for d in (1, 1, 0)]
-        assert frob.direct_trace(scrambled, factors) == frob.direct_trace(D, factors)
+        record = frob.frobenius_axiom_check(scrambled, gram_ranks=D.dims()).invariance
+        assert not record.ok
+        triple, direct = witness_parts(record.witness)
+        assert direct == triple_trace(D, *triple)
 
 
 class TestInvarianceFaultInjection:
@@ -783,23 +783,61 @@ class TestInvarianceFaultInjection:
 
 
 class TestExhaustiveInvariance:
-    """Below ``EXHAUSTIVE_TRIPLE_LIMIT`` invariance is checked on every basis
-    triple, exactly and without the random generator."""
+    """Invariance is checked on every basis triple of every algebra, exactly
+    and without the random generator, also where associativity is sampled
+    (projective-5 and its pencil, dims [1, 101, 101, 1])."""
+
+    @pytest.fixture(scope="class")
+    def quintic_algebra(self):
+        return pencil_algebra(5, Fraction(0))
+
+    @pytest.fixture(scope="class")
+    def quintic_pencil_algebra(self):
+        return pencil_algebra(5, Fraction(1, 2))
 
     @pytest.mark.parametrize(
-        "shared", ["cubic_algebra", "quartic_algebra", "bundle_algebra"]
+        "shared",
+        [
+            "cubic_algebra",
+            "quartic_algebra",
+            "bundle_algebra",
+            "quintic_algebra",
+            "quintic_pencil_algebra",
+        ],
     )
     def test_checks_every_basis_triple(self, shared, request):
         D = request.getfixturevalue(shared)
         m, dims = D.m, D.dims()
-        report = frob.frobenius_axiom_check(D, sample_seed=0, sample_count=200)
-        assert not report.sampled
+        report = frob.frobenius_axiom_check(
+            D, sample_seed=0, sample_count=200, gram_ranks=dims
+        )
         assert report.invariance.ok
         assert report.invariance.checked == sum(
             dims[a] * dims[b] * dims[m - 1 - a - b]
             for a in range(m)
             for b in range(m - a)
         )
+        assert report.sampled == (m == 4)
+        if report.sampled:
+            assert report.invariance.checked == 1_091_510
+            assert report.associativity == CheckResult(True, 200)
+
+    def test_quintic_record_independent_of_seed_and_sample_count(
+        self, quintic_pencil_algebra
+    ):
+        """Where associativity is sampled, the seed and the sample count
+        change its record alone."""
+        D = quintic_pencil_algebra
+        want = frob.frobenius_axiom_check(D, 0, 200, gram_ranks=D.dims())
+        for seed, count in ((1, 200), (0, 1), (7, 10_000)):
+            got = frob.frobenius_axiom_check(D, seed, count, gram_ranks=D.dims())
+            assert got.sampled and got.seed == seed
+            assert got.associativity == CheckResult(True, count)
+            assert (got.unit, got.commutativity, got.invariance) == (
+                want.unit,
+                want.commutativity,
+                want.invariance,
+            )
 
     def test_independent_of_seed_and_sample_count(self, bundle_algebra):
         def without_seed(seed, count):
@@ -810,6 +848,59 @@ class TestExhaustiveInvariance:
         assert want.invariance.checked == 975
         for seed, count in ((1, 200), (0, 1), (1, 1)):
             assert without_seed(seed, count) == want
+
+    def test_quintic_corruption_is_caught_exactly(self, quintic_algebra):
+        """+1 on the first nonzero (1, 1) constant of projective-5 with
+        i < j, and on its mirror: commutativity and the 200 sampled
+        associativity triples pass at seeds 0-9, and invariance fails with
+        one record at every seed, the reference's, witness and ``checked``
+        included."""
+        D = quintic_algebra
+        i, j, k = next(
+            (i, j, k)
+            for i, row in enumerate(D.nonzero[(1, 1)])
+            for j, entries in row.items()
+            if i < j
+            for k, _ in entries
+        )
+        bad = with_constants(D, ((1, 1), i, j, k, 1), ((1, 1), j, i, k, 1))
+        records = []
+        for seed in range(10):
+            report = frob.frobenius_axiom_check(bad, seed, 200, gram_ranks=D.dims())
+            assert report.sampled
+            assert report.commutativity.ok
+            assert report.associativity == CheckResult(True, 200)
+            records.append(report.invariance)
+        record = records[0]
+        assert not record.ok
+        assert records == [record] * 10
+        on_socle = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+        assert record == invariance_on_basis(bad, on_socle)
+        assert record == CheckResult(
+            False,
+            33_029,
+            "(a,i,b,j,c,k) = (1, 0, 1, 23, 1, 100): -2/15625 vs direct -1/15625",
+        )
+        triple, direct = witness_parts(record.witness)
+        assert direct == triple_trace(D, *triple)
+
+    def test_doubled_denominator_on_the_quintic(self, quintic_algebra):
+        """Doubling the (1, 1) denominator halves every product of two
+        degree-1 elements, which the unit, commutativity and associativity
+        checks cannot see; invariance fails at the first degree triple that
+        reads those products, (1, 1, 1), as the reference does."""
+        D = quintic_algebra
+        bad = dataclasses.replace(
+            D, denominators={**D.denominators, (1, 1): 2 * D.denominators[(1, 1)]}
+        )
+        report = frob.frobenius_axiom_check(bad, 0, 200, gram_ranks=D.dims())
+        assert report.unit.ok and report.commutativity.ok and report.associativity.ok
+        assert not report.invariance.ok
+        on_socle = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+        assert report.invariance == invariance_on_basis(bad, on_socle)
+        triple, direct = witness_parts(report.invariance.witness)
+        assert triple[::2] == (1, 1, 1)
+        assert direct == triple_trace(D, *triple)
 
     def test_witness_names_a_failing_basis_triple(self, bundle_algebra):
         """The symmetric corruption of basis[1][0] * basis[1][1] first
@@ -830,24 +921,9 @@ class TestExhaustiveInvariance:
         u, v, w = unit(0, 0), unit(1, 0), unit(1, 1)
         uv = bad.product_coords(0, u, 1, v)
         lhs = frob.trace(bad.product_coords(1, uv, 1, w), bad)
-        direct = frob.direct_trace(bad, ((0, u), (1, v), (1, w)))
+        direct = triple_trace(D, 0, 0, 1, 0, 1, 1)
         assert lhs != direct
-        assert f"vs direct {direct}" in witness
-
-    def test_random_vector_branch_still_fails_on_corruption(
-        self, bundle_algebra, monkeypatch
-    ):
-        """With the limit at 0 the same algebra takes the sampled branch,
-        whose witness names degrees, not a basis triple."""
-        monkeypatch.setattr(frob, "EXHAUSTIVE_TRIPLE_LIMIT", 0)
-        denominators = dict(bundle_algebra.denominators)
-        denominators[(1, 1)] *= 2
-        bad = dataclasses.replace(bundle_algebra, denominators=denominators)
-        report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
-        assert report.sampled
-        assert not report.invariance.ok
-        assert report.invariance.witness.startswith("degrees ")
-        assert "vs direct" in report.invariance.witness
+        assert witness_parts(witness) == ((0, 0, 1, 0, 1, 1), direct)
 
 
 def test_asymmetric_structure_constant_fails_commutativity(bundle_algebra):
