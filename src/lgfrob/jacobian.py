@@ -102,11 +102,14 @@ class QuotientBasis:
     """One graded piece of S/J or S/J0.
 
     ``monomials`` is the graded-lex basis of the ambient piece; ``basis`` the
-    non-pivot monomials spanning the quotient.  Of the ``blocks`` blocks of
-    relation rows (see ``graded_piece``), ``certified_blocks`` enter ``echelon``
-    as unit rows and ``lifted_blocks`` as the reduced rows of their lifted
-    kernel.  ``eliminated_rows`` rows went through ``add_row``, and
-    ``remainder_checked_rows`` were verified exactly against a kernel.
+    non-pivot monomials spanning the quotient.  The structural pass (see
+    ``graded_piece``) enters ``unit_columns`` columns in ``echelon`` as unit
+    rows and ``merged_columns`` as rows e_c - r e_rep onto the representative
+    of their class.  Of the ``blocks`` blocks of the relation rows left,
+    ``certified_blocks`` enter as unit rows and ``lifted_blocks`` as the
+    reduced rows of their lifted kernel.  ``eliminated_rows`` rows went
+    through ``add_row``, and ``remainder_checked_rows`` were verified exactly
+    against a kernel.
     """
 
     degree: tuple[int, ...]
@@ -121,6 +124,8 @@ class QuotientBasis:
     lifted_blocks: int = 0
     eliminated_rows: int = 0
     remainder_checked_rows: int = 0
+    unit_columns: int = 0
+    merged_columns: int = 0
     _index: dict[Monomial, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -207,17 +212,23 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
 
 
 def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> QuotientBasis:
-    """The quotient at degree alpha, block by block.  Each connected block of
-    relation rows takes one of three paths; each stores rows spanning
-    exactly the block's row space, so the canonical pivots, basis and normal
-    forms do not depend on it:
-      * certified, as unit rows: one column (its rows are nonzero), or rank
-        mod p equal to the column count, which forces the rank over Q;
+    """The quotient at degree alpha.  ``EchelonBasis.add_short_rows`` first
+    takes every relation row that has, or comes down to, at most two
+    entries: a one-term row makes its column a unit row, and a two-term row
+    merges its columns into a class whose representative is the highest
+    column, so that every other member c is the pivot of its stored row
+    e_c - r e_rep and the non-pivot set stays the canonical one.  Each
+    connected block of the rows left then takes one of three paths; each
+    stores rows spanning exactly the block's row space, so the canonical
+    pivots, basis and normal forms do not depend on it:
+      * certified, as unit rows: rank mod p equal to the column count, which
+        forces the rank over Q;
       * lifted (``linalg.lift_kernel``), when the rank mod p of a block with
         rows >= columns falls short: its kernel, lifted p-adically and
         verified against every row, gives the reduced rows;
       * exact on every row until full column rank: fewer rows than columns,
-        or a lift that finds the rank over Q above the rank mod p."""
+        or a lift that finds the rank over Q above the rank mod p.
+    No block has one column: its rows would have one entry each."""
     alpha = tuple(alpha)
     key = (ideal, alpha)
     cached = system._pieces.get(key)
@@ -226,15 +237,16 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
 
     monos, rows = relation_rows(system, ideal, alpha)
     ncols = len(monos)
-    blocks = linalg.connected_blocks(rows, ncols)
     echelon = linalg.EchelonBasis(ncols)
+    units, merged = echelon.add_short_rows(rows)
+    blocks = linalg.connected_blocks(rows, ncols)
     certified = lifted = eliminated = checked = 0
     for cols, row_ids in blocks:
         # rows taken by highest column keep fill-in and coefficient growth
         # down in every path; the row space does not depend on order
         block_rows = sorted((rows[i] for i in row_ids), key=max)
-        kernel = [] if len(cols) == 1 else None
-        if kernel is None and len(block_rows) >= len(cols):
+        kernel = None
+        if len(block_rows) >= len(cols):
             for i in row_ids:  # so that re-keying block_rows frees each row
                 rows[i] = None
             kernel = _block_kernel(block_rows, cols)
@@ -256,7 +268,7 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
     basis = [mono for i, mono in enumerate(monos) if i not in pivot_set]
     piece = QuotientBasis(
         alpha, ideal, monos, len(pivots), pivots, basis, echelon,
-        len(blocks), certified, lifted, eliminated, checked,
+        len(blocks), certified, lifted, eliminated, checked, units, merged,
     )
     system._pieces[key] = piece
     return piece

@@ -2,6 +2,9 @@
 
 One kernel per job:
 
+  * ``EchelonBasis.add_short_rows`` is the one structural pass: exact over
+    Q, it takes every row of one or two entries, and every row that comes
+    down to that once taken columns drop out, before the block split;
   * ``rank_mod_p`` is the one modular kernel: its row basis certifies a
     block of full column rank, and the factorization it records on the way
     serves the lift;
@@ -305,6 +308,92 @@ class EchelonBasis:
                     row[cols[b]] = -x
             g = gcd(*row.values()) * (1 if det > 0 else -1)
             self.rows[c] = {col: x // g for col, x in row.items()}
+
+    def add_short_rows(self, rows: list[dict[int, int]]) -> tuple[int, int]:
+        """Structural elimination, exact over Q: the singleton and weight-2
+        steps of structured Gaussian elimination (LaMacchia & Odlyzko,
+        CRYPTO '90; Cavallar, ANTS-IV 2000).  Columns fall into classes,
+        each with a representative, its highest column, and e_c = r_c e_rep
+        modulo the rows taken.  Each row is rewritten on representatives,
+        merging and cancelling entries.  With no entry left it is
+        redundant; with one, e_rep lies in the row space and the whole class
+        becomes zero, which is how a cycle whose ratios disagree shows; with
+        two, x e_c + y e_d with c < d merges the class of c into that of d
+        with r_c = -y / x.  Sweeps repeat until one resolves no new column,
+        each at a cost in proportion to the entries of the rows left, never
+        to the column count; ``rows`` keeps the rows of three or more
+        entries, rewritten in place.
+
+        A zero class enters as unit rows, and every other member c of a class
+        as the content-free row e_c - r_c e_rep with a positive pivot entry.
+        The representative is the highest column of its class, so that row's
+        lowest column, its pivot, is c itself: the stored rows have distinct
+        pivots, the rows left touch only live representatives, and the
+        non-pivot set stays the canonical one.  Returns the numbers of unit
+        and merged columns."""
+        link: dict[int, tuple[int, int, int]] = {}  # c -> (parent, n, d): d e_c = n e_parent
+        zero: set[int] = set()  # representatives of the classes that are zero
+
+        def find(c):  # (rep, n, d): d e_c = n e_rep, gcd(n, d) = 1 and d > 0
+            if c not in link:
+                return c, 1, 1
+            path = []
+            while c in link:
+                path.append(c)
+                c = link[c][0]
+            n = d = 1
+            for col in reversed(path):  # point the path at its representative
+                _, a, b = link[col]
+                g = gcd(n * a, d * b)
+                n, d = n * a // g, d * b // g
+                link[col] = (c, n, d)
+            return c, n, d
+
+        while True:
+            taken, kept = len(link) + len(zero), 0
+            for row in rows:
+                if len(row) == 1:  # x e_c: the class of c is zero
+                    zero.add(find(*row)[0])
+                    continue
+                if link or zero:
+                    out, den = {}, 1  # the rewritten row times den
+                    for c, x in row.items():
+                        rep, n, d = find(c)
+                        if rep in zero:
+                            continue
+                        if den % d:
+                            k = d // gcd(den, d)
+                            out = {col: v * k for col, v in out.items()}
+                            den *= k
+                        if v := out.get(rep, 0) + x * n * (den // d):
+                            out[rep] = v
+                        else:
+                            del out[rep]
+                    row = out
+                if len(row) > 2:
+                    rows[kept] = row
+                    kept += 1
+                elif len(row) == 2:
+                    (c, x), (d, y) = sorted(row.items())
+                    g = gcd(x, y) * (1 if x > 0 else -1)
+                    link[c] = (d, -y // g, x // g)
+                else:
+                    zero.update(row)
+            del rows[kept:]
+            if len(link) + len(zero) == taken:
+                break
+        if link or zero:
+            rows[:] = map(_divide_content, rows)
+        self.add_unit_rows(zero)
+        merged = 0
+        for c in link:
+            rep, n, d = find(c)
+            if rep in zero:
+                self.rows[c] = {c: 1}
+            else:
+                self.rows[c] = {c: d, rep: -n}
+                merged += 1
+        return len(zero) + len(link) - merged, merged
 
     def add_row(self, row: Mapping[int, Fraction | int]) -> bool:
         """Insert a row; returns True if the rank grew."""

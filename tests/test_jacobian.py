@@ -21,6 +21,16 @@ from lgfrob.toric import class_group, monomial_basis
 
 
 def make_system(name):
+    """The system of a fixture; ``pencil-d`` is the Fermat pencil
+    sum_i z_i^d - d psi z_0...z_m at psi = 1/2 on the fan of projective-d,
+    whose partials have two terms."""
+    if name.startswith("pencil-"):
+        d = int(name.removeprefix("pencil-"))
+        fx = get_fixture(f"projective-{d}")
+        terms = {tuple(d * (j == i) for j in range(d)): 1 for i in range(d)}
+        terms[(1,) * d] = Fraction(-d, 2)
+        f = GradedPolynomial(fx.variables, terms)
+        return jac.jacobian_system(fx.fan, class_group(fx.fan), f)
     fx = get_fixture(name)
     grading = class_group(fx.fan)
     return jac.jacobian_system(fx.fan, grading, fx.polynomial)
@@ -260,15 +270,32 @@ class TestBlocks:
     relation rows), with full-rank blocks certified instead of eliminated."""
 
     @pytest.mark.parametrize(
-        "name", ["projective-3", "projective-4", "weighted-p112", "p1xp1", "bundle-p2"]
+        "name",
+        [
+            "projective-3", "projective-4", "weighted-p112", "p1xp1", "bundle-p2",
+            "degenerate-cube", "pencil-3", "pencil-4",
+        ],
     )
     def test_blocked_pieces_equal_plain_echelon(self, name, plain_pieces):
         system = make_system(name)
+        merged = 0
         for a in range(system.m + 2):
             alpha = system.grading.scaled_beta(a)
             for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
                 piece = jac.graded_piece(system, ideal, alpha)
                 assert_same_piece(piece, *plain_pieces(name, ideal, alpha))
+                merged += piece.merged_columns
+        # the pencils' two-term rows merge columns; no fixture's rows do
+        assert bool(merged) == name.startswith("pencil-")
+
+    def test_quintic_pencil_report_pieces_equal_plain_echelon(self, plain_pieces):
+        """The pieces a report on the quintic pencil builds: R(f) at
+        a = 0 .. 3 and R0(f) at a = 4."""
+        system = make_system("pencil-5")
+        for ideal, a in [(jac.IDEAL_J, a) for a in range(4)] + [(jac.IDEAL_J0, 4)]:
+            alpha = system.grading.scaled_beta(a)
+            piece = jac.graded_piece(system, ideal, alpha)
+            assert_same_piece(piece, *plain_pieces("pencil-5", ideal, alpha))
 
     def test_simulated_modular_miss_falls_back_to_exact(self, monkeypatch, plain_pieces):
         """A block whose rank mod p falls short of its rank over Q (as when p
@@ -469,7 +496,8 @@ class TestBlocks:
         assert piece0.dim == 1
         quartic = make_system("projective-4")
         piece = jac.graded_piece(quartic, jac.IDEAL_J, (16,))
-        assert (piece.blocks, piece.certified_blocks) == (969, 969)
+        # every Fermat row has one term: the structural pass takes them all
+        assert (piece.unit_columns, piece.merged_columns, piece.blocks) == (969, 0, 0)
         assert len(piece.monomials) == 969
 
     def test_certifier_runs_without_numpy(self, monkeypatch):

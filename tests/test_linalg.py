@@ -672,3 +672,93 @@ class TestConnectedBlocks:
             for _, ids in blocks
         )
         assert total == linalg.rank_rational(dense(rows, ncols))
+
+
+def short_rows_then_rest(rows, ncols):
+    """``add_short_rows`` on copies of ``rows``, then ``add_row`` on every
+    row it leaves; returns the echelon, the counters and the rows left."""
+    echelon, left = linalg.EchelonBasis(ncols), [dict(row) for row in rows]
+    counters = echelon.add_short_rows(left)
+    for row in left:
+        echelon.add_row(row)
+    return echelon, counters, left
+
+
+def assert_same_row_space(echelon, rows, ncols):
+    """Same pivots and the same canonical remainder of every column as the
+    plain echelon of ``rows``; back substitution through the stored rows
+    reads the same remainders."""
+    plain = linalg.EchelonBasis(ncols)
+    for row in rows:
+        plain.add_row(row)
+    assert echelon.pivots == plain.pivots
+    free = [c for c in range(ncols) if c not in plain.rows]
+    table = [{c: Fraction(1)} if c in free else {} for c in range(ncols)]
+    echelon.back_substitute(table, range(ncols))
+    for c in range(ncols):
+        assert echelon.reduce({c: 1}) == plain.reduce({c: 1}) == table[c]
+
+
+class TestShortRows:
+    """Structural elimination of the rows with one or two entries."""
+
+    def test_cascade(self):
+        """The unit column 3 makes the class {2, 3} zero, which leaves the
+        first row with two entries in the second sweep: e_0 = -3/2 e_1."""
+        rows = [{0: 2, 1: 3, 2: 1}, {2: 5, 3: 1}, {3: 7}]
+        echelon, counters, left = short_rows_then_rest(rows, 4)
+        assert (counters, left) == ((2, 1), [])
+        assert echelon.rows == {2: {2: 1}, 3: {3: 1}, 0: {0: 2, 1: 3}}
+        assert_same_row_space(echelon, rows, 4)
+
+    def test_two_term_row_becomes_one_term(self):
+        """Once column 1 is a unit, the two-term row {0, 1} is e_0 alone,
+        and then the three-term row is 5 e_2 + 6 e_3."""
+        rows = [{1: 4}, {0: 3, 1: 5}, {0: 1, 2: 5, 3: 6}, {3: 1, 4: 1, 5: 1}]
+        echelon, counters, left = short_rows_then_rest(rows, 6)
+        assert counters == (2, 1)
+        assert echelon.rows[2] == {2: 5, 3: 6}
+        assert left == [{4: 1, 5: 1, 3: 1}]
+        assert_same_row_space(echelon, rows, 6)
+
+    def test_cycle_whose_ratios_agree(self):
+        """e_0 = e_1 = 2 e_2 and e_0 = 2 e_2: the third row is redundant."""
+        rows = [{0: 1, 1: -1}, {1: 1, 2: -2}, {0: 1, 2: -2}]
+        echelon, counters, _ = short_rows_then_rest(rows, 3)
+        assert counters == (0, 2)
+        assert echelon.rows == {0: {0: 1, 2: -2}, 1: {1: 1, 2: -2}}
+        assert_same_row_space(echelon, rows, 3)
+
+    def test_cycle_whose_ratios_disagree(self):
+        """e_0 = e_1 = 2 e_2 but e_0 = 3 e_2: e_2, and so the whole class,
+        lies in the row space."""
+        rows = [{0: 1, 1: -1}, {1: 1, 2: -2}, {0: 1, 2: -3}]
+        echelon, counters, _ = short_rows_then_rest(rows, 3)
+        assert counters == (3, 0)
+        assert echelon.rows == {c: {c: 1} for c in range(3)}
+        assert_same_row_space(echelon, rows, 3)
+
+    def test_representative_is_the_highest_column(self):
+        """The classes {0, 1} and {3, 4} meet through the row {1, 3}; every
+        member is a pivot and 4, the highest, the one non-pivot."""
+        rows = [{0: 1, 1: 1}, {3: 1, 4: 1}, {1: 1, 3: 1}]
+        echelon, counters, _ = short_rows_then_rest(rows, 5)
+        assert counters == (0, 3)
+        assert echelon.pivots == (0, 1, 3)
+        assert all(max(row) == 4 for row in echelon.rows.values())
+        assert_same_row_space(echelon, rows, 5)
+
+    def test_random_rows_match_the_plain_echelon(self):
+        """Rows of one to four entries on few columns, so that classes,
+        cycles and cascades are common."""
+        rng = random.Random(30)
+        for _ in range(300):
+            ncols = rng.randint(2, 9)
+            rows = [
+                {c: rng.choice([-3, -2, -1, 1, 2, 3])
+                 for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols)))}
+                for _ in range(rng.randint(1, 8))
+            ]
+            echelon, _, left = short_rows_then_rest(rows, ncols)
+            assert all(len(row) > 2 for row in left)
+            assert_same_row_space(echelon, rows, ncols)
