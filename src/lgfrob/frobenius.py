@@ -430,7 +430,7 @@ def mul_twisted(
     return [sign * c for c in D.product_coords(a, u, b, v)]
 
 
-AXIOMS = ("unit", "commutativity", "associativity", "invariance", "nondegeneracy")
+AXIOMS = ("unit", "associativity", "invariance", "nondegeneracy")
 
 
 @dataclass
@@ -440,7 +440,6 @@ class AxiomReport:
     drew its basis triples, with ``seed``; every other axiom is exact."""
 
     unit: CheckResult
-    commutativity: CheckResult
     associativity: CheckResult
     invariance: CheckResult
     nondegeneracy: CheckResult
@@ -463,25 +462,25 @@ def frobenius_axiom_check(
 ) -> AxiomReport:
     """Certify the Frobenius axioms on D.
 
-    Unit and commutativity are exact over all stored structure constants.
-    Associativity runs over every basis triple when the triple count is at
-    most ``EXHAUSTIVE_TRIPLE_LIMIT``, otherwise over ``sample_count`` basis
+    Unit is exact over all stored structure constants.  Associativity runs
+    over every basis triple when the triple count is at most
+    ``EXHAUSTIVE_TRIPLE_LIMIT``, otherwise over ``sample_count`` basis
     triples drawn with ``sample_seed`` whose degrees are all at least 1 (see
     ``_check_associativity``); ``sampled`` and ``seed`` of the report
     describe that check alone.  Invariance is exact on every algebra: it
     compares the structure-constant trace <u*v, w> with a direct trace that
     never reads the structure constants on every basis triple with
-    a+b+c = m-1, and with commutativity <u*v, w> alone covers <u, v*w> (see
-    ``_check_invariance``).  Nondegeneracy is exact full
-    rank of every Gram matrix G_a, of shape dims[a] x dims[m-1-a];
-    ``gram_ranks``, when given, must be the rank of ``pairing_gram(D, a)``
-    for a = 0..m-1 and is used instead of being computed again.
+    a+b+c = m-1.  With nondegeneracy it proves the product commutative, so
+    no commutativity check is needed and <u*v, w> alone covers <u, v*w>
+    (see ``_check_invariance``).  Nondegeneracy is exact full rank of every
+    Gram matrix G_a, of shape dims[a] x dims[m-1-a]; ``gram_ranks``, when
+    given, must be the rank of ``pairing_gram(D, a)`` for a = 0..m-1 and is
+    used instead of being computed again.
     """
     m = D.m
     dims = D.dims()
 
     unit = _check_unit(D)
-    comm = _check_commutativity(D)
 
     triples = [
         (a, b, c)
@@ -500,7 +499,7 @@ def frobenius_axiom_check(
         gram_ranks = [linalg.rank_rational(pairing_gram(D, a)) for a in range(m)]
     nondeg = _check_nondegeneracy(dims, gram_ranks)
 
-    return AxiomReport(unit, comm, assoc, inv, nondeg, sampled, sample_seed)
+    return AxiomReport(unit, assoc, inv, nondeg, sampled, sample_seed)
 
 
 def _check_unit(D: FrobeniusAlgebraData) -> CheckResult:
@@ -516,26 +515,6 @@ def _check_unit(D: FrobeniusAlgebraData) -> CheckResult:
                 return CheckResult(
                     False, checked, f"1 * basis[{b}][{j}] = {got}, expected {want}"
                 )
-    return CheckResult(True, checked)
-
-
-def _check_commutativity(D: FrobeniusAlgebraData) -> CheckResult:
-    checked = 0
-    for a in range(D.m):
-        # the nonzero index of the (a, a) products
-        index = D.nonzero.get((a, a))
-        if index is None:
-            continue
-        n = D.bases[a].dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                checked += 1
-                if index[i].get(j) != index[j].get(i):
-                    return CheckResult(
-                        False,
-                        checked,
-                        f"degree {a}: basis[{i}]*basis[{j}] != basis[{j}]*basis[{i}]",
-                    )
     return CheckResult(True, checked)
 
 
@@ -632,11 +611,28 @@ def _check_invariance(D: FrobeniusAlgebraData) -> CheckResult:
     den * tau once, into Gram numerators, and per (i, j) e_i e_j is read
     once, so this side costs the nonzero products reached; ``checked``
     counts every basis triple in i, j, k order up to the first failing one.
-    <e_i, e_j e_k> needs no comparison of its own: it reads the stored
-    entries that <e_j e_k, e_i> reads at the rotated triple (b, c, a), also
-    checked here, as ``products(x, y)`` with x > y reads the (y, x) index
-    transposed; when a = b+c, those are the transposed (a, a) entries that
-    ``_check_commutativity`` compares."""
+
+    Commutativity has no check of its own: it cannot fail once this check
+    and nondegeneracy pass.  For a = b, the basis triples (i, j, k) and
+    (j, i, k) compare <e_i e_j, e_k> and <e_j e_i, e_k> with the same direct
+    trace, so e_i e_j - e_j e_i lies in the left kernel of the stored G_2a,
+    which ``_check_nondegeneracy`` proves zero (2a <= m-1).  For a != b,
+    ``products(b, a)`` is the (a, b) index transposed.  Nor does
+    <e_i, e_j e_k> need a comparison: it reads e_i e_mid where
+    <e_j e_k, e_i>, checked at the rotated triple (b, c, a), reads
+    e_mid e_i, the same stored entry when a != b+c, and when a = b+c the
+    transposed (a, a) entry, equal by the symmetry just proven.
+
+    Nor can associativity fail once unit, invariance and nondegeneracy
+    pass, though ``_check_associativity`` still checks it.  The trace
+    T(y) = lambda(z_1...z_r * y) vanishes on J(f)_{(m-1) beta}, as
+    z_1...z_r * J(f) lies in J0(f).  The basis spans R(f)_{a beta}, so
+    z^i z^j = sum_mid c*_ij^mid z^mid modulo J(f), R(f)'s constants c*.
+    At (d, 0, m-1-d), <e_i * 1, e_k> reads the unit's products, pinned by
+    the unit check, so the stored G_d is R(f)'s Gram matrix T(z^i z^k).
+    At every degree triple this check then gives (c - c*) G_(a+b) = 0 for
+    the stored constants c, and G_(a+b) is nonsingular, so c = c*: every
+    stored product is R(f)'s, which is commutative and associative."""
     m = D.m
     den, radix, table = D.trace_functional
     codes = [[monomial_code(mono, radix) for mono in p.basis] for p in D.bases]

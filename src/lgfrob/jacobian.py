@@ -221,8 +221,9 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
     connected block of the rows left then takes one of three paths; each
     stores rows spanning exactly the block's row space, so the canonical
     pivots, basis and normal forms do not depend on it:
-      * certified, as unit rows: rank mod p equal to the column count, which
-        forces the rank over Q;
+      * certified, as unit rows (``add_kernel_rows`` with no kernel
+        vector): rank mod p equal to the column count, which forces the
+        rank over Q;
       * lifted (``linalg.lift_kernel``), when the rank mod p of a block with
         rows >= columns falls short: its kernel, lifted p-adically and
         verified against every row, gives the reduced rows;
@@ -256,13 +257,13 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
                 eliminated += 1
                 if echelon.add_row(row) and echelon.rank == full:
                     break
-        elif not kernel:
-            echelon.add_unit_rows(cols)
-            certified += 1
         else:
             echelon.add_kernel_rows(cols, kernel)
-            lifted += 1
-            checked += len(block_rows)
+            if kernel:
+                lifted += 1
+                checked += len(block_rows)
+            else:
+                certified += 1
     pivots = echelon.pivots
     pivot_set = set(pivots)
     basis = [mono for i, mono in enumerate(monos) if i not in pivot_set]

@@ -272,16 +272,11 @@ class EchelonBasis:
     def is_full_column_rank(self) -> bool:
         return len(self.rows) == self.ncols
 
-    def add_unit_rows(self, cols: Iterable[int]) -> None:
-        """Insert the unit rows e_c of columns that no stored row touches,
-        e.g. a block certified to have full column rank."""
-        for c in cols:
-            self.rows[c] = {c: 1}
-
     def add_kernel_rows(self, cols: Sequence[int], kernel: Sequence[Sequence[int]]) -> None:
         """Insert the reduced rows of a block whose row space is exactly the
         annihilator of ``kernel``: d independent integer vectors K indexed
-        like ``cols``.  The non-pivots B are canonical: scanning from the
+        like ``cols``; with d = 0, a block of full column rank, every row is
+        the unit row e_c.  The non-pivots B are canonical: scanning from the
         highest column down, a column joins B when its row of K is
         independent of the rows above it (for d = 1, the highest column with
         K[c] != 0).  For c not in B, K[c] then lies in the span of the rows
@@ -384,7 +379,7 @@ class EchelonBasis:
                 break
         if link or zero:
             rows[:] = map(_divide_content, rows)
-        self.add_unit_rows(zero)
+        self.rows.update((c, {c: 1}) for c in zero)
         merged = 0
         for c in link:
             rep, n, d = find(c)

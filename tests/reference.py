@@ -9,14 +9,15 @@ modular elimination, a bounding-box sweep over brute-force vertices next
 to the Fourier-Motzkin monomial enumeration, polynomial lifts next to the
 direct trace, sums folded through the public operators next to the
 parser's one-dict sums, the Hessian normalization of the trace on
-projective space next to the toric Jacobian one, and a loop over every basis
+projective space next to the toric Jacobian one, the toric Jacobian by
+Cauchy-Binet next to its Laplace expansion, and a loop over every basis
 triple next to the exhaustive axiom checks' contractions of the nonzero
 index.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, prod
 from operator import mul
 
 from lgfrob.poly import GradedPolynomial, _Parser, monomial_code
@@ -232,6 +233,26 @@ def hessian_determinant(system) -> GradedPolynomial:
         return acc
 
     return minor(tuple(range(r)))
+
+
+def toric_jacobian_by_cauchy_binet(system):
+    """J^Delta of ``system`` as {exponents: coefficient}, by Cauchy-Binet
+    rather than by the Laplace expansion of ``frobenius.toric_jacobian``.
+    theta_j z^t = l_j(t) z^t, so the matrix [theta_i theta_j f] is
+    L^T diag(c_t z^t) L, where L has one row l_t = (1, l_1(t), ..., l_m(t))
+    per term c_t z^t of f.  Its determinant is the sum over the
+    (m+1)-subsets T of the terms of det(L_T)^2 prod_{t in T} c_t z^t, and
+    J^Delta is that divided by z_1...z_r: a term that z_1...z_r does not
+    divide keeps an exponent -1."""
+    m, rays, terms = system.m, system.fan.rays, system.f.terms
+    ell = {t: (1, *(sum(v[j] * e for v, e in zip(rays, t)) for j in range(m))) for t in terms}
+    out = {}
+    for subset in combinations(terms, m + 1):
+        d = det([ell[t] for t in subset])
+        if d:
+            mono = tuple(sum(column) - 1 for column in zip(*subset))
+            out[mono] = out.get(mono, 0) + d * d * prod(terms[t] for t in subset)
+    return {mono: c for mono, c in out.items() if c}
 
 
 class FoldingParser(_Parser):

@@ -9,7 +9,13 @@ from fractions import Fraction
 from operator import add, sub
 
 import pytest
-from reference import associativity_on_basis, hessian_determinant, invariance_on_basis, lift
+from reference import (
+    associativity_on_basis,
+    hessian_determinant,
+    invariance_on_basis,
+    lift,
+    toric_jacobian_by_cauchy_binet,
+)
 
 from lgfrob import frobenius as frob
 from lgfrob import jacobian as jac
@@ -196,6 +202,28 @@ class TestToricJacobian:
         hess = hessian_determinant(D.system).mul_monomial((1,) * d)
         ratio = D.generator_coord / jac.normal_form(hess, D.r0_piece)[0]
         assert ratio == Fraction(d**d, (d - 1) ** d)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "projective-3",
+            "projective-4",
+            "projective-5",
+            "weighted-p112",
+            "bundle-p2",
+            "p1xp1",
+            "degenerate-cube",
+        ],
+    )
+    def test_equals_cauchy_binet(self, name):
+        system = make_system(name)
+        assert frob.toric_jacobian(system).terms == toric_jacobian_by_cauchy_binet(system)
+
+    @pytest.mark.parametrize("psi", PENCIL_POINTS, ids=str)
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_pencil_equals_cauchy_binet(self, d, psi):
+        system = pencil_algebra(d, psi).system
+        assert frob.toric_jacobian(system).terms == toric_jacobian_by_cauchy_binet(system)
 
     def test_vanishes_on_degenerate_cube(self):
         """f = x^3 has one term t, so the matrix is l(t) l(t)^T x^3, of rank
@@ -494,6 +522,21 @@ def witness_parts(witness):
     return ast.literal_eval(triple), Fraction(values.split(" vs direct ")[1])
 
 
+def assert_invariance_witness(report, D, bad):
+    """The invariance record of ``report``, the axiom check of ``bad``, a
+    corruption of D's structure constants, fails with the reference's
+    record, and the direct side of its witness is the trace of z^i z^j z^k
+    on D.  Returns the witness's basis triple."""
+    m = D.m
+    record = report.invariance
+    assert not record.ok
+    on_socle = [(a, b, m - 1 - a - b) for a in range(m) for b in range(m - a)]
+    assert record == invariance_on_basis(bad, on_socle)
+    triple, direct = witness_parts(record.witness)
+    assert direct == triple_trace(D, *triple)
+    return triple
+
+
 class TestSparseKernel:
     """The nonzero-index kernel against dense references on seeded vectors."""
 
@@ -689,10 +732,9 @@ class TestInvarianceFaultInjection:
     def test_symmetric_structure_constant_corruption(self, bundle_algebra):
         D = bundle_algebra
         bad = with_constants(D, ((1, 1), 0, 1, 0, 1), ((1, 1), 1, 0, 0, 1))
+        assert basis_product(bad, 1, 0, 1, 1) == basis_product(bad, 1, 1, 1, 0)
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
-        assert report.commutativity.ok
-        assert not report.invariance.ok
-        assert "vs direct" in report.invariance.witness
+        assert_invariance_witness(report, D, bad)
 
     def test_doubled_denominator(self, bundle_algebra):
         """Doubling the (1, 1) denominator halves every product of two
@@ -704,10 +746,8 @@ class TestInvarianceFaultInjection:
         bad = dataclasses.replace(D, denominators=denominators)
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
         assert report.unit.ok
-        assert report.commutativity.ok
         assert report.associativity.ok
-        assert not report.invariance.ok
-        assert "vs direct" in report.invariance.witness
+        assert_invariance_witness(report, D, bad)
 
     def test_functional_corruption_off_the_structure_path(self, bundle_algebra):
         D = bundle_algebra
@@ -752,11 +792,9 @@ class TestInvarianceFaultInjection:
         )
         assert basis_product(D, 1, i, 1, j) == []
         bad = with_constants(D, ((1, 1), i, j, 0, 1), ((1, 1), j, i, 0, 1))
-        assert basis_product(bad, 1, i, 1, j) == [(0, 1)]
+        assert basis_product(bad, 1, i, 1, j) == basis_product(bad, 1, j, 1, i) == [(0, 1)]
         report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=200)
-        assert report.commutativity.ok
-        assert not report.invariance.ok
-        assert "vs direct" in report.invariance.witness
+        assert_invariance_witness(report, D, bad)
 
     def test_fractional_functional_corruption_seen_through_the_lcm(self, bundle_algebra):
         """+1/11 on the trace of one monomial that only the direct path
@@ -833,10 +871,10 @@ class TestExhaustiveInvariance:
             got = frob.frobenius_axiom_check(D, seed, count, gram_ranks=D.dims())
             assert got.sampled and got.seed == seed
             assert got.associativity == CheckResult(True, count)
-            assert (got.unit, got.commutativity, got.invariance) == (
+            assert (got.unit, got.invariance, got.nondegeneracy) == (
                 want.unit,
-                want.commutativity,
                 want.invariance,
+                want.nondegeneracy,
             )
 
     def test_independent_of_seed_and_sample_count(self, bundle_algebra):
@@ -851,10 +889,10 @@ class TestExhaustiveInvariance:
 
     def test_quintic_corruption_is_caught_exactly(self, quintic_algebra):
         """+1 on the first nonzero (1, 1) constant of projective-5 with
-        i < j, and on its mirror: commutativity and the 200 sampled
-        associativity triples pass at seeds 0-9, and invariance fails with
-        one record at every seed, the reference's, witness and ``checked``
-        included."""
+        i < j, and on its mirror, so the index stays symmetric: the 200
+        sampled associativity triples pass at seeds 0-9, and invariance
+        fails with one record at every seed, the reference's, witness and
+        ``checked`` included."""
         D = quintic_algebra
         i, j, k = next(
             (i, j, k)
@@ -868,39 +906,29 @@ class TestExhaustiveInvariance:
         for seed in range(10):
             report = frob.frobenius_axiom_check(bad, seed, 200, gram_ranks=D.dims())
             assert report.sampled
-            assert report.commutativity.ok
             assert report.associativity == CheckResult(True, 200)
             records.append(report.invariance)
         record = records[0]
-        assert not record.ok
         assert records == [record] * 10
-        on_socle = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
-        assert record == invariance_on_basis(bad, on_socle)
         assert record == CheckResult(
             False,
             33_029,
             "(a,i,b,j,c,k) = (1, 0, 1, 23, 1, 100): -2/15625 vs direct -1/15625",
         )
-        triple, direct = witness_parts(record.witness)
-        assert direct == triple_trace(D, *triple)
+        assert_invariance_witness(report, D, bad)
 
     def test_doubled_denominator_on_the_quintic(self, quintic_algebra):
         """Doubling the (1, 1) denominator halves every product of two
-        degree-1 elements, which the unit, commutativity and associativity
-        checks cannot see; invariance fails at the first degree triple that
-        reads those products, (1, 1, 1), as the reference does."""
+        degree-1 elements, which the unit and associativity checks cannot
+        see; invariance fails at the first degree triple that reads those
+        products, (1, 1, 1), as the reference does."""
         D = quintic_algebra
         bad = dataclasses.replace(
             D, denominators={**D.denominators, (1, 1): 2 * D.denominators[(1, 1)]}
         )
         report = frob.frobenius_axiom_check(bad, 0, 200, gram_ranks=D.dims())
-        assert report.unit.ok and report.commutativity.ok and report.associativity.ok
-        assert not report.invariance.ok
-        on_socle = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
-        assert report.invariance == invariance_on_basis(bad, on_socle)
-        triple, direct = witness_parts(report.invariance.witness)
-        assert triple[::2] == (1, 1, 1)
-        assert direct == triple_trace(D, *triple)
+        assert report.unit.ok and report.associativity.ok
+        assert assert_invariance_witness(report, D, bad)[::2] == (1, 1, 1)
 
     def test_witness_names_a_failing_basis_triple(self, bundle_algebra):
         """The symmetric corruption of basis[1][0] * basis[1][1] first
@@ -926,19 +954,56 @@ class TestExhaustiveInvariance:
         assert witness_parts(witness) == ((0, 0, 1, 0, 1, 1), direct)
 
 
-def test_asymmetric_structure_constant_fails_commutativity(bundle_algebra):
-    """Commutativity reads the nonzero index of each (a, a) tensor: one
-    constant changed on one side of the diagonal must be reported."""
+def test_asymmetric_structure_constant_fails_invariance(bundle_algebra):
+    """One (1, 1) constant changed on one side of the diagonal: invariance
+    compares e_2 e_5 and e_5 e_2 with the same direct traces, so it fails
+    (see ``frob._check_invariance``).  It sees the change first in G_1, at
+    <1 * e_2, e_5> in degrees (0, 1, 1)."""
     D = bundle_algebra
     bad = with_constants(D, ((1, 1), 2, 5, 0, 1))
+    assert basis_product(bad, 1, 2, 1, 5) != basis_product(bad, 1, 5, 1, 2)
     report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=20)
-    assert not report.commutativity.ok
-    assert report.commutativity.witness == "degree 1: basis[2]*basis[5] != basis[5]*basis[2]"
+    assert report.unit.ok and report.nondegeneracy.ok
+    assert assert_invariance_witness(report, D, bad) == (0, 0, 1, 2, 1, 5)
+    assert report.invariance.checked == 43
+
+
+class TestOneSidedSquareConstants:
+    """Commutativity has no check of its own: a change of an (a, a)
+    constant on one side of the diagonal, 2a <= m-1, must fail invariance,
+    the Gram ranks computed from the changed algebra."""
+
+    SHARED = {"projective-4": "quartic_algebra", "bundle-p2": "bundle_algebra"}
+    PENCILS = {"pencil-4": (4, Fraction(1, 2)), "projective-5": (5, Fraction(0))}
+
+    @pytest.fixture(params=["projective-4", "bundle-p2", "pencil-4", "projective-5"])
+    def algebra(self, request):
+        if request.param in self.SHARED:
+            return request.getfixturevalue(self.SHARED[request.param])
+        return pencil_algebra(*self.PENCILS[request.param])
+
+    def test_fails_invariance(self, algebra):
+        D = algebra
+        m, dims = D.m, D.dims()
+        squares = [a for a in range(1, m) if 2 * a <= m - 1 and dims[a] > 1]
+        assert squares
+        pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+        for a in squares:
+            for i, j in pairs:
+                k = (i + j) % dims[2 * a]
+                for delta in (-1, 1):
+                    bad = with_numerators(D, ((a, a), i, j, k, delta))
+                    assert basis_product(bad, a, i, a, j) != basis_product(bad, a, j, a, i)
+                    report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=20)
+                    assert report.unit.ok
+                    assert_invariance_witness(report, D, bad)
 
 
 def test_unit_corruption_fails_unit_and_associativity(bundle_algebra):
     """1 * basis[1][j] corrupted to e_j + e_k: the unit check names
-    basis[1][j], and exhaustive associativity fails at 1 * (1 * basis[1][j])."""
+    basis[1][j], so this associativity mutant fails a check that the lemma
+    of ``frob._check_invariance`` rests on, and exhaustive associativity
+    fails at 1 * (1 * basis[1][j])."""
     D = bundle_algebra
     j, k = 2, 5
     coords = D.structure[(0, 1)][0][j]
@@ -978,10 +1043,29 @@ class TestSampledAssociativity:
         bad = self.skewed(pencil_algebra(5, Fraction(0)))
         report = frob.frobenius_axiom_check(bad, sample_seed=seed, sample_count=5)
         assert report.sampled
-        assert report.unit.ok and report.commutativity.ok
+        assert report.unit.ok
         assert not report.associativity.ok
         assert report.associativity.checked == 1
         assert report.associativity.witness.startswith("(a,i,b,j,c,k) = (1, ")
+
+    def test_skewed_product_fails_invariance_and_nondegeneracy(self):
+        """The skewed product is commutative, and it fails the checks that
+        make associativity follow (see ``frob._check_invariance``), the
+        Gram ranks computed from the skewed algebra itself: G_1 traces the
+        (1, 2) products, all multiples of basis[3][0], so it has rank 1, and
+        invariance fails at the first triple that reads them."""
+        D = pencil_algebra(5, Fraction(0))
+        bad = self.skewed(D)
+        n = D.dims()[1]
+        assert all(
+            basis_product(bad, 1, i, 1, j) == basis_product(bad, 1, j, 1, i)
+            for i in range(n)
+            for j in range(n)
+        )
+        report = frob.frobenius_axiom_check(bad, sample_seed=0, sample_count=5)
+        assert report.unit.ok
+        assert report.nondegeneracy == CheckResult(False, 2, "G_1 is singular")
+        assert assert_invariance_witness(report, D, bad) == (0, 0, 1, 0, 2, 0)
 
     def test_no_triple_without_a_zero_degree_checks_nothing(
         self, quartic_algebra, monkeypatch
@@ -1069,8 +1153,9 @@ class TestExhaustiveChecksEqualTheBasisLoops:
 
     @staticmethod
     def checks(D):
-        """The associativity and invariance records of the axiom check, with
-        the reference's on the same degree triples."""
+        """The axiom check of D, its Gram ranks computed from D itself, and
+        its associativity and invariance records with the reference's on
+        the same degree triples."""
         m, dims = D.m, D.dims()
         triples = [
             (a, b, c)
@@ -1080,41 +1165,54 @@ class TestExhaustiveChecksEqualTheBasisLoops:
             if a + b + c <= m - 1
         ]
         on_socle = [t for t in triples if sum(t) == m - 1 and all(dims[d] for d in t)]
-        report = frob.frobenius_axiom_check(D, gram_ranks=dims)
+        report = frob.frobenius_axiom_check(D)
         assert not report.sampled
-        return (
+        return report, (
             (report.associativity, report.invariance),
             (associativity_on_basis(D, triples), invariance_on_basis(D, on_socle)),
         )
 
     def test_uncorrupted_algebra(self, algebra):
-        got, want = self.checks(algebra)
+        report, (got, want) = self.checks(algebra)
         assert got == want
-        assert all(record.ok for record in got)
+        assert report.all_pass
 
     def test_seeded_corruptions(self, algebra):
+        """Each corruption gets the reference's records, and each one that
+        changes a constant fails unit, invariance or nondegeneracy: once
+        those pass, every stored constant is R(f)'s (the lemma of
+        ``frob._check_invariance``), so neither commutativity nor
+        associativity can fail on its own."""
         failed = dict.fromkeys(["associativity", "invariance"], 0)
         for seed in range(self.SEEDS):
             kind, bad = self.corrupt(algebra, random.Random(seed))
-            got, want = self.checks(bad)
+            report, (got, want) = self.checks(bad)
             assert got == want, (seed, kind)
             failed["associativity"] += not got[0].ok
             failed["invariance"] += not got[1].ok
+            if bad.nonzero == algebra.nonzero:
+                assert report.all_pass, (seed, kind)
+            else:
+                assert not (
+                    report.unit.ok and report.invariance.ok and report.nondegeneracy.ok
+                ), (seed, kind)
         # the corruptions reach both checks: each fails on some seed
         assert all(failed.values()), failed
 
     def test_asymmetric_square_entry_is_read_in_its_own_orientation(self, quartic_algebra):
         """On projective-4 (m = 3) every degree triple has a zero degree, so
-        both sides of each triple read the same stored entry and a one-sided
-        change of the (1, 1) entry at (0, 1) is seen by commutativity alone.
-        At degrees (1, 1, 0) the right side reads basis[1][i] * basis[1][mid]
-        from row i of the (1, 1) index, as ``products(1, 1)`` does; reading
-        row mid at column i instead would see the other side of the entry
-        and fail the triple (0, 1, 0)."""
-        bad = with_numerators(quartic_algebra, ((1, 1), 0, 1, 0, 1))
-        report = frob.frobenius_axiom_check(bad, gram_ranks=bad.dims())
-        assert report.commutativity.witness == "degree 1: basis[0]*basis[1] != basis[1]*basis[0]"
+        both sides of each associativity triple read the same stored entry,
+        and a one-sided change of the (1, 1) entry at (0, 1) passes
+        associativity.  At degrees (1, 1, 0) the right side reads
+        basis[1][i] * basis[1][mid] from row i of the (1, 1) index, as
+        ``products(1, 1)`` does; reading row mid at column i instead would
+        see the other side of the entry and fail the triple (0, 1, 0).
+        Invariance sees the change, first in G_1 at <1 * e_0, e_1>."""
+        D = quartic_algebra
+        bad = with_numerators(D, ((1, 1), 0, 1, 0, 1))
+        report = frob.frobenius_axiom_check(bad)
         assert report.associativity == CheckResult(True, 1144)
+        assert assert_invariance_witness(report, D, bad) == (0, 0, 1, 0, 1, 1)
 
 
 class TestMacaulayFromOnePiece:

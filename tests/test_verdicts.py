@@ -24,7 +24,6 @@ FAN = {
 }
 AXIOMS = {
     "axioms.unit": None,
-    "axioms.commutativity": None,
     "axioms.associativity": None,
     "axioms.invariance": None,
     "axioms.nondegeneracy": None,
