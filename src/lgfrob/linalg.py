@@ -9,8 +9,9 @@ One kernel per job:
     block of full column rank, and the factorization it records on the way
     serves the lift;
   * ``lift_kernel`` is the one lift: the kernel of a block of lower rank mod
-    p, lifted p-adically, reconstructed and verified exactly against every
-    row, or None when the rank over Q is higher than mod p;
+    p, lifted p-adically on the rows of the modular row basis alone,
+    reconstructed and verified exactly against every row, or None when the
+    rank over Q is higher than mod p;
     ``EchelonBasis.add_kernel_rows`` stores the block's reduced rows from it;
   * ``EchelonBasis`` does all other rational elimination: the blocks that
     are neither certified nor lifted, and ``rank_rational`` (e.g. of the
@@ -32,6 +33,9 @@ Conventions:
   * sparse rows are dicts mapping column index -> nonzero value;
   * the pivot of an echelon row is its lowest nonzero column, so the pivot
     column set of any row space is canonical (it equals the RREF pivot set).
+    ``rank_mod_p`` alone pivots on the highest, because its callers take
+    rows by highest column; its free columns need not be the canonical
+    non-pivots, which ``add_kernel_rows`` derives from the kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
-from struct import pack
 from typing import Iterable, Mapping, Sequence
 
 # Prime of the modular full-rank certificate: the largest prime below 2^30.
@@ -527,18 +530,18 @@ def connected_blocks(
 class ModularEchelon:
     """The row basis mod ``p`` that ``rank_mod_p`` found, with the elimination
     that found it.  ``steps`` holds one ``(row, pivot, inverse, multipliers,
-    tail)`` per row that raised the rank, in order.  ``multipliers`` packs,
-    as C ints (``memoryview(multipliers).cast("i")`` reads them), the
-    reduced row on the columns just left of its pivot: x at a column c that
-    is an earlier pivot, 0 elsewhere.  The row minus x times pivot row c
-    over those columns is ``1 / inverse`` times e_pivot + ``tail`` mod p,
-    and ``tail`` lists ``(column, value)`` right of the pivot.  At 4 bytes
-    an entry, the multipliers of bundle-p2's 475-column block take 190 KB,
-    which pairs of Python ints would take several times over.  Below 2^30
-    (``PREFILTER_PRIME``) every residue is a one-digit CPython int, and the
-    lift's arithmetic mod p stays on single-digit divisions."""
+    tail)`` per row that raised the rank, in order.  The pivot is the
+    highest column of the reduced row.  ``tail`` is the reduced row left of
+    its pivot, scaled so that the pivot entry is 1, and ``multipliers`` the
+    x by which the row was reduced at each earlier pivot c right of its
+    own, both as parallel ``(columns, values)`` tuples.  With U_c = e_c +
+    the tail of pivot c, the row is sum x U_c + U_pivot / ``inverse`` mod p:
+    A_R = L U for the rows R, with L triangular in step order and U in
+    pivot order.  Below 2^30 (``PREFILTER_PRIME``) every residue is a
+    one-digit CPython int, and the lift's arithmetic mod p stays on
+    single-digit divisions."""
 
-    def __init__(self, p: int, steps: list[tuple[int, int, int, bytes, list]]):
+    def __init__(self, p: int, steps: list[tuple[int, int, int, tuple, tuple]]):
         self.p, self.steps = p, steps
 
     @property
@@ -557,18 +560,21 @@ def rank_mod_p(
     ncols: int,
     p: int = PREFILTER_PRIME,
 ) -> ModularEchelon:
-    """Row basis mod ``p`` (a prime at most 2^31, so that the multipliers
-    fit 32 bits; the default ``PREFILTER_PRIME`` is below 2^30, so that
-    every residue is one CPython digit and each ``% p`` is a single-digit
-    division) of an integer sparse matrix, with its factorization.
-    Sparse incremental echelon until full column rank: each row, dense from
-    its lowest column, is reduced mod p by the pivot rows so far, kept as
-    their ``(column, value)`` pairs right of a pivot scaled to 1.  A row
-    ending at or before top, the highest column reduced so far, is skipped
-    when the pivots (all <= top) number top + 1: they span e_0..e_top."""
+    """Row basis mod ``p`` (a prime 2 <= p <= 2^31; the default
+    ``PREFILTER_PRIME`` is below 2^30, so that every residue is one CPython
+    digit and each ``% p`` is a single-digit division) of an integer sparse
+    matrix, with its factorization.  Sparse incremental echelon until full
+    column rank: each row, dense up to its highest column, is reduced mod p
+    from that column down by the pivot rows so far, and the first column
+    left nonzero becomes its pivot.  Rows taken by highest column mostly
+    bring a new highest column, and so become a pivot with no reduction.
+    Whatever the pivot rule, the rows that raise the rank are the greedy
+    independent set.  A row ending at or before top, the highest column
+    reduced so far, is skipped when the pivots (all <= top) number top + 1:
+    they span e_0..e_top."""
     if not 2 <= p <= 1 << 31:
         raise ValueError(f"prime {p} out of range 2..2^31")
-    pivots: dict[int, list[tuple[int, int]]] = {}
+    pivots: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     steps = []
     top = -1
     for k, row in enumerate(rows):
@@ -578,28 +584,31 @@ def rank_mod_p(
         if hi <= top and len(pivots) == top + 1:
             continue
         top = max(top, hi)
-        lo = min(row)
-        dense = [0] * (top + 1 - lo)  # no pivot row reaches past top
+        dense = [0] * (hi + 1)
         for c, x in row.items():
-            dense[c - lo] = x
-        for i, x in enumerate(dense):  # the iterator sees updates to later entries
-            if not x:
-                continue
-            dense[i] = x = x % p  # left of the pivot, dense becomes the multipliers
-            if not x:
-                continue
-            tail = pivots.get(lo + i)
-            if tail is None:
-                inv = pow(x, -1, p)
-                pivots[lo + i] = tail = [
-                    (lo + j, y * inv % p)
-                    for j in range(i + 1, len(dense))
-                    if (y := dense[j] % p)
-                ]
-                steps.append((k, lo + i, inv, pack(f"{i}i", *dense[:i]), tail))
-                break
-            for c, y in tail:
-                dense[c - lo] -= x * y
+            dense[c] = x
+        mcols, mvals = [], []
+        c, low = hi, min(row)  # dense is 0 below low, which each tail used lowers
+        while c >= low:
+            if x := dense[c] % p:
+                tail = pivots.get(c)
+                if tail is None:
+                    inv = pow(x, -1, p)
+                    left = [b for b in range(low, c) if dense[b] % p]
+                    # from a list, not a generator, whose tuple() resizes as
+                    # it grows and fragments the allocator's arenas
+                    values = [dense[b] * inv % p for b in left]
+                    pivots[c] = tail = (tuple(left), tuple(values))
+                    steps.append((k, c, inv, (tuple(mcols), tuple(mvals)), tail))
+                    break
+                mcols.append(c)
+                mvals.append(x)
+                cols, values = tail
+                if cols and cols[0] < low:
+                    low = cols[0]
+                for b, y in zip(cols, values):
+                    dense[b] -= x * y
+            c -= 1
         if len(pivots) == ncols:
             break
     return ModularEchelon(p, steps)
@@ -651,57 +660,67 @@ def lift_kernel(
     ``rank_mod_p`` of ``rows``), each a positive multiple of e_f on the free
     columns; None when the rank over Q exceeds the rank mod p.
 
-    Dixon's p-adic lifting: with x = e_f + sum_i y_i p^i and the residual
-    rho_0 = -A e_f of *every* row, each step solves A_R y_i = rho_i mod p on
-    the row basis R through the recorded factorization (forward through the
-    multipliers, back through the pivot tails) and sets rho_{i+1} =
-    (rho_i - A y_i) / p.  If the rank over Q is that mod p, every row is a
-    rational combination of R with denominators prime to p and all residuals
-    stay integers; a residual not divisible by p proves a row independent of
-    R over Q.  After every step the vector is rationally reconstructed mod
-    p^(i+1) and accepted only when every row annihilates it in exact
-    integer arithmetic.
+    Dixon's p-adic lifting (Numer. Math. 40, 1982) on the row basis R
+    alone, each row held as parallel column/value tuples.  A_R has full row
+    rank mod p, and its columns at the pivots form a matrix nonsingular mod
+    p, so over Q there is exactly one v_f with A_R v_f = 0 that is e_f on
+    the free columns, and its denominators are prime to p.  With x = e_f +
+    sum_i y_i p^i and rho_0 = -A_R e_f, each step solves A_R y_i = rho_i mod
+    p, 0 on the free columns, through the recorded factorization (forward
+    through the multipliers in step order, back through the tails in
+    ascending pivot order) and sets rho_{i+1} = (rho_i - A_R y_i) / p, an
+    exact division; x converges p-adically to v_f.  After every step x is
+    rationally reconstructed mod p^(i+1) as n = den * x, den > 0, and
+    checked in exact integer arithmetic:
+      * if a row of R does not annihilate n, n is spurious, reconstructed
+        too early, and the lift goes on;
+      * if every row of R does, n is den * v_f, being den * e_f on the free
+        columns.  A row that does not annihilate it then proves the rank
+        over Q higher than mod p, and the lift returns None at once: were
+        the ranks equal, every row would lie in the Q-span of R, whose
+        kernel holds v_f;
+      * if every row annihilates n, it is accepted.
 
     Why an accepted result is exact: the |R| rows are independent mod p, so
     the rank over Q is at least ncols - d; the d accepted vectors are
     independent (multiples of the identity on the free columns), so it is
     exactly ncols - d and they span the kernel.  Termination: by Cramer and
-    Hadamard, numerators and denominator of the kernel vector are at most H,
-    the product of the norms of the rows of R.  Once p^(i+1) >= 2 H^2,
-    reconstruction finds it if the ranks agree, so a vector still not
-    accepted there means they do not.
+    Hadamard, numerators and denominator of v_f are at most H, the product
+    of the norms of the rows of R.  Once p^(i+1) >= 2 H^2, reconstruction
+    finds den * v_f, which R annihilates, so the lift has ended by then;
+    past that bound it returns None, which only a fault in the
+    reconstruction reaches.
     """
-    p, steps = echelon.p, echelon.steps
-    pivots = {step[1] for step in steps}
-    forward = [(k, c, inv, memoryview(m).cast("i")) for k, c, inv, m, _ in steps]
-    backward = sorted(steps, key=lambda step: step[1], reverse=True)
-    cap = 2 * prod(sum(x * x for x in rows[step[0]].values()) for step in steps)
+    p, steps, kept = echelon.p, echelon.steps, echelon.rows
+    basis = [(tuple(rows[k]), tuple(rows[k].values())) for k in kept]
+    others = [rows[k] for k in set(range(len(rows))).difference(kept)]
+    backward = sorted((c, tail) for _, c, _, _, tail in steps)
+    pivots = [c for c, _ in backward]
+    cap = 2 * prod(sum(map(mul, values, values)) for _, values in basis)
     kernel = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        rho = [-row.get(f, 0) for row in rows]
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        rho = [-rows[k].get(f, 0) for k in kept]
         x = [0] * ncols
         x[f] = scale = 1
         while True:
             y = [0] * ncols  # y[c] for pivot c holds U_c . y_i between the sweeps
-            for k, c, inv, multipliers in forward:
-                left = y[c - len(multipliers) : c]
-                y[c] = (rho[k] - sum(map(mul, multipliers, left))) * inv % p
-            for _, c, _, _, tail in backward:
-                y[c] = (y[c] - sum(v * y[b] for b, v in tail)) % p
-            for k, row in enumerate(rows):
-                r, miss = divmod(rho[k] - sum(a * y[c] for c, a in row.items()), p)
-                if miss:
-                    return None
-                rho[k] = r
+            for (_, c, inv, (cols, values), _), r in zip(steps, rho):
+                y[c] = (r - sum(map(mul, values, map(y.__getitem__, cols)))) * inv % p
+            for c, (cols, values) in backward:
+                y[c] = (y[c] - sum(map(mul, values, map(y.__getitem__, cols)))) % p
+            rho = [
+                (r - sum(map(mul, values, map(y.__getitem__, cols)))) // p
+                for r, (cols, values) in zip(rho, basis)
+            ]
             for c in pivots:
                 x[c] += y[c] * scale
             scale *= p
             vector = reconstruct_vector(x, scale)
             if vector is not None and not any(
-                sum(a * vector[c] for c, a in row.items()) for row in rows
+                sum(map(mul, values, map(vector.__getitem__, cols))) for cols, values in basis
             ):
+                if any(sum(a * vector[c] for c, a in row.items()) for row in others):
+                    return None
                 kernel.append(vector)
                 break
             if scale >= cap:

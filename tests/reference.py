@@ -58,21 +58,19 @@ def rref(matrix):
 def rows_from_factorization(echelon, ncols):
     """Each row that ``linalg.rank_mod_p`` kept, rebuilt mod p as dense lists
     from its recorded step alone: 1/inverse times e_pivot + tail, plus x
-    times pivot row c for each nonzero multiplier x, at column c left of
-    the pivot."""
+    times pivot row c for each multiplier x at column c, right of the
+    pivot."""
     p = echelon.p
     pivot_rows, out = {}, []
     for _, pivot, inverse, multipliers, tail in echelon.steps:
         unit = [0] * ncols
         unit[pivot] = 1
-        for c, v in tail:
+        for c, v in zip(*tail):
             unit[c] = v
         pivot_rows[pivot] = unit
         row = [x * pow(inverse, -1, p) % p for x in unit]
-        multipliers = memoryview(multipliers).cast("i")
-        for c, x in enumerate(multipliers, pivot - len(multipliers)):
-            if x:
-                row = [(a + x * b) % p for a, b in zip(row, pivot_rows[c])]
+        for c, x in zip(*multipliers):
+            row = [(a + x * b) % p for a, b in zip(row, pivot_rows[c])]
         out.append(row)
     return out
 

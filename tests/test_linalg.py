@@ -471,13 +471,10 @@ class TestRankModP:
             assert linalg.rank_rational(dense([rows[i] for i in basis], cols)) == len(basis)
             assert len(basis) == linalg.rank_rational(dense(rows, cols))
 
-    @pytest.mark.parametrize("p", [3, linalg.PREFILTER_PRIME, 2**31 - 1])
-    def test_factorization_rebuilds_the_kept_rows(self, p):
-        """Seeded matrices with entries shifted by multiples of p: the
-        recorded step of each kept row rebuilds that row mod p, for the
-        default prime and for 2^31 - 1, the largest prime still accepted,
-        and a prime above 2^31, whose multipliers would not fit 32 bits, is
-        refused."""
+    @staticmethod
+    def shifted_matrices(p):
+        """100 seeded matrices of up to 9 rows and 7 columns, entries in
+        [-3, 3] shifted by multiples of p."""
         rng = random.Random(67 + p % 7)
         for _ in range(100):
             cols = rng.randint(1, 7)
@@ -486,12 +483,35 @@ class TestRankModP:
                  if rng.random() < 0.5}
                 for _ in range(rng.randint(1, 9))
             ]
+            yield rows, cols
+
+    @pytest.mark.parametrize("p", [3, linalg.PREFILTER_PRIME, 2**31 - 1])
+    def test_factorization_rebuilds_the_kept_rows(self, p):
+        """Seeded matrices with entries shifted by multiples of p: the
+        recorded step of each kept row rebuilds that row mod p, for the
+        default prime and for 2^31 - 1, the largest prime accepted, and a
+        prime above 2^31, outside the accepted range, is refused."""
+        for rows, cols in self.shifted_matrices(p):
             basis = linalg.rank_mod_p(rows, cols, p)
             assert rows_from_factorization(basis, cols) == [
                 [rows[k].get(c, 0) % p for c in range(cols)] for k in basis.rows
             ]
         with pytest.raises(ValueError):
             linalg.rank_mod_p([{0: 1}], 1, (1 << 31) + 11)
+
+    @pytest.mark.parametrize("p", [3, linalg.PREFILTER_PRIME, 2**31 - 1])
+    def test_factorization_pivots_on_the_highest_column(self, p):
+        """The shape the lift's sweeps rely on: each tail lies strictly left
+        of its pivot, each multiplier sits at the pivot of an earlier step,
+        strictly right of its own pivot, and every recorded value is a
+        nonzero residue mod p."""
+        for rows, cols in self.shifted_matrices(p):
+            earlier = set()
+            for _, pivot, inverse, multipliers, tail in linalg.rank_mod_p(rows, cols, p).steps:
+                assert all(c < pivot for c in tail[0])
+                assert all(c > pivot and c in earlier for c in multipliers[0])
+                assert all(0 < x < p for x in (inverse, *tail[1], *multipliers[1]))
+                earlier.add(pivot)
 
     def test_prefilter_prime_is_the_largest_prime_below_2_30(self):
         """By trial division: the default prime is prime and below 2^30, so
@@ -590,11 +610,14 @@ class TestLiftKernel:
 
     def test_rank_over_q_above_rank_mod_p_is_reported(self, monkeypatch):
         """Mod 3 the rows [10, 10] and [1, 4] agree, so rank mod 3 is 1 and
-        the rank over Q 2.  The second row's residual is not divisible by 3
-        at the second step, so the lift returns None after one
-        reconstruction, not at its bound 3^6 > 2 * 200.  Where the residuals
-        stay divisible longer, the bound ends the lift.  Seeded random
-        matrices whose rank mod 3 falls short are reported as well."""
+        the rank over Q 2.  The lift runs on the row basis [10, 10] alone,
+        whose kernel vector (1, -1) is reconstructed at the first step and
+        annihilates it exactly; [1, 4] does not, which proves the rank over
+        Q higher, so the lift returns None after one reconstruction, not at
+        its bound 3^6 > 2 * 200.  The same holds for [1, 1 + 3^5], which
+        meets (1, -1) only in 3^5: a lift that carried its residual would
+        see it divisible by 3 for five steps.  Seeded random matrices whose
+        rank mod 3 falls short are reported as well."""
         rows = [{0: 10, 1: 10}, {0: 1, 1: 4}]
         basis = linalg.rank_mod_p(rows, 2, 3)
         assert basis.rank == 1
@@ -607,13 +630,10 @@ class TestLiftKernel:
         monkeypatch.setattr(linalg, "reconstruct_vector", counting)
         assert linalg.lift_kernel(rows, 2, basis) is None
         assert calls == [3]
-        # [1, 1 + 3^5] meets the kernel vector (-1, 1) in 3^5, so its
-        # residual stays divisible until the sixth step; the bound 2 * 2
-        # stops the lift at the second
         rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + 3**5}]
         calls.clear()
         assert linalg.lift_kernel(rows, 2, linalg.rank_mod_p(rows, 2, 3)) is None
-        assert calls == [3, 9]
+        assert calls == [3]
         rng = random.Random(61)
         missed = 0
         for _ in range(300):
