@@ -46,23 +46,23 @@ index through ``products``, so their cost is the number of nonzero constants
 reached, not dim_a * dim_b * dim_(a+b), and every multiply-add is an ``int``
 one: a product clears the denominators of its two coordinate vectors once,
 accumulates numerators and forms one ``Fraction`` per output coordinate.
-The exhaustive associativity check contracts the index into both sides of
-each degree triple at once and compares cross-multiplied ``int`` sums; its
-``checked`` still counts every basis triple.  A Gram entry G_a[i][j] is
-sum_k n_k tau_k / den over the index, where tau_k is the trace of the k-th
-degree-(m-1) basis element, read once from the trace table.
+A Gram entry G_a[i][j] is sum_k n_k tau_k / den over the index, where tau_k
+is the trace of the k-th degree-(m-1) basis element, read once from the
+trace table.
 
-The invariance check keeps an independent direct path that never reads the
-structure constants, on every basis triple of every algebra: the direct
-trace of z^i z^j z^k is one lookup of den * Tr at the sum of three codes,
-and the structure-constant side reads each product e_i e_j once against
-Gram numerators.  Only associativity is sampled, and only on algebras with
-more basis triples than ``EXHAUSTIVE_TRIPLE_LIMIT``.
+Every axiom check is exact and draws no random number.  The invariance
+check keeps an independent direct path that never reads the structure
+constants, on every basis triple of every algebra: the direct trace of
+z^i z^j z^k is one lookup of den * Tr at the sum of three codes, and the
+structure-constant side reads each product e_i e_j once against Gram
+numerators.  There is no associativity check, nor a commutativity one:
+once unit, invariance and nondegeneracy pass, every stored constant is
+R(f)'s, whose product is commutative and associative (the lemma of
+``_check_invariance``).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -430,76 +430,45 @@ def mul_twisted(
     return [sign * c for c in D.product_coords(a, u, b, v)]
 
 
-AXIOMS = ("unit", "associativity", "invariance", "nondegeneracy")
+AXIOMS = ("unit", "invariance", "nondegeneracy")
 
 
 @dataclass
 class AxiomReport:
     """The records of the axioms named in ``AXIOMS``, each ``checked``
-    counting the cases it compared.  ``sampled`` says whether associativity
-    drew its basis triples, with ``seed``; every other axiom is exact."""
+    counting the cases it compared."""
 
     unit: CheckResult
-    associativity: CheckResult
     invariance: CheckResult
     nondegeneracy: CheckResult
-    sampled: bool = False
-    seed: int | None = None
 
     @property
     def all_pass(self) -> bool:
         return all(getattr(self, name).ok for name in AXIOMS)
 
 
-EXHAUSTIVE_TRIPLE_LIMIT = 10_000
-
-
 def frobenius_axiom_check(
-    D: FrobeniusAlgebraData,
-    sample_seed: int = 0,
-    sample_count: int = 200,
-    gram_ranks: Sequence[int] | None = None,
+    D: FrobeniusAlgebraData, gram_ranks: Sequence[int] | None = None
 ) -> AxiomReport:
-    """Certify the Frobenius axioms on D.
+    """Certify the Frobenius axioms on D, each exactly.
 
-    Unit is exact over all stored structure constants.  Associativity runs
-    over every basis triple when the triple count is at most
-    ``EXHAUSTIVE_TRIPLE_LIMIT``, otherwise over ``sample_count`` basis
-    triples drawn with ``sample_seed`` whose degrees are all at least 1 (see
-    ``_check_associativity``); ``sampled`` and ``seed`` of the report
-    describe that check alone.  Invariance is exact on every algebra: it
-    compares the structure-constant trace <u*v, w> with a direct trace that
-    never reads the structure constants on every basis triple with
-    a+b+c = m-1.  With nondegeneracy it proves the product commutative, so
-    no commutativity check is needed and <u*v, w> alone covers <u, v*w>
-    (see ``_check_invariance``).  Nondegeneracy is exact full rank of every
-    Gram matrix G_a, of shape dims[a] x dims[m-1-a]; ``gram_ranks``, when
-    given, must be the rank of ``pairing_gram(D, a)`` for a = 0..m-1 and is
-    used instead of being computed again.
+    Unit is exact over all stored structure constants.  Invariance compares
+    the structure-constant trace <u*v, w> with a direct trace that never
+    reads the structure constants on every basis triple with a+b+c = m-1.
+    Nondegeneracy is exact full rank of every Gram matrix G_a, of shape
+    dims[a] x dims[m-1-a]; ``gram_ranks``, when given, must be the rank of
+    ``pairing_gram(D, a)`` for a = 0..m-1 and is used instead of being
+    computed again.  Commutativity and associativity have no check: once
+    these three pass, every stored constant is R(f)'s, so the product is
+    commutative and associative, and <u*v, w> alone covers <u, v*w> (the
+    lemma of ``_check_invariance``).
     """
-    m = D.m
-    dims = D.dims()
-
     unit = _check_unit(D)
-
-    triples = [
-        (a, b, c)
-        for a in range(m)
-        for b in range(m)
-        for c in range(m)
-        if a + b + c <= m - 1
-    ]
-    total = sum(dims[a] * dims[b] * dims[c] for a, b, c in triples)
-    sampled = total > EXHAUSTIVE_TRIPLE_LIMIT
-    rng = random.Random(sample_seed)
-
-    assoc = _check_associativity(D, triples, sampled, rng, sample_count)
     inv = _check_invariance(D)
     if gram_ranks is None:
-        gram_ranks = [linalg.rank_rational(pairing_gram(D, a)) for a in range(m)]
-    nondeg = _check_nondegeneracy(dims, gram_ranks)
-
-    return AxiomReport(unit, assoc, inv, nondeg, sampled, sample_seed)
+        gram_ranks = [linalg.rank_rational(pairing_gram(D, a)) for a in range(D.m)]
+    nondeg = _check_nondegeneracy(D.dims(), gram_ranks)
+    return AxiomReport(unit, inv, nondeg)
 
 
 def _check_unit(D: FrobeniusAlgebraData) -> CheckResult:
@@ -516,88 +485,6 @@ def _check_unit(D: FrobeniusAlgebraData) -> CheckResult:
                     False, checked, f"1 * basis[{b}][{j}] = {got}, expected {want}"
                 )
     return CheckResult(True, checked)
-
-
-def _check_associativity(D, triples, sampled, rng, sample_count) -> CheckResult:
-    """(e_i e_j) e_k = e_i (e_j e_k): on every basis triple of ``triples``
-    unless ``sampled``, otherwise on ``sample_count`` seeded basis triples
-    whose degrees are all at least 1.  A triple with a zero degree cannot
-    fail once ``_check_unit`` passes: basis[0] is the unit 1, and every
-    product with it reads a (0, b) constant (``products(x, 0)`` reads the
-    (0, x) index transposed), which the unit check compares for every
-    b <= m-1; both sides of such a triple are then the product of its two
-    other factors.  So the draws skip those triples, and a sampled check
-    with no other triple checks nothing.  The exhaustive check contracts
-    the nonzero index into each side once per degree triple, keyed by
-    (i, j, k, n), so it costs the nonzero products reached, while
-    ``checked`` counts every basis triple in i, j, k order up to the
-    smallest failing one."""
-    dims = D.dims()
-
-    def sides(a, b, c):
-        """The rows of the products each side reads, each side scaled by
-        the other's denominators d_bc d_a_bc and d_ab d_ab_c; a+b+c <= m-1,
-        so every partial product has degree below m."""
-        (ab, d_ab), (ab_c, d_ab_c) = D.products(a, b), D.products(a + b, c)
-        (bc, d_bc), (a_bc, d_a_bc) = D.products(b, c), D.products(a, b + c)
-        return ab, ab_c, bc, a_bc, d_bc * d_a_bc, d_ab * d_ab_c
-
-    checked = 0
-    if not sampled:
-        for a, b, c in triples:
-            ab, ab_c, bc, a_bc, lhs_scale, rhs_scale = sides(a, b, c)
-            lhs = (
-                ((i, j, k, n), x * y)
-                for i, row in enumerate(ab) for j, mids in row.items() for mid, x in mids
-                for k, entries in ab_c[mid].items() for n, y in entries
-            )
-            # e_j e_k grouped by its basis element mid, so that e_i e_mid is
-            # read from row i of the (a, b+c) products
-            by_mid: dict = {}
-            for j, row in enumerate(bc):
-                for k, mids in row.items():
-                    for mid, x in mids:
-                        by_mid.setdefault(mid, []).append((j, k, x))
-            rhs = (
-                ((i, j, k, n), x * y)
-                for i, row in enumerate(a_bc) for mid, entries in row.items()
-                for j, k, x in by_mid.get(mid, ()) for n, y in entries
-            )
-            lhs, rhs = _collect(lhs, lhs_scale), _collect(rhs, rhs_scale)
-            if lhs == rhs:
-                checked += dims[a] * dims[b] * dims[c]
-                continue
-            differ = (key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
-            i, j, k, _ = min(differ)
-            checked += (i * dims[b] + j) * dims[c] + k + 1
-            return CheckResult(False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}")
-        return CheckResult(True, checked)
-
-    usable = [t for t in triples if all(t) and all(dims[d] for d in t)]
-    if not usable:
-        return CheckResult(True, 0)
-    by_triple = {t: sides(*t) for t in usable}
-    for _ in range(sample_count):
-        a, b, c = usable[rng.randrange(len(usable))]
-        i = rng.randrange(dims[a])
-        j = rng.randrange(dims[b])
-        k = rng.randrange(dims[c])
-        checked += 1
-        ab, ab_c, bc, a_bc, lhs_scale, rhs_scale = by_triple[(a, b, c)]
-        lhs = ((n, x * y) for mid, x in ab[i].get(j, ()) for n, y in ab_c[mid].get(k, ()))
-        rhs = ((n, x * y) for mid, x in bc[j].get(k, ()) for n, y in a_bc[i].get(mid, ()))
-        if _collect(lhs, lhs_scale) != _collect(rhs, rhs_scale):
-            return CheckResult(False, checked, f"(a,i,b,j,c,k) = {(a, i, b, j, c, k)}")
-    return CheckResult(True, checked)
-
-
-def _collect(pairs, scale: int) -> dict:
-    """{key: scale * the sum of its values} over (key, value) ``pairs``,
-    for the keys whose sum is nonzero."""
-    out: dict = {}
-    for key, y in pairs:
-        out[key] = out.get(key, 0) + y
-    return {key: y * scale for key, y in out.items() if y}
 
 
 def _check_invariance(D: FrobeniusAlgebraData) -> CheckResult:
@@ -623,8 +510,8 @@ def _check_invariance(D: FrobeniusAlgebraData) -> CheckResult:
     e_mid e_i, the same stored entry when a != b+c, and when a = b+c the
     transposed (a, a) entry, equal by the symmetry just proven.
 
-    Nor can associativity fail once unit, invariance and nondegeneracy
-    pass, though ``_check_associativity`` still checks it.  The trace
+    Nor has associativity a check: it cannot fail once unit, invariance
+    and nondegeneracy pass, which is why none is made.  The trace
     T(y) = lambda(z_1...z_r * y) vanishes on J(f)_{(m-1) beta}, as
     z_1...z_r * J(f) lies in J0(f).  The basis spans R(f)_{a beta}, so
     z^i z^j = sum_mid c*_ij^mid z^mid modulo J(f), R(f)'s constants c*.

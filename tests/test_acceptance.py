@@ -74,7 +74,7 @@ def test_criterion_1_fermat_cubic(capsys):
         linalg.rank_rational(frob.pairing_gram(algebra, a)) == len(frob.pairing_gram(algebra, a))
         for a in range(2)
     )
-    axioms = frob.frobenius_axiom_check(algebra, 0, 200)
+    axioms = frob.frobenius_axiom_check(algebra)
     elapsed = time.perf_counter() - start
     ok = (
         dims == [1, 1]
@@ -107,17 +107,14 @@ def test_criterion_2_fermat_quintic(quintic_algebra, capsys):
     macaulay = {p: jac.dim_R(system, p) for p in (4, 5)}
     g1 = frob.pairing_gram(algebra, 1)
     g1_rank = linalg.rank_rational(g1)
-    axioms = frob.frobenius_axiom_check(algebra, 0, 200)
+    axioms = frob.frobenius_axiom_check(algebra)
     elapsed = build_time + (time.perf_counter() - start)
     ok = (
         dims == [1, 101, 101, 1]
         and macaulay == {4: 0, 5: 0}
         and len(g1) == 101
         and g1_rank == 101
-        and axioms.sampled
-        and axioms.associativity.ok
-        and axioms.associativity.checked == 200
-        and axioms.invariance.ok
+        and axioms.all_pass
         and axioms.invariance.checked == 1_091_510
         and elapsed < 600.0
     )
@@ -125,9 +122,9 @@ def test_criterion_2_fermat_quintic(quintic_algebra, capsys):
         capsys,
         2,
         ok,
-        f"quintic threefold dims {dims}, G_1 rank {g1_rank}/101, associativity "
-        f"on 200 seeded basis triples, invariance on all "
-        f"{axioms.invariance.checked:,} basis triples, {elapsed:.1f}s",
+        f"quintic threefold dims {dims}, G_1 rank {g1_rank}/101, axioms exact, "
+        f"invariance on all {axioms.invariance.checked:,} basis triples, "
+        f"{elapsed:.1f}s",
     )
     assert ok
 
@@ -165,7 +162,7 @@ def test_criterion_4_weighted_orbifold(capsys):
     system = make_system("weighted-p112")
     dims = [jac.dim_R(system, a) for a in range(2)]
     algebra = frob.build_algebra(system)
-    axioms = frob.frobenius_axiom_check(algebra, 0, 200)
+    axioms = frob.frobenius_axiom_check(algebra)
     elapsed = time.perf_counter() - start
     ok = (
         validation.all_pass
@@ -203,7 +200,7 @@ def test_criterion_5_surface_bundle(capsys):
         and linalg.rank_rational(g) == len(g)
         for g in grams
     )
-    axioms = frob.frobenius_axiom_check(algebra, 0, 200)
+    axioms = frob.frobenius_axiom_check(algebra)
     elapsed = time.perf_counter() - start
     ok = (
         len(crit) == 2
@@ -403,7 +400,7 @@ def test_criterion_8_property_suites(capsys):
     # determinism across runs: byte-identical reports
     outputs = []
     for _ in range(2):
-        code = cli_main(["report", "--fixture", "weighted-p112", "--seed", "5", "--json-only"])
+        code = cli_main(["report", "--fixture", "weighted-p112", "--json-only"])
         captured = capsys.readouterr()
         outputs.append((code, captured.out))
     checks["run_determinism"] = (

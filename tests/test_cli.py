@@ -198,7 +198,8 @@ class TestReportCommand:
             "unit_exponent": 1,
         }
         assert doc["gram"]["0"]["entries"] == [["1/81"]]
-        assert doc["axioms"]["associativity"]["pass"] is True
+        assert list(doc["axioms"]) == ["unit", "invariance", "nondegeneracy"]
+        assert all(record["pass"] is True for record in doc["axioms"].values())
         assert doc["hypotheses"]["quasi_smoothness"] == "consistent"
         assert doc["certificates_pass"] is True
         assert "timings" not in doc
@@ -398,7 +399,19 @@ class TestReportCommand:
         assert captured.out == ""
         assert "--threads" in captured.err
 
-    # besides wat, five keys an older document may still set: each is
+    @pytest.mark.parametrize("flag", ["--seed", "--sample-count"])
+    def test_removed_sampling_flags_exit_2(self, capsys, flag):
+        """Every axiom check is exact: the flags of the removed sampled
+        associativity check exit 2 and name themselves."""
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--fixture", "projective-3", flag, "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+        assert "Traceback" not in captured.err
+
+    # besides wat, six keys an older document may still set: each is
     # refused like any unknown option, not silently dropped
     @pytest.mark.parametrize(
         "key, value",
@@ -409,6 +422,7 @@ class TestReportCommand:
             ("trace_strategy", "generic"),
             ("strategy", "projective-hessian"),
             ("threads", 1),
+            ("sample_count", 200),
         ],
         ids=[
             "wat",
@@ -417,6 +431,7 @@ class TestReportCommand:
             "trace_strategy",
             "strategy",
             "threads",
+            "sample_count",
         ],
     )
     def test_unknown_option_exit_2(self, capsys, tmp_path, key, value):
@@ -548,11 +563,16 @@ class TestDeterminism:
         b = run_cli(capsys, "report", "--fixture", "weighted-p112", "--json-only")
         assert a == b
 
-    def test_seed_recorded(self, capsys):
-        _, doc, _ = run_json(
-            capsys, "report", "--fixture", "projective-3", "--seed", "99", "--json-only"
-        )
-        assert doc["axioms"]["seed"] == 99
+    def test_sample_seed_does_not_change_the_report(self, capsys, tmp_path):
+        """sample_seed is validated and then discarded: two documents that
+        differ only in it give byte-identical reports."""
+        outputs = []
+        for seed in (-(2**63), 2**63 - 1):
+            path = tmp_path / f"seed{seed}.json"
+            path.write_text(json.dumps(_mutated("projective-4", _set_option("sample_seed", seed))))
+            outputs.append(run_cli(capsys, "report", "--input", str(path), "--json-only"))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
 
 
 class TestRoundTrip:
@@ -641,6 +661,8 @@ def _set_option(key, value):
 class TestStrictSchema:
     """Every malformed field exits 2 with a message; none is coerced."""
 
+    # sample_count is no longer an option, so each of its cases exits 2 as
+    # an unknown option, whatever its value
     CASES = [
         ("sample_count-string", "projective-3", _set_option("sample_count", "abc")),
         ("sample_seed-string", "projective-3", _set_option("sample_seed", "x")),
@@ -715,37 +737,22 @@ class TestStrictSchema:
                 "options",
                 {
                     "sample_seed": -4,
-                    "sample_count": 7,
                     "max_degree_a": 0,
                 },
             ),
         )
         config = report.parse_run_config(doc)
-        assert (config.sample_seed, config.sample_count, config.max_degree_a) == (-4, 7, 0)
-
-    def test_sample_count_ceiling(self, capsys):
-        """A sampled check draws at most as many triples as an exhaustive one
-        may check; a larger count is refused before anything runs."""
-        limit = frobenius.EXHAUSTIVE_TRIPLE_LIMIT
-        doc = _mutated("projective-3", _set_option("sample_count", limit))
-        assert report.parse_run_config(doc).sample_count == limit == 10_000
-        with pytest.raises(InputSchemaError, match=f"must be <= {limit}, got {limit + 1}$"):
-            report.parse_run_config(doc, {"sample_count": limit + 1})
-        code, out, err = run_cli(
-            capsys, "report", "--fixture", "projective-5", "--sample-count", "100000000"
-        )
-        assert (code, out) == (2, "")
-        assert f"must be <= {limit}, got 100000000" in err
+        assert config.max_degree_a == 0
+        assert not hasattr(config, "sample_seed")
 
     @pytest.mark.parametrize("value", [10**5000, 2**63], ids=["5000-digits", "2**63"])
     @pytest.mark.parametrize(
         "key, bound",
         [
             ("sample_seed", 2**63 - 1),
-            ("sample_count", frobenius.EXHAUSTIVE_TRIPLE_LIMIT),
             ("max_degree_a", 2**63 - 1),
         ],
-        ids=["sample_seed", "sample_count", "max_degree_a"],
+        ids=["sample_seed", "max_degree_a"],
     )
     def test_integer_option_past_its_bound(self, key, bound, value):
         """In-process, where no JSON parser stops an integer past the
@@ -770,18 +777,10 @@ class TestStrictSchema:
         with pytest.raises(InputSchemaError, match="^unsupported schema_version <int of 16610 bits>$"):
             report.parse_run_config(doc)
 
-    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
-    def test_extreme_seeds_give_a_printable_report(self, capsys, seed):
-        code, doc, _ = run_json(
-            capsys, "report", "--fixture", "projective-3", "--seed", str(seed), "--json-only"
-        )
-        assert code == 0
-        assert doc["axioms"]["seed"] == seed
-
-    def test_seed_past_64_bits_exits_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "report", "--fixture", "projective-3", "--seed", str(2**63), "--json-only"
-        )
+    def test_seed_past_64_bits_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_mutated("projective-3", _set_option("sample_seed", 2**63))))
+        code, out, err = run_cli(capsys, "report", "--input", str(path), "--json-only")
         assert (code, out) == (2, "")
         assert err == (
             f"error: option 'sample_seed' must be <= {2**63 - 1}, got {2**63}\n"

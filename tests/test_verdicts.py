@@ -29,7 +29,6 @@ FAN = {
 }
 AXIOMS = {
     "axioms.unit": None,
-    "axioms.associativity": None,
     "axioms.invariance": None,
     "axioms.nondegeneracy": None,
 }
