@@ -661,8 +661,7 @@ def _set_option(key, value):
 class TestStrictSchema:
     """Every malformed field exits 2 with a message; none is coerced."""
 
-    # sample_count is no longer an option, so each of its cases exits 2 as
-    # an unknown option, whatever its value
+    # sample_count is not an option: each of its cases exits 2 as unknown
     CASES = [
         ("sample_count-string", "projective-3", _set_option("sample_count", "abc")),
         ("sample_seed-string", "projective-3", _set_option("sample_seed", "x")),
