@@ -3,7 +3,7 @@
 Projective-bundle ray layouts are derived from the required degree relations:
 the degree columns must annihilate the ray matrix.  For P(O + O(1)) over P^2
 the x-rays e1, e2, -e1-e2-e3 and y-rays e3, -e3 satisfy
-sum(rho_x) - rho_{y2} = ... every relation below is re-verified when the
+sum(rho_x) = -e3 = rho_{y2}; every relation below is re-verified when the
 class group is computed.  Bundle coefficients are fixed literals so every
 derived number is reproducible.
 """
@@ -213,18 +213,26 @@ def unimodular_transform(
     """Integer matrix T with |det T| = 1 mapping the computed variable
     degrees onto the stated ones (T . computed_i = stated_i for all i), or
     None when no such change of class-group basis exists.  The computed
-    degrees must span Q^rank, so T is unique when it exists."""
+    degrees must span Q^rank, so T is unique when it exists.  With B the
+    first rank independent computed degrees and S their stated ones,
+    T B^T = S^T gives T = S^T adj(B)^T / det B: one ``inverse_int``."""
     if not computed or len(computed) != len(stated):
         return None
     rank = len(computed[0])
     if any(len(d) != rank for d in computed) or any(len(d) != rank for d in stated):
         return None
-    if linalg.rank_rational(computed) != rank:
+    scan = linalg.EchelonBasis(rank)
+    chosen = [
+        i for i, d in enumerate(computed) if scan.rank < rank and scan.add_row(dict(enumerate(d)))
+    ]
+    if len(chosen) < rank:
         return None
-    # row i of T is the integer solution t of computed . t = (stated_p[i])_p
-    t = [linalg.solve_integer(computed, [deg[i] for deg in stated]) for i in range(rank)]
-    if None in t:
+    det, adj = linalg.inverse_int([computed[i] for i in chosen])
+    s = [stated[i] for i in chosen]
+    t = [[sum(s[n][k] * adj[j][n] for n in range(rank)) for j in range(rank)] for k in range(rank)]
+    if any(x % det for row in t for x in row):  # T is not integral
         return None
+    t = [[x // det for x in row] for row in t]
     inverse = linalg.inverse_int(t)
     if inverse is None or abs(inverse[0]) != 1:
         return None

@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from . import jacobian, linalg
@@ -81,22 +81,6 @@ from .jacobian import (
 )
 from .poly import GradedPolynomial, Monomial, monomial_code
 from .toric import CheckResult, anticanonical_polytope, normalized_volume
-
-
-def _cleared(coords: Sequence[int | Fraction]) -> tuple[Sequence[int], int]:
-    """(numerators, den): den is the lcm of the denominators of ``coords``
-    and numerators[i] = coords[i] * den, an int.  A list of ints is
-    returned as it is."""
-    for c in coords:
-        if type(c) is not int:
-            break
-    else:
-        return coords, 1
-    numerators = [c.numerator for c in coords if c.denominator == 1]
-    if len(numerators) == len(coords):
-        return numerators, 1
-    den = lcm(*{c.denominator for c in coords})
-    return [c.numerator * (den // c.denominator) for c in coords], den
 
 
 # i -> {j: [(k, n), ...]} over the nonzero constants c of the products of
@@ -179,22 +163,16 @@ class FrobeniusAlgebraData:
         if a > b:
             a, b, u, v = b, a, v, u
         index = self.nonzero[(a, b)]
-        u, du = _cleared(u)
-        v, dv = _cleared(v)
+        du, u = linalg.clear_denominators(dict(enumerate(u)))
+        dv, v = linalg.clear_denominators(dict(enumerate(v)))
         out = [0] * self.bases[a + b].dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
+        for i, ci in u.items():
             for j, entries in index[i].items():
-                cj = v[j]
-                if not cj:
-                    continue
-                w = ci * cj
-                for k, ck in entries:
-                    out[k] += w * ck
+                if cj := v.get(j):
+                    w = ci * cj
+                    for k, ck in entries:
+                        out[k] += w * ck
         den = du * dv * self.denominators[(a, b)]
-        if den == 1:
-            return [Fraction(x) for x in out]
         return [Fraction(x, den) for x in out]
 
 
@@ -214,15 +192,11 @@ def toric_jacobian(system: JacobianSystem) -> GradedPolynomial:
     term that z_1...z_r does not divide keeps a negative exponent, which
     ``normal_form`` refuses with ``DegreeMismatch``."""
     m, rays = system.m, system.fan.rays
-    den = lcm(*(c.denominator for c in system.f.terms.values()))
+    den, numerators = linalg.clear_denominators(system.f.terms)
     radix = 1 + (m + 1) * max(map(max, system.f.terms))
     terms = [
-        (
-            monomial_code(t, radix),
-            c.numerator * (den // c.denominator),
-            (1, *(sum(v[j] * e for v, e in zip(rays, t)) for j in range(m))),
-        )
-        for t, c in system.f.terms.items()
+        (monomial_code(t, radix), x, (1, *(sum(map(mul, col, t)) for col in zip(*rays))))
+        for t, x in numerators.items()
     ]
     entries = [
         [
@@ -352,8 +326,7 @@ def build_algebra(system: JacobianSystem) -> FrobeniusAlgebraData:
         for z, remainder in zip(r0_piece.monomials, r0_piece.remainders())
         if remainder and min(z)
     }
-    den = lcm(*(x.denominator for x in values.values()))
-    table = {code: x.numerator * (den // x.denominator) for code, x in values.items()}
+    den, table = linalg.clear_denominators(values)
     algebra.trace_functional = (den, radix, table)
     return algebra
 

@@ -204,7 +204,7 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
             ]
         terms = [
             (monomial_code(mono, radix), x)
-            for mono, x in linalg.clear_denominators(g.terms).items()
+            for mono, x in linalg.clear_denominators(g.terms)[1].items()
         ]
         for cof in cofactors[cof_degree]:
             rows.append({index[cof + t]: x for t, x in terms})

@@ -19,13 +19,15 @@ One kernel per job:
     content removed), so its inner loop is integer rather than Fraction
     arithmetic;
   * ``inverse_int`` is the one Bareiss routine: ``(det, adj)`` of a cone
-    matrix or of a lifted kernel on its non-pivots, and the determinant
-    wherever one is needed;
+    matrix, of a lifted kernel on its non-pivots, of the unimodular Hermite
+    factor whose inverse holds the class-group section, and of the degrees
+    that fix a stated-degree transform; and the determinant wherever one is
+    needed;
   * ``hermite_row_canonical`` is the one integer elimination: the
-    class-group grading reads its degree basis off one Hermite form,
-    ``solve_integer`` is one Hermite form and a forward substitution, and
+    class-group grading reads its degree basis off one Hermite form, and
     ``smith_normal_form`` (with ``invariant_factors``) alternates Hermite
     forms of its rows and columns;
+  * ``clear_denominators`` turns rationals into integers over one lcm;
   * ``connected_blocks`` splits a sparse matrix into independent blocks.
 
 Conventions:
@@ -98,7 +100,7 @@ def inverse_int(matrix: Sequence[Sequence[int]]):
 
 # ---------------------------------------------------------------------------
 # Hermite normal form (row style), the one integer elimination, and what is
-# computed on it: the Smith form, invariant factors and integer solutions
+# computed on it: the Smith form and invariant factors
 
 
 def hermite_row_canonical(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -205,35 +207,6 @@ def invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
     return [x for i, row in enumerate(d) if i < len(row) and (x := row[i])]
 
 
-def solve_integer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]):
-    """A particular integer solution of ``A u = b``, or None if b is not in
-    the integer image of A.
-
-    The Hermite form of ``[A^T | I]`` gives ``W A^T = H`` with W unimodular,
-    so u = W^T y turns A u = b into H^T y = b.  H is in echelon form, so the
-    columns of H are solved in order: a pivot column fixes the next entry of
-    y, which must be an integer, and any other column must hold already.  The
-    rows of H that are zero leave their entries of y at 0.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if len(rhs) != nrows:
-        raise ValueError("rhs length does not match row count")
-    h, w = _hermite_beside(_transpose(matrix), identity_int(ncols))
-    y: list[int] = []
-    for j, b in enumerate(rhs):
-        rest = b - sum(x * row[j] for x, row in zip(y, h))
-        pivot = h[len(y)][j] if len(y) < len(h) else 0
-        if pivot:
-            x, miss = divmod(rest, pivot)
-            y.append(x)
-        else:
-            miss = rest
-        if miss:
-            return None
-    return [sum(x * row[k] for x, row in zip(y, w)) for k in range(ncols)]
-
-
 # ---------------------------------------------------------------------------
 # incremental sparse echelon basis over Q (integer-cleared rows)
 
@@ -246,9 +219,11 @@ def _divide_content(row: dict[int, int]) -> dict[int, int]:
     return {c: x // g for c, x in row.items()}
 
 
-def clear_denominators(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    den = lcm(*(x.denominator for x in row.values() if isinstance(x, Fraction)))
-    return {c: int(x * den) for c, x in row.items() if x}
+def clear_denominators(mapping: Mapping) -> tuple[int, dict]:
+    """``(den, {key: x * den})`` over the nonzero values x of ``mapping``,
+    where den is the lcm of all their denominators (an int's is 1)."""
+    den = lcm(*(x.denominator for x in mapping.values()))
+    return den, {key: int(x * den) for key, x in mapping.items() if x}
 
 
 class EchelonBasis:
@@ -395,7 +370,7 @@ class EchelonBasis:
 
     def add_row(self, row: Mapping[int, Fraction | int]) -> bool:
         """Insert a row; returns True if the rank grew."""
-        work = clear_denominators(row)
+        work = clear_denominators(row)[1]
         while work:
             c = min(work)
             piv = self.rows.get(c)

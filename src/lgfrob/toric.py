@@ -279,7 +279,9 @@ def class_group(fan: FanData, hermite: list[list[int]] | None = None) -> Grading
     W [R | I] = [H | W] of ``_free_hermite_form``, or ``hermite`` when given,
     which must be that form (``ValidationReport.hermite``).  The rows of W
     beside the zero rows of H are the canonical basis of the degree
-    functionals {w : w R = 0}.  The section solves degree_rows() x = e_k."""
+    functionals {w : w R = 0}.  W is unimodular, so W^-1 = det * adj with
+    det = +-1 (``inverse_int``), and W W^-1 = I makes the last r - m columns
+    of W^-1 the section: degree_rows() @ section = I."""
     r, m = fan.n_rays, fan.dim
     h = _free_hermite_form(fan) if hermite is None else hermite
     if h is None:
@@ -287,14 +289,14 @@ def class_group(fan: FanData, hermite: list[list[int]] | None = None) -> Grading
         # a zero factor means the rays are degenerate
         raise TorsionClassGroup(factors + [0] * (min(r, m) - len(factors)))
     rows = [row[m:] for row in h[m:]]  # the degree functionals
-    rank = len(rows)
-    columns = [linalg.solve_integer(rows, e) for e in linalg.identity_int(rank)]
+    det, adj = linalg.inverse_int([row[m:] for row in h])
     grading = GradingMap(
-        rank=rank,
+        rank=len(rows),
         degrees=tuple(tuple(row[i] for row in rows) for i in range(r)),
         beta=tuple(map(sum, rows)),
-        section=tuple(tuple(col[i] for col in columns) for i in range(r)),
+        section=tuple(tuple(det * x for x in row[m:]) for row in adj),
     )
+    assert abs(det) == 1  # W is unimodular
     # Gale duality sanity: the degree functionals annihilate the ray matrix
     for row in grading.degree_rows():
         for j in range(m):

@@ -476,8 +476,11 @@ class TestConeInverses:
         anticanonical_polytope call, the guard of its normality lemma, which
         validates the fan again: twice per cone on the full projective-4
         report, once on the capped bundle-p6 report, which builds no
-        algebra.  The one other call is the |det T| = 1 check of the stated
-        degrees' transform T, a rank x rank matrix."""
+        algebra.  Three other calls remain: the grading inverts the r x r
+        unimodular Hermite factor W, whose inverse holds the section, and
+        the stated degrees' transform T inverts the rank x rank square B of
+        computed degrees that fixes T, then T itself for its |det T| = 1
+        check."""
         counted = []
         original = linalg.inverse_int
 
@@ -490,7 +493,9 @@ class TestConeInverses:
         assert code == 0 and doc["stated_degrees"]["match"]
         fan = get_fixture(name).fan
         assert counted.count(fan.dim) == calls
-        assert len(counted) == calls + 1
+        assert len(counted) == calls + 3
+        rank = fan.n_rays - fan.dim
+        assert [n for n in counted if n != fan.dim] == [fan.n_rays, rank, rank]
 
 
 class TestGramRanks:
@@ -506,9 +511,9 @@ class TestGramRanks:
         doc = get_fixture("projective-4").to_input_document()
         doc_report, code = report.run_report(report.parse_run_config(doc))
         assert code == 0
-        # the 4x1 computed degrees, whose rank the stated-degrees comparison
-        # checks, then G_0, G_1, G_2 of the quartic: 1x1, 19x19, 1x1
-        assert calls == [4, 1, 19, 1]
+        # G_0, G_1, G_2 of the quartic: 1x1, 19x19, 1x1; the stated-degrees
+        # comparison picks its independent degrees by an EchelonBasis scan
+        assert calls == [1, 19, 1]
         assert [doc_report["gram"][str(a)]["rank"] for a in range(3)] == [1, 19, 1]
 
     def test_singular_gram_fails_nondegeneracy(self, monkeypatch):

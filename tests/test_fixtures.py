@@ -101,6 +101,22 @@ class TestConstruction:
         # scaling by 2 is not unimodular
         assert unimodular_transform(((1,), (1,)), ((2,), (2,))) is None
 
+    @pytest.mark.parametrize(
+        "computed, stated, want",
+        [
+            # B = [[2]] has det 2, yet T = [[2 / 2]] is integral
+            (((2,), (3,)), ((2,), (3,)), [[1]]),
+            # T = [[1/2]] exists over Q only
+            (((2,), (4,)), ((1,), (2,)), None),
+            # the first two degrees are dependent: the scan skips (2, 4) and
+            # fixes T on (1, 2) and (0, 1)
+            (((1, 2), (2, 4), (0, 1)), ((3, 2), (6, 4), (1, 1)), [[1, 1], [0, 1]]),
+        ],
+        ids=["det-2-integral", "rational-only", "dependent-skipped"],
+    )
+    def test_unimodular_transform_through_one_square(self, computed, stated, want):
+        assert unimodular_transform(computed, stated) == want
+
 
 class TestGauntlet:
     @pytest.mark.parametrize("name", GAUNTLET)

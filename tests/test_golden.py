@@ -59,8 +59,9 @@ def _without_prefilter(monkeypatch):
     monkeypatch.setattr(jacobian, "_block_kernel", lambda rows, cols: None)
 
 
-# Every block of the quintic's pieces is a single column, so its report never
-# reaches the modular certificate and is left out here for its running time.
+# The structural pass takes every relation row of the quintic's pieces, so no
+# block is left and its report never reaches the modular certificate; it is
+# left out here for its running time.
 @pytest.mark.parametrize(
     "name", [n for n in fixture_names() if n != "projective-5"]
 )

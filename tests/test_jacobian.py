@@ -570,7 +570,7 @@ def tuple_keyed_rows(system, generators, alpha):
                 index[tuple(x + y for x, y in zip(mono, cof))]: coeff
                 for mono, coeff in g.terms.items()
             }
-            rows.append(linalg.clear_denominators(row))
+            rows.append(linalg.clear_denominators(row)[1])
     return monos, rows
 
 

@@ -12,7 +12,7 @@ from math import gcd, isqrt, prod
 
 import pytest
 from reference import det as reference_det
-from reference import mat_mul_int, mat_vec_int, rows_from_factorization, rref
+from reference import mat_mul_int, rows_from_factorization, rref
 
 from lgfrob import linalg
 
@@ -266,33 +266,6 @@ class TestSmithNormalForm:
         assert linalg.invariant_factors([[2]]) == [2]
 
 
-class TestSolveInteger:
-    def test_solvable(self):
-        # x + y = 7, x - y = -1  ->  (3, 4)
-        sol = linalg.solve_integer([[1, 1], [1, -1]], [7, -1])
-        assert sol == [3, 4]
-
-    def test_parity_obstruction(self):
-        assert linalg.solve_integer([[2]], [3]) is None
-
-    def test_underdetermined_particular_solution(self):
-        a = [[1, 1, 1]]
-        sol = linalg.solve_integer(a, [3])
-        assert sol is not None
-        assert sum(sol) == 3
-
-    def test_randomized_consistency(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            a = random_matrix(rng, rows, cols)
-            x = [rng.randint(-5, 5) for _ in range(cols)]
-            b = mat_vec_int(a, x)
-            sol = linalg.solve_integer(a, b)
-            assert sol is not None
-            assert mat_vec_int(a, sol) == b
-
-
 class TestHermiteRowCanonical:
     def test_pivots_positive_and_reduced(self):
         rng = random.Random(13)
@@ -377,6 +350,15 @@ class TestEchelonBasis:
                 for j, x in row.items():
                     combo[j] = combo.get(j, Fraction(0)) + c * x
             assert basis.reduce(combo) == {}
+
+
+class TestClearDenominators:
+    def test_numerators_over_one_lcm(self):
+        """An int has denominator 1, a zero value is dropped, and every other
+        value comes out as its numerator over the lcm of all denominators."""
+        mapping = {"a": 3, "b": Fraction(1, 4), "c": 0, "d": Fraction(-5, 6), "e": Fraction(0)}
+        assert linalg.clear_denominators(mapping) == (12, {"a": 36, "b": 3, "d": -10})
+        assert linalg.clear_denominators({0: 2, 1: -7}) == (1, {0: 2, 1: -7})
 
 
 class TestRankModP:

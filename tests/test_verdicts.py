@@ -7,7 +7,8 @@ A verdict is the exit code, ``failures``, ``certificates_pass``,
 ``hypotheses`` and the witness of every certificate record.  Beside them
 this pins the data that is printed next to no record: the two socle
 generators, read from ``algebra``, and the verdicts of one seeded generic
-quartic, smooth and made singular.
+cubic curve and one seeded generic quartic K3, each smooth and made
+singular.
 """
 
 import json
@@ -151,34 +152,40 @@ def test_verdicts_are_pinned(capsys, command, name):
         assert doc["algebra"]["generator_monomial"] == generator_monomial
 
 
-def generic_quartic(singular: bool) -> dict:
-    """A seeded quartic K3 on P^3 with all 35 degree-4 monomials, each
-    coefficient drawn from [-5, 5] without 0.  ``singular`` drops z0^4 and
-    every z0^3 z_j, so that every partial vanishes at [1:0:0:0]."""
-    fx = get_fixture("projective-4")
+def generic_hypersurface(r: int, singular: bool) -> dict:
+    """A seeded degree-r hypersurface in P^(r-1) (``projective-r``) with all
+    degree-r monomials, each coefficient drawn from [-5, 5] without 0.
+    ``singular`` drops z0^r and every z0^(r-1) z_j, so that every partial
+    vanishes at [1:0:...:0]."""
+    fx = get_fixture(f"projective-{r}")
     rng = random.Random(0)
     terms = {}
-    for combo in combinations_with_replacement(range(4), 4):
-        mono = tuple(combo.count(i) for i in range(4))
+    for combo in combinations_with_replacement(range(r), r):
+        mono = tuple(combo.count(i) for i in range(r))
         terms[mono] = rng.choice([c for c in range(-5, 6) if c])
     if singular:
-        terms = {mono: c for mono, c in terms.items() if mono[0] < 3}
+        terms = {mono: c for mono, c in terms.items() if mono[0] < r - 1}
     doc = fx.to_input_document()
     doc["polynomial"] = GradedPolynomial(fx.variables, terms).to_text()
     return doc
 
 
 @pytest.mark.parametrize("singular", [False, True], ids=["smooth", "singular"])
-def test_generic_quartic_k3(capsys, tmp_path, singular):
-    """A smooth quartic's partials form a regular sequence, so dim R(f)_{4a}
-    is the coefficient of t^{4a} in ((1 - t^3) / (1 - t))^4 = (1 + t +
-    t^2)^4 (Macaulay; Griffiths, Ann. of Math. 90, 1969): [1, 19, 1].  The
+@pytest.mark.parametrize(
+    "r, dims", [(3, [1, 1]), (4, [1, 19, 1])], ids=["cubic-curve", "quartic-k3"]
+)
+def test_generic_hypersurface(capsys, tmp_path, r, dims, singular):
+    """A smooth degree-r hypersurface in P^(r-1) has partials that form a
+    regular sequence, so dim R(f)_{ra} is the coefficient of t^{ra} in
+    ((1 - t^(r-1)) / (1 - t))^r = (1 + t + ... + t^(r-2))^r (Macaulay;
+    Griffiths, Ann. of Math. 90, 1969): [1, 1] for the cubic curve, whose
+    series is (1 + t)^3, and [1, 19, 1] for the quartic K3.  The quartic's
     report certifies it through blocks of several hundred columns whose
     kernels, with entries of up to 808 bits, are lifted p-adically; no
-    fixture reaches such a block.  The quartic singular at [1:0:0:0] is
-    the negative control: it exits 4."""
-    path = tmp_path / "quartic.json"
-    path.write_text(json.dumps(generic_quartic(singular)))
+    fixture reaches such a block.  Each made singular at [1:0:...:0] is the
+    negative control: it exits 4."""
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps(generic_hypersurface(r, singular)))
     code = main(["report", "--input", str(path), "--json-only"])
     doc = json.loads(capsys.readouterr().out)
     if singular:
@@ -186,7 +193,7 @@ def test_generic_quartic_k3(capsys, tmp_path, singular):
         assert doc["failures"] == ["macaulay_vanishing", "socle_certificates"]
         return
     series = [1]
-    for _ in range(4):
-        series = [sum(series[max(0, i - 2) : i + 1]) for i in range(len(series) + 2)]
+    for _ in range(r):
+        series = [sum(series[max(0, i - r + 2) : i + 1]) for i in range(len(series) + r - 2)]
     assert code == 0 and doc["certificates_pass"] is True
-    assert doc["dims"] == series[::4] == [1, 19, 1]
+    assert doc["dims"] == series[::r] == dims
