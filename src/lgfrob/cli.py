@@ -27,10 +27,11 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="PATH", help="input JSON document ('-' for stdin)")
     source.add_argument("--fixture", metavar="NAME", help="use a built-in fixture as input")
-    parser.add_argument(
+    cap = parser.add_mutually_exclusive_group()
+    cap.add_argument(
         "--max-degree-a", type=int, help="cap graded dimension computations at this a"
     )
-    parser.add_argument(
+    cap.add_argument(
         "--full", action="store_true", help="remove any max-degree cap from the input"
     )
     parser.add_argument(

@@ -409,39 +409,36 @@ AXIOMS = ("unit", "invariance", "nondegeneracy")
 @dataclass
 class AxiomReport:
     """The records of the axioms named in ``AXIOMS``, each ``checked``
-    counting the cases it compared."""
+    counting the cases it compared, and the rank of each Gram matrix G_a,
+    a = 0..m-1, that the nondegeneracy record certifies."""
 
     unit: CheckResult
     invariance: CheckResult
     nondegeneracy: CheckResult
+    gram_ranks: list[int]
 
     @property
     def all_pass(self) -> bool:
         return all(getattr(self, name).ok for name in AXIOMS)
 
 
-def frobenius_axiom_check(
-    D: FrobeniusAlgebraData, gram_ranks: Sequence[int] | None = None
-) -> AxiomReport:
+def frobenius_axiom_check(D: FrobeniusAlgebraData) -> AxiomReport:
     """Certify the Frobenius axioms on D, each exactly.
 
     Unit is exact over all stored structure constants.  Invariance compares
     the structure-constant trace <u*v, w> with a direct trace that never
     reads the structure constants on every basis triple with a+b+c = m-1.
     Nondegeneracy is exact full rank of every Gram matrix G_a, of shape
-    dims[a] x dims[m-1-a]; ``gram_ranks``, when given, must be the rank of
-    ``pairing_gram(D, a)`` for a = 0..m-1 and is used instead of being
-    computed again.  Commutativity and associativity have no check: once
-    these three pass, every stored constant is R(f)'s, so the product is
-    commutative and associative, and <u*v, w> alone covers <u, v*w> (the
-    lemma of ``_check_invariance``).
+    dims[a] x dims[m-1-a], ranked on the numerators that invariance reads,
+    built once per degree: a nonzero multiple of G_a.  Commutativity and
+    associativity have no check: once these three pass, every stored
+    constant is R(f)'s, so the product is commutative and associative, and
+    <u*v, w> alone covers <u, v*w> (the lemma of ``_check_invariance``).
     """
-    unit = _check_unit(D)
-    inv = _check_invariance(D)
-    if gram_ranks is None:
-        gram_ranks = [linalg.rank_rational(pairing_gram(D, a)) for a in range(D.m)]
-    nondeg = _check_nondegeneracy(D.dims(), gram_ranks)
-    return AxiomReport(unit, inv, nondeg)
+    grams = [_gram_numerators(D, a) for a in range(D.m)]
+    ranks = [linalg.rank_rational(gram) for gram, _ in grams]
+    unit, inv = _check_unit(D), _check_invariance(D, grams)
+    return AxiomReport(unit, inv, _check_nondegeneracy(D.dims(), ranks), ranks)
 
 
 def _check_unit(D: FrobeniusAlgebraData) -> CheckResult:
@@ -460,17 +457,18 @@ def _check_unit(D: FrobeniusAlgebraData) -> CheckResult:
     return CheckResult(True, checked)
 
 
-def _check_invariance(D: FrobeniusAlgebraData) -> CheckResult:
+def _check_invariance(D: FrobeniusAlgebraData, grams: list) -> CheckResult:
     """<u*v, w> = <u, v*w> on every basis triple of every degree triple
     with a+b+c = m-1: the sides are trilinear forms, so agreeing on a basis
     they agree everywhere, and the check is exact and draws no random
     number.  <e_i e_j, e_k>, an int numerator over den times its product
     denominators, is compared with the direct trace of z^i z^j z^k, one
     lookup of den * Tr with default 0 that never reads the structure
-    constants.  Per degree triple the (a+b, c) products are contracted with
-    den * tau once, into Gram numerators, and per (i, j) e_i e_j is read
-    once, so this side costs the nonzero products reached; ``checked``
-    counts every basis triple in i, j, k order up to the first failing one.
+    constants.  The (a+b, c) products are contracted with den * tau once,
+    into the Gram numerators grams[a+b] of ``_gram_numerators``, and per
+    (i, j) e_i e_j is read once, so this side costs the nonzero products
+    reached; ``checked`` counts every basis triple in i, j, k order up to
+    the first failing one.
 
     Commutativity has no check of its own: it cannot fail once this check
     and nondegeneracy pass.  For a = b, the basis triples (i, j, k) and
@@ -499,7 +497,7 @@ def _check_invariance(D: FrobeniusAlgebraData) -> CheckResult:
     checked = 0
     for a, b, c in [(a, b, m - 1 - a - b) for a in range(m) for b in range(m - a)]:
         ab, d_ab = D.products(a, b)
-        gram, d_ab_c = _gram_numerators(D, a + b)
+        gram, d_ab_c = grams[a + b]
         lhs_den = d_ab * d_ab_c
         zero = [0] * len(codes[c])
         for i, code_i in enumerate(codes[a]):

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import frobenius, jacobian, linalg, toric
+from . import frobenius, jacobian, toric
 from .errors import InputSchemaError, LgfrobError
 from .fixtures import SCHEMA_VERSION, unimodular_transform
 from .poly import format_rational, parse_polynomial
@@ -388,23 +388,24 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         "zero_sums_checked": algebra.zero_sums_checked,
     }
 
+    dims = algebra.dims()
     with _timed(timings, "gram"):
-        grams = [frobenius.pairing_gram(algebra, a) for a in range(m)]
-        ranks = [linalg.rank_rational(gram) for gram in grams]
-        dims = algebra.dims()
-        gram_section = {}
-        for a, (gram, rank) in enumerate(zip(grams, ranks)):
-            rows, cols = dims[a], dims[m - 1 - a]
-            entry: dict = {"shape": [rows, cols], "rank": rank}
-            entry["nondegenerate"] = rows == cols and rank == rows
-            if rows * cols and rows <= GRAM_ENTRY_LIMIT and cols <= GRAM_ENTRY_LIMIT:
-                entry["entries"] = [[format_rational(e) for e in row] for row in gram]
-            gram_section[str(a)] = entry
-    report["gram"] = gram_section
-    report["gram_unit_exponent"] = m - 1
-
+        # only the G_a whose entries are printed; the axiom check ranks them all
+        grams = {
+            a: frobenius.pairing_gram(algebra, a)
+            for a in range(m)
+            if dims[a] * dims[m - 1 - a] and max(dims[a], dims[m - 1 - a]) <= GRAM_ENTRY_LIMIT
+        }
     with _timed(timings, "axioms"):
-        axioms = frobenius.frobenius_axiom_check(algebra, ranks)
+        axioms = frobenius.frobenius_axiom_check(algebra)
+    gram_section = report["gram"] = {}
+    for a, rank in enumerate(axioms.gram_ranks):
+        rows, cols = dims[a], dims[m - 1 - a]
+        entry = {"shape": [rows, cols], "rank": rank, "nondegenerate": rows == cols == rank}
+        if a in grams:
+            entry["entries"] = [[format_rational(e) for e in row] for row in grams[a]]
+        gram_section[str(a)] = entry
+    report["gram_unit_exponent"] = m - 1
     report["axioms"] = {
         name: getattr(axioms, name).as_dict() for name in frobenius.AXIOMS
     }

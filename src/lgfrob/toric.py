@@ -8,6 +8,7 @@ maximal cones (index sets into the ray list).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, gcd, inf
@@ -61,6 +62,13 @@ class FanData:
     def cone_matrix(self, cone: Sequence[int]) -> list[list[int]]:
         """Rows are the rays of the cone."""
         return [list(self.rays[i]) for i in cone]
+
+    @cached_property
+    def sweep_order(self) -> list[int]:
+        """The ``_sweep_order`` of Delta = {u : <u, rho> >= -1}, in which
+        ``monomial_basis`` sweeps every fiber: the fiber of S_{a beta} is a
+        lattice translate of a Delta, whose widths are a times Delta's."""
+        return _sweep_order([(ray, 1) for ray in self.rays], self.dim)
 
 
 @dataclass(frozen=True)
@@ -544,16 +552,15 @@ def monomial_basis(
     u0_i + <x, rho_i> >= 0, carrying the exponent vector through the sweep
     (column k of the ray matrix is added for each step of x_k).
 
-    The coordinates are swept in the order of ``_sweep_order``.  The order
-    changes which monomial comes out when, never which monomials come out,
-    and the two stable sorts at the end fix the list: lex order, then total
-    degree, which is the order of ``poly.grlex_key`` with no key call per
-    monomial.
+    The coordinates are swept in the fan's ``sweep_order``, Delta's, fixed
+    once per fan.  The order changes which monomial comes out when, never
+    which monomials come out, and the two stable sorts at the end fix the
+    list: lex order, then total degree, which is the order of
+    ``poly.grlex_key`` with no key call per monomial.
     """
     u0 = [sum(map(mul, row, alpha)) for row in grading.section]
-    ineqs = [(fan.rays[i], u0[i]) for i in range(fan.n_rays)]
-    order = _sweep_order(ineqs, fan.dim)
-    ineqs = [(tuple(ray[k] for k in order), const) for ray, const in ineqs]
+    order = fan.sweep_order
+    ineqs = [(tuple(ray[k] for k in order), const) for ray, const in zip(fan.rays, u0)]
     cols = [tuple(ray[k] for ray in fan.rays) for k in order]
     monos = _affine_lattice_images(ineqs, u0, cols)
     monos.sort()

@@ -59,6 +59,20 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out.strip() else None, err
 
 
+def corrupt_g1(monkeypatch):
+    """Fault injection: a repeated row makes the numerators of G_1, and so
+    G_1 itself, singular wherever they are built."""
+    original = frobenius._gram_numerators
+
+    def corrupted(algebra, a):
+        gram, den = original(algebra, a)
+        if a == 1:
+            gram[1] = list(gram[0])
+        return gram, den
+
+    monkeypatch.setattr(frobenius, "_gram_numerators", corrupted)
+
+
 class TestFixtureCommand:
     def test_lists_names(self, capsys):
         code, out, _ = run_cli(capsys, "fixture")
@@ -399,6 +413,22 @@ class TestReportCommand:
         assert captured.out == ""
         assert "--threads" in captured.err
 
+    def test_cap_and_full_exclude_each_other(self, capsys, monkeypatch):
+        """--full once overrode --max-degree-a silently and started the
+        uncapped run; the pair now exits 2 before any stage runs."""
+
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr("lgfrob.cli.run_report", no_stage)
+        monkeypatch.setattr("lgfrob.cli.parse_run_config", no_stage)
+        with pytest.raises(SystemExit) as exc:
+            main(["dims", "--fixture", "bundle-p6", "--max-degree-a", "1", "--full"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     @pytest.mark.parametrize("flag", ["--seed", "--sample-count"])
     def test_removed_sampling_flags_exit_2(self, capsys, flag):
         """Every axiom check is exact: the flags of the removed sampled
@@ -516,18 +546,38 @@ class TestGramRanks:
         assert calls == [1, 19, 1]
         assert [doc_report["gram"][str(a)]["rank"] for a in range(3)] == [1, 19, 1]
 
+    def test_axiom_check_builds_each_gram_once(self, monkeypatch):
+        """On the quartic (dims [1, 19, 1]) the axiom check builds the Gram
+        numerators of degrees 0, 1 and 2 once each, and the report builds
+        through ``pairing_gram`` only G_0 and G_2, the two it prints."""
+        events = []
+
+        def logged(name, fn):
+            def wrapper(*args):
+                events.append((name, *args[1:]))
+                return fn(*args)
+
+            monkeypatch.setattr(frobenius, name, wrapper)
+
+        for name in ("pairing_gram", "_gram_numerators", "frobenius_axiom_check"):
+            logged(name, getattr(frobenius, name))
+        doc = get_fixture("projective-4").to_input_document()
+        assert report.run_report(report.parse_run_config(doc))[1] == 0
+        assert events == [
+            ("pairing_gram", 0),
+            ("_gram_numerators", 0),
+            ("pairing_gram", 2),
+            ("_gram_numerators", 2),
+            ("frobenius_axiom_check",),
+            ("_gram_numerators", 0),
+            ("_gram_numerators", 1),
+            ("_gram_numerators", 2),
+        ]
+
     def test_singular_gram_fails_nondegeneracy(self, monkeypatch):
         """Fault injection: a repeated row makes G_1 singular; the gram
         section and the nondegeneracy axiom must both say so."""
-        original = frobenius.pairing_gram
-
-        def corrupted(algebra, a):
-            gram = original(algebra, a)
-            if a == 1:
-                gram[1] = list(gram[0])
-            return gram
-
-        monkeypatch.setattr(frobenius, "pairing_gram", corrupted)
+        corrupt_g1(monkeypatch)
         doc = get_fixture("projective-4").to_input_document()
         doc_report, code = report.run_report(report.parse_run_config(doc))
         assert code == 4
@@ -638,15 +688,7 @@ class TestDimsAndGram:
     def test_gram_fails_on_singular_gram(self, capsys, monkeypatch):
         """The singular-G_1 fault injection of TestGramRanks, through gram:
         the command still runs the axioms and exits 4."""
-        original = frobenius.pairing_gram
-
-        def corrupted(algebra, a):
-            gram = original(algebra, a)
-            if a == 1:
-                gram[1] = list(gram[0])
-            return gram
-
-        monkeypatch.setattr(frobenius, "pairing_gram", corrupted)
+        corrupt_g1(monkeypatch)
         code, doc, _ = run_json(capsys, "gram", "--fixture", "projective-4", "--json-only")
         assert code == 4
         assert doc["gram"]["1"]["nondegenerate"] is False

@@ -299,10 +299,11 @@ class TestAxioms:
     def test_exhaustive_mode_on_small_algebra(self, cubic_algebra):
         """Every check is exhaustive: on the cubic (dims [1, 1]) unit
         compares both products with the unit, invariance the three basis
-        triples with a+b+c = 1, and nondegeneracy both Gram matrices."""
+        triples with a+b+c = 1, and nondegeneracy both Gram matrices, each
+        1x1 of rank 1."""
         report = frob.frobenius_axiom_check(cubic_algebra)
         assert report == frob.AxiomReport(
-            CheckResult(True, 2), CheckResult(True, 3), CheckResult(True, 2)
+            CheckResult(True, 2), CheckResult(True, 3), CheckResult(True, 2), [1, 1]
         )
 
     def test_macaulay_consistency_products_vanish(self, bundle_algebra):
@@ -730,7 +731,7 @@ class TestSparseKernel:
             },
             denominators={key: 2 * den + 1 for key, den in D.denominators.items()},
         )
-        record = frob.frobenius_axiom_check(scrambled, gram_ranks=D.dims()).invariance
+        record = frob.frobenius_axiom_check(scrambled).invariance
         assert not record.ok
         triple, direct = witness_parts(record.witness)
         assert direct == triple_trace(D, *triple)
@@ -857,7 +858,7 @@ class TestExhaustiveInvariance:
     def test_checks_every_basis_triple(self, shared, request):
         D = request.getfixturevalue(shared)
         m, dims = D.m, D.dims()
-        report = frob.frobenius_axiom_check(D, gram_ranks=dims)
+        report = frob.frobenius_axiom_check(D)
         assert report.invariance.ok
         assert report.invariance.checked == sum(
             dims[a] * dims[b] * dims[m - 1 - a - b]
@@ -881,7 +882,7 @@ class TestExhaustiveInvariance:
             for k, _ in entries
         )
         bad = with_constants(D, ((1, 1), i, j, k, 1), ((1, 1), j, i, k, 1))
-        report = frob.frobenius_axiom_check(bad, gram_ranks=D.dims())
+        report = frob.frobenius_axiom_check(bad)
         assert report.invariance == CheckResult(
             False,
             33_029,
@@ -898,7 +899,7 @@ class TestExhaustiveInvariance:
         bad = dataclasses.replace(
             D, denominators={**D.denominators, (1, 1): 2 * D.denominators[(1, 1)]}
         )
-        report = frob.frobenius_axiom_check(bad, gram_ranks=D.dims())
+        report = frob.frobenius_axiom_check(bad)
         assert report.unit.ok
         assert assert_invariance_witness(report, D, bad)[::2] == (1, 1, 1)
 

@@ -6,16 +6,17 @@ it, cannot change a verdict unnoticed.
 A verdict is the exit code, ``failures``, ``certificates_pass``,
 ``hypotheses`` and the witness of every certificate record.  Beside them
 this pins the data that is printed next to no record: the two socle
-generators, read from ``algebra``, and the verdicts of one seeded generic
-cubic curve and one seeded generic quartic K3, each smooth and made
-singular.
+generators, read from ``algebra``, and the verdicts of seeded generic
+potentials: a cubic curve and a quartic K3, each smooth and made singular,
+and one on each of the weighted-p112, p1xp1 and bundle-p2 fans.
 """
 
 import json
 import random
-from itertools import combinations_with_replacement
 
 import pytest
+
+from reference import dilated_points, polytope_vertices
 
 from lgfrob.cli import main
 from lgfrob.fixtures import get_fixture
@@ -152,22 +153,31 @@ def test_verdicts_are_pinned(capsys, command, name):
         assert doc["algebra"]["generator_monomial"] == generator_monomial
 
 
-def generic_hypersurface(r: int, singular: bool) -> dict:
-    """A seeded degree-r hypersurface in P^(r-1) (``projective-r``) with all
-    degree-r monomials, each coefficient drawn from [-5, 5] without 0.
-    ``singular`` drops z0^r and every z0^(r-1) z_j, so that every partial
-    vanishes at [1:0:...:0]."""
-    fx = get_fixture(f"projective-{r}")
+def generic_document(name: str, point: tuple[int, ...] | None = None) -> dict:
+    """The fixture ``name`` with a seeded generic potential and no zero
+    sets: every monomial of S_beta, the exponent vectors of the lattice
+    points of Delta, in descending lex order, each with a coefficient drawn
+    from [-5, 5] without 0.  ``point``, the variables of a maximal cone,
+    keeps only the terms that vanish to order >= 2 at the cone's
+    torus-fixed point, where those variables vanish, so that f is singular
+    there."""
+    fx = get_fixture(name)
     rng = random.Random(0)
-    terms = {}
-    for combo in combinations_with_replacement(range(r), r):
-        mono = tuple(combo.count(i) for i in range(r))
-        terms[mono] = rng.choice([c for c in range(-5, 6) if c])
-    if singular:
-        terms = {mono: c for mono, c in terms.items() if mono[0] < r - 1}
+    monos = sorted(dilated_points(fx.fan, polytope_vertices(fx.fan), 1), reverse=True)
+    terms = {mono: rng.choice([c for c in range(-5, 6) if c]) for mono in monos}
+    if point is not None:
+        terms = {mono: c for mono, c in terms.items() if sum(mono[i] for i in point) >= 2}
     doc = fx.to_input_document()
+    doc.pop("zero_sets", None)
     doc["polynomial"] = GradedPolynomial(fx.variables, terms).to_text()
     return doc
+
+
+def run_document(capsys, tmp_path, doc: dict) -> tuple[int, dict]:
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps(doc))
+    code = main(["report", "--input", str(path), "--json-only"])
+    return code, json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("singular", [False, True], ids=["smooth", "singular"])
@@ -182,12 +192,11 @@ def test_generic_hypersurface(capsys, tmp_path, r, dims, singular):
     series is (1 + t)^3, and [1, 19, 1] for the quartic K3.  The quartic's
     report certifies it through blocks of several hundred columns whose
     kernels, with entries of up to 808 bits, are lifted p-adically; no
-    fixture reaches such a block.  Each made singular at [1:0:...:0] is the
-    negative control: it exits 4."""
-    path = tmp_path / "generic.json"
-    path.write_text(json.dumps(generic_hypersurface(r, singular)))
-    code = main(["report", "--input", str(path), "--json-only"])
-    doc = json.loads(capsys.readouterr().out)
+    fixture reaches such a block.  Each made singular at [1:0:...:0], by
+    dropping z0^r and every z0^(r-1) z_j, is the negative control: it exits
+    4."""
+    point = tuple(range(1, r)) if singular else None
+    code, doc = run_document(capsys, tmp_path, generic_document(f"projective-{r}", point))
     if singular:
         assert code == 4 and doc["certificates_pass"] is False
         assert doc["failures"] == ["macaulay_vanishing", "socle_certificates"]
@@ -197,3 +206,34 @@ def test_generic_hypersurface(capsys, tmp_path, r, dims, singular):
         series = [sum(series[max(0, i - r + 2) : i + 1]) for i in range(len(series) + r - 2)]
     assert code == 0 and doc["certificates_pass"] is True
     assert doc["dims"] == series[::r] == dims
+
+
+# name -> (the variables of a maximal cone whose torus-fixed point the
+# negative control is singular at, or None; exit code; failures; dims).
+# dims[1] is Batyrev's count l(Delta) - m - 1 - sum over the facets Theta
+# of l*(Theta) (J. Algebraic Geom. 3, 1994, section 4): 1, 2 and 18.
+# dims[0] = 1, and so is bundle-p2's dims[2], the socle.  On p1xp1 the
+# socle degree is 1, whose two dimensions against the one of R0(f)_{m beta}
+# fail the socle certificate, as on the fixture.
+GENERIC = {
+    "weighted-p112": ((0, 2), 0, [], [1, 1]),
+    "p1xp1": (None, 4, ["socle_certificates"], [1, 2]),
+    "bundle-p2": ((1, 2, 3), 0, [], [1, 18, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC))
+def test_generic_document(capsys, tmp_path, name):
+    """A seeded generic potential on each fan that is not projective and
+    builds an algebra or fails only the socle certificate, against dims
+    that no run supplied; on weighted-p112 and bundle-p2 the same potential
+    made singular at a torus-fixed point, x = z = 0 and x1 = x2 = y1 = 0,
+    is the negative control: it exits 4."""
+    point, want_code, failures, dims = GENERIC[name]
+    code, doc = run_document(capsys, tmp_path, generic_document(name))
+    assert code == want_code and doc["failures"] == failures
+    assert doc["dims"] == dims
+    if point is not None:
+        code, doc = run_document(capsys, tmp_path, generic_document(name, point))
+        assert code == 4 and doc["certificates_pass"] is False
+        assert doc["failures"] == ["macaulay_vanishing", "socle_certificates"]
