@@ -362,20 +362,23 @@ def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> Fraction:
     return Fraction(total, den)
 
 
-def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[Fraction]]:
+def pairing_gram(
+    D: FrobeniusAlgebraData, a: int, numerators: tuple[list[list[int]], int] | None = None
+) -> list[list[Fraction]]:
     """Gram matrix G_a: traces of products of degree-a and degree-(m-1-a)
     basis elements, sum_k n_k tau_k / den over the nonzero constants
     n_k / den of each product, where tau_k is the trace of the k-th
     degree-(m-1) basis element, read as the int t_den * tau_k from the
-    trace table."""
+    trace table.  ``numerators``, ``gram_numerators(D, a)`` when the caller
+    has built it, is read instead of being built again."""
     if not 0 <= a <= D.m - 1:
         raise DegreeMismatch(f"degree {a} outside 0..{D.m - 1}")
-    numerators, den = _gram_numerators(D, a)
+    numerators, den = numerators or gram_numerators(D, a)
     den *= D.trace_functional[0]
     return [[Fraction(x, den) for x in row] for row in numerators]
 
 
-def _gram_numerators(D: FrobeniusAlgebraData, a: int) -> tuple[list[list[int]], int]:
+def gram_numerators(D: FrobeniusAlgebraData, a: int) -> tuple[list[list[int]], int]:
     """(G, d) with G_a = G / (d * t_den): G[i][j] is the int sum of
     n_k * t_den * tau_k over the nonzero constants n_k / d of
     basis[a][i] * basis[m-1-a][j], t_den the trace table's denominator."""
@@ -422,7 +425,7 @@ class AxiomReport:
         return all(getattr(self, name).ok for name in AXIOMS)
 
 
-def frobenius_axiom_check(D: FrobeniusAlgebraData) -> AxiomReport:
+def frobenius_axiom_check(D: FrobeniusAlgebraData, grams: list | None = None) -> AxiomReport:
     """Certify the Frobenius axioms on D, each exactly.
 
     Unit is exact over all stored structure constants.  Invariance compares
@@ -430,12 +433,15 @@ def frobenius_axiom_check(D: FrobeniusAlgebraData) -> AxiomReport:
     reads the structure constants on every basis triple with a+b+c = m-1.
     Nondegeneracy is exact full rank of every Gram matrix G_a, of shape
     dims[a] x dims[m-1-a], ranked on the numerators that invariance reads,
-    built once per degree: a nonzero multiple of G_a.  Commutativity and
+    built once per degree: a nonzero multiple of G_a.  ``grams``, the
+    ``gram_numerators`` of every degree a = 0..m-1 when the caller has
+    built them, is read instead of being built again.  Commutativity and
     associativity have no check: once these three pass, every stored
     constant is R(f)'s, so the product is commutative and associative, and
     <u*v, w> alone covers <u, v*w> (the lemma of ``_check_invariance``).
     """
-    grams = [_gram_numerators(D, a) for a in range(D.m)]
+    if grams is None:
+        grams = [gram_numerators(D, a) for a in range(D.m)]
     ranks = [linalg.rank_rational(gram) for gram, _ in grams]
     unit, inv = _check_unit(D), _check_invariance(D, grams)
     return AxiomReport(unit, inv, _check_nondegeneracy(D.dims(), ranks), ranks)
@@ -465,7 +471,7 @@ def _check_invariance(D: FrobeniusAlgebraData, grams: list) -> CheckResult:
     denominators, is compared with the direct trace of z^i z^j z^k, one
     lookup of den * Tr with default 0 that never reads the structure
     constants.  The (a+b, c) products are contracted with den * tau once,
-    into the Gram numerators grams[a+b] of ``_gram_numerators``, and per
+    into the Gram numerators grams[a+b] of ``gram_numerators``, and per
     (i, j) e_i e_j is read once, so this side costs the nonzero products
     reached; ``checked`` counts every basis triple in i, j, k order up to
     the first failing one.

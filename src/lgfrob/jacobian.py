@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
+from operator import add, ge, sub
 from typing import Sequence
 
 from . import linalg
@@ -102,7 +102,9 @@ class QuotientBasis:
     """One graded piece of S/J or S/J0.
 
     ``monomials`` is the graded-lex basis of the ambient piece; ``basis`` the
-    non-pivot monomials spanning the quotient.  The structural pass (see
+    non-pivot monomials spanning the quotient.  ``skipped_rows`` relation
+    rows were never assembled: the syzygy criterion of ``relation_rows``
+    proves them redundant.  The structural pass (see
     ``graded_piece``) enters ``unit_columns`` columns in ``echelon`` as unit
     rows and ``merged_columns`` as rows e_c - r e_rep onto the representative
     of their class.  Of the ``blocks`` blocks of the relation rows left,
@@ -126,6 +128,7 @@ class QuotientBasis:
     remainder_checked_rows: int = 0
     unit_columns: int = 0
     merged_columns: int = 0
+    skipped_rows: int = 0
     _index: dict[Monomial, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -181,6 +184,19 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
     deterministic order (generator index, cofactor graded-lex); returns the
     ambient monomials and the rows.
 
+    Rows that a principal syzygy makes redundant are never assembled: the
+    syzygy criterion of F5 (Faugere, ISSAC 2002).  Let lm(g) be the leading
+    monomial of a generator under graded reverse lex (total degree first,
+    then the smaller last exponent), a total monomial order.  The row of
+    generator g_j at cofactor u is skipped when lm(g_i) divides u for an
+    earlier generator i < j.  Writing u = lm(g_i) w, the relation
+    g_j (g_i w) = g_i (g_j w) gives g_j u = g_i (g_j w) - sum_t c_t g_j (t w)
+    over the other terms c_t t of g_i: rows of generator i, and rows of
+    generator j at cofactors t w below u in the order.  By induction on
+    (generator index, cofactor in that order) every skipped row lies in the
+    span of the kept ones, so the row space, and with it the pivots, basis
+    and normal forms of every piece, does not change.
+
     Columns are keyed by the integer code(z) = sum_i z_i radix^i with
     radix = 1 + the largest exponent in S_alpha, so the digits of a code
     are the exponents and distinct monomials of S_alpha get distinct codes.
@@ -195,29 +211,41 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
     radix = 1 + max(map(max, monos), default=0)
     index = {monomial_code(mono, radix): i for i, mono in enumerate(monos)}
     rows: list[dict[int, int]] = []
-    cofactors: dict[tuple[int, ...], list[int]] = {}
+    # cofactor degree -> (its (cofactor, code) pairs that no lead of
+    # leads[:seen] divides, seen): each lead filters each list once
+    cofactors: dict[tuple[int, ...], tuple[list[tuple[Monomial, int]], int]] = {}
+    leads: list[Monomial] = []
     for g, g_deg in _generators(system, ideal):
         cof_degree = tuple(a - d for a, d in zip(alpha, g_deg))
-        if cof_degree not in cofactors:
-            cofactors[cof_degree] = [
-                monomial_code(cof, radix) for cof in system.monomials(cof_degree)
-            ]
+        kept, seen = cofactors.get(cof_degree, (None, 0))
+        if kept is None:
+            kept = [(cof, monomial_code(cof, radix)) for cof in system.monomials(cof_degree)]
+        for lead in leads[seen:]:
+            kept = [pair for pair in kept if not all(map(ge, pair[0], lead))]
+        cofactors[cof_degree] = kept, len(leads)
         terms = [
             (monomial_code(mono, radix), x)
             for mono, x in linalg.clear_denominators(g.terms)[1].items()
         ]
-        for cof in cofactors[cof_degree]:
-            rows.append({index[cof + t]: x for t, x in terms})
+        for _, code in kept:
+            rows.append({index[code + t]: x for t, x in terms})
+        leads.append(max(g.terms, key=lambda mono: (sum(mono), [-e for e in reversed(mono)])))
     return monos, rows
 
 
 def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> QuotientBasis:
-    """The quotient at degree alpha.  ``EchelonBasis.add_short_rows`` first
-    takes every relation row that has, or comes down to, at most two
-    entries: a one-term row makes its column a unit row, and a two-term row
-    merges its columns into a class whose representative is the highest
-    column, so that every other member c is the pivot of its stored row
-    e_c - r e_rep and the non-pivot set stays the canonical one.  Each
+    """The quotient at degree alpha.  ``relation_rows`` assembles only the
+    rows that the F5 syzygy criterion (Faugere, ISSAC 2002) keeps: the row
+    of generator g_j at cofactor u is skipped when the graded-reverse-lex
+    leading monomial of an earlier generator g_i divides u, since
+    g_j (g_i w) = g_i (g_j w) writes it through rows of a smaller
+    (generator index, cofactor), and induction on that order keeps the row
+    space.  ``EchelonBasis.add_short_rows`` then takes every relation row
+    that has, or comes down to, at most two entries: a one-term row makes
+    its column a unit row, and a two-term row merges its columns into a
+    class whose representative is the highest column, so that every other
+    member c is the pivot of its stored row e_c - r e_rep and the
+    non-pivot set stays the canonical one.  Each
     connected block of the rows left then takes one of three paths; each
     stores rows spanning exactly the block's row space, so the canonical
     pivots, basis and normal forms do not depend on it:
@@ -229,7 +257,14 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
         verified against every row, gives the reduced rows;
       * exact on every row until full column rank: fewer rows than columns,
         or a lift that finds the rank over Q above the rank mod p.
-    No block has one column: its rows would have one entry each."""
+    In a piece where the criterion skipped rows, a block one row short of
+    its columns also takes the modular path.  The criterion can leave a
+    block of corank 1 with exactly its rank in rows, as it does on
+    R0(f)_{m beta} of p1xp1 and of the seeded generic cubic, p1xp1 and
+    weighted-p112 potentials; the lift finds its one-dimensional kernel, as
+    it did with every row assembled, where exact elimination would take
+    every row.  No block has one column: its rows would have one entry
+    each."""
     alpha = tuple(alpha)
     key = (ideal, alpha)
     cached = system._pieces.get(key)
@@ -237,6 +272,10 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
         return cached
 
     monos, rows = relation_rows(system, ideal, alpha)
+    skipped = sum(
+        len(system.monomials(tuple(map(sub, alpha, g_deg))))
+        for _, g_deg in _generators(system, ideal)
+    ) - len(rows)
     ncols = len(monos)
     echelon = linalg.EchelonBasis(ncols)
     units, merged = echelon.add_short_rows(rows)
@@ -247,7 +286,7 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
         # down in every path; the row space does not depend on order
         block_rows = sorted((rows[i] for i in row_ids), key=max)
         kernel = None
-        if len(block_rows) >= len(cols):
+        if len(block_rows) + bool(skipped) >= len(cols):
             for i in row_ids:  # so that re-keying block_rows frees each row
                 rows[i] = None
             kernel = _block_kernel(block_rows, cols)
@@ -270,6 +309,7 @@ def graded_piece(system: JacobianSystem, ideal: str, alpha: Sequence[int]) -> Qu
     piece = QuotientBasis(
         alpha, ideal, monos, len(pivots), pivots, basis, echelon,
         len(blocks), certified, lifted, eliminated, checked, units, merged,
+        skipped,
     )
     system._pieces[key] = piece
     return piece

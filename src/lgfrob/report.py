@@ -390,14 +390,16 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
 
     dims = algebra.dims()
     with _timed(timings, "gram"):
-        # only the G_a whose entries are printed; the axiom check ranks them all
+        # the numerators of every G_a, built once: the axiom check ranks them
+        # all, and only the G_a whose entries are printed become matrices
+        numerators = [frobenius.gram_numerators(algebra, a) for a in range(m)]
         grams = {
-            a: frobenius.pairing_gram(algebra, a)
+            a: frobenius.pairing_gram(algebra, a, numerators[a])
             for a in range(m)
             if dims[a] * dims[m - 1 - a] and max(dims[a], dims[m - 1 - a]) <= GRAM_ENTRY_LIMIT
         }
     with _timed(timings, "axioms"):
-        axioms = frobenius.frobenius_axiom_check(algebra)
+        axioms = frobenius.frobenius_axiom_check(algebra, numerators)
     gram_section = report["gram"] = {}
     for a, rank in enumerate(axioms.gram_ranks):
         rows, cols = dims[a], dims[m - 1 - a]

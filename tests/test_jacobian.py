@@ -5,10 +5,12 @@ import gc
 import random
 import sys
 from fractions import Fraction
-from operator import sub
+from functools import cmp_to_key
+from operator import le, sub
 
 import pytest
 from reference import rows_from_factorization
+from test_verdicts import generic_document
 
 from lgfrob import jacobian as jac
 from lgfrob import linalg
@@ -428,11 +430,13 @@ class TestBlocks:
     def test_row_counters(self, bundle_p2):
         """No row of a lifted block is eliminated; every one is verified
         against its kernel.  Each piece below has one certified block and
-        one of corank 1."""
+        one of corank 1.  The lifted blocks have 116 and 189 rows, where
+        all generator x cofactor rows would give 135 and 228: the rows the
+        syzygy criterion skips are never checked."""
         piece = jac.graded_piece(bundle_p2, jac.IDEAL_J, (4, 4))
-        assert (piece.eliminated_rows, piece.remainder_checked_rows) == (0, 135)
+        assert (piece.eliminated_rows, piece.remainder_checked_rows) == (0, 116)
         piece0 = jac.graded_piece(bundle_p2, jac.IDEAL_J0, (6, 6))
-        assert (piece0.eliminated_rows, piece0.remainder_checked_rows) == (0, 228)
+        assert (piece0.eliminated_rows, piece0.remainder_checked_rows) == (0, 189)
 
     @pytest.mark.parametrize("always", [False, True])
     def test_perturbed_kernel_entry_is_rejected(self, always, monkeypatch, plain_pieces):
@@ -556,21 +560,36 @@ class TestBlocks:
         assert len(calls) == len(set(calls)) == count
 
 
-def tuple_keyed_rows(system, generators, alpha):
+def grevlex(u, v):
+    """Graded reverse lex as a comparison: the larger total degree wins,
+    then the smaller exponent at the last variable where u and v differ."""
+    if sum(u) != sum(v):
+        return sum(u) - sum(v)
+    last = next((x, y) for x, y in zip(reversed(u), reversed(v)) if x != y)
+    return last[1] - last[0]
+
+
+def tuple_keyed_rows(system, generators, alpha, criterion=False):
     """Reference assembly: columns keyed by exponent tuples, each row one of
     ``generators`` (pairs of polynomial and degree) times one cofactor, with
-    its denominators cleared."""
+    its denominators cleared.  With ``criterion``, a cofactor of the j-th
+    generator is left out when the graded-reverse-lex leading monomial of
+    an earlier generator divides it."""
     monos = monomial_basis(system.grading, system.fan, alpha)
     index = {mono: i for i, mono in enumerate(monos)}
     rows = []
+    leads = []
     for g, g_deg in generators:
         cof_degree = tuple(a - d for a, d in zip(alpha, g_deg))
         for cof in monomial_basis(system.grading, system.fan, cof_degree):
+            if criterion and any(all(map(le, lead, cof)) for lead in leads):
+                continue
             row = {
                 index[tuple(x + y for x, y in zip(mono, cof))]: coeff
                 for mono, coeff in g.terms.items()
             }
             rows.append(linalg.clear_denominators(row)[1])
+        leads.append(max(g.terms, key=cmp_to_key(grevlex)))
     return monos, rows
 
 
@@ -622,7 +641,7 @@ class TestCodeKeyedRows:
         def checked(system, ideal, alpha):
             monos, rows = original(system, ideal, alpha)
             want_monos, want_rows = tuple_keyed_rows(
-                system, jac._generators(system, ideal), alpha
+                system, jac._generators(system, ideal), alpha, criterion=True
             )
             assert monos == want_monos
             assert [list(r.items()) for r in rows] == [
@@ -652,7 +671,7 @@ class TestCodeKeyedRows:
         for d in range(9):
             monos, rows = jac.relation_rows(system, ideal, (d,))
             want_monos, want_rows = tuple_keyed_rows(
-                system, jac._generators(system, ideal), (d,)
+                system, jac._generators(system, ideal), (d,), criterion=True
             )
             assert monos == want_monos
             assert [list(r.items()) for r in rows] == [
@@ -670,6 +689,131 @@ class TestCodeKeyedRows:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def pencil_document(d):
+    """projective-d's document with f replaced by the Fermat pencil of
+    ``make_system``: sum_i z_i^d - d/2 z_0...z_(d-1)."""
+    doc = get_fixture(f"projective-{d}").to_input_document()
+    doc["polynomial"] += f" - {d}/2*" + "*".join(f"z{i}" for i in range(d))
+    return doc
+
+
+# every document whose report builds pieces: the fixtures (hirzebruch-3
+# fails validation first), the Fermat pencils, and the seeded generic
+# potentials of test_verdicts, smooth and singular
+REPORT_DOCUMENTS = {
+    **{
+        name: lambda name=name: get_fixture(name).to_input_document()
+        for name in fixture_names()
+        if name != "hirzebruch-3"
+    },
+    **{f"pencil-{d}": lambda d=d: pencil_document(d) for d in (3, 4, 5)},
+    **{
+        f"generic-{name}": lambda name=name: generic_document(name)
+        for name in ("projective-3", "projective-4", "weighted-p112", "p1xp1", "bundle-p2")
+    },
+    **{
+        f"generic-{name}-singular": lambda name=name, point=point: generic_document(name, point)
+        for name, point in [
+            ("projective-3", (1, 2)),
+            ("projective-4", (1, 2, 3)),
+            ("weighted-p112", (0, 2)),
+            ("bundle-p2", (1, 2, 3)),
+        ]
+    },
+}
+
+
+def report_system(name, monkeypatch):
+    """The system a report of ``REPORT_DOCUMENTS[name]`` builds, with the
+    pieces it built."""
+    systems = []
+    original = jac.jacobian_system
+
+    def recording(*args):
+        systems.append(original(*args))
+        return systems[-1]
+
+    monkeypatch.setattr(jac, "jacobian_system", recording)
+    run_report(parse_run_config(REPORT_DOCUMENTS[name]()))
+    (system,) = systems
+    return system
+
+
+class TestSyzygyCriterion:
+    """``relation_rows`` skips the row of generator g_j at cofactor u when
+    the leading monomial of an earlier generator divides u."""
+
+    @pytest.mark.parametrize("name", sorted(REPORT_DOCUMENTS))
+    def test_kept_rows_have_the_rank_of_all_rows(self, name, monkeypatch):
+        """Every row of every generator, the Euler generators J0 leaves out
+        included, has remainder 0 in each piece the report builds, so the
+        kept rows span all rows; and the kept and skipped rows together are
+        the generator x cofactor rows."""
+        system = report_system(name, monkeypatch)
+        assert system._pieces
+        for piece in system._pieces.values():
+            ideal, alpha = piece.ideal, piece.degree
+            monos, rows = tuple_keyed_rows(system, every_generator(system, ideal), alpha)
+            assert piece.monomials == monos
+            table = piece.remainders()
+            for row in rows:
+                remainder = [0] * piece.dim
+                for c, x in row.items():
+                    for k, y in table[c].items():
+                        remainder[k] += x * y
+                assert not any(remainder), (ideal, alpha)
+            kept = jac.relation_rows(system, ideal, alpha)[1]
+            every = tuple_keyed_rows(system, jac._generators(system, ideal), alpha)[1]
+            assert len(kept) + piece.skipped_rows == len(every)
+
+    @pytest.mark.parametrize(
+        "name, ideal, a, kept, every",
+        [
+            ("bundle-p2", jac.IDEAL_J, 2, 196, 224),
+            ("bundle-p2", jac.IDEAL_J0, 3, 460, 580),
+            ("projective-4", jac.IDEAL_J, 4, 969, 2240),
+            ("pencil-5", jac.IDEAL_J0, 4, 10625, 19380),
+        ],
+    )
+    def test_row_counts(self, name, ideal, a, kept, every):
+        """The Fermat pieces and the pencil keep exactly their rank in rows:
+        projective-4's R(f)_{4 beta} has full column rank 969."""
+        system = make_system(name)
+        alpha = system.grading.scaled_beta(a)
+        assert len(jac.relation_rows(system, ideal, alpha)[1]) == kept
+        piece = jac.graded_piece(system, ideal, alpha)
+        assert piece.skipped_rows == every - kept
+        if name != "bundle-p2":
+            assert piece.rank == kept
+
+    @pytest.mark.parametrize(
+        "name, rows",
+        [("p1xp1", 12), ("generic-p1xp1", 24), ("generic-projective-3", 27), ("generic-weighted-p112", 24)],
+    )
+    def test_corank_one_block_stays_lifted(self, name, rows, monkeypatch):
+        """R0(f)_{m beta} has a block of corank 1 that keeps exactly its rank
+        in rows, one short of its columns (13, 25, 28 and 25).  The piece
+        skipped rows, so the block is still lifted, as with all rows
+        assembled, and no row goes to exact elimination."""
+        system = report_system(name, monkeypatch)
+        piece = system._pieces[jac.IDEAL_J0, system.grading.scaled_beta(system.m)]
+        assert piece.skipped_rows
+        assert (piece.lifted_blocks, piece.eliminated_rows) == (1, 0)
+        assert piece.remainder_checked_rows == rows
+
+    def test_bundle_p2_block_rows(self, bundle_p2):
+        """The blocks of bundle-p2's R(f)_{2 beta} and R0(f)_{3 beta} keep
+        their paths with fewer rows: 135/89 -> 116/80 and 352/228 ->
+        271/189, lifted/certified and certified/lifted."""
+        got = []
+        for ideal, alpha in [(jac.IDEAL_J, (4, 4)), (jac.IDEAL_J0, (6, 6))]:
+            monos, rows = jac.relation_rows(bundle_p2, ideal, alpha)
+            linalg.EchelonBasis(len(monos)).add_short_rows(rows)
+            blocks = linalg.connected_blocks(rows, len(monos))
+            got.append(sorted(len(row_ids) for _, row_ids in blocks))
+        assert got == [[80, 116], [189, 271]]
 
 
 def rescaled_system(name, scales):
