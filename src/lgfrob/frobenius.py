@@ -24,15 +24,15 @@ remainder of z, and generator_coord is the coordinate of J^Delta.  No
 reader of the trace knows about z_1...z_r: ``build_algebra`` stores the
 trace itself, in integer form and only where it is nonzero, as
 ``trace_functional = (den, radix, {code(y): den * Tr(y)})``, den the lcm of
-the denominators, code(y) = sum_i y_i radix^i and radix = 1 + the largest
-exponent in S_{(m-1) beta}.  Readers look codes up with default 0 and divide
-by den once.  Codes never carry: every code a reader adds up is that of a
-product lying in S_{(m-1) beta}, whose exponents are below radix, and no
-factor has an exponent above the product's, as exponents are nonnegative.
-A lone monomial is refused unless its class-group degree is (m-1) beta, and
-then its code names it.  The structure constants come from the same kind of
-table: the constant of basis[a][i] * basis[b][j] is the remainder of the
-product monomial in R(f)_{(a+b) beta}, one lookup per pair.
+the denominators, code(y) the grlex code ``poly.monomial_code`` at the
+radix of the monomial list of S_{(m-1) beta}, above its every exponent.
+Readers look codes up with default 0 and divide by den once.  The code is
+linear, so the codes a reader adds up give the code of the product, which
+lies in S_{(m-1) beta}, where codes name monomials.  A lone monomial is
+refused unless its class-group degree is (m-1) beta, and then its code
+names it.  The structure constants come from the same kind of table: the
+constant of basis[a][i] * basis[b][j] is the remainder of the product
+monomial in R(f)_{(a+b) beta}, one lookup per pair.
 
 Every product of A(f) goes through one sparse kernel.  The structure
 constants are stored once, as integers over one denominator per product
@@ -80,7 +80,7 @@ from .jacobian import (
     normal_form,
 )
 from .poly import GradedPolynomial, Monomial, monomial_code
-from .toric import CheckResult, anticanonical_polytope, normalized_volume
+from .toric import CheckResult, anticanonical_polytope
 
 
 # i -> {j: [(k, n), ...]} over the nonzero constants c of the products of
@@ -185,12 +185,14 @@ def toric_jacobian(system: JacobianSystem) -> GradedPolynomial:
     theta_j z^t = l_j(t) z^t with l_j(t) = sum_rho (v_rho)_j t_rho and
     l_0 = 1, so entry (i, j) is f with each coefficient c_t multiplied by
     l_i(t) l_j(t).  The determinant is expanded by Laplace along the rows,
-    memoized on the set of unused columns, on integer code dicts once f's
-    denominators are cleared, and divided by their lcm to the m+1 at the
-    end.  Codes never carry: a product of at most m+1 terms of f has every
-    exponent at most m+1 times the largest exponent of f, below radix.  A
-    term that z_1...z_r does not divide keeps a negative exponent, which
-    ``normal_form`` refuses with ``DegreeMismatch``."""
+    memoized on the set of unused columns, on dicts keyed by the grlex
+    code ``poly.monomial_code`` once f's denominators are cleared, and
+    divided by their lcm to the m+1 at the end.  The code is linear, and a
+    product of at most m+1 terms of f has every exponent at most m+1 times
+    the largest exponent of f, below radix, so each key is decoded digit
+    by digit, the last exponent first.  A term that z_1...z_r does not
+    divide keeps a negative exponent, which ``normal_form`` refuses with
+    ``DegreeMismatch``."""
     m, rays = system.m, system.fan.rays
     den, numerators = linalg.clear_denominators(system.f.terms)
     radix = 1 + (m + 1) * max(map(max, system.f.terms))
@@ -233,7 +235,7 @@ def toric_jacobian(system: JacobianSystem) -> GradedPolynomial:
         for _ in system.variables:
             code, e = divmod(code, radix)
             mono.append(e - 1)
-        out[tuple(mono)] = Fraction(x, scale)
+        out[tuple(reversed(mono))] = Fraction(x, scale)
     return GradedPolynomial._unchecked(system.variables, out)
 
 
@@ -266,7 +268,7 @@ def build_algebra(system: JacobianSystem) -> FrobeniusAlgebraData:
         record = check(system)
         if not record.ok:
             raise HypothesisFailed(name, record)
-    volume = normalized_volume(anticanonical_polytope(system.fan))
+    volume = anticanonical_polytope(system.fan).volume
 
     bases = [
         graded_piece(system, IDEAL_J, system.grading.scaled_beta(a))
@@ -320,7 +322,7 @@ def build_algebra(system: JacobianSystem) -> FrobeniusAlgebraData:
     # Tr(y) = lambda(z) for y = z / (z_1...z_r), over the z of S_{m beta}
     # with no zero exponent and a nonzero remainder
     scale = Fraction(algebra.sign * volume) / generator_coord
-    radix = 1 + max(map(max, bases[m - 1].monomials))
+    radix = bases[m - 1].monomials.radix
     values = {
         monomial_code(tuple(e - 1 for e in z), radix): scale * remainder[0]
         for z, remainder in zip(r0_piece.monomials, r0_piece.remainders())

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DegreeMismatch
 from .poly import GradedPolynomial, Monomial, check_homogeneous, monomial_code
-from .toric import CheckResult, FanData, GradingMap, monomial_basis
+from .toric import CheckResult, FanData, GradingMap, Monomials, monomial_basis
 
 IDEAL_J = "J"
 IDEAL_J0 = "J0"
@@ -65,9 +65,10 @@ class JacobianSystem:
             if scan.add_row({support[mono]: x for mono, x in g.terms.items()})
         ]
 
-    def monomials(self, alpha: Sequence[int]) -> list[Monomial]:
-        """The graded-lex monomials of S_alpha, enumerated once per system
-        and shared by every later caller, which must not modify them."""
+    def monomials(self, alpha: Sequence[int]) -> Monomials:
+        """The graded-lex monomials of S_alpha with their codes, enumerated
+        once per system and shared by every later caller, which must not
+        modify them."""
         alpha = tuple(alpha)
         monos = self._monomials.get(alpha)
         if monos is None:
@@ -197,19 +198,19 @@ def relation_rows(system: JacobianSystem, ideal: str, alpha: tuple[int, ...]):
     span of the kept ones, so the row space, and with it the pivots, basis
     and normal forms of every piece, does not change.
 
-    Columns are keyed by the integer code(z) = sum_i z_i radix^i with
-    radix = 1 + the largest exponent in S_alpha, so the digits of a code
-    are the exponents and distinct monomials of S_alpha get distinct codes.
-    A row entry is then one integer add and one int-keyed lookup.  No carry
-    occurs: a generator term t and a cofactor c both divide t * c, which
-    lies in S_alpha, so every exponent of either factor is at most
-    radix - 1 and code(t) + code(c) is code(t * c), digit by digit.  Each
-    generator's denominators are cleared once per call, since all of its
-    rows carry the same coefficients.
+    Columns are keyed by the grlex codes (``poly.monomial_code``) that
+    ``monomial_basis`` hands over with S_alpha, at its radix, which exceeds
+    every exponent of S_alpha, so distinct monomials of S_alpha have
+    distinct codes.  Cofactors and generator terms are coded at the same
+    radix.  The code is linear, so code(t) + code(c) is code(t * c) for a
+    generator term t and a cofactor c, and t * c lies in S_alpha: a row
+    entry is one integer add and one int-keyed lookup.  Each generator's
+    denominators are cleared once per call, since all of its rows carry
+    the same coefficients.
     """
     monos = system.monomials(alpha)
-    radix = 1 + max(map(max, monos), default=0)
-    index = {monomial_code(mono, radix): i for i, mono in enumerate(monos)}
+    radix = monos.radix
+    index = dict(zip(monos.codes, range(len(monos))))
     rows: list[dict[int, int]] = []
     # cofactor degree -> (its (cofactor, code) pairs that no lead of
     # leads[:seen] divides, seen): each lead filters each list once

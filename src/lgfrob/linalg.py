@@ -544,27 +544,28 @@ def rank_mod_p(
     left nonzero becomes its pivot.  Rows taken by highest column mostly
     bring a new highest column, and so become a pivot with no reduction.
     Whatever the pivot rule, the rows that raise the rank are the greedy
-    independent set.  A row ending at or before top, the highest column
-    reduced so far, is skipped when the pivots (all <= top) number top + 1:
-    they span e_0..e_top."""
+    independent set.  A row is dependent, and its scan stops, as soon as
+    the scan drops below free, the lowest column with no pivot: every
+    column below free is a pivot, so what is left of the row reduces to
+    zero, and a row ending below free is skipped unread.  A dependent row
+    records no step, so the exit leaves every step as it is."""
     if not 2 <= p <= 1 << 31:
         raise ValueError(f"prime {p} out of range 2..2^31")
     pivots: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     steps = []
-    top = -1
+    free = 0
     for k, row in enumerate(rows):
         if not row:
             continue
         hi = max(row)
-        if hi <= top and len(pivots) == top + 1:
+        if hi < free:
             continue
-        top = max(top, hi)
         dense = [0] * (hi + 1)
         for c, x in row.items():
             dense[c] = x
         mcols, mvals = [], []
         c, low = hi, min(row)  # dense is 0 below low, which each tail used lowers
-        while c >= low:
+        while c >= low and c >= free:
             if x := dense[c] % p:
                 tail = pivots.get(c)
                 if tail is None:
@@ -575,6 +576,8 @@ def rank_mod_p(
                     values = [dense[b] * inv % p for b in left]
                     pivots[c] = tail = (tuple(left), tuple(values))
                     steps.append((k, c, inv, (tuple(mcols), tuple(mvals)), tail))
+                    while free in pivots:
+                        free += 1
                     break
                 mcols.append(c)
                 mvals.append(x)
@@ -584,7 +587,7 @@ def rank_mod_p(
                 for b, y in zip(cols, values):
                     dense[b] -= x * y
             c -= 1
-        if len(pivots) == ncols:
+        if free == ncols:
             break
     return ModularEchelon(p, steps)
 

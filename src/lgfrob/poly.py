@@ -51,12 +51,15 @@ def grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
 
 
-def monomial_code(mono: Monomial, radix: int) -> int:
-    """code(z) = sum_i z_i radix^i.  For exponents below ``radix`` the code
-    determines the monomial, and when the exponents of z * w are also below
-    ``radix``, code(z * w) = code(z) + code(w) with no carry between them."""
-    code = 0
-    for e in reversed(mono):
+def monomial_code(mono: Sequence[int], radix: int) -> int:
+    """The grlex code of z: code(z) = (sum_i z_i) radix^r + sum_i z_i
+    radix^(r-1-i), r = len(z), the base-radix number whose digits are the
+    total degree and then the exponents.  It is linear, code(z * w) =
+    code(z) + code(w), for every radix and every sign of exponent.  On
+    monomials whose exponents are all below ``radix`` it is one-to-one,
+    and the order of the codes is graded-lex order, that of ``grlex_key``."""
+    code = sum(mono)
+    for e in mono:
         code = code * radix + e
     return code
 

@@ -274,7 +274,7 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         # the dict the stages fill in, so every stage's time lands in it
         report["timings"] = timings
     with _timed(timings, "validate"):
-        vrep = toric.validate_fan(config.fan)
+        vrep = config.fan.validation
     report["validation"] = {
         name: getattr(vrep, name).as_dict() for name in toric.CHECKS
     }
@@ -301,7 +301,7 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
             "match": match,
         }
     with _timed(timings, "polytope"):
-        volume = toric.normalized_volume(vrep.polytope)
+        volume = vrep.polytope.volume
     report["polytope"] = {
         "vertices": [list(v) for v in vrep.polytope.vertices],
         "normalized_volume": volume,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import comb, gcd, inf
+from math import comb, gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -22,7 +22,7 @@ from .errors import (
     NotReflexivePipeline,
     TorsionClassGroup,
 )
-from .poly import Monomial, monomial_degree
+from .poly import Monomial, monomial_code, monomial_degree
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +64,18 @@ class FanData:
         return [list(self.rays[i]) for i in cone]
 
     @cached_property
-    def sweep_order(self) -> list[int]:
+    def sweep_plan(self) -> tuple[list[int], list[int]]:
         """The ``_sweep_order`` of Delta = {u : <u, rho> >= -1}, in which
-        ``monomial_basis`` sweeps every fiber: the fiber of S_{a beta} is a
-        lattice translate of a Delta, whose widths are a times Delta's."""
+        ``monomial_basis`` sweeps every fiber, and its bound on
+        |<u, rho>| over Delta for each ray rho: the fiber of S_{a beta} is
+        a lattice translate of a Delta, whose widths are a times Delta's."""
         return _sweep_order([(ray, 1) for ray in self.rays], self.dim)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """``validate_fan`` of this fan, run once per object and shared by
+        every later reader, which must not modify it."""
+        return validate_fan(self)
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,11 @@ class AnticanPolytope:
     dim: int
     vertices: tuple[tuple[int, ...], ...]
     cone_inverses: tuple[tuple[int, list[list[int]]], ...]
+
+    @cached_property
+    def volume(self) -> int:
+        """``normalized_volume`` of this polytope, computed once per object."""
+        return normalized_volume(self)
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -317,10 +329,10 @@ def class_group(fan: FanData, hermite: list[list[int]] | None = None) -> Grading
 
 
 def anticanonical_polytope(fan: FanData) -> AnticanPolytope:
-    """The polytope of ``validate_fan(fan)``; raises NotReflexivePipeline
+    """The polytope of ``fan.validation``; raises NotReflexivePipeline
     with the name and witness of the first failing check when there is
     none."""
-    report = validate_fan(fan)
+    report = fan.validation
     if report.polytope is None:
         name = next(name for name in CHECKS if not getattr(report, name).ok)
         raise NotReflexivePipeline(f"{name}: {getattr(report, name).witness}")
@@ -461,34 +473,40 @@ def _affine_lattice_images(
     ineqs: list[tuple[tuple[int, ...], int]],
     start: Sequence[int],
     cols: Sequence[Sequence[int]],
-) -> list[tuple[int, ...]]:
-    """``start + sum_k x_k cols[k]`` for every integer point x satisfying
-    coeffs . x + const >= 0 for every inequality, in lex order of x.
+    radix: int,
+) -> dict[int, tuple[int, ...]]:
+    """{code: image} over the integer points x with coeffs . x + const >= 0
+    for every inequality, in lex order of x: the image is ``start + sum_k
+    x_k cols[k]`` and its code the ``monomial_code`` at ``radix``.  Points
+    whose images share a code keep one entry.
 
     ``_projection_bounds`` gives, for each coordinate k, the inequalities
     on x_0..x_k that bound x_k; ``_sweep`` then runs over x_0, x_1, ...
-    within those bounds and carries the image vector, adding cols[k] for
-    each step of x_k, so a point costs one vector add rather than a dot
-    product per coordinate of the image.  The set of images does not
-    depend on the order of the coordinates, only their order in the list
-    does: a caller that sorts the list may permute the coordinates (the
+    within those bounds and carries the image and its code, adding cols[k]
+    and its code for each step of x_k: the code is linear, so a point costs
+    one vector add and one int add.  The set of images does not depend on
+    the order of the coordinates, only their order in the dict does: a
+    caller that sorts the images may permute the coordinates (the
     inequalities and ``cols`` alike) to make the sweep cheaper.
     """
     # no level bounds an inequality with no coefficient, so check it here
     if any(const < 0 and not any(coeffs) for coeffs, const in ineqs):
-        return []
+        return {}
     dim = len(cols)
+    code = monomial_code(start, radix)
     if dim == 0:
-        return [tuple(start)]
-    out: list[tuple[int, ...]] = []
-    _sweep(0, _projection_bounds(ineqs, dim), cols, [0] * dim, tuple(start), out)
+        return {code: tuple(start)}
+    steps = [(col, monomial_code(col, radix)) for col in cols]
+    out: dict[int, tuple[int, ...]] = {}
+    _sweep(0, _projection_bounds(ineqs, dim), steps, [0] * dim, tuple(start), code, out)
     return out
 
 
-def _sweep(level, bounds, cols, prefix, image, out) -> None:
-    """Append to ``out`` the image of every point whose first ``level``
-    coordinates are ``prefix[:level]``; ``image`` is the image of that
-    prefix with the later coordinates zero.  A module-level function rather
+def _sweep(level, bounds, steps, prefix, image, code, out) -> None:
+    """Enter in ``out`` the image of every point whose first ``level``
+    coordinates are ``prefix[:level]``, keyed by its code; ``image`` and
+    ``code`` are those of that prefix with the later coordinates zero, and
+    ``steps[k]`` is (cols[k], its code).  A module-level function rather
     than a closure, so no reference cycle keeps ``out`` alive.
 
     A level bounded by one inequality on a side, as most are, evaluates it
@@ -510,59 +528,97 @@ def _sweep(level, bounds, cols, prefix, image, out) -> None:
         hi = min([(const + sum(map(mul, coeffs, prefix))) // a for coeffs, const, a in upper])
     if lo > hi:
         return
-    col = cols[level]
+    col, step = steps[level]
     image = tuple(map(add, image, map(mul, col, repeat(lo))))
-    if level == len(cols) - 1:
-        out.append(image)
+    code += step * lo
+    if level == len(steps) - 1:
+        out[code] = image
         for _ in range(hi - lo):
             image = tuple(map(add, image, col))
-            out.append(image)
+            code += step
+            out[code] = image
         return
     for value in range(lo, hi + 1):
         prefix[level] = value
-        _sweep(level + 1, bounds, cols, prefix, image, out)
+        _sweep(level + 1, bounds, steps, prefix, image, code, out)
         image = tuple(map(add, image, col))
+        code += step
 
 
-def _sweep_order(ineqs: list[tuple[tuple[int, ...], int]], dim: int) -> list[int]:
-    """The coordinates by increasing width of the polytope along them, ties
-    by index: the narrowest outermost makes fewer ``_sweep`` calls.
-    The width along x_k is read off the projection onto x_k alone, one
-    Fourier-Motzkin pass with x_k first."""
-    widths = []
+def _sweep_order(
+    ineqs: list[tuple[tuple[int, ...], int]], dim: int
+) -> tuple[list[int], list[int]]:
+    """(order, reach) of the bounded polytope P = {x : coeffs . x + const
+    >= 0}.  ``order`` lists the coordinates by increasing width of P along
+    them, ties by index: the narrowest outermost makes fewer ``_sweep``
+    calls.  ``reach[i]`` = sum_k |coeffs_i[k]| e_k bounds |coeffs_i . x|
+    over P, where e_k, the largest |x_k| over P rounded up, is read off the
+    same projection onto x_k alone as the width, one Fourier-Motzkin pass
+    with x_k first: its inequalities a x_k + c >= 0 (a > 0) and
+    -a x_k + c >= 0 give -x_k <= c / a and x_k <= c / a, exactly.  Raises
+    ``DegeneratePolytope`` when P is unbounded along a coordinate."""
+    widths, extents = [], []
     for k in range(dim):
         perm = [k] + [j for j in range(dim) if j != k]
         lower, upper = _projection_bounds(
             [(tuple(c[j] for j in perm), const) for c, const in ineqs], dim
         )[0]
-        lo = max((-(const // a) for _, const, a in lower), default=-inf)
-        hi = min((const // a for _, const, a in upper), default=inf)
+        if not lower or not upper:
+            raise DegeneratePolytope(
+                f"unbounded direction at coordinate {k}; fan not complete?"
+            )
+        lo = max(-(const // a) for _, const, a in lower)
+        hi = min(const // a for _, const, a in upper)
         widths.append((hi - lo, k))
-    return [k for _, k in sorted(widths)]
+        extents.append(
+            max(min(-(-const // a) for _, const, a in side) for side in (lower, upper))
+        )
+    reach = [sum(abs(x) * e for x, e in zip(c, extents)) for c, _ in ineqs]
+    return [k for _, k in sorted(widths)], reach
+
+
+class Monomials(list):
+    """The graded-lex monomials of one S_alpha, with their grlex codes:
+    ``codes[i]`` is ``monomial_code(self[i], radix)``, and ``radix``
+    exceeds every exponent, so the codes strictly increase."""
+
+    __slots__ = ("codes", "radix")
+
+    def __init__(self, monos: Iterable[Monomial], codes: list[int], radix: int):
+        super().__init__(monos)
+        self.codes = codes
+        self.radix = radix
 
 
 def monomial_basis(
     grading: GradingMap, fan: FanData, alpha: Sequence[int]
-) -> list[Monomial]:
-    """All exponent vectors of class-group degree alpha, graded-lex sorted.
+) -> Monomials:
+    """All exponent vectors of class-group degree alpha, graded-lex sorted,
+    with their codes.
 
     Starts at the exponent vector u0 = section . alpha of degree alpha,
     whose entries may be negative, then enumerates the fiber
     u0 + (ray matrix) x over the lattice points x of the polytope
-    u0_i + <x, rho_i> >= 0, carrying the exponent vector through the sweep
-    (column k of the ray matrix is added for each step of x_k).
+    u0_rho + <x, rho> >= 0, carrying the exponent vector and its code
+    through the sweep (column k of the ray matrix is added for each step
+    of x_k).  The fiber lies in t Delta for t = max(0, max u0), as
+    <x, rho> >= -u0_rho >= -t, so the exponent u0_rho + <x, rho> is at
+    most u0_rho + t reach_rho, with ``FanData.sweep_plan``'s bound
+    reach_rho on |<u, rho>| over Delta: the radix, 1 + the largest of
+    these, is fixed before the sweep and exceeds every exponent.
 
-    The coordinates are swept in the fan's ``sweep_order``, Delta's, fixed
+    The coordinates are swept in the fan's sweep order, Delta's, fixed
     once per fan.  The order changes which monomial comes out when, never
-    which monomials come out, and the two stable sorts at the end fix the
-    list: lex order, then total degree, which is the order of
-    ``poly.grlex_key`` with no key call per monomial.
+    which monomials come out, and one sort of the codes fixes the list:
+    below the radix, the order of the codes is graded-lex order, that of
+    ``poly.grlex_key``.
     """
     u0 = [sum(map(mul, row, alpha)) for row in grading.section]
-    order = fan.sweep_order
+    order, reach = fan.sweep_plan
+    t = max([0, *u0])
+    radix = 1 + max([0, *(u + t * s for u, s in zip(u0, reach))])
     ineqs = [(tuple(ray[k] for k in order), const) for ray, const in zip(fan.rays, u0)]
     cols = [tuple(ray[k] for ray in fan.rays) for k in order]
-    monos = _affine_lattice_images(ineqs, u0, cols)
-    monos.sort()
-    monos.sort(key=sum)
-    return monos
+    images = _affine_lattice_images(ineqs, u0, cols, radix)
+    codes = sorted(images)
+    return Monomials(map(images.__getitem__, codes), codes, radix)

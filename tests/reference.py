@@ -354,3 +354,31 @@ def invariance_on_basis(D, degree_triples):
                             f"{Fraction(direct, den)}",
                         )
     return CheckResult(True, checked)
+
+
+def rank_mod_p_steps(rows, ncols, p):
+    """The steps of ``linalg.rank_mod_p`` with no early exit: every row is
+    reduced over every column, from the last down, so a dependent row is
+    seen to reduce to zero rather than skipped."""
+    pivots, steps = {}, []
+    for k, row in enumerate(rows):
+        dense = [0] * ncols
+        for c, x in row.items():
+            dense[c] = x
+        mcols, mvals = [], []
+        for c in range(ncols - 1, -1, -1):
+            x = dense[c] % p
+            if not x:
+                continue
+            tail = pivots.get(c)
+            if tail is None:
+                inv = pow(x, -1, p)
+                left = [b for b in range(c) if dense[b] % p]
+                pivots[c] = tail = (tuple(left), tuple(dense[b] * inv % p for b in left))
+                steps.append((k, c, inv, (tuple(mcols), tuple(mvals)), tail))
+                break
+            mcols.append(c)
+            mvals.append(x)
+            for b, y in zip(*tail):
+                dense[b] -= x * y
+    return steps

@@ -418,15 +418,17 @@ class TestTraceFunctional:
             frob.trace_of_polynomial(p, cubic_algebra)
 
     def test_exponent_that_would_carry_rejected(self, cubic_algebra):
-        """The one key is the code of y = z_1 z_2 z_3.  Moving a unit of its
-        second digit into the first gives z_1^(radix+1) z_3, whose exponent
-        reaches radix and carries onto that key.  The monomial lies outside
-        S_beta, and the trace refuses it instead of reading Tr(y)."""
+        """The one key is the code of y = z_1 z_2 z_3.  z_1^(radix+1) z_3 has
+        an exponent past the radix, where a code need not name its monomial.
+        But the leading digit of a grlex code is the total degree: a
+        monomial with the key has total degree at most 3, so every exponent
+        below the radix, and is y.  z_1^(radix+1) z_3 lies outside S_beta,
+        has another code, and the trace refuses it by its degree."""
         D = cubic_algebra
         _, radix, table = D.trace_functional
         assert list(table) == [monomial_code((1, 1, 1), radix)]
         mono = (radix + 1, 0, 1)
-        assert monomial_code(mono, radix) in table
+        assert monomial_code(mono, radix) not in table
         assert mono not in D.bases[D.m - 1].monomials
         p = GradedPolynomial.monomial(D.system.variables, mono)
         with pytest.raises(DegreeMismatch):
@@ -700,9 +702,9 @@ class TestSparseKernel:
                     assert entry == want
 
     def test_scaled_functional_keys_every_monomial_by_its_digits(self, algebra):
-        """Each key is the base-radix number whose digits are the exponents
-        of a monomial y of S_{(m-1) beta}, and maps to den * Tr(y), a nonzero
-        integer."""
+        """Each key is the base-radix number whose digits are the total
+        degree and then the exponents of a monomial y of S_{(m-1) beta},
+        and maps to den * Tr(y), a nonzero integer."""
         D = algebra
         _, radix, table = D.trace_functional
         socle_monomials = set(D.bases[D.m - 1].monomials)
@@ -711,8 +713,8 @@ class TestSparseKernel:
             code, digits = key, []
             for _ in D.system.variables:
                 code, digit = divmod(code, radix)
-                digits.append(digit)
-            assert code == 0 and tuple(digits) in socle_monomials, key
+                digits.insert(0, digit)
+            assert code == sum(digits) and tuple(digits) in socle_monomials, key
             assert type(value) is int and value
 
     def test_direct_trace_never_reads_the_structure_constants(self, bundle_algebra):

@@ -9,7 +9,7 @@ from functools import cmp_to_key
 from operator import le, sub
 
 import pytest
-from reference import rows_from_factorization
+from reference import rank_mod_p_steps, rows_from_factorization
 from test_verdicts import generic_document
 
 from lgfrob import jacobian as jac
@@ -662,10 +662,11 @@ class TestCodeKeyedRows:
 
     @pytest.mark.parametrize("ideal", [jac.IDEAL_J, jac.IDEAL_J0])
     def test_rows_where_the_radix_is_tight(self, ideal):
-        """weighted-p112 (degrees 1, 1, 2) at every degree d <= 8.  At d = 2
-        the largest exponent of S_2 is 2, and with radix 2 the codes of
-        z1^2 and z2 would both be 4: only radix = 1 + the largest exponent
-        keeps the codes of a piece distinct."""
+        """weighted-p112 (degrees 1, 1, 2) at every degree d <= 8, each
+        piece coded at a radix above its largest exponent.  At d = 1 the
+        largest exponent of S_1 = {z1, z2} is 1, and with radix 1 the codes
+        of z1 and z2 would both be 2, twice the total degree: only a radix
+        above the largest exponent keeps the codes of a piece distinct."""
         system = make_system("weighted-p112")
         assert system.grading.degrees == ((1,), (1,), (2,))
         for d in range(9):
@@ -677,8 +678,10 @@ class TestCodeKeyedRows:
             assert [list(r.items()) for r in rows] == [
                 list(r.items()) for r in want_rows
             ], d
-        tight = monomial_basis(system.grading, system.fan, (2,))
-        assert len({monomial_code(mono, 2) for mono in tight}) < len(tight)
+            assert all(e < monos.radix for mono in monos for e in mono)
+        tight = monomial_basis(system.grading, system.fan, (1,))
+        assert max(map(max, tight)) == 1
+        assert [monomial_code(mono, 1) for mono in tight] == [2, 2]
 
     def test_no_cyclic_garbage(self, bundle_p2):
         gc.collect()
@@ -739,6 +742,33 @@ def report_system(name, monkeypatch):
     run_report(parse_run_config(REPORT_DOCUMENTS[name]()))
     (system,) = systems
     return system
+
+
+class TestModularExit:
+    @pytest.mark.parametrize(
+        "name",
+        [name for name in sorted(REPORT_DOCUMENTS) if name.startswith(("generic", "bundle-p2", "p1xp1"))],
+    )
+    def test_steps_equal_full_reduction(self, name, monkeypatch):
+        """Every block a report takes to ``rank_mod_p`` gets the steps of
+        the reference that reduces every row to its end: a row that the
+        exit below the lowest free column drops is dependent, and the
+        rows that raise the rank are reduced as before.  The other report
+        documents, the Fermat fixtures and pencils, send no block there:
+        the structural pass takes every row."""
+        original = linalg.rank_mod_p
+        blocks = []
+
+        def compared(rows, ncols, p=linalg.PREFILTER_PRIME):
+            basis = original(rows, ncols, p)
+            assert basis.p == p
+            assert basis.steps == rank_mod_p_steps(rows, ncols, p), (len(rows), ncols)
+            blocks.append(len(rows))
+            return basis
+
+        monkeypatch.setattr(linalg, "rank_mod_p", compared)
+        report_system(name, monkeypatch)
+        assert blocks
 
 
 class TestSyzygyCriterion:

@@ -28,9 +28,9 @@ from reference import (
 )
 
 from lgfrob import linalg
-from lgfrob.errors import InvalidFan, NotReflexivePipeline, TorsionClassGroup
+from lgfrob.errors import DegeneratePolytope, InvalidFan, NotReflexivePipeline, TorsionClassGroup
 from lgfrob.fixtures import fixture_names, get_fixture
-from lgfrob.poly import grlex_key
+from lgfrob.poly import grlex_key, monomial_code
 from lgfrob.toric import (
     FanData,
     _affine_lattice_images,
@@ -45,8 +45,10 @@ from lgfrob.toric import (
 
 
 def lattice_points(ineqs, dim):
+    """The points themselves, in lex order; radix 64 keeps the codes of
+    points with coordinates in -31..31 distinct."""
     identity = [tuple(1 if i == k else 0 for i in range(dim)) for k in range(dim)]
-    return _affine_lattice_images(ineqs, (0,) * dim, identity)
+    return list(_affine_lattice_images(ineqs, (0,) * dim, identity, 64).values())
 
 
 def projective_plane():
@@ -81,6 +83,15 @@ class TestValidation:
     def test_positive_fixtures_all_pass(self, name):
         report = validate_fan(get_fixture(name).fan)
         assert report.all_pass, report
+
+    def test_validation_kept_per_object(self):
+        """A fan object validates once; an equal fan built again validates
+        afresh, so no run reads the validation of another."""
+        fan, twin = get_fixture("projective-3").fan, get_fixture("projective-3").fan
+        assert fan == twin
+        assert fan.validation is fan.validation
+        assert twin.validation is not fan.validation
+        assert anticanonical_polytope(fan) is fan.validation.polytope
 
     def test_hirzebruch_ample_witness(self):
         report = validate_fan(get_fixture("hirzebruch-3").fan)
@@ -313,6 +324,15 @@ class TestIntegerInverse:
             ]
 
 
+def assert_codes(monos):
+    """The codes beside a monomial list are the grlex codes of its
+    monomials at its radix, strictly increasing, and the radix exceeds
+    every exponent."""
+    assert monos.codes == [monomial_code(mono, monos.radix) for mono in monos]
+    assert all(a < b for a, b in zip(monos.codes, monos.codes[1:]))
+    assert all(e < monos.radix for mono in monos for e in mono)
+
+
 @st.composite
 def bounded_systems(draw):
     """(box, inequalities, start, cols): coeffs . x + const >= 0 in 1 to 4
@@ -352,12 +372,15 @@ class TestCarriedEnumeration:
         for a in range(top + 1):
             points = dilated_points(fan, vertices, a)
             alpha = g.scaled_beta(a)
-            assert monomial_basis(g, fan, alpha) == sorted(points, key=grlex_key), a
+            monos = monomial_basis(g, fan, alpha)
+            assert monos == sorted(points, key=grlex_key), a
+            assert_codes(monos)
             for i, deg in enumerate(g.degrees):
                 degree = tuple(x - d for x, d in zip(alpha, deg))
                 cofactors = [e[:i] + (e[i] - 1,) + e[i + 1 :] for e in points if e[i]]
                 monos = monomial_basis(g, fan, degree)
                 assert monos == sorted(cofactors, key=grlex_key), degree
+                assert_codes(monos)
                 empty += not monos
         assert empty
 
@@ -371,14 +394,19 @@ class TestCarriedEnumeration:
     @settings(max_examples=50, deadline=None)
     def test_sweep_equals_box_enumeration(self, system):
         """``_affine_lattice_images`` lists the image of every point of the
-        box that satisfies every inequality, in lex order of the point."""
+        box that satisfies every inequality, in lex order of the point, each
+        keyed by its code.  A radix above twice the largest |entry| keeps
+        the codes of distinct images distinct, and a repeated image keeps
+        its first place."""
         box, ineqs, start, cols = system
         want = [
             tuple(s + sum(map(mul, col, x)) for s, col in zip(start, zip(*cols)))
             for x in product(*(range(lo, hi + 1) for lo, hi in box))
             if all(sum(map(mul, coeffs, x)) + const >= 0 for coeffs, const in ineqs)
         ]
-        assert _affine_lattice_images(ineqs, start, cols) == want
+        radix = 1 + 2 * max((abs(e) for w in want for e in w), default=0)
+        got = _affine_lattice_images(ineqs, start, cols, radix)
+        assert list(got.items()) == [(monomial_code(w, radix), w) for w in dict.fromkeys(want)]
 
     def test_inequality_without_coefficients(self):
         box = [((1,), 0), ((-1,), 2)]
@@ -489,7 +517,13 @@ class TestMonomialBasis:
         assert len(monos) == count_lattice_points_dilated(fx.fan, polytope, 1) == 5643
 
     def test_lattice_points_unbounded_raises(self):
-        from lgfrob.errors import DegeneratePolytope
-
         with pytest.raises(DegeneratePolytope):
             lattice_points([((1, 0), 0), ((0, 1), 0)], 2)  # first quadrant
+
+    def test_unbounded_delta_raises_before_the_sweep(self):
+        """The fan of the affine plane has Delta the shifted first
+        quadrant; its radix has no bound, and the enumeration refuses it."""
+        fan = FanData(2, [(1, 0), (0, 1)], [(0, 1)])
+        g = class_group(fan)
+        with pytest.raises(DegeneratePolytope):
+            monomial_basis(g, fan, ())
