@@ -281,7 +281,7 @@ def build_algebra(system: JacobianSystem) -> FrobeniusAlgebraData:
     for a in range(m):
         for b in range(a, m - a):
             target = bases[a + b]
-            index, table = target.column_index(), target.remainders()
+            index, table = target.column_index, target.remainders
             # the remainder of each nonzero product, then its numerators over
             # the lcm of the denominators of all of them
             rows, dens = [], set()
@@ -325,7 +325,7 @@ def build_algebra(system: JacobianSystem) -> FrobeniusAlgebraData:
     radix = bases[m - 1].monomials.radix
     values = {
         monomial_code(tuple(e - 1 for e in z), radix): scale * remainder[0]
-        for z, remainder in zip(r0_piece.monomials, r0_piece.remainders())
+        for z, remainder in zip(r0_piece.monomials, r0_piece.remainders)
         if remainder and min(z)
     }
     den, table = linalg.clear_denominators(values)
@@ -364,18 +364,16 @@ def _evaluate_trace(terms, D: FrobeniusAlgebraData) -> Fraction:
     return Fraction(total, den)
 
 
-def pairing_gram(
-    D: FrobeniusAlgebraData, a: int, numerators: tuple[list[list[int]], int] | None = None
-) -> list[list[Fraction]]:
+def pairing_gram(D: FrobeniusAlgebraData, a: int) -> list[list[Fraction]]:
     """Gram matrix G_a: traces of products of degree-a and degree-(m-1-a)
     basis elements, sum_k n_k tau_k / den over the nonzero constants
     n_k / den of each product, where tau_k is the trace of the k-th
     degree-(m-1) basis element, read as the int t_den * tau_k from the
-    trace table.  ``numerators``, ``gram_numerators(D, a)`` when the caller
-    has built it, is read instead of being built again."""
+    trace table.  Builds its own ``gram_numerators(D, a)``, as the axiom
+    check builds its own."""
     if not 0 <= a <= D.m - 1:
         raise DegreeMismatch(f"degree {a} outside 0..{D.m - 1}")
-    numerators, den = numerators or gram_numerators(D, a)
+    numerators, den = gram_numerators(D, a)
     den *= D.trace_functional[0]
     return [[Fraction(x, den) for x in row] for row in numerators]
 
@@ -427,7 +425,7 @@ class AxiomReport:
         return all(getattr(self, name).ok for name in AXIOMS)
 
 
-def frobenius_axiom_check(D: FrobeniusAlgebraData, grams: list | None = None) -> AxiomReport:
+def frobenius_axiom_check(D: FrobeniusAlgebraData) -> AxiomReport:
     """Certify the Frobenius axioms on D, each exactly.
 
     Unit is exact over all stored structure constants.  Invariance compares
@@ -435,15 +433,13 @@ def frobenius_axiom_check(D: FrobeniusAlgebraData, grams: list | None = None) ->
     reads the structure constants on every basis triple with a+b+c = m-1.
     Nondegeneracy is exact full rank of every Gram matrix G_a, of shape
     dims[a] x dims[m-1-a], ranked on the numerators that invariance reads,
-    built once per degree: a nonzero multiple of G_a.  ``grams``, the
-    ``gram_numerators`` of every degree a = 0..m-1 when the caller has
-    built them, is read instead of being built again.  Commutativity and
-    associativity have no check: once these three pass, every stored
-    constant is R(f)'s, so the product is commutative and associative, and
-    <u*v, w> alone covers <u, v*w> (the lemma of ``_check_invariance``).
+    ``gram_numerators``, built here once per degree: a nonzero multiple of
+    G_a.  Commutativity and associativity have no check: once these three
+    pass, every stored constant is R(f)'s, so the product is commutative
+    and associative, and <u*v, w> alone covers <u, v*w> (the lemma of
+    ``_check_invariance``).
     """
-    if grams is None:
-        grams = [gram_numerators(D, a) for a in range(D.m)]
+    grams = [gram_numerators(D, a) for a in range(D.m)]
     ranks = [linalg.rank_rational(gram) for gram, _ in grams]
     unit, inv = _check_unit(D), _check_invariance(D, grams)
     return AxiomReport(unit, inv, _check_nondegeneracy(D.dims(), ranks), ranks)

@@ -28,7 +28,6 @@ class JacobianSystem:
     derivatives and Euler generators z_i f_i."""
 
     fan: FanData
-    grading: GradingMap
     f: GradedPolynomial
     partials: list[GradedPolynomial]
     euler_gens: list[GradedPolynomial]
@@ -38,6 +37,10 @@ class JacobianSystem:
     @property
     def m(self) -> int:
         return self.fan.dim
+
+    @property
+    def grading(self) -> GradingMap:
+        return self.fan.grading
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -72,14 +75,13 @@ class JacobianSystem:
         alpha = tuple(alpha)
         monos = self._monomials.get(alpha)
         if monos is None:
-            monos = self._monomials[alpha] = monomial_basis(
-                self.grading, self.fan, alpha
-            )
+            monos = self._monomials[alpha] = monomial_basis(self.fan, alpha)
         return monos
 
 
-def jacobian_system(fan: FanData, grading: GradingMap, f: GradedPolynomial) -> JacobianSystem:
-    """Validate deg f = beta and assemble the generator lists."""
+def jacobian_system(fan: FanData, f: GradedPolynomial) -> JacobianSystem:
+    """Validate deg f = beta under ``fan.grading``; assemble the generator lists."""
+    grading = fan.grading
     degree = check_homogeneous(f, grading)
     if degree != grading.beta:
         raise DegreeMismatch(
@@ -95,7 +97,7 @@ def jacobian_system(fan: FanData, grading: GradingMap, f: GradedPolynomial) -> J
         partials[i].mul_monomial(tuple(1 if j == i else 0 for j in range(r)))
         for i in range(r)
     ]
-    return JacobianSystem(fan, grading, f, partials, euler_gens)
+    return JacobianSystem(fan, f, partials, euler_gens)
 
 
 @dataclass
@@ -130,36 +132,28 @@ class QuotientBasis:
     unit_columns: int = 0
     merged_columns: int = 0
     skipped_rows: int = 0
-    _index: dict[Monomial, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _remainders: list[dict[int, Fraction]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
     def column_index(self) -> dict[Monomial, int]:
         """Column of each ambient monomial, built on first use and shared by
-        every later caller, which must not modify it."""
-        if self._index is None:
-            self._index = {mono: i for i, mono in enumerate(self.monomials)}
-        return self._index
+        every later reader, which must not modify it."""
+        return {mono: i for i, mono in enumerate(self.monomials)}
 
+    @cached_property
     def remainders(self) -> list[dict[int, Fraction]]:
         """Canonical remainder of every column modulo the ideal, as {basis
         index: nonzero coefficient}; built on first use and shared by every
-        later caller, which must not modify it.  A basis column is its own
+        later reader, which must not modify it.  A basis column is its own
         remainder; ``EchelonBasis.back_substitute`` gives the others."""
-        if self._remainders is None:
-            table: list[dict[int, Fraction]] = [{} for _ in self.monomials]
-            for k, mono in enumerate(self.basis):
-                table[self.column_index()[mono]] = {k: Fraction(1)}
-            self.echelon.back_substitute(table, range(len(table)))
-            self._remainders = table
-        return self._remainders
+        table: list[dict[int, Fraction]] = [{} for _ in self.monomials]
+        for k, mono in enumerate(self.basis):
+            table[self.column_index[mono]] = {k: Fraction(1)}
+        self.echelon.back_substitute(table, range(len(table)))
+        return table
 
 
 def _generators(system: JacobianSystem, ideal: str):
@@ -360,7 +354,7 @@ def macaulay_dim(system: JacobianSystem) -> int:
         return graded_piece(system, IDEAL_J, top).dim
     lam = {
         mono: rem[0]
-        for mono, rem in zip(r0.monomials, r0.remainders())
+        for mono, rem in zip(r0.monomials, r0.remainders)
         if rem
     }
     partials = [g.terms for g, _ in _generators(system, IDEAL_J)]
@@ -380,7 +374,7 @@ def macaulay_dim(system: JacobianSystem) -> int:
 def normal_form(poly: GradedPolynomial, piece: QuotientBasis) -> list[Fraction]:
     """Coordinates of [poly] over the quotient basis of the piece: the sum of
     the remainders of its monomials."""
-    index, table = piece.column_index(), piece.remainders()
+    index, table = piece.column_index, piece.remainders
     coords = [Fraction(0)] * piece.dim
     for mono, coeff in poly.terms.items():
         col = index.get(mono)

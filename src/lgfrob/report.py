@@ -283,7 +283,7 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
         return report, 3
 
     with _timed(timings, "grading"):
-        grading = toric.class_group(config.fan, vrep.hermite)
+        grading = config.fan.grading
     report["grading"] = {
         "rank": grading.rank,
         "degrees": [list(d) for d in grading.degrees],
@@ -320,7 +320,7 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
     try:
         with _timed(timings, "potential"):
             f = parse_polynomial(config.poly_text, config.variables)
-            system = jacobian.jacobian_system(config.fan, grading, f)
+            system = jacobian.jacobian_system(config.fan, f)
     except LgfrobError as exc:
         return report, _verdicts(report, records, ("potential", exc))
     # jacobian_system checked that f is homogeneous of degree beta
@@ -390,16 +390,14 @@ def _run_stages(config: RunConfig, command: str) -> tuple[dict, int]:
 
     dims = algebra.dims()
     with _timed(timings, "gram"):
-        # the numerators of every G_a, built once: the axiom check ranks them
-        # all, and only the G_a whose entries are printed become matrices
-        numerators = [frobenius.gram_numerators(algebra, a) for a in range(m)]
+        # only the G_a whose entries are printed; the axiom check ranks them all
         grams = {
-            a: frobenius.pairing_gram(algebra, a, numerators[a])
+            a: frobenius.pairing_gram(algebra, a)
             for a in range(m)
             if dims[a] * dims[m - 1 - a] and max(dims[a], dims[m - 1 - a]) <= GRAM_ENTRY_LIMIT
         }
     with _timed(timings, "axioms"):
-        axioms = frobenius.frobenius_axiom_check(algebra, numerators)
+        axioms = frobenius.frobenius_axiom_check(algebra)
     gram_section = report["gram"] = {}
     for a, rank in enumerate(axioms.gram_ranks):
         rows, cols = dims[a], dims[m - 1 - a]

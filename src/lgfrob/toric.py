@@ -7,7 +7,7 @@ maximal cones (index sets into the ray list).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .errors import (
     DegeneratePolytope,
+    DegreeMismatch,
     InvalidFan,
     NotReflexivePipeline,
     TorsionClassGroup,
@@ -31,7 +32,8 @@ from .poly import Monomial, monomial_code, monomial_degree
 
 @dataclass(frozen=True)
 class FanData:
-    """Combinatorial fan: ambient dimension, primitive rays, maximal cones."""
+    """Combinatorial fan: ambient dimension, primitive rays, maximal cones;
+    its ``validation``, ``grading`` and ``sweep_plan`` are cached on it."""
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
@@ -76,6 +78,11 @@ class FanData:
         """``validate_fan`` of this fan, run once per object and shared by
         every later reader, which must not modify it."""
         return validate_fan(self)
+
+    @cached_property
+    def grading(self) -> GradingMap:
+        """``class_group`` of this fan, once per object; each read raises on torsion."""
+        return class_group(self)
 
 
 @dataclass(frozen=True)
@@ -124,9 +131,9 @@ CHECKS = ("simplicial", "complete_criterion", "gorenstein", "ample", "torsion_fr
 
 @dataclass
 class ValidationReport:
-    """The fan certificates named in ``CHECKS``; when every one of them
-    passes, the anti-canonical polytope and the Hermite form of
-    ``_free_hermite_form``, which ``class_group`` accepts (None otherwise)."""
+    """The fan certificates named in ``CHECKS``, the anti-canonical polytope
+    when all of them pass, and the Hermite form of ``_free_hermite_form``,
+    which ``class_group`` reads, when the class group is free (else None)."""
 
     simplicial: CheckResult
     complete_criterion: CheckResult
@@ -240,9 +247,9 @@ def validate_fan(fan: FanData) -> ValidationReport:
         torsion_free = CheckResult(False, 1, witness)
 
     report = ValidationReport(simplicial, complete, gorenstein, ample, torsion_free)
+    report.hermite = hermite
     if report.all_pass:
         report.polytope = AnticanPolytope(m, tuple(vertices), tuple(inverses))
-        report.hermite = hermite
     return report
 
 
@@ -294,16 +301,16 @@ def _free_hermite_form(fan: FanData) -> list[list[int]] | None:
     return h if [row[:m] for row in h[:m]] == linalg.identity_int(m) else None
 
 
-def class_group(fan: FanData, hermite: list[list[int]] | None = None) -> GradingMap:
+def class_group(fan: FanData) -> GradingMap:
     """Grading of the Cox ring by the class group, read off the Hermite form
-    W [R | I] = [H | W] of ``_free_hermite_form``, or ``hermite`` when given,
-    which must be that form (``ValidationReport.hermite``).  The rows of W
-    beside the zero rows of H are the canonical basis of the degree
-    functionals {w : w R = 0}.  W is unimodular, so W^-1 = det * adj with
-    det = +-1 (``inverse_int``), and W W^-1 = I makes the last r - m columns
-    of W^-1 the section: degree_rows() @ section = I."""
+    W [R | I] = [H | W] of ``_free_hermite_form`` that ``fan.validation``
+    keeps.  The rows of W beside the zero rows of H are the canonical basis
+    of the degree functionals {w : w R = 0}.  W is unimodular, so
+    W^-1 = det * adj with det = +-1 (``inverse_int``), and W W^-1 = I makes
+    the last r - m columns of W^-1 the section: degree_rows() @ section = I.
+    ``FanData.grading`` computes it once per fan for every reader."""
     r, m = fan.n_rays, fan.dim
-    h = _free_hermite_form(fan) if hermite is None else hermite
+    h = fan.validation.hermite
     if h is None:
         factors = linalg.invariant_factors(fan.rays)
         # a zero factor means the rays are degenerate
@@ -590,11 +597,10 @@ class Monomials(list):
         self.radix = radix
 
 
-def monomial_basis(
-    grading: GradingMap, fan: FanData, alpha: Sequence[int]
-) -> Monomials:
+def monomial_basis(fan: FanData, alpha: Sequence[int]) -> Monomials:
     """All exponent vectors of class-group degree alpha, graded-lex sorted,
-    with their codes.
+    with their codes, under ``fan.grading``; ``DegreeMismatch`` unless
+    alpha has one entry per rank of the class group.
 
     Starts at the exponent vector u0 = section . alpha of degree alpha,
     whose entries may be negative, then enumerates the fiber
@@ -613,6 +619,9 @@ def monomial_basis(
     below the radix, the order of the codes is graded-lex order, that of
     ``poly.grlex_key``.
     """
+    grading = fan.grading
+    if len(alpha) != grading.rank:
+        raise DegreeMismatch(f"degree {tuple(alpha)} is not of the class group's rank {grading.rank}")
     u0 = [sum(map(mul, row, alpha)) for row in grading.section]
     order, reach = fan.sweep_plan
     t = max([0, *u0])

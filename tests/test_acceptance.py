@@ -30,8 +30,7 @@ from lgfrob.toric import class_group, monomial_basis, validate_fan
 
 def make_system(name):
     fx = get_fixture(name)
-    grading = class_group(fx.fan)
-    return jac.jacobian_system(fx.fan, grading, fx.polynomial)
+    return jac.jacobian_system(fx.fan, fx.polynomial)
 
 
 def report_line(capsys, number, ok, detail):
@@ -342,10 +341,10 @@ def test_criterion_8_property_suites(capsys):
 
     # two-method lattice-point / monomial-count agreement
     fx = get_fixture("projective-4")
-    grading = class_group(fx.fan)
+    grading = fx.fan.grading
     polytope = toric.anticanonical_polytope(fx.fan)
     checks["count_agreement"] = all(
-        len(monomial_basis(grading, fx.fan, grading.scaled_beta(a)))
+        len(monomial_basis(fx.fan, grading.scaled_beta(a)))
         == count_lattice_points_dilated(fx.fan, polytope, a)
         for a in range(3)
     )

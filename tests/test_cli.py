@@ -350,20 +350,21 @@ class TestReportCommand:
         ]
 
     def test_class_group_computed_once_per_run(self, monkeypatch):
+        """The grading is computed once per fan object: the first command
+        on a config computes it, and every later one reads ``fan.grading``."""
         calls = []
         original = toric.class_group
 
-        def counting(fan, hermite=None):
+        def counting(fan):
             calls.append(fan)
-            return original(fan, hermite)
+            return original(fan)
 
         monkeypatch.setattr(toric, "class_group", counting)
         doc = get_fixture("projective-3").to_input_document()
         config = report.parse_run_config(doc, {"json_only": True})
         for command in ("validate", "dims", "gram", "report"):
-            calls.clear()
             assert report.run_report(config, command)[1] == 0
-            assert len(calls) == 1, command
+            assert calls == [config.fan], command
 
     def test_hermite_form_computed_once_per_report(self, monkeypatch):
         """validate_fan's form serves class_group.  build_algebra's guard,
@@ -548,10 +549,10 @@ class TestGramRanks:
         assert [doc_report["gram"][str(a)]["rank"] for a in range(3)] == [1, 19, 1]
 
     def test_axiom_check_builds_each_gram_once(self, monkeypatch):
-        """On the quartic (dims [1, 19, 1]) a report builds the Gram
-        numerators of degrees 0, 1 and 2 once each; ``pairing_gram`` turns
-        only G_0 and G_2, the two it prints, into matrices, and the axiom
-        check reads the same numerators."""
+        """On the quartic (dims [1, 19, 1]) the gram stage builds only G_0
+        and G_2, the two it prints, each through ``pairing_gram`` from its
+        own numerators, and the axiom check builds the numerators of
+        degrees 0, 1 and 2 once each."""
         events = []
 
         def logged(name, fn):
@@ -567,12 +568,14 @@ class TestGramRanks:
         doc = get_fixture("projective-4").to_input_document()
         assert report.run_report(report.parse_run_config(doc))[1] == 0
         assert events == [
+            ("pairing_gram", 0),
+            ("gram_numerators", 0),
+            ("pairing_gram", 2),
+            ("gram_numerators", 2),
+            ("frobenius_axiom_check",),
             ("gram_numerators", 0),
             ("gram_numerators", 1),
             ("gram_numerators", 2),
-            ("pairing_gram", 0),
-            ("pairing_gram", 2),
-            ("frobenius_axiom_check",),
         ]
 
     def test_singular_gram_fails_nondegeneracy(self, monkeypatch):

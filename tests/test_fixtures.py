@@ -122,8 +122,8 @@ class TestGauntlet:
     @pytest.mark.parametrize("name", GAUNTLET)
     def test_full_certificate_suite(self, name):
         fx = get_fixture(name)
-        grading = class_group(fx.fan)
-        system = jac.jacobian_system(fx.fan, grading, fx.polynomial)
+        system = jac.jacobian_system(fx.fan, fx.polynomial)
+        grading = system.grading
         m = system.m
 
         assert [jac.dim_R(system, p) for p in (m, m + 1)] == [0, 0]

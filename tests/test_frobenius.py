@@ -23,13 +23,12 @@ from lgfrob.errors import DegreeMismatch, HypothesisFailed, NotReflexivePipeline
 from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import GradedPolynomial, monomial_code, parse_polynomial
 from lgfrob.report import parse_run_config, run_report
-from lgfrob.toric import CheckResult, anticanonical_polytope, class_group, monomial_basis
+from lgfrob.toric import CheckResult, anticanonical_polytope, monomial_basis
 
 
 def make_system(name):
     fx = get_fixture(name)
-    grading = class_group(fx.fan)
-    return jac.jacobian_system(fx.fan, grading, fx.polynomial)
+    return jac.jacobian_system(fx.fan, fx.polynomial)
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +76,10 @@ class TestBuild:
         for a in range(m + 2):
             jac.dim_R(system, a)
         assert system._pieces
-        assert all(p._remainders is None for p in system._pieces.values())
+        assert all("remainders" not in vars(p) for p in system._pieces.values())
         frob.build_algebra(system)
         beta = system.grading.scaled_beta
-        tabled = {k for k, p in system._pieces.items() if p._remainders is not None}
+        tabled = {k for k, p in system._pieces.items() if "remainders" in vars(p)}
         assert tabled == {(jac.IDEAL_J, beta(a)) for a in range(m)} | {
             (jac.IDEAL_J0, beta(m))
         }
@@ -158,7 +157,7 @@ def pencil_algebra(d: int, psi: Fraction):
     terms = {tuple(d * (j == i) for j in range(d)): 1 for i in range(d)}
     terms[(1,) * d] = -d * psi
     f = GradedPolynomial(fx.variables, terms)
-    return frob.build_algebra(jac.jacobian_system(fx.fan, class_group(fx.fan), f))
+    return frob.build_algebra(jac.jacobian_system(fx.fan, f))
 
 
 class TestToricJacobian:
@@ -328,14 +327,14 @@ class TestAxioms:
 def reduced_generator_coord(r0, row):
     """Generator coordinate of the sparse ``row`` of columns of R0(f)_{m beta}
     by ``EchelonBasis.reduce``, independently of the remainder table."""
-    generator_col = r0.column_index()[r0.basis[0]]
+    generator_col = r0.column_index[r0.basis[0]]
     return r0.echelon.reduce(row).get(generator_col, Fraction(0))
 
 
 def reduced_trace(p, D):
     """Trace of a degree-(m-1)beta polynomial by a full reduction of
     z_1...z_r * p in R0, as every trace was evaluated before the functional."""
-    index = D.r0_piece.column_index()
+    index = D.r0_piece.column_index
     row = {index[tuple(e + 1 for e in mono)]: c for mono, c in p.terms.items()}
     c = reduced_generator_coord(D.r0_piece, row) / D.generator_coord
     return D.sign * c * D.volume
@@ -345,7 +344,7 @@ def hessian_trace(p, D):
     """Trace of a degree-(m-1)beta polynomial in the Hessian normalization,
     which puts sign * m!Vol at z_1...z_r * Hess (``reference``), by full
     reductions in R0."""
-    index = D.r0_piece.column_index()
+    index = D.r0_piece.column_index
     hess = hessian_determinant(D.system).mul_monomial((1,) * len(D.system.variables))
     h = reduced_generator_coord(D.r0_piece, {index[mono]: c for mono, c in hess.terms.items()})
     return reduced_trace(p, D) * D.generator_coord / h
@@ -444,7 +443,7 @@ def reference_structure(D):
     for a in range(D.m):
         for b in range(a, D.m - a):
             target = D.bases[a + b]
-            index = target.column_index()
+            index = target.column_index
             basis_index = {index[mono]: k for k, mono in enumerate(target.basis)}
             tensor = []
             for mono_i in D.bases[a].basis:
@@ -767,7 +766,7 @@ class TestInvarianceFaultInjection:
     def test_functional_corruption_off_the_structure_path(self, bundle_algebra):
         D = bundle_algebra
         r0 = D.r0_piece
-        index = r0.column_index()
+        index = r0.column_index
         shift = (1,) * len(D.system.variables)
 
         def column(mono):
@@ -1201,10 +1200,10 @@ class TestMacaulayFromOnePiece:
         """The monomials of S_{p beta} that are no product of a monomial of
         S_{m beta} and one of S_{(p-m) beta}."""
         fx = get_fixture(name)
-        grading, m = class_group(fx.fan), fx.fan.dim
+        grading, m = fx.fan.grading, fx.fan.dim
 
         def basis(q):
-            return monomial_basis(grading, fx.fan, grading.scaled_beta(q))
+            return monomial_basis(fx.fan, grading.scaled_beta(q))
 
         top, low = set(basis(m)), basis(p - m)
         return [

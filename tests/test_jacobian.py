@@ -1,6 +1,7 @@
 """Graded Jacobian quotients: dimensions against Hilbert-series oracles,
 normal forms, Macaulay vanishing, socle and membership certificates."""
 
+import dataclasses
 import gc
 import random
 import sys
@@ -19,7 +20,7 @@ from lgfrob.errors import DegreeMismatch
 from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import GradedPolynomial, monomial_code, parse_polynomial
 from lgfrob.report import parse_run_config, run_report
-from lgfrob.toric import class_group, monomial_basis
+from lgfrob.toric import monomial_basis
 
 
 def make_system(name):
@@ -32,10 +33,9 @@ def make_system(name):
         terms = {tuple(d * (j == i) for j in range(d)): 1 for i in range(d)}
         terms[(1,) * d] = Fraction(-d, 2)
         f = GradedPolynomial(fx.variables, terms)
-        return jac.jacobian_system(fx.fan, class_group(fx.fan), f)
+        return jac.jacobian_system(fx.fan, f)
     fx = get_fixture(name)
-    grading = class_group(fx.fan)
-    return jac.jacobian_system(fx.fan, grading, fx.polynomial)
+    return jac.jacobian_system(fx.fan, fx.polynomial)
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +83,7 @@ class TestGradedPieces:
                 alpha = system.grading.scaled_beta(a)
                 for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
                     piece = jac.graded_piece(system, ideal, alpha)
-                    ambient = len(
-                        monomial_basis(system.grading, system.fan, alpha)
-                    )
+                    ambient = len(monomial_basis(system.fan, alpha))
                     assert ambient == piece.rank + piece.dim
 
     def test_quintic_dims_match_hilbert_series(self, quintic):
@@ -124,10 +122,40 @@ class TestGradedPieces:
         """The modular shortcut never changes a committed dimension."""
         want = [jac.dim_R(cubic, a) for a in range(4)]
         fx = get_fixture("projective-3")
-        grading = class_group(fx.fan)
-        exact = jac.jacobian_system(fx.fan, grading, fx.polynomial)
+        exact = jac.jacobian_system(fx.fan, fx.polynomial)
         monkeypatch.setattr(jac, "_block_kernel", lambda rows, cols: None)
         assert [jac.dim_R(exact, a) for a in range(4)] == want
+
+    def test_system_reads_the_fans_grading(self):
+        fan = get_fixture("bundle-p2").fan
+        system = jac.jacobian_system(fan, get_fixture("bundle-p2").polynomial)
+        assert system.grading is fan.grading
+
+    @pytest.mark.parametrize("alpha", [(2, 2, 7), (2,)])
+    def test_degree_of_the_wrong_length_refused(self, alpha):
+        """p1xp1's class group has rank 2.  Were a degree zipped with the
+        section, (2, 2, 7) would be read as (2, 2) and cached as a second
+        copy of R(f)_{(2,2)}, and (2,) would end in a KeyError while the
+        relation rows are keyed; both raise ``DegreeMismatch``, and the
+        system caches no piece and no monomial list."""
+        system = make_system("p1xp1")
+        for ideal in (jac.IDEAL_J, jac.IDEAL_J0):
+            with pytest.raises(DegreeMismatch, match="rank 2"):
+                jac.graded_piece(system, ideal, alpha)
+        assert not system._pieces and not system._monomials
+
+    def test_replaced_piece_starts_with_empty_caches(self, cubic):
+        """``column_index`` and ``remainders`` are cached per object: a
+        ``dataclasses.replace`` copy builds its own from its own fields."""
+        piece = jac.graded_piece(cubic, jac.IDEAL_J, (2,))  # basis xy, xz, yz
+        index, table = piece.column_index, piece.remainders
+        assert piece.column_index is index and piece.remainders is table
+        copy = dataclasses.replace(piece, basis=piece.basis[::-1])
+        assert "column_index" not in vars(copy) and "remainders" not in vars(copy)
+        assert copy.column_index == index and copy.column_index is not index
+        first = index[piece.basis[0]]
+        assert table[first] == {0: 1} and copy.remainders[first] == {2: 1}
+        assert piece.remainders is table
 
 
 class TestNormalForm:
@@ -155,7 +183,7 @@ class TestNormalForm:
         m = system.m
         alpha = system.grading.scaled_beta(m - 1)
         piece = jac.graded_piece(system, jac.IDEAL_J, alpha)
-        monos = monomial_basis(system.grading, system.fan, alpha)
+        monos = monomial_basis(system.fan, alpha)
         rng = random.Random(97)
         for _ in range(20):
             p = GradedPolynomial(
@@ -261,7 +289,7 @@ def assert_same_piece(piece, monos, pivots, reduced):
     assert piece.basis == [mo for i, mo in enumerate(monos) if i not in pivot_set]
     basis_cols = (c for c in range(len(monos)) if c not in pivot_set)
     basis_index = {c: k for k, c in enumerate(basis_cols)}
-    table = piece.remainders()
+    table = piece.remainders
     for c in range(len(monos)):
         want = {basis_index[j]: x for j, x in reduced[c].items()}
         assert table[c] == want, monos[c]
@@ -521,9 +549,9 @@ class TestBlocks:
         calls = []
         original = jac.monomial_basis
 
-        def counting(grading, fan, alpha):
+        def counting(fan, alpha):
             calls.append(tuple(alpha))
-            return original(grading, fan, alpha)
+            return original(fan, alpha)
 
         monkeypatch.setattr(jac, "monomial_basis", counting)
         system = make_system(name)
@@ -549,9 +577,9 @@ class TestBlocks:
         calls = []
         original = jac.monomial_basis
 
-        def counting(grading, fan, alpha):
+        def counting(fan, alpha):
             calls.append(tuple(alpha))
-            return original(grading, fan, alpha)
+            return original(fan, alpha)
 
         monkeypatch.setattr(jac, "monomial_basis", counting)
         doc = get_fixture(name).to_input_document()
@@ -575,13 +603,13 @@ def tuple_keyed_rows(system, generators, alpha, criterion=False):
     its denominators cleared.  With ``criterion``, a cofactor of the j-th
     generator is left out when the graded-reverse-lex leading monomial of
     an earlier generator divides it."""
-    monos = monomial_basis(system.grading, system.fan, alpha)
+    monos = monomial_basis(system.fan, alpha)
     index = {mono: i for i, mono in enumerate(monos)}
     rows = []
     leads = []
     for g, g_deg in generators:
         cof_degree = tuple(a - d for a, d in zip(alpha, g_deg))
-        for cof in monomial_basis(system.grading, system.fan, cof_degree):
+        for cof in monomial_basis(system.fan, cof_degree):
             if criterion and any(all(map(le, lead, cof)) for lead in leads):
                 continue
             row = {
@@ -655,7 +683,7 @@ class TestCodeKeyedRows:
         capsys.readouterr()
         # R(f)_{a beta} for a < m and R0(f)_{m beta}, each assembled once
         fan = get_fixture(name).fan
-        beta = class_group(fan).scaled_beta
+        beta = fan.grading.scaled_beta
         want = [(jac.IDEAL_J, beta(a)) for a in range(fan.dim)]
         want.append((jac.IDEAL_J0, beta(fan.dim)))
         assert sorted(seen) == sorted(want)
@@ -679,7 +707,7 @@ class TestCodeKeyedRows:
                 list(r.items()) for r in want_rows
             ], d
             assert all(e < monos.radix for mono in monos for e in mono)
-        tight = monomial_basis(system.grading, system.fan, (1,))
+        tight = monomial_basis(system.fan, (1,))
         assert max(map(max, tight)) == 1
         assert [monomial_code(mono, 1) for mono in tight] == [2, 2]
 
@@ -787,7 +815,7 @@ class TestSyzygyCriterion:
             ideal, alpha = piece.ideal, piece.degree
             monos, rows = tuple_keyed_rows(system, every_generator(system, ideal), alpha)
             assert piece.monomials == monos
-            table = piece.remainders()
+            table = piece.remainders
             for row in rows:
                 remainder = [0] * piece.dim
                 for c, x in row.items():
@@ -855,7 +883,7 @@ def rescaled_system(name, scales):
             coeff *= lam**e
         terms[mono] = coeff
     f = GradedPolynomial(fx.variables, terms)
-    return jac.jacobian_system(fx.fan, class_group(fx.fan), f)
+    return jac.jacobian_system(fx.fan, f)
 
 
 # the fixtures whose report reaches the Macaulay stage
@@ -895,7 +923,7 @@ class TestMacaulayDim:
         system = make_system(name)
         top = system.grading.scaled_beta(system.m)
         r0 = jac.graded_piece(system, jac.IDEAL_J0, top)
-        supp = [z for z, rem in zip(r0.monomials, r0.remainders()) if rem]
+        supp = [z for z, rem in zip(r0.monomials, r0.remainders) if rem]
         assert any(
             min(map(sub, z, t)) >= 0
             for z in supp
@@ -953,16 +981,14 @@ class TestCertificates:
 
     def test_inhomogeneous_rejected(self):
         fx = get_fixture("projective-3")
-        grading = class_group(fx.fan)
         bad = parse_polynomial("x^3 + x", ("x", "y", "z"))
         from lgfrob.errors import NotHomogeneous
 
         with pytest.raises(NotHomogeneous):
-            jac.jacobian_system(fx.fan, grading, bad)
+            jac.jacobian_system(fx.fan, bad)
 
     def test_wrong_degree_rejected(self):
         fx = get_fixture("projective-3")
-        grading = class_group(fx.fan)
         quadric = parse_polynomial("x^2 + y*z", ("x", "y", "z"))
         with pytest.raises(DegreeMismatch):
-            jac.jacobian_system(fx.fan, grading, quadric)
+            jac.jacobian_system(fx.fan, quadric)

@@ -27,8 +27,14 @@ from reference import (
     rref,
 )
 
-from lgfrob import linalg
-from lgfrob.errors import DegeneratePolytope, InvalidFan, NotReflexivePipeline, TorsionClassGroup
+from lgfrob import linalg, toric
+from lgfrob.errors import (
+    DegeneratePolytope,
+    DegreeMismatch,
+    InvalidFan,
+    NotReflexivePipeline,
+    TorsionClassGroup,
+)
 from lgfrob.fixtures import fixture_names, get_fixture
 from lgfrob.poly import grlex_key, monomial_code
 from lgfrob.toric import (
@@ -205,6 +211,46 @@ class TestClassGroup:
         with pytest.raises(TorsionClassGroup):
             class_group(fan)
 
+    def test_torsion_raises_on_every_read(self):
+        """The fan of test_torsion_rejected keeps no grading: every read of
+        ``fan.grading`` raises, with the invariant factors of Z^3 / R Z^2."""
+        fan = FanData(2, [(1, 2), (1, -2), (-1, 0)], [(0, 1), (1, 2), (0, 2)])
+        assert fan.validation.hermite is None
+        for _ in range(2):
+            with pytest.raises(TorsionClassGroup) as exc:
+                fan.grading
+            assert exc.value.invariant_factors == (1, 2)
+
+    def test_grading_kept_per_object(self, monkeypatch):
+        """A fan object computes its grading once, through the module's
+        ``class_group``; an equal fan built again computes it afresh."""
+        calls = []
+        original = toric.class_group
+
+        def counting(fan):
+            calls.append(fan)
+            return original(fan)
+
+        monkeypatch.setattr(toric, "class_group", counting)
+        fan, twin = get_fixture("bundle-p2").fan, get_fixture("bundle-p2").fan
+        assert fan.grading is fan.grading
+        assert calls == [fan]
+        assert twin.grading == fan.grading and twin.grading is not fan.grading
+        assert len(calls) == 2
+
+    def test_grading_of_a_fan_that_fails_validation(self):
+        """hirzebruch-3 fails ampleness, so it has no polytope, but its class
+        group is free: the validation keeps the Hermite form, and the fan
+        has its grading."""
+        fan = get_fixture("hirzebruch-3").fan
+        assert not fan.validation.all_pass and fan.validation.polytope is None
+        assert fan.validation.hermite is not None
+        g = fan.grading
+        assert g.rank == 2
+        assert g.degrees == ((1, 0), (0, 1), (1, 0), (3, 1))
+        assert g.beta == (5, 2)
+        assert g.section == ((1, 0), (0, 1), (0, 0), (0, 0))
+
 
 class TestPolytopeAndVolume:
     def test_projective_plane_vertices(self):
@@ -365,20 +411,20 @@ class TestCarriedEnumeration:
         and those of degree a beta - deg z_i are z^e / z_i for the ones
         with e_i > 0.  The box of a Delta's vertices covers both."""
         fan = get_fixture(name).fan
-        g = class_group(fan)
+        g = fan.grading
         vertices = polytope_vertices(fan)
         top = 1 if name == "bundle-p6" else fan.dim + 1
         empty = 0
         for a in range(top + 1):
             points = dilated_points(fan, vertices, a)
             alpha = g.scaled_beta(a)
-            monos = monomial_basis(g, fan, alpha)
+            monos = monomial_basis(fan, alpha)
             assert monos == sorted(points, key=grlex_key), a
             assert_codes(monos)
             for i, deg in enumerate(g.degrees):
                 degree = tuple(x - d for x, d in zip(alpha, deg))
                 cofactors = [e[:i] + (e[i] - 1,) + e[i + 1 :] for e in points if e[i]]
-                monos = monomial_basis(g, fan, degree)
+                monos = monomial_basis(fan, degree)
                 assert monos == sorted(cofactors, key=grlex_key), degree
                 assert_codes(monos)
                 empty += not monos
@@ -418,11 +464,11 @@ class TestCarriedEnumeration:
         """The sweep holds its output in no reference cycle, so the list
         is freed when the caller drops it, not by the cycle collector."""
         fan = get_fixture(name).fan
-        g = class_group(fan)
+        g = fan.grading
         gc.collect()
         gc.disable()
         try:
-            assert monomial_basis(g, fan, g.scaled_beta(2))
+            assert monomial_basis(fan, g.scaled_beta(2))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -469,8 +515,8 @@ class TestBetti:
 class TestMonomialBasis:
     def test_projective_plane_cubics(self):
         fan = projective_plane()
-        g = class_group(fan)
-        monos = monomial_basis(g, fan, (3,))
+        g = fan.grading
+        monos = monomial_basis(fan, (3,))
         assert len(monos) == 10
         assert monos == sorted(monos, key=lambda m: (sum(m), m))
         assert all(g.monomial_degree(m) == (3,) for m in monos)
@@ -479,7 +525,7 @@ class TestMonomialBasis:
         """Every enumeration starts at section . alpha and eliminates
         nothing."""
         fan = get_fixture("bundle-p2").fan
-        g = class_group(fan)
+        g = fan.grading
         polytope = anticanonical_polytope(fan)
 
         def refuse(*args):
@@ -487,13 +533,20 @@ class TestMonomialBasis:
 
         for name in ("hermite_row_canonical", "smith_normal_form", "inverse_int"):
             monkeypatch.setattr(linalg, name, refuse)
-        monos = monomial_basis(g, fan, g.scaled_beta(2))
+        monos = monomial_basis(fan, g.scaled_beta(2))
         assert len(monos) == count_lattice_points_dilated(fan, polytope, 2)
+
+    @pytest.mark.parametrize("alpha", [(1,), (1, 0, 0)])
+    def test_degree_of_the_wrong_length_refused(self, alpha):
+        """p1xp1's class group has rank 2.  Zipped with the section, (1,)
+        would give the two monomials of degree (1, 0); it is refused."""
+        fan = get_fixture("p1xp1").fan
+        with pytest.raises(DegreeMismatch, match="rank 2"):
+            monomial_basis(fan, alpha)
 
     def test_empty_for_unreachable_degree(self):
         fan = product_p1p1()
-        g = class_group(fan)
-        assert monomial_basis(g, fan, (1, -1)) == []
+        assert monomial_basis(fan, (1, -1)) == []
 
     @pytest.mark.parametrize("name", SMALL_FIXTURES)
     @pytest.mark.parametrize("a", [0, 1, 2])
@@ -502,17 +555,17 @@ class TestMonomialBasis:
         the a-fold dilated anti-canonical polytope; the counter on the right
         is an independent bounding-box sweep."""
         fan = get_fixture(name).fan
-        g = class_group(fan)
+        g = fan.grading
         polytope = anticanonical_polytope(fan)
-        monos = monomial_basis(g, fan, g.scaled_beta(a))
+        monos = monomial_basis(fan, g.scaled_beta(a))
         assert len(monos) == count_lattice_points_dilated(fan, polytope, a)
 
     def test_bundle_p6_beta_count(self):
         fx = get_fixture("bundle-p6")
-        g = class_group(fx.fan)
+        g = fx.fan.grading
         # u-part 210 + y1 y2 cross part 1716 + v-part 3003 monomials... the
         # committed value is pinned by the dilation counter
-        monos = monomial_basis(g, fx.fan, g.beta)
+        monos = monomial_basis(fx.fan, g.beta)
         polytope = anticanonical_polytope(fx.fan)
         assert len(monos) == count_lattice_points_dilated(fx.fan, polytope, 1) == 5643
 
@@ -524,6 +577,5 @@ class TestMonomialBasis:
         """The fan of the affine plane has Delta the shifted first
         quadrant; its radix has no bound, and the enumeration refuses it."""
         fan = FanData(2, [(1, 0), (0, 1)], [(0, 1)])
-        g = class_group(fan)
         with pytest.raises(DegeneratePolytope):
-            monomial_basis(g, fan, ())
+            monomial_basis(fan, ())
